@@ -33,7 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, apply_overrides, load_config, validate_config
+from .config import (
+    BLOCK_TOL_DEFAULT,
+    ConfigError,
+    ExperimentConfig,
+    apply_overrides,
+    load_config,
+    validate_config,
+)
 from .dynamics import kg_residual, propagate, time_window
 from .lattice import dirichlet_basis
 from .massfamily import (
@@ -83,6 +90,8 @@ def _render_json(value, indent: int = 0) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite value {value!r} has no JSON form")
         return _fmt(value)
     if isinstance(value, str):
         return json.dumps(value)
@@ -165,8 +174,8 @@ def cmd_evolve(config: ExperimentConfig):
         bt = propagate(b, float(t), config.m, basis)
         sym_drift = abs(symplectic(at, bt, basis.grid) - ref_sym) / abs(ref_sym)
         norm_drift = abs(scalar_product(sig, at, at) - ref_norm) / abs(ref_norm)
-        worst_sym = max(worst_sym, sym_drift)
-        worst_norm = max(worst_norm, norm_drift)
+        worst_sym = np.maximum(worst_sym, sym_drift)
+        worst_norm = np.maximum(worst_norm, norm_drift)
         rows.append([float(t), sym_drift, norm_drift])
     results = {
         "time_span": config.time,
@@ -235,7 +244,6 @@ def cmd_massdecomp(config: ExperimentConfig):
     ]
     gram, report = spacetime_gram(
         families,
-        dt=config.dt,
         t_max=config.t_max,
         tol=config.tol,
         t_ceiling=config.t_ceiling,
@@ -247,7 +255,7 @@ def cmd_massdecomp(config: ExperimentConfig):
         for j in range(i, config.families):
             lhs, rhs = gram[i, j], mass_decomposition_pairing(families[i], families[j])
             rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-            worst = max(worst, rel)
+            worst = np.maximum(worst, rel)
             if j > i:
                 pair_count += 1
             rows.append([i, j, lhs.real, lhs.imag, rhs.real, rhs.imag, rel])
@@ -282,7 +290,6 @@ def cmd_reconstruct(config: ExperimentConfig, block_tol: float):
             tol=block_tol,
             interval=interval,
             num_nodes=config.mass_nodes,
-            dt=config.dt,
             t_max=config.t_max,
             t_ceiling=config.t_ceiling,
         )
@@ -333,11 +340,11 @@ def cmd_state(config: ExperimentConfig):
         w_fg = two_point(state, f, g)
         gf = causal_fundamental(f, config.m)
         gg = causal_fundamental(g, config.m)
-        im_worst = max(
+        im_worst = np.maximum(
             im_worst, abs(w_fg.imag - 0.5 * symplectic(gf, gg, basis.grid).real)
         )
         anti = w_fg - two_point(state, g, f)
-        ccr_worst = max(ccr_worst, abs(anti - 1j * gm_form(f, g, config.m)))
+        ccr_worst = np.maximum(ccr_worst, abs(anti - 1j * gm_form(f, g, config.m)))
     results = {
         "trials": config.trials,
         "min_gram_eigenvalue": suite.min_eigenvalue,
@@ -452,15 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
+    block_tol = args.tol if args.tol is not None else BLOCK_TOL_DEFAULT
     try:
         config = apply_overrides(load_config(args.config), seed=args.seed, tol=args.tol)
-        validate_config(config, args.command)
+        validate_config(config, args.command, block_tol)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
         if args.command == "reconstruct":
-            block_tol = args.tol if args.tol is not None else 1e-3
             results, tables = cmd_reconstruct(config, block_tol)
         else:
             results, tables = globals()[f"cmd_{args.command}"](config)

@@ -9,12 +9,16 @@ typos surface as configuration errors (exit code 2 at the CLI).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     """Invalid configuration file or parameter combination."""
+
+
+BLOCK_TOL_DEFAULT = 1e-3  # reconstruct's block tolerance unless --tol is given
 
 
 _SCHEMA: dict[str, dict[str, type]] = {
@@ -106,7 +110,15 @@ def apply_overrides(
     return out
 
 
-def validate_config(config: ExperimentConfig, command: str) -> None:
+def validate_config(
+    config: ExperimentConfig, command: str, block_tol: float = BLOCK_TOL_DEFAULT
+) -> None:
+    """Reject values the command cannot run with; `block_tol` is the block
+    tolerance of `reconstruct`."""
+    for keys in _SCHEMA.values():
+        for key, caster in keys.items():
+            if caster is float and not math.isfinite(getattr(config, key)):
+                raise ConfigError(f"{key} must be finite")
     if config.n < 1:
         raise ConfigError("grid needs at least one interior point")
     if config.l <= 0.0:
@@ -134,7 +146,16 @@ def validate_config(config: ExperimentConfig, command: str) -> None:
                 "weight window [m - half_width, m + half_width] must lie "
                 "inside the open mass interval"
             )
+        if (config.half_width / config.m) ** 2 > 25.0 * block_tol:
+            raise ConfigError(
+                "half-width too large for the requested tolerance "
+                f"(need (half_width / m)^2 <= 25 * {block_tol:g})"
+            )
     if command == "wick" and not 1 <= config.wick_order <= 4:
         raise ConfigError("wick_order must be between 1 and 4")
-    if command in ("state", "massdecomp") and config.trials < 1:
+    if command == "state" and config.trials < 1:
         raise ConfigError("trials must be positive")
+    if command == "massdecomp" and config.families < 1:
+        raise ConfigError("families must be positive")
+    if command in ("state", "green", "wick") and not config.window > 0.0:
+        raise ConfigError("window must be positive")

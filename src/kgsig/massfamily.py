@@ -5,8 +5,10 @@ data (node scalar) * (base datum), where the node scalars are the values of a
 smooth compactly supported mass weight (times m_q^k after k applications of
 the mass operator T). The map p integrates the scalar field of the family
 over mass against the measure m dm (Gauss-Legendre nodes), and the physical
-inner product pairs p-images in L^2 over spacetime: Simpson in time on
-[-T, T] with T doubled until the increment falls below tolerance.
+inner product pairs p-images in L^2 over spacetime on [-T, T], with T doubled
+until the increment falls below tolerance. Time is integrated exactly: per
+mode the integrand is a finite sum of cos/sin products over the mass nodes,
+whose integrals over the symmetric stage sets are closed-form sinc kernels.
 
 Two quadrature choices matter and are deliberate:
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import CauchyDatum, mode_data, simpson_weights, time_window
+from .dynamics import CauchyDatum, mode_data
 from .lattice import SpectralBasis
 from .random_fields import bump
 
@@ -34,7 +36,8 @@ MASS_NODES_DEFAULT = 200
 T_MAX_DEFAULT = 200.0
 TOL_DEFAULT = 1e-6
 T_CEILING_DEFAULT = 51200.0
-_CHUNK_BUDGET = 4_000_000  # elements per phase-matrix block
+_KERNEL_BUDGET = 1 << 19  # elements per block of time-kernel rows
+_ACTIVE_REL = 1e-12  # below this share of a family's largest mode: analysis noise
 
 
 class ConvergenceError(RuntimeError):
@@ -201,71 +204,65 @@ def _stage_rules(
     return rules
 
 
-def _stage_gram(
-    families: list[MassFamily],
-    modes: list[np.ndarray],
-    active: np.ndarray,
-    t_lo: float,
-    t_hi: float,
-    dt: float,
-) -> np.ndarray:
-    """Simpson contribution of [t_lo, t_hi]; if t_lo > 0 the mirrored
-    segment [-t_hi, -t_lo] is included as well."""
-    n_fam = len(families)
-    basis = families[0].basis
-    lam = basis.eigenvalues
-    times = time_window(t_lo, t_hi, dt)
-    quad = simpson_weights(times)
-    mirror = not np.isclose(t_lo, -t_hi)
-    rules = _stage_rules(families, max(abs(t_lo), abs(t_hi)))
-    omegas = {
-        key: np.sqrt(lam[:, None] + nodes[None, :] ** 2)
-        for key, (nodes, _, _) in rules.items()
-    }
-    u_vecs = []
-    for fam in families:
-        nodes, qw, vals = rules[id(fam.weight)]
-        u_vecs.append(qw * nodes * vals * nodes**fam.mass_power)
-    q_max = max(nodes.size for nodes, _, _ in rules.values())
-    chunk = max(256, _CHUNK_BUDGET // q_max)
+def _time_kernels(w: np.ndarray, w_cols: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals over [-t, t] of cos(w s) cos(w' s) and sin(w s) sin(w' s) / (w w').
 
-    out = np.zeros((n_fam, n_fam), dtype=complex)
-    for n in range(basis.size):
+    sin(d t) / d is written t sinc(d t / pi), exact at d = 0 (the diagonal).
+    """
+    near = t * np.sinc(np.subtract.outer(w, w_cols) * (t / np.pi))
+    far = t * np.sinc(np.add.outer(w, w_cols) * (t / np.pi))
+    return near + far, (near - far) / np.multiply.outer(w, w_cols)
+
+
+def _stage_gram(
+    families: list[MassFamily], modes: np.ndarray, active: np.ndarray, t_lo: float, t_hi: float
+) -> np.ndarray:
+    """Exact time integral of the pairing over [-t_hi, -t_lo] and [t_lo, t_hi].
+
+    With t_lo = 0 the set is the whole window [-t_hi, t_hi]. Per mode,
+    p a_i(t) = sum_q u_iq [phi_i cos(w_q t) - i pi_i sin(w_q t) / w_q], so
+    the stage is a quadratic form in the node vectors u_i with the kernels
+    of `_time_kernels`; the cos * sin cross terms are odd in t and vanish on
+    this symmetric set.
+    """
+    lam = families[0].basis.eigenvalues
+    rules = _stage_rules(families, t_hi)
+    # One node axis for all weight rules; a family's vector is zero outside
+    # the segment of its own rule.
+    nodes = np.concatenate([x for x, _, _ in rules.values()])
+    offsets = dict(zip(rules, np.cumsum([0] + [x.size for x, _, _ in rules.values()])))
+    u = np.zeros((len(families), nodes.size))
+    for i, fam in enumerate(families):
+        x, qw, vals = rules[id(fam.weight)]
+        start = offsets[id(fam.weight)]
+        u[i, start : start + x.size] = qw * x * vals * x**fam.mass_power
+    # Q grows like T, so one Q x Q kernel would take gigabytes near the
+    # default ceiling; kernel rows are built in blocks of bounded size.
+    rows = max(1, _KERNEL_BUDGET // nodes.size)
+
+    out = np.zeros((len(families), len(families)), dtype=complex)
+    for n in range(lam.size):
         idx = np.flatnonzero(active[:, n])
         if idx.size == 0:
             continue
-        for start in range(0, times.size, chunk):
-            t_blk = times[start : start + chunk]
-            q_blk = quad[start : start + chunk]
-            series = np.empty((t_blk.size, idx.size), dtype=complex)
-            series_m = np.empty_like(series) if mirror else None
-            trig: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            matvec: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-            for col, fi in enumerate(idx):
-                key = id(families[fi].weight)
-                mv_key = (key, families[fi].mass_power)
-                if mv_key not in matvec:
-                    if key not in trig:
-                        om_row = omegas[key][n]
-                        phase = np.outer(t_blk, om_row)
-                        trig[key] = (np.cos(phase), np.sin(phase) / om_row[None, :])
-                    cos_m, sin_m = trig[key]
-                    matvec[mv_key] = (cos_m @ u_vecs[fi], sin_m @ u_vecs[fi])
-                cos_u, sin_u = matvec[mv_key]
-                phi_n, pi_n = modes[fi][0, n], modes[fi][1, n]
-                series[:, col] = phi_n * cos_u - 1j * pi_n * sin_u
-                if mirror:
-                    series_m[:, col] = phi_n * cos_u + 1j * pi_n * sin_u
-            out_idx = np.ix_(idx, idx)
-            out[out_idx] += series.conj().T @ (q_blk[:, None] * series)
-            if mirror:
-                out[out_idx] += series_m.conj().T @ (q_blk[:, None] * series_m)
+        w = np.sqrt(lam[n] + nodes**2)
+        u_n = u[idx]
+        g_cos = g_sin = 0.0
+        for start in range(0, w.size, rows):
+            blk = slice(start, start + rows)
+            cos_hi, sin_hi = _time_kernels(w[blk], w, t_hi)
+            cos_lo, sin_lo = _time_kernels(w[blk], w, t_lo)
+            g_cos = g_cos + u_n[:, blk] @ (cos_hi - cos_lo) @ u_n.T
+            g_sin = g_sin + u_n[:, blk] @ (sin_hi - sin_lo) @ u_n.T
+        phi, pi = modes[idx, 0, n], modes[idx, 1, n]
+        out[np.ix_(idx, idx)] += (
+            np.outer(phi.conj(), phi) * g_cos + np.outer(pi.conj(), pi) * g_sin
+        )
     return out
 
 
 def spacetime_gram(
     families: list[MassFamily],
-    dt: float = 0.05,
     t_max: float = T_MAX_DEFAULT,
     tol: float = TOL_DEFAULT,
     t_ceiling: float = T_CEILING_DEFAULT,
@@ -282,13 +279,14 @@ def spacetime_gram(
     for fam in families:
         if fam.basis is not basis:
             raise ValueError("families must share one spectral basis")
-    modes = [mode_data(f.base, f.basis) for f in families]
-    active = np.stack([np.abs(c).sum(axis=0) > 0.0 for c in modes])
+    modes = np.stack([mode_data(f.base, f.basis) for f in families])
+    magnitude = np.abs(modes).sum(axis=1)
+    active = magnitude > _ACTIVE_REL * magnitude.max(axis=1, keepdims=True)
 
-    total = _stage_gram(families, modes, active, -t_max, t_max, dt)
+    total = _stage_gram(families, modes, active, 0.0, t_max)
     t_cur, stages = t_max, 1
     while True:
-        inc = _stage_gram(families, modes, active, t_cur, 2 * t_cur, dt)
+        inc = _stage_gram(families, modes, active, t_cur, 2 * t_cur)
         total += inc
         t_cur *= 2
         stages += 1
@@ -307,13 +305,10 @@ def spacetime_gram(
 def spacetime_inner(
     a: MassFamily,
     b: MassFamily,
-    dt: float = 0.05,
     t_max: float = T_MAX_DEFAULT,
     tol: float = TOL_DEFAULT,
     t_ceiling: float = T_CEILING_DEFAULT,
 ) -> tuple[complex, ConvergenceReport]:
     """<p a | p b> over spacetime, conjugate-linear in the first argument."""
-    gram, report = spacetime_gram(
-        [a, b], dt=dt, t_max=t_max, tol=tol, t_ceiling=t_ceiling
-    )
+    gram, report = spacetime_gram([a, b], t_max=t_max, tol=tol, t_ceiling=t_ceiling)
     return complex(gram[0, 1]), report

@@ -179,7 +179,7 @@ def cross_check_lattice(mass: float, basis) -> CrossCheckReport:
     eig_dev = 0.0
     for block in mink_blocks:
         eigs = np.sort(np.linalg.eigvals(block).real)
-        eig_dev = max(eig_dev, float(np.abs(eigs - [-np.pi, np.pi]).max()))
+        eig_dev = np.maximum(eig_dev, np.abs(eigs - [-np.pi, np.pi]).max())
     return CrossCheckReport(
         max_block_deviation=block_dev, max_eigenvalue_deviation=eig_dev
     )

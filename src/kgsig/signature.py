@@ -259,7 +259,6 @@ def signature_reconstruct(
     tol: float = 1e-3,
     interval: MassInterval | None = None,
     num_nodes: int = 200,
-    dt: float = 0.05,
     t_max: float = 200.0,
     t_ceiling: float = 51200.0,
 ) -> tuple[SignatureOperator, ReconstructionReport]:
@@ -295,7 +294,6 @@ def signature_reconstruct(
         )
     gram, report = spacetime_gram(
         families,
-        dt=dt,
         t_max=t_max,
         tol=tol * norm2 * 1e-2,
         t_ceiling=t_ceiling,
@@ -306,9 +304,9 @@ def signature_reconstruct(
     imag_defect = 0.0
     for k in range(n):
         pair = gram[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] / norm2
-        herm_defect = max(herm_defect, float(np.abs(pair - pair.conj().T).max()))
+        herm_defect = np.maximum(herm_defect, np.abs(pair - pair.conj().T).max())
         block = -_FLIP @ (0.5 * (pair + pair.conj().T))
-        imag_defect = max(imag_defect, float(np.abs(block.imag).max()))
+        imag_defect = np.maximum(imag_defect, np.abs(block.imag).max())
         blocks[k] = block.real
     return (
         SignatureOperator(mass=mass, basis=basis, blocks=blocks),

@@ -36,8 +36,9 @@ def gm_form(f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float) -> 
     symplectic(causal_fundamental(f), causal_fundamental(g)) is a genuine
     two-sided consistency check.
     """
-    if f.basis is not g.basis and f.basis.size != g.basis.size:
-        raise ValueError("sources must share a basis")
+    fg, gg = f.basis.grid, g.basis.grid
+    if fg.num_points != gg.num_points or fg.spacing != gg.spacing:
+        raise ValueError("sources must share a grid")
     if f.times.shape != g.times.shape or not np.allclose(f.times, g.times):
         raise ValueError("sources must share a time window")
     u = causal_field(g, mass)

@@ -43,7 +43,7 @@ def test_a1_mass_decomposition(basis16, criterion):
         make_family(random_datum(rng, basis16), basis16, weight, interval)
         for _ in range(5)
     ]
-    gram, report = spacetime_gram(families, dt=0.05, t_max=200.0, tol=1e-6)
+    gram, report = spacetime_gram(families, t_max=200.0, tol=1e-6)
     worst = 0.0
     pairs = 0
     for i in range(5):

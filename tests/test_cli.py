@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from kgsig.cli import main
+from kgsig.cli import _render_json, cmd_evolve, main
+from kgsig.config import ExperimentConfig
 
 SMALL = "[grid]\nn = 4\nl = 6.0\n\n[quadrature]\nmass_nodes = 64\ntol = 1e-5\n\n[run]\nfamilies = 3\n"
 
@@ -163,3 +164,41 @@ def test_state_command_reports_positivity(tmp_path):
     results = read_summary(out, "state")["results"]
     assert results["min_gram_eigenvalue"] > -1e-10
     assert results["ccr_identity_worst"] < 1e-5
+
+
+def test_non_finite_value_exits_2(tmp_path, capsys):
+    code, out = run(tmp_path, ["evolve"], "[mass]\nm = nan\n")
+    assert code == 2
+    assert "m must be finite" in capsys.readouterr().err
+    assert not (out / "evolve_summary.json").exists()
+
+
+def test_worst_case_drift_keeps_nan():
+    results, _ = cmd_evolve(ExperimentConfig(n=4, m=float("nan"), samples=3))
+    assert np.isnan(results["max_symplectic_drift"])
+    assert np.isnan(results["max_norm_drift"])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf")])
+def test_render_json_refuses_non_finite(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        _render_json({"results": {"x": value}})
+
+
+def test_zero_families_exits_2(tmp_path, capsys):
+    code, _ = run(tmp_path, ["massdecomp"], "[run]\nfamilies = 0\n")
+    assert code == 2
+    assert "families must be positive" in capsys.readouterr().err
+
+
+def test_reconstruct_tolerance_below_width_error_exits_2(tmp_path, capsys):
+    code, _ = run(tmp_path, ["reconstruct", "--tol", "1e-5"])
+    assert code == 2
+    assert "half-width too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["state", "green", "wick"])
+def test_empty_window_exits_2(tmp_path, capsys, command):
+    code, _ = run(tmp_path, [command], "[run]\nwindow = 0\n")
+    assert code == 2
+    assert "window must be positive" in capsys.readouterr().err

@@ -101,6 +101,19 @@ def test_scalar_bounds():
         validate_config(ExperimentConfig(trials=0), "state")
 
 
+def test_massdecomp_checks_families_not_trials():
+    with pytest.raises(ConfigError, match="families"):
+        validate_config(ExperimentConfig(families=0), "massdecomp")
+    validate_config(ExperimentConfig(trials=0), "massdecomp")
+
+
+@pytest.mark.parametrize("key", ["l", "tol", "window"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_floats_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        validate_config(ExperimentConfig(**{key: value}), "spectrum")
+
+
 def test_as_dict_round_trips_sections():
     d = ExperimentConfig().as_dict()
     assert set(d) == {"grid", "mass", "quadrature", "run"}

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from kgsig.dynamics import CauchyDatum, mode_data
+from kgsig import massfamily
+from kgsig.dynamics import CauchyDatum, mode_data, simpson_weights, time_window
 from kgsig.lattice import dirichlet_basis
 from kgsig.massfamily import (
     ConvergenceError,
@@ -37,6 +38,43 @@ def rhs_pairing(fa, fb):
     )
     u = wq.quad * wq.nodes * fa.node_scale * fb.node_scale
     return complex(np.sum(u * per_m))
+
+
+def simpson_stage(families, t_lo, t_hi, dt):
+    """Reference stage: Simpson in time of the h-weighted pairing of the
+    p-images over [-t_hi, -t_lo] and [t_lo, t_hi] ([-t_hi, t_hi] if t_lo = 0).
+
+    integrate_p uses each weight's base rule, which is the stage rule as long
+    as the base rule has more nodes than the stage needs.
+    """
+    spans = [(-t_hi, t_hi)] if t_lo == 0.0 else [(t_lo, t_hi), (-t_hi, -t_lo)]
+    h = families[0].basis.grid.spacing
+    gram = np.zeros((len(families), len(families)), dtype=complex)
+    for lo, hi in spans:
+        times = time_window(lo, hi, dt)
+        fields = np.array([[integrate_p(f, t) for f in families] for t in times])
+        per_time = h * np.einsum("tax,tbx->tab", fields.conj(), fields)
+        gram += np.tensordot(simpson_weights(times), per_time, axes=1)
+    return gram
+
+
+def stage_gram(families, t_lo, t_hi):
+    modes = np.stack([mode_data(f.base, f.basis) for f in families])
+    active = np.ones((len(families), families[0].basis.size), dtype=bool)
+    return massfamily._stage_gram(families, modes, active, t_lo, t_hi)
+
+
+@pytest.fixture(scope="module")
+def mixed_families():
+    """Three families on two weights, one of them after one application of T."""
+    basis8 = dirichlet_basis(8, 10.0)
+    rng = np.random.default_rng(13)
+    broad, narrow = interval_weight(INTERVAL, 64), bump_weight(1.5, 0.2, 48)
+    return [
+        make_family(random_datum(rng, basis8), basis8, broad, INTERVAL),
+        make_family(random_datum(rng, basis8), basis8, narrow, INTERVAL),
+        apply_T(make_family(random_datum(rng, basis8), basis8, narrow, INTERVAL)),
+    ]
 
 
 def test_interval_rejects_zero_in_closure():
@@ -110,13 +148,50 @@ def test_integrate_p_decays(basis):
     assert norms[2] < 1e-3 * norms[0]
 
 
+@pytest.mark.parametrize("t_lo, t_hi", [(0.0, 10.0), (10.0, 20.0)])
+def test_stage_gram_matches_simpson_reference(mixed_families, t_lo, t_hi):
+    rules = massfamily._stage_rules(mixed_families, t_hi)
+    assert all(rules[id(f.weight)][0] is f.weight.nodes for f in mixed_families)
+    exact = stage_gram(mixed_families, t_lo, t_hi)
+    scale = np.abs(exact).max()
+    assert np.abs(exact - exact.conj().T).max() <= 1e-14 * scale
+    # Simpson's error is O(dt^4): it shrinks ~16x per halving towards the
+    # exact kernel
+    errs = [
+        np.abs(simpson_stage(mixed_families, t_lo, t_hi, dt) - exact).max()
+        for dt in (0.02, 0.01)
+    ]
+    assert errs[1] < 1e-8 * scale
+    assert errs[0] / errs[1] > 12.0
+
+
+def test_stage_gram_kernel_blocks_agree(mixed_families, monkeypatch):
+    whole = stage_gram(mixed_families, 10.0, 20.0)
+    monkeypatch.setattr(massfamily, "_KERNEL_BUDGET", 500)
+    blocked = stage_gram(mixed_families, 10.0, 20.0)
+    assert np.abs(blocked - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+def test_unit_mode_families_pair_only_their_mode():
+    # analysis leaves ~1e-16 noise in the other modes; it must not pair
+    basis8 = dirichlet_basis(8, 10.0)
+    wgt = bump_weight(1.5, 0.2, 64)
+    fams = [
+        make_family(CauchyDatum(phi=v, pi=np.zeros(8)), basis8, wgt, INTERVAL)
+        for v in basis8.vectors[:, :2].T
+    ]
+    gram, _ = spacetime_gram(fams, tol=1e-8)
+    assert gram[0, 1] == 0.0 and gram[1, 0] == 0.0
+    assert gram[0, 0].real > 0.0 and gram[1, 1].real > 0.0
+
+
 def test_gram_matches_mass_decomposition(basis):
     rng = np.random.default_rng(7)
     wgt = interval_weight(INTERVAL, 200)
     fams = [
         make_family(random_datum(rng, basis), basis, wgt, INTERVAL) for _ in range(3)
     ]
-    gram, report = spacetime_gram(fams, dt=0.05, t_max=200.0, tol=1e-6)
+    gram, report = spacetime_gram(fams, t_max=200.0, tol=1e-6)
     assert report.converged
     assert report.final_t <= 1600.0
     rhs = np.array([[rhs_pairing(a, b) for b in fams] for a in fams])
@@ -169,7 +244,7 @@ def test_narrow_weight_localizes_pairing():
         wgt = bump_weight(m0, hw, 200)
         fa = make_family(da, basis8, wgt, INTERVAL)
         fb = make_family(db, basis8, wgt, INTERVAL)
-        val, report = spacetime_inner(fa, fb, dt=0.1, tol=1e-8)
+        val, report = spacetime_inner(fa, fb, tol=1e-8)
         assert report.converged
         approx = val / wgt.mass_moment(power=1, squared=True)
         errs.append(abs(approx - target) / abs(target))
@@ -195,4 +270,4 @@ def test_ceiling_raises_convergence_error(basis):
         random_datum(rng, basis), basis, interval_weight(INTERVAL, 200), INTERVAL
     )
     with pytest.raises(ConvergenceError, match="did not converge"):
-        spacetime_gram([fam], dt=0.05, t_max=200.0, tol=1e-30, t_ceiling=400.0)
+        spacetime_gram([fam], t_max=200.0, tol=1e-30, t_ceiling=400.0)

@@ -198,7 +198,7 @@ def test_reconstruction_converges_in_half_width():
     ana = signature_analytic(1.5, basis8)
     devs = []
     for hw in (0.2, 0.1):
-        rec, report = signature_reconstruct(1.5, basis8, hw, dt=0.1)
+        rec, report = signature_reconstruct(1.5, basis8, hw)
         assert report.convergence.converged
         assert report.hermiticity_defect < 1e-12
         assert report.imag_defect < 1e-12
@@ -211,10 +211,10 @@ def test_reconstruction_converges_in_half_width():
 def test_reconstruction_ignores_enclosing_interval():
     basis8 = dirichlet_basis(8, 10.0)
     rec_a, _ = signature_reconstruct(
-        1.5, basis8, 0.2, dt=0.1, interval=MassInterval(0.5, 2.5)
+        1.5, basis8, 0.2, interval=MassInterval(0.5, 2.5)
     )
     rec_b, _ = signature_reconstruct(
-        1.5, basis8, 0.2, dt=0.1, interval=MassInterval(0.9, 2.1)
+        1.5, basis8, 0.2, interval=MassInterval(0.9, 2.1)
     )
     assert np.abs(rec_a.blocks - rec_b.blocks).max() == 0.0
 

@@ -109,3 +109,13 @@ def test_disjoint_supports_reduce_to_advanced_part(basis):
     ret = retarded_green(g, MASS)
     overlap = np.abs(np.conj(f.values) * ret.values).max()
     assert overlap == 0.0
+
+
+def test_causal_form_grid_mismatch_rejected():
+    # equal point counts, different lengths: the spacings differ
+    times = time_window(-3.0, 3.0, 0.05)
+    rng = np.random.default_rng(6)
+    f = random_test_function(rng, dirichlet_basis(8, 10.0), times)
+    g = random_test_function(rng, dirichlet_basis(8, 20.0), times)
+    with pytest.raises(ValueError, match="share a grid"):
+        gm_form(f, g, MASS)
