@@ -60,6 +60,8 @@ _EXPORTS = {
     "TwoPointEvaluator": "state",
     "build_state": "state",
     "two_point": "state",
+    "two_point_matrix": "state",
+    "wick_terms": "state",
     "wick_n_point": "state",
     "state_positivity_suite": "state",
     "ModeSuperposition": "minkowski",

@@ -42,7 +42,7 @@ from .config import (
     validate_config,
 )
 from .dynamics import kg_residual, propagate, time_window
-from .lattice import dirichlet_basis
+from .lattice import dirichlet_basis, omega
 from .massfamily import (
     ConvergenceError,
     MassInterval,
@@ -50,7 +50,7 @@ from .massfamily import (
     make_family,
     spacetime_gram,
 )
-from .minkowski import cauchy_signature_blocks, cross_check_lattice
+from .minkowski import cross_check_lattice
 from .random_fields import random_datum, random_test_function
 from .signature import (
     mass_decomposition_pairing,
@@ -60,9 +60,16 @@ from .signature import (
     signature_spectrum,
     massless_limit,
 )
-from .state import build_state, pair_matchings, state_positivity_suite, two_point, wick_n_point
-from .symplectic import gm_form, symplectic
-from .dynamics import advanced_green, causal_fundamental, retarded_green
+from .state import (
+    build_state,
+    pair_matchings,
+    state_positivity_suite,
+    two_point_matrix,
+    wick_n_point,
+    wick_terms,
+)
+from .symplectic import gm_form, gm_symplectic_side, symplectic
+from .dynamics import advanced_green, retarded_green
 
 
 def _fmt(x: float) -> str:
@@ -213,12 +220,10 @@ def cmd_signature(config: ExperimentConfig):
     basis = dirichlet_basis(config.n, config.l)
     sig = signature_analytic(config.m, basis)
     vals, _ = signature_spectrum(sig)
-    rows = []
-    for k in range(basis.size):
-        lo, hi = sorted(vals[2 * k : 2 * k + 2])
-        rows.append(
-            [k, float(basis.eigenvalues[k]), float(sig.frequencies[k]), lo, hi]
-        )
+    rows = [
+        [k, float(basis.eigenvalues[k]), float(sig.frequencies[k]), lo, hi]
+        for k, (lo, hi) in enumerate(np.sort(vals.reshape(-1, 2), axis=1))
+    ]
     results = {
         "mass": config.m,
         "max_deviation_from_pi": float(np.abs(np.abs(vals) - np.pi).max()),
@@ -276,7 +281,7 @@ def cmd_massdecomp(config: ExperimentConfig):
     }
 
 
-def cmd_reconstruct(config: ExperimentConfig, block_tol: float):
+def cmd_reconstruct(config: ExperimentConfig):
     basis = dirichlet_basis(config.n, config.l)
     interval = MassInterval(config.m_lo, config.m_hi)
     analytic = signature_analytic(config.m, basis)
@@ -287,7 +292,7 @@ def cmd_reconstruct(config: ExperimentConfig, block_tol: float):
             config.m,
             basis,
             hw,
-            tol=block_tol,
+            tol=config.tol,
             interval=interval,
             num_nodes=config.mass_nodes,
             t_max=config.t_max,
@@ -305,11 +310,11 @@ def cmd_reconstruct(config: ExperimentConfig, block_tol: float):
             ]
         )
     results = {
-        "block_tolerance": block_tol,
+        "block_tolerance": config.tol,
         "deviation_at_half_width": deviations[0],
         "deviation_at_halved": deviations[1],
         "improvement_ratio": deviations[0] / deviations[1],
-        "within_tolerance": bool(deviations[0] <= block_tol),
+        "within_tolerance": bool(deviations[0] <= config.tol),
     }
     return results, {
         "convergence": (
@@ -329,21 +334,19 @@ def cmd_state(config: ExperimentConfig):
         t_span=config.window,
         dt=config.dt,
     )
-    eigs = np.linalg.eigvalsh(0.5 * (suite.gram + suite.gram.conj().T))
-    rows = [[k, float(val)] for k, val in enumerate(eigs)]
+    rows = [[k, float(val)] for k, val in enumerate(suite.eigenvalues)]
     rng = np.random.default_rng(config.seed + 1)
     times = time_window(-config.window / 2, config.window / 2, config.dt)
     im_worst = ccr_worst = 0.0
     for _ in range(3):
         f = random_test_function(rng, basis, times, real=True)
         g = random_test_function(rng, basis, times, real=True)
-        w_fg = two_point(state, f, g)
-        gf = causal_fundamental(f, config.m)
-        gg = causal_fundamental(g, config.m)
+        pair = two_point_matrix(state, [f, g])
+        w_fg, w_gf = pair[0, 1], pair[1, 0]
         im_worst = np.maximum(
-            im_worst, abs(w_fg.imag - 0.5 * symplectic(gf, gg, basis.grid).real)
+            im_worst, abs(w_fg.imag - 0.5 * gm_symplectic_side(f, g, config.m).real)
         )
-        anti = w_fg - two_point(state, g, f)
+        anti = w_fg - w_gf
         ccr_worst = np.maximum(ccr_worst, abs(anti - 1j * gm_form(f, g, config.m)))
     results = {
         "trials": config.trials,
@@ -374,18 +377,17 @@ def cmd_masslimit(config: ExperimentConfig):
 
 def cmd_crosscheck(config: ExperimentConfig):
     basis = dirichlet_basis(config.n, config.l)
-    sig = signature_analytic(config.m, basis)
-    mink_blocks = cauchy_signature_blocks(sig.frequencies)
+    report = cross_check_lattice(config.m, basis)
+    om = omega(basis.eigenvalues, config.m)
     rows = [
         [
             k,
             float(basis.eigenvalues[k]),
-            float(sig.frequencies[k]),
-            float(np.abs(mink_blocks[k] - sig.blocks[k]).max()),
+            float(om[k]),
+            float(report.block_deviations[k]),
         ]
         for k in range(basis.size)
     ]
-    report = cross_check_lattice(config.m, basis)
     results = {
         "max_block_deviation": report.max_block_deviation,
         "max_eigenvalue_deviation": report.max_eigenvalue_deviation,
@@ -402,16 +404,14 @@ def cmd_wick(config: ExperimentConfig):
     times = time_window(-config.window / 2, config.window / 2, config.dt)
     count = 2 * config.wick_order
     fs = [random_test_function(rng, basis, times) for _ in range(count)]
-    value = wick_n_point(state, fs)
+    terms = wick_terms(state, fs)
+    value = sum(terms, 0j)
     odd_value = wick_n_point(state, fs[: count - 1])
     matchings = pair_matchings(count)
-    rows = []
-    for idx, matching in enumerate(matchings):
-        term = 1 + 0j
-        for i, j in matching:
-            term *= two_point(state, fs[i], fs[j])
-        label = "|".join(f"{i}-{j}" for i, j in matching)
-        rows.append([idx, label, term.real, term.imag])
+    rows = [
+        [idx, "|".join(f"{i}-{j}" for i, j in matching), term.real, term.imag]
+        for idx, (matching, term) in enumerate(zip(matchings, terms))
+    ]
     results = {
         "order": config.wick_order,
         "pairing_count": len(matchings),
@@ -460,17 +460,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     block_tol = args.tol if args.tol is not None else BLOCK_TOL_DEFAULT
+    # reconstruct runs at its block tolerance; the file's tol does not apply
+    tol = block_tol if args.command == "reconstruct" else args.tol
     try:
-        config = apply_overrides(load_config(args.config), seed=args.seed, tol=args.tol)
+        config = apply_overrides(load_config(args.config), seed=args.seed, tol=tol)
         validate_config(config, args.command, block_tol)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "reconstruct":
-            results, tables = cmd_reconstruct(config, block_tol)
-        else:
-            results, tables = globals()[f"cmd_{args.command}"](config)
+        results, tables = globals()[f"cmd_{args.command}"](config)
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3

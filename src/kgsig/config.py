@@ -153,9 +153,8 @@ def validate_config(
             )
     if command == "wick" and not 1 <= config.wick_order <= 4:
         raise ConfigError("wick_order must be between 1 and 4")
-    if command == "state" and config.trials < 1:
-        raise ConfigError("trials must be positive")
-    if command == "massdecomp" and config.families < 1:
-        raise ConfigError("families must be positive")
+    counts = {"evolve": "samples", "state": "trials", "massdecomp": "families"}
+    if command in counts and getattr(config, counts[command]) < 1:
+        raise ConfigError(f"{counts[command]} must be positive")
     if command in ("state", "green", "wick") and not config.window > 0.0:
         raise ConfigError("window must be positive")

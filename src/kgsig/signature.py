@@ -74,10 +74,14 @@ def scalar_product(
 
 def assemble(sig: SignatureOperator) -> np.ndarray:
     """Dense matrix on interleaved mode coefficients (phi_1, pi_1, ...)."""
-    n = sig.basis.size
-    full = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        full[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = sig.blocks[k]
+    return _block_diagonal(sig.blocks)
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """(2N, 2N) matrix carrying the (N, 2, 2) blocks on its diagonal."""
+    n = len(blocks)
+    full = np.zeros((2 * n, 2 * n), dtype=blocks.dtype)
+    full.reshape(n, 2, n, 2)[np.arange(n), :, np.arange(n), :] = blocks
     return full
 
 
@@ -89,38 +93,36 @@ def signature_spectrum(sig: SignatureOperator) -> tuple[np.ndarray, np.ndarray]:
     coordinates. Returns (eigenvalues (2N,), vectors (2N, 2N) columnwise),
     ordered per mode.
     """
-    om = sig.frequencies
-    n = sig.basis.size
-    vals = np.empty(2 * n)
-    vecs = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        scale = np.array([np.sqrt(om[k]), 1.0 / np.sqrt(om[k])])
-        sym = scale[:, None] * sig.blocks[k] * (1.0 / scale)[None, :]
-        w, v = np.linalg.eigh(0.5 * (sym + sym.T))
-        vals[2 * k : 2 * k + 2] = w
-        back = v / scale[:, None]
-        vecs[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = back / np.linalg.norm(
-            back, axis=0, keepdims=True
-        )
-    return vals, vecs
+    root = np.sqrt(sig.frequencies)
+    scale = np.stack([root, 1.0 / root], axis=1)  # (N, 2)
+    sym = scale[:, :, None] * sig.blocks * (1.0 / scale)[:, None, :]
+    w, v = np.linalg.eigh(0.5 * (sym + sym.transpose(0, 2, 1)))
+    back = v / scale[:, :, None]
+    vecs = _block_diagonal(back / np.linalg.norm(back, axis=1, keepdims=True))
+    return w.reshape(-1), vecs
+
+
+def _check_block_square(blocks: np.ndarray, target: float, message: str) -> None:
+    """Raise ValueError(message) unless every 2x2 block squares to target * Id."""
+    square = np.einsum("nij,njk->nik", blocks, blocks)
+    if not np.allclose(square, target * np.eye(2), rtol=1e-12, atol=1e-12):
+        raise ValueError(message)
+
+
+_NOT_INVERTIBLE = "blocks do not square to pi^2; operator not invertible"
 
 
 def complex_structure(sig: SignatureOperator) -> np.ndarray:
     """J = i |S|^-1 S as (N, 2, 2) complex blocks; |S| = pi Id, J^2 = -Id."""
-    square = np.einsum("nij,njk->nik", sig.blocks, sig.blocks)
-    ident = np.broadcast_to(np.eye(2), square.shape)
-    if not np.allclose(square, np.pi**2 * ident, rtol=1e-12, atol=1e-12):
-        raise ValueError("blocks do not square to pi^2; operator not invertible")
+    _check_block_square(sig.blocks, np.pi**2, _NOT_INVERTIBLE)
     return 1j * sig.blocks / np.pi
 
 
 def projectors(j_blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complementary idempotents (1 -+ iJ)/2; the first annihilates
     positive-frequency modes (1, omega), the second the (1, -omega) ones."""
-    square = np.einsum("nij,njk->nik", j_blocks, j_blocks)
-    ident = np.broadcast_to(np.eye(2), square.shape)
-    if not np.allclose(square, -ident, rtol=1e-12, atol=1e-12):
-        raise ValueError("complex structure does not square to -Id")
+    _check_block_square(j_blocks, -1.0, "complex structure does not square to -Id")
+    ident = np.eye(2)
     hol = 0.5 * (ident - 1j * j_blocks)
     return hol, ident - hol
 
@@ -141,13 +143,11 @@ def operator_distance(a: SignatureOperator, b: SignatureOperator) -> float:
 def per_mode_distance(a: SignatureOperator, b: SignatureOperator) -> np.ndarray:
     if a.basis is not b.basis:
         raise ValueError("operators live on different bases")
-    scale = sobolev_scale(a.basis)
-    diff = a.blocks - b.blocks
-    out = np.empty(a.basis.size)
-    for k in range(a.basis.size):
-        weighted = np.diag([scale[k], 1.0]) @ diff[k] @ np.diag([1.0 / scale[k], 1.0])
-        out[k] = np.linalg.norm(weighted, 2)
-    return out
+    scale = sobolev_scale(a.basis)[:, None]
+    weighted = a.blocks - b.blocks
+    weighted[:, 0, :] *= scale
+    weighted[:, :, 0] *= 1.0 / scale
+    return np.linalg.norm(weighted, 2, axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -198,10 +198,7 @@ def massless_limit(
 
 def riesz_inverse(sig: SignatureOperator) -> SignatureOperator:
     """Inverse via S^2 = pi^2: S^-1 = S / pi^2."""
-    square = np.einsum("nij,njk->nik", sig.blocks, sig.blocks)
-    ident = np.broadcast_to(np.eye(2), square.shape)
-    if not np.allclose(square, np.pi**2 * ident, rtol=1e-12, atol=1e-12):
-        raise ValueError("blocks do not square to pi^2; operator not invertible")
+    _check_block_square(sig.blocks, np.pi**2, _NOT_INVERTIBLE)
     return SignatureOperator(
         mass=sig.mass, basis=sig.basis, blocks=sig.blocks / np.pi**2
     )
@@ -299,20 +296,14 @@ def signature_reconstruct(
         t_ceiling=t_ceiling,
     )
 
-    blocks = np.empty((n, 2, 2))
-    herm_defect = 0.0
-    imag_defect = 0.0
-    for k in range(n):
-        pair = gram[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] / norm2
-        herm_defect = np.maximum(herm_defect, np.abs(pair - pair.conj().T).max())
-        block = -_FLIP @ (0.5 * (pair + pair.conj().T))
-        imag_defect = np.maximum(imag_defect, np.abs(block.imag).max())
-        blocks[k] = block.real
+    pairs = gram.reshape(n, 2, n, 2)[np.arange(n), :, np.arange(n), :] / norm2
+    adjoint = pairs.conj().transpose(0, 2, 1)
+    blocks = -_FLIP @ (0.5 * (pairs + adjoint))
     return (
-        SignatureOperator(mass=mass, basis=basis, blocks=blocks),
+        SignatureOperator(mass=mass, basis=basis, blocks=blocks.real),
         ReconstructionReport(
-            hermiticity_defect=herm_defect,
-            imag_defect=imag_defect,
+            hermiticity_defect=np.abs(pairs - adjoint).max(),
+            imag_defect=np.abs(blocks.imag).max(),
             normalization=norm2,
             convergence=report,
         ),

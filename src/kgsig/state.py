@@ -5,11 +5,13 @@ projector, omega2(f, g) = i sigma(G f, chi_hol G g). Its real part is a
 positive semi-definite Gram form on test functions; the imaginary part is
 half the symplectic pairing of the causal solutions, which encodes the
 canonical commutation relations. Higher correlation functions follow from
-the quasi-free (Wick) combinatorics: a sum over perfect matchings.
+the quasi-free (Wick) combinatorics: a sum over perfect matchings. Every pair
+value is an entry of `two_point_matrix`, which solves G f once per function.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +52,27 @@ def _project_hol(state: TwoPointEvaluator, datum: CauchyDatum) -> CauchyDatum:
     )
 
 
+def two_point_matrix(
+    state: TwoPointEvaluator, fs: list[SpacetimeTestFunction]
+) -> np.ndarray:
+    """(K, K) matrix of omega2(f_i, f_j), one causal solve per f_i; both
+    triangles are evaluated, so it is Hermitian only up to rounding."""
+    if any(f.basis is not state.basis for f in fs):
+        raise ValueError("test functions live on a different basis")
+    solved = [causal_fundamental(f, state.mass) for f in fs]
+    hol = [_project_hol(state, g) for g in solved]
+    out = np.empty((len(fs), len(fs)), dtype=complex)
+    for i, gf in enumerate(solved):
+        for j, hg in enumerate(hol):
+            out[i, j] = 1j * symplectic(gf, hg, state.basis.grid)
+    return out
+
+
 def two_point(
     state: TwoPointEvaluator, f: SpacetimeTestFunction, g: SpacetimeTestFunction
 ) -> complex:
     """omega2(f, g) = i sigma(G f, chi_hol G g) evaluated at time zero."""
-    if f.basis is not state.basis or g.basis is not state.basis:
-        raise ValueError("test functions live on a different basis")
-    gf = causal_fundamental(f, state.mass)
-    gg = causal_fundamental(g, state.mass)
-    return 1j * symplectic(gf, _project_hol(state, gg), state.basis.grid)
+    return complex(two_point_matrix(state, [f, g])[0, 1])
 
 
 def pair_matchings(count: int) -> list[list[tuple[int, int]]]:
@@ -87,6 +101,18 @@ def pair_matchings(count: int) -> list[list[tuple[int, int]]]:
     return recurse(items)
 
 
+def wick_terms(
+    state: TwoPointEvaluator, fs: list[SpacetimeTestFunction]
+) -> list[complex]:
+    """Product of two-point factors for each matching, in `pair_matchings`
+    order; an even argument count is required."""
+    pairs = two_point_matrix(state, fs)
+    return [
+        complex(math.prod((pairs[i, j] for i, j in matching), start=1 + 0j))
+        for matching in pair_matchings(len(fs))
+    ]
+
+
 def wick_n_point(
     state: TwoPointEvaluator, fs: list[SpacetimeTestFunction]
 ) -> complex:
@@ -97,30 +123,17 @@ def wick_n_point(
     """
     if len(fs) % 2:
         return 0j
-    n = len(fs) // 2
-    if n > 4:
+    if len(fs) > 8:
         raise ValueError("more than 8 arguments; pairing count grows as (2n-1)!!")
-    if n == 0:
+    if not fs:
         return 1 + 0j
-    cache: dict[tuple[int, int], complex] = {}
-
-    def pair_value(i: int, j: int) -> complex:
-        if (i, j) not in cache:
-            cache[(i, j)] = two_point(state, fs[i], fs[j])
-        return cache[(i, j)]
-
-    total = 0j
-    for matching in pair_matchings(len(fs)):
-        term = 1 + 0j
-        for i, j in matching:
-            term *= pair_value(i, j)
-        total += term
-    return total
+    return sum(wick_terms(state, fs), 0j)
 
 
 @dataclass(frozen=True)
 class PositivityReport:
     gram: np.ndarray
+    eigenvalues: np.ndarray  # ascending, of the Hermitian part of gram
     min_eigenvalue: float
     hermiticity_defect: float
     diag_imag_max: float
@@ -145,16 +158,12 @@ def state_positivity_suite(
         random_test_function(rng, state.basis, times, real=True)
         for _ in range(trials)
     ]
-    gram = np.empty((trials, trials), dtype=complex)
-    for i in range(trials):
-        for j in range(i, trials):
-            gram[i, j] = two_point(state, funcs[i], funcs[j])
-            if j > i:
-                gram[j, i] = two_point(state, funcs[j], funcs[i])
+    gram = two_point_matrix(state, funcs)
     defect = float(np.abs(gram - gram.conj().T).max())
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     return PositivityReport(
         gram=gram,
+        eigenvalues=eigs,
         min_eigenvalue=float(eigs.min()),
         hermiticity_defect=defect,
         diag_imag_max=float(np.abs(np.diag(gram).imag).max()),

@@ -202,3 +202,20 @@ def test_empty_window_exits_2(tmp_path, capsys, command):
     code, _ = run(tmp_path, [command], "[run]\nwindow = 0\n")
     assert code == 2
     assert "window must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_evolve_without_samples_exits_2(tmp_path, capsys, samples):
+    code, out = run(tmp_path, ["evolve"], f"[run]\nsamples = {samples}\n")
+    assert code == 2
+    assert "samples must be positive" in capsys.readouterr().err
+    assert not (out / "evolve_summary.json").exists()
+
+
+def test_reconstruct_echoes_the_tolerance_it_used(tmp_path):
+    text = "[grid]\nn = 2\nl = 3.0\n\n[quadrature]\nmass_nodes = 64\ntol = 1e-9\n"
+    code, out = run(tmp_path, ["reconstruct"], text)
+    assert code == 0
+    summary = read_summary(out, "reconstruct")
+    assert summary["results"]["block_tolerance"] == 1e-3
+    assert summary["config"]["quadrature"]["tol"] == 1e-3

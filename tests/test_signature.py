@@ -1,6 +1,8 @@
 """Signature operator: analytic form, spectrum, complex structure,
 massless limit, Riesz inverse, and Dirac-sequence reconstruction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,21 @@ def test_projectors_split_frequencies(sig):
     minus = np.array([1.0, -om[5]], dtype=complex)
     assert np.abs(hol[5] @ plus).max() < 1e-14
     assert np.abs(hol[5] @ minus - minus).max() < 1e-14
+
+
+def test_block_square_guards_reject_perturbed_blocks(sig):
+    # 1e-9 relative in one entry of one mode, far above the 1e-12 guard
+    blocks = sig.blocks.copy()
+    blocks[3, 0, 1] *= 1.0 + 1e-9
+    bent = replace(sig, blocks=blocks)
+    with pytest.raises(ValueError, match="do not square to pi"):
+        complex_structure(bent)
+    with pytest.raises(ValueError, match="do not square to pi"):
+        riesz_inverse(bent)
+    j = complex_structure(sig)
+    j[3, 1, 0] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="does not square to -Id"):
+        projectors(j)
 
 
 def test_massless_bound_hand_value():

@@ -7,11 +7,14 @@ from kgsig.dynamics import causal_fundamental, time_window
 from kgsig.lattice import dirichlet_basis
 from kgsig.random_fields import random_test_function
 from kgsig.state import (
+    _project_hol,
     build_state,
     pair_matchings,
     state_positivity_suite,
     two_point,
+    two_point_matrix,
     wick_n_point,
+    wick_terms,
 )
 from kgsig.symplectic import gm_form, symplectic
 
@@ -91,6 +94,36 @@ def test_two_point_rejects_foreign_basis(state, times):
     f = random_test_function(rng, other, times)
     with pytest.raises(ValueError, match="different basis"):
         two_point(state, f, f)
+
+
+def reference_pair(state, f, g):
+    """omega2(f, g) one pair at a time: two causal solves, no batching."""
+    gf = causal_fundamental(f, state.mass)
+    gg = causal_fundamental(g, state.mass)
+    return 1j * symplectic(gf, _project_hol(state, gg), state.basis.grid)
+
+
+def test_two_point_matrix_matches_pairwise_reference(state, basis, times):
+    rng = np.random.default_rng(8)
+    fs = [random_test_function(rng, basis, times, real=True) for _ in range(5)]
+    fs += [random_test_function(rng, basis, times) for _ in range(5)]
+    matrix = two_point_matrix(state, fs)
+    assert matrix.shape == (10, 10)
+    for i, f in enumerate(fs):
+        for j, g in enumerate(fs):
+            assert matrix[i, j] == reference_pair(state, f, g)
+    for count in (2, 4, 6):
+        assert sum(wick_terms(state, fs[:count]), 0j) == wick_n_point(state, fs[:count])
+
+
+def test_two_point_matrix_rejects_foreign_basis_anywhere(state, basis, times):
+    rng = np.random.default_rng(9)
+    fs = [random_test_function(rng, basis, times) for _ in range(3)]
+    # same parameters, distinct object: the basis check is by identity
+    foreign = random_test_function(rng, dirichlet_basis(16, 10.0), times)
+    for pos in range(4):
+        with pytest.raises(ValueError, match="different basis"):
+            two_point_matrix(state, fs[:pos] + [foreign] + fs[pos:])
 
 
 def test_matching_counts():
