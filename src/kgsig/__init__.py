@@ -45,6 +45,7 @@ _EXPORTS = {
     "integrate_p": "massfamily",
     "spacetime_gram": "massfamily",
     "spacetime_inner": "massfamily",
+    "mass_decomposition_pairing": "massfamily",
     "SignatureOperator": "signature",
     "signature_analytic": "signature",
     "apply_signature": "signature",
@@ -56,7 +57,6 @@ _EXPORTS = {
     "riesz_inverse": "signature",
     "riesz_consistency": "signature",
     "signature_reconstruct": "signature",
-    "mass_decomposition_pairing": "signature",
     "TwoPointEvaluator": "state",
     "build_state": "state",
     "two_point": "state",

@@ -48,12 +48,12 @@ from .massfamily import (
     MassInterval,
     interval_weight,
     make_family,
+    mass_decomposition_pairing,
     spacetime_gram,
 )
 from .minkowski import cross_check_lattice
 from .random_fields import random_datum, random_test_function
 from .signature import (
-    mass_decomposition_pairing,
     scalar_product,
     signature_analytic,
     signature_reconstruct,
@@ -154,7 +154,7 @@ def _emit(
 
 def cmd_spectrum(config: ExperimentConfig):
     basis = dirichlet_basis(config.n, config.l)
-    om = np.sqrt(basis.eigenvalues + config.m**2)
+    om = omega(basis.eigenvalues, config.m)
     rows = [
         [k, float(basis.eigenvalues[k]), float(om[k])] for k in range(basis.size)
     ]

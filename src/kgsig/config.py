@@ -125,6 +125,8 @@ def validate_config(
         raise ConfigError("grid length must be positive")
     if config.m < 0.0:
         raise ConfigError("mass must be nonnegative")
+    if config.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     for name in ("dt", "tol", "t_max", "t_ceiling", "half_width"):
         if getattr(config, name) <= 0.0:
             raise ConfigError(f"{name} must be positive")

@@ -3,7 +3,9 @@
 The spatial domain is (0, L) sampled at N interior points x_i = i*h with
 h = L/(N+1); Dirichlet walls sit at x = 0 and x = L. All inner products are
 h-weighted, i.e. <u, v> = h * sum_i conj(u_i) v_i, so that lattice sums
-approximate integrals over (0, L).
+approximate integrals over (0, L). The eigenpairs of the 3-point Laplacian
+are the closed-form sine modes; the dense `laplacian` matrix is kept as the
+reference they are checked against.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def laplacian(grid: SpatialGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Eigenpairs of a positive symmetric lattice operator.
+    """Eigenpairs of the Dirichlet Laplacian on a grid.
 
     Columns of `vectors` are orthonormal in the h-weighted inner product;
     eigenvalues are sorted ascending and strictly positive.
@@ -74,37 +76,27 @@ class SpectralBasis:
         """Lattice field sum_n c_n v_n. Inverse of analyze."""
         return self.vectors @ coeffs
 
-    def reconstruct_operator(self) -> np.ndarray:
-        """Reassemble the operator as h * V diag(lambda) V^T."""
-        return self.grid.spacing * (
-            self.vectors @ (self.eigenvalues[:, None] * self.vectors.T)
-        )
 
+def spectral_decompose(grid: SpatialGrid) -> SpectralBasis:
+    """Closed-form eigenpairs of the Dirichlet Laplacian on the grid.
 
-def spectral_decompose(op: np.ndarray, grid: SpatialGrid) -> SpectralBasis:
-    """Diagonalize a symmetric positive lattice operator.
-
-    Raises ValueError if the matrix is not symmetric or any eigenvalue is
-    nonpositive (for the Dirichlet Laplacian that signals a broken boundary
-    treatment).
+    For k, j = 1..N: lambda_k = (4/h^2) sin^2(k pi / (2(N+1))), ascending,
+    and vectors[j-1, k-1] = sqrt(2/L) sin(k j pi / (N+1)), h-orthonormal.
     """
-    op = np.asarray(op, dtype=float)
-    if op.shape != (grid.num_points, grid.num_points):
-        raise ValueError("operator shape does not match the grid")
-    if not np.allclose(op, op.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(op).max())):
-        raise ValueError("operator must be symmetric")
-    evals, vecs = np.linalg.eigh(op)
-    if np.any(evals <= 0.0):
-        raise ValueError("operator has a nonpositive eigenvalue")
-    # eigh returns unit Euclidean columns; rescale to h-weighted norm 1.
-    vecs = vecs / np.sqrt(grid.spacing)
+    n, h = grid.num_points, grid.spacing
+    k = np.arange(1, n + 1)
+    evals = (4.0 / h**2) * np.sin(k * np.pi / (2 * (n + 1))) ** 2
+    # sin(r pi / (N+1)) has period 2(N+1) in the integer r = k*j: indexing
+    # one table of 2(N+1) sines by (k*j) mod 2(N+1) is an exact reduction
+    period = 2 * (n + 1)
+    table = np.sqrt(2.0 / grid.length) * np.sin(np.arange(period) * np.pi / (n + 1))
+    vecs = table[np.outer(k, k) % period]
     return SpectralBasis(grid=grid, eigenvalues=evals, vectors=vecs)
 
 
 def dirichlet_basis(num_points: int, length: float) -> SpectralBasis:
-    """Grid + Laplacian + diagonalization in one step."""
-    grid = build_grid(num_points, length)
-    return spectral_decompose(laplacian(grid), grid)
+    """Grid plus its Dirichlet eigenbasis in one step."""
+    return spectral_decompose(build_grid(num_points, length))
 
 
 def omega(eigenvalue: float | np.ndarray, mass: float) -> float | np.ndarray:

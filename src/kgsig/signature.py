@@ -22,9 +22,7 @@ from .dynamics import CauchyDatum, datum_from_modes, mode_data
 from .lattice import SpectralBasis, omega
 from .massfamily import (
     ConvergenceReport,
-    MassFamily,
     MassInterval,
-    MassWeight,
     bump_weight,
     make_family,
     spacetime_gram,
@@ -216,29 +214,6 @@ def riesz_consistency(
     inv = riesz_inverse(sig)
     denom = scalar_product(sig, a, apply_signature(inv, b))
     return symplectic(a, b, sig.basis.grid) / denom
-
-
-def mass_decomposition_pairing(fa: MassFamily, fb: MassFamily) -> complex:
-    """Mass-integral side of the decomposition identity.
-
-    Evaluates the weighted integral of the fixed-mass scalar products,
-    int scale_a(m) scale_b(m) <a|b>_m m dm, on the weight's base rule. The
-    spacetime pairing of the same two families converges to this value as
-    the time window grows.
-    """
-    if fa.basis is not fb.basis:
-        raise ValueError("families must share one spectral basis")
-    if fa.weight is not fb.weight:
-        raise ValueError("families must share one mass weight")
-    wq = fa.weight
-    lam = fa.basis.eigenvalues
-    ca, cb = mode_data(fa.base, fa.basis), mode_data(fb.base, fb.basis)
-    om = np.sqrt(lam[:, None] + wq.nodes[None, :] ** 2)
-    per_mass = np.pi * (
-        om.T @ (np.conj(ca[0]) * cb[0]) + (1.0 / om.T) @ (np.conj(ca[1]) * cb[1])
-    )
-    u = wq.quad * wq.nodes * fa.node_scale * fb.node_scale
-    return complex(np.sum(u * per_mass))
 
 
 @dataclass(frozen=True)

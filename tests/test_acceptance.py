@@ -12,12 +12,17 @@ import numpy as np
 
 from kgsig.dynamics import propagate, time_window
 from kgsig.lattice import dirichlet_basis
-from kgsig.massfamily import MassInterval, interval_weight, make_family, spacetime_gram
+from kgsig.massfamily import (
+    MassInterval,
+    interval_weight,
+    make_family,
+    mass_decomposition_pairing,
+    spacetime_gram,
+)
 from kgsig.minkowski import cross_check_lattice
 from kgsig.random_fields import random_datum, random_test_function
 from kgsig.signature import (
     assemble,
-    mass_decomposition_pairing,
     massless_limit,
     scalar_product,
     signature_analytic,

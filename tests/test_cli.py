@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kgsig.cli import _render_json, cmd_evolve, main
+from kgsig.cli import _COMMANDS, _render_json, cmd_evolve, main
 from kgsig.config import ExperimentConfig
 
 SMALL = "[grid]\nn = 4\nl = 6.0\n\n[quadrature]\nmass_nodes = 64\ntol = 1e-5\n\n[run]\nfamilies = 3\n"
@@ -219,3 +221,62 @@ def test_reconstruct_echoes_the_tolerance_it_used(tmp_path):
     summary = read_summary(out, "reconstruct")
     assert summary["results"]["block_tolerance"] == 1e-3
     assert summary["config"]["quadrature"]["tol"] == 1e-3
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [(["--seed", "-1"], None), ([], "[run]\nseed = -3\n")],
+    ids=["flag", "file"],
+)
+@pytest.mark.parametrize("command", ["evolve", "state", "wick", "green", "massdecomp"])
+def test_negative_seed_exits_2(tmp_path, capsys, command, args, text):
+    code, out = run(tmp_path, [command, *args], text)
+    assert code == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not (out / f"{command}_summary.json").exists()
+
+
+def _power_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# Moderate values only: magnitudes like 1e300 are a separate open problem.
+FUZZ_SECTIONS = {
+    "grid": {"n": st.integers(1, 8), "l": st.floats(0.5, 50.0)},
+    "mass": {"m": st.floats(0.0, 4.0), "half_width": _power_of_ten(-2.5, np.log10(0.5))},
+    "quadrature": {
+        "mass_nodes": st.integers(-1, 64),
+        "dt": st.floats(0.01, 1.0),
+        "tol": _power_of_ten(-8.0, -2.0),
+        "t_ceiling": st.floats(0.0, 3200.0),
+    },
+    "run": {
+        "seed": st.integers(-5, 1000),
+        "trials": st.integers(-1, 8),
+        "families": st.integers(-1, 6),
+        "samples": st.integers(-1, 12),
+        "wick_order": st.integers(0, 5),
+    },
+}
+FUZZ_CONFIGS = st.fixed_dictionaries(
+    {section: st.fixed_dictionaries(keys) for section, keys in FUZZ_SECTIONS.items()}
+)
+
+
+# every example overwrites the same config file and output directory
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(command=st.sampled_from(sorted(_COMMANDS)), sections=FUZZ_CONFIGS)
+def test_cli_fuzz_ends_in_result_message_or_nonconvergence(
+    tmp_path, capsys, command, sections
+):
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value!r}\n" for key, value in keys.items())
+        for section, keys in sections.items()
+    )
+    code, _ = run(tmp_path, [command], text)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

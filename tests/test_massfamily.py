@@ -203,7 +203,7 @@ def test_gram_matches_mass_decomposition(basis):
 
 
 def test_library_pairing_matches_local_oracle(basis):
-    from kgsig.signature import mass_decomposition_pairing
+    from kgsig.massfamily import mass_decomposition_pairing
 
     rng = np.random.default_rng(9)
     wgt = interval_weight(INTERVAL, 64)
