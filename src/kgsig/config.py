@@ -123,8 +123,17 @@ def validate_config(
         raise ConfigError("grid needs at least one interior point")
     if config.l <= 0.0:
         raise ConfigError("grid length must be positive")
+    # the lattice frequencies reach sqrt(m^2 + 4 / h^2) (massdecomp and
+    # masslimit do not read m); products, so no check raises OverflowError
+    h = config.l / (config.n + 1)
+    if h * h == 0.0 or math.isinf(h * h) or math.isinf(4.0 / (h * h)):
+        raise ConfigError("grid spacing l / (n + 1) out of floating-point range")
     if config.m < 0.0:
         raise ConfigError("mass must be nonnegative")
+    if command not in ("massdecomp", "masslimit") and math.isinf(
+        config.m * config.m + 4.0 / (h * h)
+    ):
+        raise ConfigError("mass too large: m^2 + 4 / h^2 overflows")
     if config.seed < 0:
         raise ConfigError("seed must be nonnegative")
     for name in ("dt", "tol", "t_max", "t_ceiling", "half_width"):

@@ -39,9 +39,6 @@ class CauchyDatum:
     def __add__(self, other: "CauchyDatum") -> "CauchyDatum":
         return CauchyDatum(self.phi + other.phi, self.pi + other.pi)
 
-    def __sub__(self, other: "CauchyDatum") -> "CauchyDatum":
-        return CauchyDatum(self.phi - other.phi, self.pi - other.pi)
-
     def __mul__(self, c: complex) -> "CauchyDatum":
         return CauchyDatum(c * self.phi, c * self.pi)
 
@@ -55,6 +52,14 @@ def mode_data(datum: CauchyDatum, basis: SpectralBasis) -> np.ndarray:
 
 def datum_from_modes(coeffs: np.ndarray, basis: SpectralBasis) -> CauchyDatum:
     return CauchyDatum(basis.synthesize(coeffs[0]), basis.synthesize(coeffs[1]))
+
+
+def apply_mode_blocks(
+    blocks: np.ndarray, datum: CauchyDatum, basis: SpectralBasis
+) -> CauchyDatum:
+    """Act with per-mode 2x2 blocks, shape (N, 2, 2), on (phi_n, pi_n)."""
+    coeffs = np.einsum("nij,jn->in", blocks, mode_data(datum, basis))
+    return datum_from_modes(coeffs, basis)
 
 
 def propagate(
@@ -133,11 +138,8 @@ class SpacetimeField:
 class SpacetimeTestFunction(SpacetimeField):
     """Smooth source supported strictly inside its time window.
 
-    The first and last time node must carry (numerically) vanishing values;
-    `support` flags the nodes where the function may be nonzero.
+    The first and last time node must carry (numerically) vanishing values.
     """
-
-    support: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -148,13 +150,6 @@ class SpacetimeTestFunction(SpacetimeField):
             or np.abs(self.values[-1]).max() > 1e-12 * scale
         ):
             raise ValueError("window too small to contain the support of f")
-        support = self.support
-        if support is None:
-            support = np.abs(self.values).max(axis=1) > 0.0
-        support = np.asarray(support, dtype=bool)
-        if support.shape != self.times.shape:
-            raise ValueError("support mask must have one flag per time node")
-        object.__setattr__(self, "support", support)
 
 
 def cumulative_simpson_nodes(y: np.ndarray, dt: float) -> np.ndarray:

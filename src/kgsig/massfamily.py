@@ -5,10 +5,11 @@ data (node scalar) * (base datum), where the node scalars are the values of a
 smooth compactly supported mass weight (times m_q^k after k applications of
 the mass operator T). The map p integrates the scalar field of the family
 over mass against the measure m dm (Gauss-Legendre nodes), and the physical
-inner product pairs p-images in L^2 over spacetime on [-T, T], with T doubled
-until the increment falls below tolerance. Time is integrated exactly: per
-mode the integrand is a finite sum of cos/sin products over the mass nodes,
-whose integrals over the symmetric stage sets are closed-form sinc kernels.
+inner product pairs p-images of families on one weight in L^2 over spacetime
+on [-T, T], with T doubled until the increment falls below tolerance. Time
+is integrated exactly: per mode the integrand is a finite sum of cos/sin
+products over the mass nodes, whose integrals over the symmetric stage sets
+are closed-form sinc kernels.
 The pairing converges to the mass-integral side of the decomposition
 identity, which `mass_decomposition_pairing` evaluates directly.
 
@@ -79,11 +80,6 @@ class MassWeight:
     def profile(self, m: np.ndarray) -> np.ndarray:
         return bump((np.asarray(m, dtype=float) - self.center) / self.half_width)
 
-    def refined_rule(self, num_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(nodes, quad, values) of a finer rule on the same support."""
-        x, w = np.polynomial.legendre.leggauss(num_nodes)
-        return self.center + self.half_width * x, self.half_width * w, bump(x)
-
     def mass_moment(self, power: int = 1, squared: bool = False) -> float:
         """Integral of w(m) (or w(m)^2) times m^power over the support."""
         vals = self.values**2 if squared else self.values
@@ -93,16 +89,12 @@ class MassWeight:
 def bump_weight(
     center: float, half_width: float, num_nodes: int = MASS_NODES_DEFAULT
 ) -> MassWeight:
+    """Bump on [center - half_width, center + half_width] with a num_nodes-point
+    Gauss-Legendre rule; also builds the finer rules of the time loop."""
     if not half_width > 0.0 or num_nodes < 2:
         raise ValueError("weight needs positive half_width and >= 2 nodes")
     x, w = np.polynomial.legendre.leggauss(num_nodes)
-    return MassWeight(
-        center=center,
-        half_width=half_width,
-        nodes=center + half_width * x,
-        quad=half_width * w,
-        values=bump(x),
-    )
+    return MassWeight(center, half_width, center + half_width * x, half_width * w, bump(x))
 
 
 def interval_weight(
@@ -118,17 +110,20 @@ def interval_weight(
 class MassFamily:
     """Base Cauchy datum smeared over a mass interval by a weight.
 
-    node_scale holds w(m_q) * m_q^mass_power; mass_power counts applications
-    of the mass multiplication operator so the scalars can be re-evaluated
-    exactly on refined node sets.
+    mass_power counts applications of the mass multiplication operator T, so
+    the node scalars w(m_q) * m_q^mass_power can be evaluated exactly on any
+    rule of the weight's support.
     """
 
     base: CauchyDatum
     basis: SpectralBasis
     weight: MassWeight
-    interval: MassInterval
-    node_scale: np.ndarray
     mass_power: int = 0
+
+    @property
+    def node_scale(self) -> np.ndarray:
+        """w(m_q) * m_q^mass_power at the weight's own nodes."""
+        return self.weight.values * self.weight.nodes**self.mass_power
 
 
 def make_family(
@@ -142,22 +137,12 @@ def make_family(
     lo, hi = weight.center - weight.half_width, weight.center + weight.half_width
     if lo < interval.m_lo - 1e-12 or hi > interval.m_hi + 1e-12:
         raise ValueError("weight support outside I")
-    return MassFamily(
-        base=datum,
-        basis=basis,
-        weight=weight,
-        interval=interval,
-        node_scale=weight.values.copy(),
-    )
+    return MassFamily(base=datum, basis=basis, weight=weight)
 
 
 def apply_T(family: MassFamily) -> MassFamily:
     """Multiplication by the mass: (T phi)_m = m phi_m, exact at the nodes."""
-    return replace(
-        family,
-        node_scale=family.node_scale * family.weight.nodes,
-        mass_power=family.mass_power + 1,
-    )
+    return replace(family, mass_power=family.mass_power + 1)
 
 
 def integrate_p(family: MassFamily, t: float) -> np.ndarray:
@@ -179,31 +164,22 @@ class ConvergenceReport:
     stages: int
 
 
-def _stage_rules(
-    families: list[MassFamily], t_end: float
-) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-weight mass rule adequate for phase swings up to t_end.
+def _stage_rule(
+    weight: MassWeight, lam_min: float, t_end: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nodes, quad, values) of a mass rule adequate for phase swings up to t_end.
 
     Gauss-Legendre with n nodes resolves exp(i K s) on [-1, 1] while
     K <~ 1.5 n; the swing here is half the omega spread times t_end, so
-    n grows linearly in T with a safety margin.
+    n grows linearly in T with a safety margin. The weight's own rule serves
+    while it has enough nodes.
     """
-    lam_min = float(min(f.basis.eigenvalues[0] for f in families))
-    rules: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for fam in families:
-        key = id(fam.weight)
-        if key in rules:
-            continue
-        wgt = fam.weight
-        lo = wgt.center - wgt.half_width
-        hi = wgt.center + wgt.half_width
-        spread = np.sqrt(lam_min + hi**2) - np.sqrt(lam_min + lo**2)
-        needed = int(np.ceil(spread * t_end / 2.4)) + 32
-        if needed <= wgt.nodes.size:
-            rules[key] = (wgt.nodes, wgt.quad, wgt.values)
-        else:
-            rules[key] = wgt.refined_rule(needed)
-    return rules
+    lo, hi = weight.center - weight.half_width, weight.center + weight.half_width
+    spread = np.sqrt(lam_min + hi**2) - np.sqrt(lam_min + lo**2)
+    needed = int(np.ceil(spread * t_end / 2.4)) + 32
+    if needed > weight.nodes.size:
+        weight = bump_weight(weight.center, weight.half_width, needed)
+    return weight.nodes, weight.quad, weight.values
 
 
 def _time_kernels(w: np.ndarray, w_cols: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -221,23 +197,16 @@ def _stage_gram(
 ) -> np.ndarray:
     """Exact time integral of the pairing over [-t_hi, -t_lo] and [t_lo, t_hi].
 
-    With t_lo = 0 the set is the whole window [-t_hi, t_hi]. Per mode,
+    With t_lo = 0 the set is the whole window [-t_hi, t_hi]. The families
+    share one weight, so both kernels of the stage use one mass rule. Per mode,
     p a_i(t) = sum_q u_iq [phi_i cos(w_q t) - i pi_i sin(w_q t) / w_q], so
     the stage is a quadratic form in the node vectors u_i with the kernels
     of `_time_kernels`; the cos * sin cross terms are odd in t and vanish on
     this symmetric set.
     """
     lam = families[0].basis.eigenvalues
-    rules = _stage_rules(families, t_hi)
-    # One node axis for all weight rules; a family's vector is zero outside
-    # the segment of its own rule.
-    nodes = np.concatenate([x for x, _, _ in rules.values()])
-    offsets = dict(zip(rules, np.cumsum([0] + [x.size for x, _, _ in rules.values()])))
-    u = np.zeros((len(families), nodes.size))
-    for i, fam in enumerate(families):
-        x, qw, vals = rules[id(fam.weight)]
-        start = offsets[id(fam.weight)]
-        u[i, start : start + x.size] = qw * x * vals * x**fam.mass_power
+    nodes, quad, values = _stage_rule(families[0].weight, lam[0], t_hi)
+    u = np.stack([quad * nodes * values * nodes**f.mass_power for f in families])
     # Q grows like T, so one Q x Q kernel would take gigabytes near the
     # default ceiling; kernel rows are built in blocks of bounded size.
     rows = max(1, _KERNEL_BUDGET // nodes.size)
@@ -271,16 +240,26 @@ def spacetime_gram(
 ) -> tuple[np.ndarray, ConvergenceReport]:
     """Matrix of spacetime inner products <p a_i | p a_j> over [-T, T].
 
-    T doubles from t_max until the largest entrywise increment drops below
-    tol (absolute); exceeding t_ceiling raises ConvergenceError. The result
-    is Hermitian positive semidefinite by construction.
+    The families share one spectral basis and one mass weight. T doubles
+    from t_max until the largest entrywise increment drops below tol
+    (absolute); exceeding t_ceiling raises ConvergenceError. The result is
+    Hermitian positive semidefinite by construction.
+
+    No cancellation fools the stopping rule: an increment is the Gram matrix
+    of the p-images over its stage set, hence positive semidefinite, so its
+    largest entry is a diagonal tail mass int |p a_i|^2 (|inc_ij| <=
+    sqrt(inc_ii inc_jj)). The tails decay fast because 0 is not in the closed
+    mass interval: omega'(m) = m / omega > 0 on the support, so the phase of
+    p a(t) is never stationary (the mass oscillation property).
     """
     if not families:
         raise ValueError("no families given")
-    basis = families[0].basis
+    basis, weight = families[0].basis, families[0].weight
     for fam in families:
         if fam.basis is not basis:
             raise ValueError("families must share one spectral basis")
+        if fam.weight is not weight:
+            raise ValueError("families must share one mass weight")
     modes = np.stack([mode_data(f.base, f.basis) for f in families])
     magnitude = np.abs(modes).sum(axis=1)
     active = magnitude > _ACTIVE_REL * magnitude.max(axis=1, keepdims=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CauchyDatum, datum_from_modes, mode_data
+from .dynamics import CauchyDatum, apply_mode_blocks
 from .lattice import SpectralBasis, omega
 from .massfamily import (
     ConvergenceReport,
@@ -58,9 +58,7 @@ def signature_analytic(mass: float, basis: SpectralBasis) -> SignatureOperator:
 
 
 def apply_signature(sig: SignatureOperator, datum: CauchyDatum) -> CauchyDatum:
-    coeffs = mode_data(datum, sig.basis)
-    out = np.einsum("nij,jn->in", sig.blocks, coeffs)
-    return datum_from_modes(out, sig.basis)
+    return apply_mode_blocks(sig.blocks, datum, sig.basis)
 
 
 def scalar_product(

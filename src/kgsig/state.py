@@ -19,9 +19,8 @@ import numpy as np
 from .dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
+    apply_mode_blocks,
     causal_fundamental,
-    datum_from_modes,
-    mode_data,
     time_window,
 )
 from .lattice import SpectralBasis
@@ -46,10 +45,7 @@ def build_state(mass: float, basis: SpectralBasis) -> TwoPointEvaluator:
 
 
 def _project_hol(state: TwoPointEvaluator, datum: CauchyDatum) -> CauchyDatum:
-    coeffs = mode_data(datum, state.basis)
-    return datum_from_modes(
-        np.einsum("nij,jn->in", state.hol_blocks, coeffs), state.basis
-    )
+    return apply_mode_blocks(state.hol_blocks, datum, state.basis)
 
 
 def two_point_matrix(

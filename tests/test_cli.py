@@ -236,6 +236,52 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, args, text):
     assert not (out / f"{command}_summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("spectrum", "[mass]\nm = 1e200\n", "mass too large"),
+        ("green", "[mass]\nm = 1e200\n", "mass too large"),
+        ("state", "[mass]\nm = 1e200\n", "mass too large"),
+        ("evolve", "[mass]\nm = 1e155\n", "mass too large"),
+        ("spectrum", "[grid]\nl = 1e200\n", "grid spacing"),
+        ("spectrum", "[grid]\nl = 1e-200\n", "grid spacing"),
+        ("signature", "[grid]\nl = 1e-160\n", "grid spacing"),
+        ("crosscheck", "[grid]\nl = 1e-160\n", "grid spacing"),
+    ],
+    ids=[
+        "spectrum-m1e200",
+        "green-m1e200",
+        "state-m1e200",
+        "evolve-m1e155",
+        "spectrum-l1e200",
+        "spectrum-l1e-200",
+        "signature-l1e-160",
+        "crosscheck-l1e-160",
+    ],
+)
+def test_extreme_magnitudes_exit_2(tmp_path, capsys, command, text, message):
+    # m^2, h^2 or 4 / h^2 leaves the float range: these ended in tracebacks
+    code, out = run(tmp_path, [command], text)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / f"{command}_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("spectrum", "[mass]\nm = 1e154\n"),
+        ("spectrum", "[grid]\nl = 1e150\n"),
+        # massdecomp takes its masses from [m_lo, m_hi], not from m
+        ("massdecomp", SMALL + "\n[mass]\nm = 1e200\n"),
+    ],
+    ids=["spectrum-m1e154", "spectrum-l1e150", "massdecomp-m1e200"],
+)
+def test_large_representable_magnitudes_still_run(tmp_path, command, text):
+    code, _ = run(tmp_path, [command], text)
+    assert code == 0
+
+
 def _power_of_ten(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 

@@ -64,16 +64,20 @@ def stage_gram(families, t_lo, t_hi):
     return massfamily._stage_gram(families, modes, active, t_lo, t_hi)
 
 
-@pytest.fixture(scope="module")
-def mixed_families():
-    """Three families on two weights, one of them after one application of T."""
+@pytest.fixture(
+    scope="module",
+    params=[interval_weight(INTERVAL, 64), bump_weight(1.5, 0.2, 48)],
+    ids=["broad", "narrow"],
+)
+def mixed_families(request):
+    """Three families on one weight, one of them after one application of T."""
     basis8 = dirichlet_basis(8, 10.0)
     rng = np.random.default_rng(13)
-    broad, narrow = interval_weight(INTERVAL, 64), bump_weight(1.5, 0.2, 48)
+    weight = request.param
     return [
-        make_family(random_datum(rng, basis8), basis8, broad, INTERVAL),
-        make_family(random_datum(rng, basis8), basis8, narrow, INTERVAL),
-        apply_T(make_family(random_datum(rng, basis8), basis8, narrow, INTERVAL)),
+        make_family(random_datum(rng, basis8), basis8, weight, INTERVAL),
+        make_family(random_datum(rng, basis8), basis8, weight, INTERVAL),
+        apply_T(make_family(random_datum(rng, basis8), basis8, weight, INTERVAL)),
     ]
 
 
@@ -150,8 +154,8 @@ def test_integrate_p_decays(basis):
 
 @pytest.mark.parametrize("t_lo, t_hi", [(0.0, 10.0), (10.0, 20.0)])
 def test_stage_gram_matches_simpson_reference(mixed_families, t_lo, t_hi):
-    rules = massfamily._stage_rules(mixed_families, t_hi)
-    assert all(rules[id(f.weight)][0] is f.weight.nodes for f in mixed_families)
+    weight, lam_min = mixed_families[0].weight, mixed_families[0].basis.eigenvalues[0]
+    assert massfamily._stage_rule(weight, lam_min, t_hi)[0] is weight.nodes
     exact = stage_gram(mixed_families, t_lo, t_hi)
     scale = np.abs(exact).max()
     assert np.abs(exact - exact.conj().T).max() <= 1e-14 * scale
@@ -170,6 +174,27 @@ def test_stage_gram_kernel_blocks_agree(mixed_families, monkeypatch):
     monkeypatch.setattr(massfamily, "_KERNEL_BUDGET", 500)
     blocked = stage_gram(mixed_families, 10.0, 20.0)
     assert np.abs(blocked - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [interval_weight(INTERVAL, 200), bump_weight(1.5, 0.05)],
+    ids=["broad", "narrow"],
+)
+def test_stage_increments_are_positive_semidefinite(basis, weight):
+    # an increment is the Gram matrix of the p-images over its stage set, so
+    # the entrywise maximum the stopping rule tests is a diagonal tail mass
+    # and cannot be small by cancellation
+    rng = np.random.default_rng(17)
+    fams = [
+        make_family(random_datum(rng, basis), basis, weight, INTERVAL) for _ in range(6)
+    ]
+    incs = [stage_gram(fams, t, 2 * t) for t in (200.0, 400.0)]
+    total = stage_gram(fams, 0.0, 200.0) + sum(incs)
+    for inc in incs:
+        assert np.abs(inc).max() <= (1 + 1e-12) * inc.diagonal().real.max()
+        herm = 0.5 * (inc + inc.conj().T)
+        assert np.linalg.eigvalsh(herm).min() >= -1e-12 * np.abs(total).max()
 
 
 def test_unit_mode_families_pair_only_their_mode():
@@ -260,6 +285,9 @@ def test_gram_requires_shared_basis(basis):
     fam_b = make_family(random_datum(rng, other), other, wgt, INTERVAL)
     with pytest.raises(ValueError, match="share one spectral basis"):
         spacetime_gram([fam_a, fam_b])
+    fam_c = make_family(fam_a.base, basis, interval_weight(INTERVAL, 32), INTERVAL)
+    with pytest.raises(ValueError, match="share one mass weight"):
+        spacetime_gram([fam_a, fam_c])
     with pytest.raises(ValueError, match="no families"):
         spacetime_gram([])
 
