@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+from .massfamily import MassInterval
+from .signature import MASSLESS_MASSES
 
 
 class ConfigError(ValueError):
@@ -19,6 +23,14 @@ class ConfigError(ValueError):
 
 
 BLOCK_TOL_DEFAULT = 1e-3  # reconstruct's block tolerance unless --tol is given
+# Gauss-Legendre rules come from a dense num_nodes^2 eigenproblem: at this cap
+# one rule takes 32 MB and about a second
+MASS_NODES_MAX = 2000
+# time nodes x grid points of one spacetime array: 64 MiB of complex values
+SPACETIME_SAMPLES_MAX = 1 << 22
+# masslimit needs m^2 to survive in omega^2 = lambda + m^2 for every mode; the
+# rounding of the largest lambda may reach this share of the smallest m^2
+MASSLIMIT_ROUNDING_SHARE = 1e-3
 
 
 _SCHEMA: dict[str, dict[str, type]] = {
@@ -141,13 +153,22 @@ def validate_config(
             raise ConfigError(f"{name} must be positive")
     if config.mass_nodes < 2:
         raise ConfigError("mass quadrature needs at least two nodes")
+    if config.mass_nodes > MASS_NODES_MAX:
+        raise ConfigError(f"mass_nodes must be at most {MASS_NODES_MAX}")
     if command in ("massdecomp", "reconstruct"):
-        if not config.m_lo > 0.0:
+        try:
+            MassInterval(config.m_lo, config.m_hi)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    if command == "masslimit":
+        # (4 / h^2) eps > share * m_min^2, multiplied through by h^2
+        m_min = min(MASSLESS_MASSES)
+        share = MASSLIMIT_ROUNDING_SHARE
+        if 4.0 * sys.float_info.epsilon > share * m_min * m_min * h * h:
             raise ConfigError(
-                "mass interval must satisfy 0 ∉ Ī (need m_lo > 0)"
+                "grid spacing too fine for masslimit: the smallest table mass "
+                f"m = {m_min:g} is lost to rounding in lambda + m^2"
             )
-        if not config.m_hi > config.m_lo:
-            raise ConfigError("mass interval needs m_lo < m_hi")
     if command == "reconstruct":
         if not (
             config.m_lo < config.m - config.half_width
@@ -167,5 +188,13 @@ def validate_config(
     counts = {"evolve": "samples", "state": "trials", "massdecomp": "families"}
     if command in counts and getattr(config, counts[command]) < 1:
         raise ConfigError(f"{counts[command]} must be positive")
-    if command in ("state", "green", "wick") and not config.window > 0.0:
-        raise ConfigError("window must be positive")
+    if command in ("state", "green", "wick"):
+        if not config.window > 0.0:
+            raise ConfigError("window must be positive")
+        # time_window takes at most window / dt + 3 nodes; green also halves dt
+        dt = config.dt / 2 if command == "green" else config.dt
+        if config.window > (SPACETIME_SAMPLES_MAX / config.n - 3) * dt:
+            raise ConfigError(
+                "window / dt too large: a spacetime array would exceed "
+                f"{SPACETIME_SAMPLES_MAX} samples (time nodes x grid points)"
+            )

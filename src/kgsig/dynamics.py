@@ -7,7 +7,10 @@ i dPhi/dt = H Phi. Per spectral mode the propagator is the exact 2x2 rotation
 
 with w = sqrt(lambda_n + m^2), so there is no time-stepping error anywhere in
 the homogeneous evolution. Retarded/advanced Green's operators integrate the
-Duhamel formula mode-wise with composite Simpson quadrature in time.
+Duhamel formula mode-wise with composite Simpson quadrature in time; the
+advanced pass is the retarded one run backward in time with the sign flipped.
+Every conversion between lattice values and mode coefficients, for Cauchy
+data and spacetime fields alike, is one `analyze`/`synthesize` call on a stack.
 """
 
 from __future__ import annotations
@@ -47,11 +50,13 @@ class CauchyDatum:
 
 def mode_data(datum: CauchyDatum, basis: SpectralBasis) -> np.ndarray:
     """Stack of mode coefficients, shape (2, N): rows are (phi_n, pi_n)."""
-    return np.stack([basis.analyze(datum.phi), basis.analyze(datum.pi)])
+    return basis.analyze(np.stack([datum.phi, datum.pi]))
 
 
 def datum_from_modes(coeffs: np.ndarray, basis: SpectralBasis) -> CauchyDatum:
-    return CauchyDatum(basis.synthesize(coeffs[0]), basis.synthesize(coeffs[1]))
+    """Inverse of mode_data: Cauchy datum from its (2, N) coefficient stack."""
+    phi, pi = basis.synthesize(coeffs)
+    return CauchyDatum(phi, pi)
 
 
 def apply_mode_blocks(
@@ -126,7 +131,7 @@ class SpacetimeField:
 
     def mode_values(self) -> np.ndarray:
         """Coefficients against the spectral basis, shape (J, N)."""
-        return self.basis.grid.spacing * (self.values @ self.basis.vectors)
+        return self.basis.analyze(self.values)
 
     def __mul__(self, c: complex) -> "SpacetimeField":
         return replace(self, values=self.values * c)
@@ -192,24 +197,18 @@ def _duhamel(
 ) -> SpacetimeField:
     # sin(w(t - t')) = sin(wt)cos(wt') - cos(wt)sin(wt'): the running Duhamel
     # integrals reduce to cumulative Simpson of cos/sin-weighted coefficients.
+    # The advanced integral over t' >= t of sin(w(t' - t))/w f(t') is anchored
+    # at the future end of the window: the same pass run backward, negated.
     basis = f.basis
     w = omega(basis.eigenvalues, mass)
     coeffs = f.mode_values()
     phase = w[None, :] * f.times[:, None]
     cos_p, sin_p = np.cos(phase), np.sin(phase)
-    dt = f.dt
-    if retarded:
-        ccum = cumulative_simpson_nodes(cos_p * coeffs, dt)
-        scum = cumulative_simpson_nodes(sin_p * coeffs, dt)
-        sol = (sin_p * ccum - cos_p * scum) / w[None, :]
-    else:
-        # integral over t' >= t of sin(w(t'-t))/w f(t'): anchored at the
-        # future end of the window, so the cumulative pass runs backward.
-        crev = cumulative_simpson_nodes((cos_p * coeffs)[::-1], dt)[::-1]
-        srev = cumulative_simpson_nodes((sin_p * coeffs)[::-1], dt)[::-1]
-        sol = (cos_p * srev - sin_p * crev) / w[None, :]
-    values = sol @ basis.vectors.T
-    return SpacetimeField(times=f.times, values=values, basis=basis)
+    step = 1 if retarded else -1
+    ccum = cumulative_simpson_nodes((cos_p * coeffs)[::step], f.dt)[::step]
+    scum = cumulative_simpson_nodes((sin_p * coeffs)[::step], f.dt)[::step]
+    sol = step * (sin_p * ccum - cos_p * scum) / w[None, :]
+    return SpacetimeField(times=f.times, values=basis.synthesize(sol), basis=basis)
 
 
 def retarded_green(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:

@@ -5,7 +5,9 @@ h = L/(N+1); Dirichlet walls sit at x = 0 and x = L. All inner products are
 h-weighted, i.e. <u, v> = h * sum_i conj(u_i) v_i, so that lattice sums
 approximate integrals over (0, L). The eigenpairs of the 3-point Laplacian
 are the closed-form sine modes; the dense `laplacian` matrix is kept as the
-reference they are checked against.
+reference they are checked against. Fields and mode coefficients convert into
+each other only through `SpectralBasis.analyze` and `synthesize`, which act on
+the last axis of any stack through one symmetric sine table.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ class SpatialGrid:
             self, "points", h * np.arange(1, self.num_points + 1, dtype=float)
         )
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
-        """h-weighted inner product, conjugate-linear in the first slot."""
-        return self.spacing * np.sum(np.conj(u) * v)
-
 
 def build_grid(num_points: int, length: float) -> SpatialGrid:
     return SpatialGrid(num_points=num_points, length=length)
@@ -57,7 +55,10 @@ class SpectralBasis:
     """Eigenpairs of the Dirichlet Laplacian on a grid.
 
     Columns of `vectors` are orthonormal in the h-weighted inner product;
-    eigenvalues are sorted ascending and strictly positive.
+    eigenvalues are sorted ascending and strictly positive. vectors[j, k]
+    depends only on the product (j+1)(k+1), so the table is exactly symmetric
+    (vectors == vectors.T bitwise) and one row-major product serves both
+    directions: analyze(u) = h * (u @ V) and synthesize(c) = c @ V.
     """
 
     grid: SpatialGrid
@@ -69,12 +70,13 @@ class SpectralBasis:
         return self.eigenvalues.size
 
     def analyze(self, u: np.ndarray) -> np.ndarray:
-        """Mode coefficients c_n = <v_n, u>_h of a lattice field."""
-        return self.grid.spacing * (self.vectors.T @ u)
+        """Mode coefficients c_n = <v_n, u>_h of lattice fields on the last axis."""
+        return self.grid.spacing * (u @ self.vectors)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Lattice field sum_n c_n v_n. Inverse of analyze."""
-        return self.vectors @ coeffs
+        """Lattice fields sum_n c_n v_n from coefficients on the last axis.
+        Inverse of analyze."""
+        return coeffs @ self.vectors
 
 
 def spectral_decompose(grid: SpatialGrid) -> SpectralBasis:

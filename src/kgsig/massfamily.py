@@ -41,6 +41,7 @@ TOL_DEFAULT = 1e-6
 T_CEILING_DEFAULT = 51200.0
 _KERNEL_BUDGET = 1 << 19  # elements per block of time-kernel rows
 _ACTIVE_REL = 1e-12  # below this share of a family's largest mode: analysis noise
+_SUPPORT_SLACK = 1e-12  # rounding allowed where a weight's support meets I
 
 
 class ConvergenceError(RuntimeError):
@@ -61,6 +62,25 @@ class MassInterval:
             )
         if not self.m_hi > self.m_lo:
             raise ValueError("mass interval needs m_lo < m_hi")
+        # a weight spanning I is built from the center and half-width; when
+        # m_hi dwarfs m_lo, m_lo is lost to rounding there (1 + 1e16 == 1e16)
+        lo, hi = self.center - self.half_width, self.center + self.half_width
+        if not (
+            0.0 < lo
+            and self.m_lo - _SUPPORT_SLACK <= lo
+            and hi <= self.m_hi + _SUPPORT_SLACK
+        ):
+            raise ValueError(
+                "mass interval too wide: center +- half-width loses m_lo to rounding"
+            )
+
+    @property
+    def center(self) -> float:
+        return 0.5 * (self.m_lo + self.m_hi)
+
+    @property
+    def half_width(self) -> float:
+        return 0.5 * (self.m_hi - self.m_lo)
 
 
 @dataclass(frozen=True)
@@ -101,9 +121,7 @@ def interval_weight(
     interval: MassInterval, num_nodes: int = MASS_NODES_DEFAULT
 ) -> MassWeight:
     """Bump spanning the whole mass interval."""
-    center = 0.5 * (interval.m_lo + interval.m_hi)
-    half_width = 0.5 * (interval.m_hi - interval.m_lo)
-    return bump_weight(center, half_width, num_nodes)
+    return bump_weight(interval.center, interval.half_width, num_nodes)
 
 
 @dataclass(frozen=True)
@@ -135,7 +153,7 @@ def make_family(
     if datum.phi.size != basis.size:
         raise ValueError("datum does not live on the basis grid")
     lo, hi = weight.center - weight.half_width, weight.center + weight.half_width
-    if lo < interval.m_lo - 1e-12 or hi > interval.m_hi + 1e-12:
+    if lo < interval.m_lo - _SUPPORT_SLACK or hi > interval.m_hi + _SUPPORT_SLACK:
         raise ValueError("weight support outside I")
     return MassFamily(base=datum, basis=basis, weight=weight)
 

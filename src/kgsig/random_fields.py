@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import CauchyDatum, SpacetimeTestFunction
+from .dynamics import CauchyDatum, SpacetimeTestFunction, datum_from_modes
 from .lattice import SpectralBasis
 
 
@@ -32,7 +32,7 @@ def random_datum(rng: np.random.Generator, basis: SpectralBasis) -> CauchyDatum:
     """Cauchy datum with standard complex normal mode coefficients."""
     n = basis.size
     coeffs = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-    return CauchyDatum(basis.synthesize(coeffs[0]), basis.synthesize(coeffs[1]))
+    return datum_from_modes(coeffs, basis)
 
 
 def random_test_function(

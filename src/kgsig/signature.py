@@ -164,8 +164,11 @@ def massless_bound(basis: SpectralBasis, mass: float) -> np.ndarray:
     return np.pi * mass**2 * np.maximum(1.0 / (k**2 * om), 1.0 / (k * (k + om)))
 
 
+MASSLESS_MASSES = (1.0, 0.5, 0.25, 0.125)  # the convergence table's masses
+
+
 def massless_limit(
-    basis: SpectralBasis, masses: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125)
+    basis: SpectralBasis, masses: tuple[float, ...] = MASSLESS_MASSES
 ) -> tuple[SignatureOperator, MasslessTable]:
     """Limit operator at m = 0 plus the norm-convergence table.
 
@@ -252,16 +255,11 @@ def signature_reconstruct(
     norm2 = weight.mass_moment(power=1, squared=True)
 
     n = basis.size
+    zero = np.zeros(n)
     families = []
-    for k in range(n):
-        v = basis.vectors[:, k]
-        zero = np.zeros_like(v)
-        families.append(
-            make_family(CauchyDatum(phi=v, pi=zero), basis, weight, interval)
-        )
-        families.append(
-            make_family(CauchyDatum(phi=zero, pi=v), basis, weight, interval)
-        )
+    for v in basis.synthesize(np.eye(n)):  # row k is the unit mode v_k
+        for datum in (CauchyDatum(phi=v, pi=zero), CauchyDatum(phi=zero, pi=v)):
+            families.append(make_family(datum, basis, weight, interval))
     gram, report = spacetime_gram(
         families,
         t_max=t_max,

@@ -326,3 +326,65 @@ def test_cli_fuzz_ends_in_result_message_or_nonconvergence(
     code, _ = run(tmp_path, [command], text)
     assert code in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["1e-6", "1e-50", "1e-150"])
+def test_masslimit_rejects_mass_lost_to_rounding(tmp_path, capsys, length):
+    # m^2 drowned in lambda + m^2 collapsed the per-mode distances: a
+    # max_mode_ratio of 0 (or 4.39 at l = 1e-6) was reported with exit 0
+    code, out = run(tmp_path, ["masslimit"], f"[grid]\nl = {length}\n")
+    assert code == 2
+    assert "lost to rounding" in capsys.readouterr().err
+    assert not (out / "masslimit_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, "[grid]\nl = 1e-3\n", "[grid]\nn = 1024\n"],
+    ids=["default", "l1e-3", "n1024"],
+)
+def test_masslimit_controls_still_run(tmp_path, text):
+    code, out = run(tmp_path, ["masslimit"], text)
+    assert code == 0
+    results = read_summary(out, "masslimit")["results"]
+    assert results["monotone_decrease"] is True
+    assert results["max_mode_ratio"] > 0.5
+
+
+def _no_rule(*args, **kwargs):
+    raise AssertionError("a Gauss-Legendre rule was built before validation")
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("massdecomp", "[mass]\nm_hi = 1e160\n", "too wide"),
+        ("massdecomp", "[quadrature]\nmass_nodes = 1000000000\n", "mass_nodes"),
+        ("reconstruct", "[quadrature]\nmass_nodes = 1000000000\n", "mass_nodes"),
+    ],
+    ids=["massdecomp-m_hi1e160", "massdecomp-nodes1e9", "reconstruct-nodes1e9"],
+)
+def test_mass_quadrature_inputs_rejected_before_any_rule(
+    tmp_path, capsys, monkeypatch, command, text, message
+):
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", _no_rule)
+    code, _ = run(tmp_path, [command], text)
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("green", "[quadrature]\ndt = 1e-300\n"),
+        ("state", "[run]\nwindow = 1e300\n"),
+        ("wick", "[run]\nwindow = 1e300\n"),
+    ],
+    ids=["green-dt1e-300", "state-window1e300", "wick-window1e300"],
+)
+def test_spacetime_sample_cap_exits_2(tmp_path, capsys, command, text):
+    # these ended in numpy's "Maximum allowed size exceeded" from time_window
+    code, out = run(tmp_path, [command], text)
+    assert code == 2
+    assert "window / dt too large" in capsys.readouterr().err
+    assert not (out / f"{command}_summary.json").exists()

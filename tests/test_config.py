@@ -1,12 +1,16 @@
 import pytest
 
 from kgsig.config import (
+    MASS_NODES_MAX,
+    SPACETIME_SAMPLES_MAX,
     ConfigError,
     ExperimentConfig,
     apply_overrides,
     load_config,
     validate_config,
 )
+from kgsig.dynamics import time_window
+from kgsig.massfamily import MassInterval, interval_weight
 
 
 def test_defaults_load_without_file():
@@ -119,3 +123,48 @@ def test_as_dict_round_trips_sections():
     assert set(d) == {"grid", "mass", "quadrature", "run"}
     assert d["grid"]["n"] == 16
     assert d["quadrature"]["t_ceiling"] == 51200.0
+
+
+@pytest.mark.parametrize("m_hi", [1e20, 1e150, 1e160])
+@pytest.mark.parametrize("command", ["massdecomp", "reconstruct"])
+def test_interval_too_wide_for_its_midpoint_form(m_hi, command):
+    # 0.5 * (1 + m_hi) - 0.5 * (m_hi - 1) rounds to 0: the weight would leave I
+    with pytest.raises(ConfigError, match="too wide"):
+        validate_config(ExperimentConfig(m_hi=m_hi), command)
+    with pytest.raises(ValueError, match="too wide"):
+        MassInterval(1.0, m_hi)
+
+
+def test_widest_exact_interval_still_builds_its_weight():
+    interval = MassInterval(1.0, 1e15)  # midpoint form still exact here
+    weight = interval_weight(interval, 2)
+    assert weight.center - weight.half_width == 1.0
+    validate_config(ExperimentConfig(m_hi=1e15), "massdecomp")
+
+
+def test_mass_nodes_capped():
+    validate_config(ExperimentConfig(mass_nodes=MASS_NODES_MAX), "massdecomp")
+    with pytest.raises(ConfigError, match=f"at most {MASS_NODES_MAX}"):
+        validate_config(ExperimentConfig(mass_nodes=MASS_NODES_MAX + 1), "massdecomp")
+    with pytest.raises(ConfigError, match="mass_nodes"):
+        validate_config(ExperimentConfig(mass_nodes=10**12), "reconstruct")
+
+
+@pytest.mark.parametrize("command, dt_scale", [("state", 1), ("wick", 1), ("green", 2)])
+def test_largest_accepted_window_stays_within_the_sample_cap(command, dt_scale):
+    # the cap must bound what time_window really builds, green's dt / 2 included
+    n, dt = 16, 0.05
+    window = (SPACETIME_SAMPLES_MAX / n - 3) * (dt / dt_scale)
+    validate_config(ExperimentConfig(n=n, dt=dt, window=window), command)
+    times = time_window(-window / 2, window / 2, dt / dt_scale)
+    assert times.size * n <= SPACETIME_SAMPLES_MAX
+    with pytest.raises(ConfigError, match="window / dt"):
+        validate_config(ExperimentConfig(n=n, dt=dt, window=1.01 * window), command)
+
+
+def test_bench_causal_configs_sit_far_below_the_sample_cap():
+    for dt in (0.05, 0.025):
+        config = ExperimentConfig(n=64, dt=dt)
+        for command in ("state", "wick", "green"):
+            validate_config(config, command)
+    assert 100 * 481 * 64 < SPACETIME_SAMPLES_MAX

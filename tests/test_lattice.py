@@ -112,3 +112,27 @@ def test_omega_dominates_mass_and_momentum(lam, m):
     assert w >= m
     assert w >= np.sqrt(lam)
     assert w == pytest.approx(np.hypot(np.sqrt(lam), m), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_mode_table_is_exactly_symmetric(n):
+    # analyze and synthesize use the table in row-major form for both
+    # directions, which is exact only because vectors[j, k] depends on j * k
+    vecs = dirichlet_basis(n, 3.0).vectors
+    assert np.array_equal(vecs, vecs.T)
+
+
+def test_transforms_act_on_the_last_axis_of_a_stack():
+    basis = dirichlet_basis(33, 5.0)
+    h, vecs = basis.grid.spacing, basis.vectors
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(3, 2, 33)) + 1j * rng.normal(size=(3, 2, 33))
+    got = basis.analyze(x)
+    assert got.shape == x.shape
+    per_row = np.array([[basis.analyze(row) for row in pair] for pair in x])
+    column_form = np.array([[h * vecs.T @ row for row in pair] for pair in x])
+    scale = np.abs(column_form).max()
+    assert np.abs(got - per_row).max() <= 1e-14 * scale
+    assert np.abs(got - column_form).max() <= 1e-14 * scale
+    back = basis.synthesize(got)
+    assert np.abs(back - x).max() <= 1e-13 * np.abs(x).max()
