@@ -41,7 +41,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .dynamics import kg_residual, propagate, time_window
+from .dynamics import causal_fundamental, kg_residual, propagate, time_window
 from .lattice import dirichlet_basis, omega
 from .massfamily import (
     ConvergenceError,
@@ -63,12 +63,12 @@ from .signature import (
 from .state import (
     build_state,
     pair_matchings,
+    solved_two_point_matrix,
     state_positivity_suite,
-    two_point_matrix,
     wick_n_point,
     wick_terms,
 )
-from .symplectic import gm_form, gm_symplectic_side, symplectic
+from .symplectic import gm_form, symplectic
 from .dynamics import advanced_green, retarded_green
 
 
@@ -341,11 +341,11 @@ def cmd_state(config: ExperimentConfig):
     for _ in range(3):
         f = random_test_function(rng, basis, times, real=True)
         g = random_test_function(rng, basis, times, real=True)
-        pair = two_point_matrix(state, [f, g])
+        solved = [causal_fundamental(h, config.m) for h in (f, g)]
+        pair = solved_two_point_matrix(state, solved)
         w_fg, w_gf = pair[0, 1], pair[1, 0]
-        im_worst = np.maximum(
-            im_worst, abs(w_fg.imag - 0.5 * gm_symplectic_side(f, g, config.m).real)
-        )
+        sigma = symplectic(*solved, basis.grid)  # sigma(G f, G g)
+        im_worst = np.maximum(im_worst, abs(w_fg.imag - 0.5 * sigma.real))
         anti = w_fg - w_gf
         ccr_worst = np.maximum(ccr_worst, abs(anti - 1j * gm_form(f, g, config.m)))
     results = {

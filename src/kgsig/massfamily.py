@@ -19,14 +19,16 @@ Two quadrature choices matter and are deliberate:
   identically outside the support, so this equals the integral over any
   enclosing mass interval, and it is the only placement that stays accurate
   when the weight is a narrow localization bump.
-* Tail stages of the adaptive time loop refresh the Gauss-Legendre rule with
-  a node count proportional to (omega spread) * T. A fixed rule aliases the
-  mass oscillation exp(i omega(m) t) once the total phase swing exceeds what
-  the nodes resolve, turning increments into noise that never converges.
+* The spacetime Gram takes the mass integral per mode on a uniform omega
+  grid of spacing 2 pi / P (m dm = omega d omega): for the bump this
+  trapezoid rule converges faster than any power, its time kernels depend
+  only on q -+ q', and its sum is P-periodic in t, so a rule serves times up
+  to P / RULE_PERIOD_RATIO, where the aliased copies are negligible.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,7 +41,8 @@ MASS_NODES_DEFAULT = 200
 T_MAX_DEFAULT = 200.0
 TOL_DEFAULT = 1e-6
 T_CEILING_DEFAULT = 51200.0
-_KERNEL_BUDGET = 1 << 19  # elements per block of time-kernel rows
+RULE_PERIOD_RATIO = 4  # period of a Gram mass rule over the longest time it serves
+RULE_NODES_MAX = 1 << 16  # per mode and rule; (1, 2) needs 31.8k at the default ceiling
 _ACTIVE_REL = 1e-12  # below this share of a family's largest mode: analysis noise
 _SUPPORT_SLACK = 1e-12  # rounding allowed where a weight's support meets I
 
@@ -110,7 +113,7 @@ def bump_weight(
     center: float, half_width: float, num_nodes: int = MASS_NODES_DEFAULT
 ) -> MassWeight:
     """Bump on [center - half_width, center + half_width] with a num_nodes-point
-    Gauss-Legendre rule; also builds the finer rules of the time loop."""
+    Gauss-Legendre rule."""
     if not half_width > 0.0 or num_nodes < 2:
         raise ValueError("weight needs positive half_width and >= 2 nodes")
     x, w = np.polynomial.legendre.leggauss(num_nodes)
@@ -175,79 +178,84 @@ def integrate_p(family: MassFamily, t: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class StageRecord:
+    """A doubling stage: its rule's period and widest-mode node count, its
+    largest entry and its wall time (rule build included)."""
+
+    t_lo: float
+    t_hi: float
+    period: float
+    nodes: int
+    increment: float
+    seconds: float
+
+
+@dataclass(frozen=True)
 class ConvergenceReport:
     converged: bool
     final_t: float
     last_increment: float
-    stages: int
+    stages: int  # windows: [-t_max, t_max] and one per doubling
+    records: tuple[StageRecord, ...]  # the doubling stages
 
 
-def _stage_rule(
-    weight: MassWeight, lam_min: float, t_end: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(nodes, quad, values) of a mass rule adequate for phase swings up to t_end.
-
-    Gauss-Legendre with n nodes resolves exp(i K s) on [-1, 1] while
-    K <~ 1.5 n; the swing here is half the omega spread times t_end, so
-    n grows linearly in T with a safety margin. The weight's own rule serves
-    while it has enough nodes.
-    """
+def _rule_nodes(weight: MassWeight, lam: np.ndarray, period: float) -> float:
+    """Node count of the widest mode's rule (a float: inf on overflow)."""
     lo, hi = weight.center - weight.half_width, weight.center + weight.half_width
-    spread = np.sqrt(lam_min + hi**2) - np.sqrt(lam_min + lo**2)
-    needed = int(np.ceil(spread * t_end / 2.4)) + 32
-    if needed > weight.nodes.size:
-        weight = bump_weight(weight.center, weight.half_width, needed)
-    return weight.nodes, weight.quad, weight.values
+    spread = np.sqrt(lam + hi**2) - np.sqrt(lam + lo**2)
+    return float(np.ceil(spread.max() * period / (2 * np.pi))) + 1
 
 
-def _time_kernels(w: np.ndarray, w_cols: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals over [-t, t] of cos(w s) cos(w' s) and sin(w s) sin(w' s) / (w w').
+def _uniform_rule(
+    families: list[MassFamily], modes: np.ndarray, active: np.ndarray, period: float
+):
+    """Stage function (t_lo, t_hi) -> exact time integral of the pairing over
+    [-t_hi, -t_lo] and [t_lo, t_hi] ([-t_hi, t_hi] for t_lo = 0).
 
-    sin(d t) / d is written t sinc(d t / pi), exact at d = 0 (the diagonal).
+    Per mode, p a_i(t) = sum_q u_iq [phi_i cos(w_q t) - i pi_i sin(w_q t) / w_q];
+    the cos sin terms are odd in t and vanish, the rest pairs node vectors
+    with K(w_q - w_q') +- K(w_q + w_q'), K(x) = int_{t_lo}^{t_hi} cos(x s) ds.
+    With w_q = w_lo + q step and u_kq = step w_q w(m_q) m_q^k per mass power
+    k (w = 0 past the support), K(d step) meets the node correlations and
+    K(2 w_lo + s step) the node convolutions, both built here once by FFT.
     """
-    near = t * np.sinc(np.subtract.outer(w, w_cols) * (t / np.pi))
-    far = t * np.sinc(np.add.outer(w, w_cols) * (t / np.pi))
-    return near + far, (near - far) / np.multiply.outer(w, w_cols)
+    weight, lam = families[0].weight, families[0].basis.eigenvalues
+    powers, row = np.unique([f.mass_power for f in families], return_inverse=True)
+    nodes, step = int(_rule_nodes(weight, lam, period)), 2 * np.pi / period
+    size, lo = 2 * nodes - 1, weight.center - weight.half_width
+    om_lo = np.sqrt(lam + lo**2)[:, None]
+    dw = step * np.arange(nodes)  # omega - omega_lo
+    m = np.sqrt(lo**2 + dw * (2 * om_lo + dw))  # sqrt(omega^2 - lambda), no cancellation
+    u = (step * (om_lo + dw) * weight.profile(m))[:, None] * m[:, None] ** powers[:, None]
+    spec = np.fft.rfft(np.stack([u, u / (om_lo + dw)[:, None]]), size)  # cos, sin parts
+    a, b = spec[..., :, None, :], spec[..., None, :, :]
+    corr = np.fft.irfft(a * b.conj(), size)  # lag d at index d mod size
+    # the far kernel enters the sin sin part with a minus sign
+    conv = np.fft.irfft(a * b, size) * np.array([1.0, -1.0])[:, None, None, None, None]
 
+    def stage(t_lo: float, t_hi: float) -> np.ndarray:
+        def kernel(x):
+            return (np.sin(x * t_hi) - np.sin(x * t_lo)) / x
 
-def _stage_gram(
-    families: list[MassFamily], modes: np.ndarray, active: np.ndarray, t_lo: float, t_hi: float
-) -> np.ndarray:
-    """Exact time integral of the pairing over [-t_hi, -t_lo] and [t_lo, t_hi].
-
-    With t_lo = 0 the set is the whole window [-t_hi, t_hi]. The families
-    share one weight, so both kernels of the stage use one mass rule. Per mode,
-    p a_i(t) = sum_q u_iq [phi_i cos(w_q t) - i pi_i sin(w_q t) / w_q], so
-    the stage is a quadratic form in the node vectors u_i with the kernels
-    of `_time_kernels`; the cos * sin cross terms are odd in t and vanish on
-    this symmetric set.
-    """
-    lam = families[0].basis.eigenvalues
-    nodes, quad, values = _stage_rule(families[0].weight, lam[0], t_hi)
-    u = np.stack([quad * nodes * values * nodes**f.mass_power for f in families])
-    # Q grows like T, so one Q x Q kernel would take gigabytes near the
-    # default ceiling; kernel rows are built in blocks of bounded size.
-    rows = max(1, _KERNEL_BUDGET // nodes.size)
-
-    out = np.zeros((len(families), len(families)), dtype=complex)
-    for n in range(lam.size):
-        idx = np.flatnonzero(active[:, n])
-        if idx.size == 0:
-            continue
-        w = np.sqrt(lam[n] + nodes**2)
-        u_n = u[idx]
-        g_cos = g_sin = 0.0
-        for start in range(0, w.size, rows):
-            blk = slice(start, start + rows)
-            cos_hi, sin_hi = _time_kernels(w[blk], w, t_hi)
-            cos_lo, sin_lo = _time_kernels(w[blk], w, t_lo)
-            g_cos = g_cos + u_n[:, blk] @ (cos_hi - cos_lo) @ u_n.T
-            g_sin = g_sin + u_n[:, blk] @ (sin_hi - sin_lo) @ u_n.T
-        phi, pi = modes[idx, 0, n], modes[idx, 1, n]
-        out[np.ix_(idx, idx)] += (
-            np.outer(phi.conj(), phi) * g_cos + np.outer(pi.conj(), pi) * g_sin
+        half = kernel(step * np.arange(1, nodes))
+        near = np.concatenate([[t_hi - t_lo], half, half[::-1]])
+        g_cos, g_sin = corr @ near + np.einsum(
+            "xnabs,ns->xnab", conv, kernel(2 * om_lo + step * np.arange(size))
         )
-    return out
+        out = np.zeros((len(families), len(families)), dtype=complex)
+        for n in range(lam.size):
+            idx = np.flatnonzero(active[:, n])
+            if idx.size == 0:
+                continue
+            k = np.ix_(row[idx], row[idx])
+            phi, pi = modes[idx, 0, n], modes[idx, 1, n]
+            out[np.ix_(idx, idx)] += (
+                np.outer(phi.conj(), phi) * g_cos[n][k]
+                + np.outer(pi.conj(), pi) * g_sin[n][k]
+            )
+        return out
+
+    return stage
 
 
 def spacetime_gram(
@@ -260,8 +268,11 @@ def spacetime_gram(
 
     The families share one spectral basis and one mass weight. T doubles
     from t_max until the largest entrywise increment drops below tol
-    (absolute); exceeding t_ceiling raises ConvergenceError. The result is
-    Hermitian positive semidefinite by construction.
+    (absolute); passing t_ceiling or RULE_NODES_MAX raises ConvergenceError.
+    Stage [T, 2T] runs on the rule of period RULE_PERIOD_RATIO * 2T, and the
+    result is one [-T, T] evaluation on the last rule (increments of shorter
+    periods would fold the slow tail back in). It is Hermitian positive
+    semidefinite by construction.
 
     No cancellation fools the stopping rule: an increment is the Gram matrix
     of the p-images over its stage set, hence positive semidefinite, so its
@@ -282,23 +293,36 @@ def spacetime_gram(
     magnitude = np.abs(modes).sum(axis=1)
     active = magnitude > _ACTIVE_REL * magnitude.max(axis=1, keepdims=True)
 
-    total = _stage_gram(families, modes, active, 0.0, t_max)
-    t_cur, stages = t_max, 1
+    records: list[StageRecord] = []
+    t_cur = t_max
     while True:
-        inc = _stage_gram(families, modes, active, t_cur, 2 * t_cur)
-        total += inc
-        t_cur *= 2
-        stages += 1
-        worst = float(np.abs(inc).max())
+        started, t_hi = time.perf_counter(), 2 * t_cur
+        period = RULE_PERIOD_RATIO * t_hi
+        nodes = _rule_nodes(weight, basis.eigenvalues, period)
+        if not nodes <= RULE_NODES_MAX:
+            stall = (
+                f"mass rule for T = {t_hi:g} needs {nodes:g} nodes per mode, "
+                f"above the cap RULE_NODES_MAX = {RULE_NODES_MAX}"
+            )
+            break
+        rule = _uniform_rule(families, modes, active, period)
+        worst = float(np.abs(rule(t_cur, t_hi)).max())
+        elapsed = time.perf_counter() - started
+        records.append(StageRecord(t_cur, t_hi, period, int(nodes), worst, elapsed))
+        t_cur = t_hi
         if worst < tol:
-            return total, ConvergenceReport(
-                converged=True, final_t=t_cur, last_increment=worst, stages=stages
+            return rule(0.0, t_cur), ConvergenceReport(
+                True, t_cur, worst, stages=len(records) + 1, records=tuple(records)
             )
         if 2 * t_cur > t_ceiling:
-            raise ConvergenceError(
-                f"spacetime pairing did not converge by T = {t_cur:g} "
-                f"(last increment {worst:.3e}, tol {tol:g})"
-            )
+            stall = f"spacetime pairing did not converge by T = {t_cur:g} (tol {tol:g})"
+            break
+    last = (
+        f"[{r.t_lo:g}, {r.t_hi:g}] P = {r.period:g}, {r.nodes} nodes, "
+        f"increment {r.increment:.3e}, {r.seconds:.3f} s"
+        for r in records[-2:]
+    )
+    raise ConvergenceError("; ".join([stall, *last]))
 
 
 def spacetime_inner(

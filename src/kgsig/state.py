@@ -55,9 +55,15 @@ def two_point_matrix(
     triangles are evaluated, so it is Hermitian only up to rounding."""
     if any(f.basis is not state.basis for f in fs):
         raise ValueError("test functions live on a different basis")
-    solved = [causal_fundamental(f, state.mass) for f in fs]
+    return solved_two_point_matrix(state, [causal_fundamental(f, state.mass) for f in fs])
+
+
+def solved_two_point_matrix(
+    state: TwoPointEvaluator, solved: list[CauchyDatum]
+) -> np.ndarray:
+    """`two_point_matrix` from the t = 0 causal data G f_i."""
     hol = [_project_hol(state, g) for g in solved]
-    out = np.empty((len(fs), len(fs)), dtype=complex)
+    out = np.empty((len(solved), len(solved)), dtype=complex)
     for i, gf in enumerate(solved):
         for j, hg in enumerate(hol):
             out[i, j] = 1j * symplectic(gf, hg, state.basis.grid)

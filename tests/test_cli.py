@@ -388,3 +388,36 @@ def test_spacetime_sample_cap_exits_2(tmp_path, capsys, command, text):
     assert code == 2
     assert "window / dt too large" in capsys.readouterr().err
     assert not (out / f"{command}_summary.json").exists()
+
+
+def _no_fft(*args, **kwargs):
+    raise AssertionError("a Gram mass rule was built above the node cap")
+
+
+def test_wide_mass_interval_exits_3_before_building_a_rule(tmp_path, capsys, monkeypatch):
+    # (1, 1000) passes validation, but its first Gram mass rule would need
+    # about 254k nodes per mode: exit 3 naming the cap, before any rule
+    monkeypatch.setattr(np.fft, "rfft", _no_fft)
+    code, out = run(tmp_path, ["massdecomp"], "[mass]\nm_hi = 1000\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "T = 400" in err and "RULE_NODES_MAX = 65536" in err
+    assert not (out / "massdecomp_summary.json").exists()
+
+
+def test_state_solves_each_identity_function_once(tmp_path, monkeypatch):
+    # the imaginary-part identity reuses the solves of its two-point matrix
+    import kgsig.dynamics
+
+    calls = []
+    original = kgsig.dynamics.causal_fundamental
+
+    def counted(f, mass):
+        calls.append(f)
+        return original(f, mass)
+
+    for name in ("cli", "state", "symplectic"):
+        monkeypatch.setattr(f"kgsig.{name}.causal_fundamental", counted, raising=False)
+    code, _ = run(tmp_path, ["state"], SMALL + "trials = 5\n")
+    assert code == 0
+    assert len(calls) == 5 + 3 * 2

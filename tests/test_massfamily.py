@@ -40,28 +40,45 @@ def rhs_pairing(fa, fb):
     return complex(np.sum(u * per_m))
 
 
-def simpson_stage(families, t_lo, t_hi, dt):
-    """Reference stage: Simpson in time of the h-weighted pairing of the
-    p-images over [-t_hi, -t_lo] and [t_lo, t_hi] ([-t_hi, t_hi] if t_lo = 0).
+def uniform_p(family, period, t):
+    """(p a)(t, .) with the mass integral on the uniform-omega rule of this
+    period: omega_q = omega_lo + q 2 pi / P per mode, m_q = sqrt(omega_q^2 -
+    lambda), weight Delta omega_q w(m_q) m_q^k (m dm = omega d omega)."""
+    lam = family.basis.eigenvalues[:, None]
+    wgt = family.weight
+    lo, hi = wgt.center - wgt.half_width, wgt.center + wgt.half_width
+    step = 2 * np.pi / period
+    widest = np.sqrt(lam[0, 0] + hi**2) - np.sqrt(lam[0, 0] + lo**2)
+    om = np.sqrt(lam + lo**2) + step * np.arange(int(widest / step) + 2)
+    m = np.sqrt(np.maximum(om**2 - lam, 0.0))
+    u = step * om * wgt.profile(m) * m**family.mass_power
+    cos_part, sin_part = (u * np.cos(om * t)).sum(1), (u * np.sin(om * t) / om).sum(1)
+    coeffs = mode_data(family.base, family.basis)
+    return family.basis.synthesize(cos_part * coeffs[0] - 1j * sin_part * coeffs[1])
 
-    integrate_p uses each weight's base rule, which is the stage rule as long
-    as the base rule has more nodes than the stage needs.
-    """
+
+def simpson_stage(families, t_lo, t_hi, dt, period):
+    """Reference stage: Simpson in time of the h-weighted pairing of the
+    p-images over [-t_hi, -t_lo] and [t_lo, t_hi] ([-t_hi, t_hi] if t_lo = 0),
+    with p on the same uniform-omega rule as the stage under test."""
     spans = [(-t_hi, t_hi)] if t_lo == 0.0 else [(t_lo, t_hi), (-t_hi, -t_lo)]
     h = families[0].basis.grid.spacing
     gram = np.zeros((len(families), len(families)), dtype=complex)
     for lo, hi in spans:
         times = time_window(lo, hi, dt)
-        fields = np.array([[integrate_p(f, t) for f in families] for t in times])
+        fields = np.array([[uniform_p(f, period, t) for f in families] for t in times])
         per_time = h * np.einsum("tax,tbx->tab", fields.conj(), fields)
         gram += np.tensordot(simpson_weights(times), per_time, axes=1)
     return gram
 
 
-def stage_gram(families, t_lo, t_hi):
+def stage_gram(families, t_lo, t_hi, period=None):
+    """One stage on the rule of the given period (the production period
+    RULE_PERIOD_RATIO * t_hi by default)."""
+    period = period or massfamily.RULE_PERIOD_RATIO * t_hi
     modes = np.stack([mode_data(f.base, f.basis) for f in families])
     active = np.ones((len(families), families[0].basis.size), dtype=bool)
-    return massfamily._stage_gram(families, modes, active, t_lo, t_hi)
+    return massfamily._uniform_rule(families, modes, active, period)(t_lo, t_hi)
 
 
 @pytest.fixture(
@@ -154,47 +171,64 @@ def test_integrate_p_decays(basis):
 
 @pytest.mark.parametrize("t_lo, t_hi", [(0.0, 10.0), (10.0, 20.0)])
 def test_stage_gram_matches_simpson_reference(mixed_families, t_lo, t_hi):
-    weight, lam_min = mixed_families[0].weight, mixed_families[0].basis.eigenvalues[0]
-    assert massfamily._stage_rule(weight, lam_min, t_hi)[0] is weight.nodes
-    exact = stage_gram(mixed_families, t_lo, t_hi)
+    # a period near 4 t_hi is too short for this comparison: the rule's
+    # periodic images of the t = 0 peak would enter the Simpson window
+    period = 1600.0
+    exact = stage_gram(mixed_families, t_lo, t_hi, period)
     scale = np.abs(exact).max()
     assert np.abs(exact - exact.conj().T).max() <= 1e-14 * scale
     # Simpson's error is O(dt^4): it shrinks ~16x per halving towards the
     # exact kernel
     errs = [
-        np.abs(simpson_stage(mixed_families, t_lo, t_hi, dt) - exact).max()
+        np.abs(simpson_stage(mixed_families, t_lo, t_hi, dt, period) - exact).max()
         for dt in (0.02, 0.01)
     ]
     assert errs[1] < 1e-8 * scale
     assert errs[0] / errs[1] > 12.0
 
 
-def test_stage_gram_kernel_blocks_agree(mixed_families, monkeypatch):
-    whole = stage_gram(mixed_families, 10.0, 20.0)
-    monkeypatch.setattr(massfamily, "_KERNEL_BUDGET", 500)
-    blocked = stage_gram(mixed_families, 10.0, 20.0)
-    assert np.abs(blocked - whole).max() <= 1e-13 * np.abs(whole).max()
-
-
-@pytest.mark.parametrize(
-    "weight",
-    [interval_weight(INTERVAL, 200), bump_weight(1.5, 0.05)],
-    ids=["broad", "narrow"],
-)
-def test_stage_increments_are_positive_semidefinite(basis, weight):
-    # an increment is the Gram matrix of the p-images over its stage set, so
-    # the entrywise maximum the stopping rule tests is a diagonal tail mass
-    # and cannot be small by cancellation
+def increments(basis, weight, starts):
+    """Stage grams [t, 2t] for t in starts and the total over [0, 2 starts[-1]]
+    of six random families."""
     rng = np.random.default_rng(17)
     fams = [
         make_family(random_datum(rng, basis), basis, weight, INTERVAL) for _ in range(6)
     ]
-    incs = [stage_gram(fams, t, 2 * t) for t in (200.0, 400.0)]
-    total = stage_gram(fams, 0.0, 200.0) + sum(incs)
+    incs = [stage_gram(fams, t, 2 * t) for t in starts]
+    return incs, stage_gram(fams, 0.0, 2 * starts[-1])
+
+
+def assert_psd(inc, total):
+    herm = 0.5 * (inc + inc.conj().T)
+    assert np.linalg.eigvalsh(herm).min() >= -1e-12 * np.abs(total).max()
+
+
+WEIGHTS = pytest.mark.parametrize(
+    "weight",
+    [interval_weight(INTERVAL, 200), bump_weight(1.5, 0.05)],
+    ids=["broad", "narrow"],
+)
+
+
+@WEIGHTS
+def test_stage_increments_are_positive_semidefinite(basis, weight):
+    # an increment is the Gram matrix of the p-images over its stage set, so
+    # the entrywise maximum the stopping rule tests is a diagonal tail mass
+    # and cannot be small by cancellation
+    incs, total = increments(basis, weight, (200.0, 400.0))
     for inc in incs:
         assert np.abs(inc).max() <= (1 + 1e-12) * inc.diagonal().real.max()
-        herm = 0.5 * (inc + inc.conj().T)
-        assert np.linalg.eigvalsh(herm).min() >= -1e-12 * np.abs(total).max()
+        assert_psd(inc, total)
+
+
+@WEIGHTS
+def test_long_stage_increments_are_positive_semidefinite(basis, weight):
+    # long stages sum kernels at arguments above 1e4 rad; on the broad
+    # weight these increments are rounding noise (~1e-15), so only the
+    # eigenvalue floor is checked
+    incs, total = increments(basis, weight, (1600.0, 3200.0))
+    for inc in incs:
+        assert_psd(inc, total)
 
 
 def test_unit_mode_families_pair_only_their_mode():
@@ -225,6 +259,21 @@ def test_gram_matches_mass_decomposition(basis):
     # Hermitian and positive definite for independent random data
     assert np.abs(gram - gram.conj().T).max() < 1e-12 * np.abs(gram).max()
     assert np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min() > 0.0
+
+
+def test_narrow_gram_is_one_evaluation_on_the_final_rule(basis):
+    # the total must come from the final rule alone: summing the increments
+    # of the shorter-period rules folds the slow tail of a narrow weight back
+    # into the early windows (~7e-5 of the largest entry here)
+    rng = np.random.default_rng(7)
+    wgt = bump_weight(1.5, 0.05)
+    fams = [
+        make_family(random_datum(rng, basis), basis, wgt, INTERVAL) for _ in range(3)
+    ]
+    gram, report = spacetime_gram(fams, tol=1e-11)
+    assert report.converged and report.final_t >= 6400.0
+    rhs = np.array([[rhs_pairing(a, b) for b in fams] for a in fams])
+    assert np.abs(gram - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 def test_library_pairing_matches_local_oracle(basis):
