@@ -220,8 +220,9 @@ def cmd_signature(config: ExperimentConfig):
     basis = dirichlet_basis(config.n, config.l)
     sig = signature_analytic(config.m, basis)
     vals, _ = signature_spectrum(sig)
+    freqs = sig.frequencies
     rows = [
-        [k, float(basis.eigenvalues[k]), float(sig.frequencies[k]), lo, hi]
+        [k, float(basis.eigenvalues[k]), float(freqs[k]), lo, hi]
         for k, (lo, hi) in enumerate(np.sort(vals.reshape(-1, 2), axis=1))
     ]
     results = {

@@ -7,12 +7,17 @@ approximate integrals over (0, L). The eigenpairs of the 3-point Laplacian
 are the closed-form sine modes; the dense `laplacian` matrix is kept as the
 reference they are checked against. Fields and mode coefficients convert into
 each other only through `SpectralBasis.analyze` and `synthesize`, which act on
-the last axis of any stack through one symmetric sine table.
+the last axis of any stack with one sine transform S (the DST-I, which is its
+own inverse up to the factor h). Below `SINE_FFT_MIN_POINTS` grid points S is
+a product with the symmetric mode table; from there on it is an odd
+extension through `numpy.fft` (Numerical Recipes, section 12.4), and the
+N x N table is never built unless something reads `SpectralBasis.vectors`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,50 +55,100 @@ def laplacian(grid: SpatialGrid) -> np.ndarray:
     return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
 
 
+# Grid size from which `SpectralBasis` applies the sine transform through
+# numpy.fft instead of the table. Timed per call on complex stacks of 1, 2,
+# 64 and 481 rows (2-core Xeon, numpy 2.4.6, one BLAS thread): at n = 64 the
+# table wins at every height (481 rows: 0.41 ms table, 2.9 ms FFT); up to
+# about n = 750 it still wins on tall stacks when N+1 is prime, which makes
+# the FFT length 2(N+1) a Bluestein one (n = 540, 481 rows: 28 ms table,
+# 39 ms FFT); from n = 768 on the FFT wins at every height, primes included
+# (n = 1020, 481 rows: 91 ms table, 45 ms FFT; n = 1024, 2 rows: 4.6 ms
+# table, 0.13 ms FFT).
+SINE_FFT_MIN_POINTS = 768
+
+
 @dataclass(frozen=True)
 class SpectralBasis:
     """Eigenpairs of the Dirichlet Laplacian on a grid.
 
-    Columns of `vectors` are orthonormal in the h-weighted inner product;
-    eigenvalues are sorted ascending and strictly positive. vectors[j, k]
-    depends only on the product (j+1)(k+1), so the table is exactly symmetric
-    (vectors == vectors.T bitwise) and one row-major product serves both
-    directions: analyze(u) = h * (u @ V) and synthesize(c) = c @ V.
+    Eigenvalues are sorted ascending and strictly positive; mode k (k = 1..N)
+    has lattice values sqrt(2/L) sin(k j pi / (N+1)) at x_j, orthonormal in
+    the h-weighted inner product. The sine transform
+    S(u)_k = sum_j u_j sqrt(2/L) sin(k j pi / (N+1))
+    gives both directions: analyze(u) = h * S(u) and synthesize(c) = S(c), on
+    the last axis of any stack. On grids of at least `SINE_FFT_MIN_POINTS`
+    points S runs through numpy.fft; on smaller ones it is the product with
+    `vectors`, which is also the reference the FFT path is tested against.
     """
 
     grid: SpatialGrid
     eigenvalues: np.ndarray
-    vectors: np.ndarray  # (N, N), column n is the n-th mode
 
     @property
     def size(self) -> int:
         return self.eigenvalues.size
 
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """(N, N) mode table, column k-1 is mode k; built on first read.
+
+        vectors[j, k] depends only on the product (j+1)(k+1), so the table
+        is exactly symmetric (vectors == vectors.T bitwise) and the row-major
+        product u @ V is S(u) on the last axis.
+        """
+        n = self.size
+        k = np.arange(1, n + 1)
+        # sin(r pi / (N+1)) has period 2(N+1) in the integer r = k*j: indexing
+        # one table of 2(N+1) sines by (k*j) mod 2(N+1) is an exact reduction
+        period = 2 * (n + 1)
+        table = np.sqrt(2.0 / self.grid.length) * np.sin(
+            np.arange(period) * np.pi / (n + 1)
+        )
+        return table[np.outer(k, k) % period]
+
     def analyze(self, u: np.ndarray) -> np.ndarray:
         """Mode coefficients c_n = <v_n, u>_h of lattice fields on the last axis."""
-        return self.grid.spacing * (u @ self.vectors)
+        return self.grid.spacing * self._sine(u)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Lattice fields sum_n c_n v_n from coefficients on the last axis.
         Inverse of analyze."""
-        return coeffs @ self.vectors
+        return self._sine(coeffs)
+
+    def _sine(self, u: np.ndarray) -> np.ndarray:
+        if self.size < SINE_FFT_MIN_POINTS:
+            return u @ self.vectors
+        return _sine_fft(u, self.grid.length)
+
+
+def _sine_fft(u: np.ndarray, length: float) -> np.ndarray:
+    """S(u) on the last axis from the FFT of the odd extension.
+
+    With y = [0, u, 0, -u reversed] of length 2(N+1), fft(y)[k] =
+    -2i sum_j u_j sin(k j pi / (N+1)) for k = 1..N. For real u that sum is
+    -Im(rfft(y)[k]) / 2, which keeps real input real.
+    """
+    u = np.asarray(u)
+    n = u.shape[-1]
+    y = np.zeros(u.shape[:-1] + (2 * (n + 1),), dtype=np.result_type(u, float))
+    y[..., 1 : n + 1] = u
+    y[..., n + 2 :] = -u[..., ::-1]
+    scale = np.sqrt(2.0 / length)
+    if np.iscomplexobj(y):
+        return (0.5j * scale) * np.fft.fft(y)[..., 1 : n + 1]
+    return (-0.5 * scale) * np.fft.rfft(y)[..., 1 : n + 1].imag
 
 
 def spectral_decompose(grid: SpatialGrid) -> SpectralBasis:
-    """Closed-form eigenpairs of the Dirichlet Laplacian on the grid.
+    """Closed-form eigenvalues of the Dirichlet Laplacian on the grid.
 
-    For k, j = 1..N: lambda_k = (4/h^2) sin^2(k pi / (2(N+1))), ascending,
-    and vectors[j-1, k-1] = sqrt(2/L) sin(k j pi / (N+1)), h-orthonormal.
+    lambda_k = (4/h^2) sin^2(k pi / (2(N+1))) for k = 1..N, ascending; the
+    eigenvectors are the sine modes of `SpectralBasis`.
     """
     n, h = grid.num_points, grid.spacing
     k = np.arange(1, n + 1)
     evals = (4.0 / h**2) * np.sin(k * np.pi / (2 * (n + 1))) ** 2
-    # sin(r pi / (N+1)) has period 2(N+1) in the integer r = k*j: indexing
-    # one table of 2(N+1) sines by (k*j) mod 2(N+1) is an exact reduction
-    period = 2 * (n + 1)
-    table = np.sqrt(2.0 / grid.length) * np.sin(np.arange(period) * np.pi / (n + 1))
-    vecs = table[np.outer(k, k) % period]
-    return SpectralBasis(grid=grid, eigenvalues=evals, vectors=vecs)
+    return SpectralBasis(grid=grid, eigenvalues=evals)
 
 
 def dirichlet_basis(num_points: int, length: float) -> SpectralBasis:

@@ -86,16 +86,16 @@ def signature_spectrum(sig: SignatureOperator) -> tuple[np.ndarray, np.ndarray]:
 
     The metric diag(omega, 1/omega) per mode symmetrizes the blocks, so a
     symmetric solver applies; eigenvectors are mapped back to plain mode
-    coordinates. Returns (eigenvalues (2N,), vectors (2N, 2N) columnwise),
-    ordered per mode.
+    coordinates. Returns (eigenvalues (2N,), vectors (N, 2, 2)): vectors[k]
+    holds mode k's two unit eigenvectors as columns, for eigenvalues
+    2k and 2k+1, in the per-mode block layout of `apply_mode_blocks`.
     """
     root = np.sqrt(sig.frequencies)
     scale = np.stack([root, 1.0 / root], axis=1)  # (N, 2)
     sym = scale[:, :, None] * sig.blocks * (1.0 / scale)[:, None, :]
     w, v = np.linalg.eigh(0.5 * (sym + sym.transpose(0, 2, 1)))
     back = v / scale[:, :, None]
-    vecs = _block_diagonal(back / np.linalg.norm(back, axis=1, keepdims=True))
-    return w.reshape(-1), vecs
+    return w.reshape(-1), back / np.linalg.norm(back, axis=1, keepdims=True)
 
 
 def _check_block_square(blocks: np.ndarray, target: float, message: str) -> None:

@@ -338,6 +338,21 @@ def test_masslimit_rejects_mass_lost_to_rounding(tmp_path, capsys, length):
     assert not (out / "masslimit_summary.json").exists()
 
 
+def test_evolve_and_signature_meet_acceptance_on_the_fft_grid(tmp_path):
+    # n = 1024 runs the lattice transforms through numpy.fft
+    text = "[grid]\nn = 1024\n"
+    code, out = run(tmp_path, ["evolve"], text)
+    assert code == 0
+    drift = read_summary(out, "evolve")["results"]
+    assert 0.0 <= drift["max_symplectic_drift"] <= 1e-11
+    assert 0.0 <= drift["max_norm_drift"] <= 1e-11
+    code, out = run(tmp_path, ["signature"], text)
+    assert code == 0
+    spectrum = read_summary(out, "signature")["results"]
+    assert 0.0 <= spectrum["max_deviation_from_pi"] <= 1e-10
+    assert spectrum["negative_count"] == spectrum["positive_count"] == 1024
+
+
 @pytest.mark.parametrize(
     "text",
     [None, "[grid]\nl = 1e-3\n", "[grid]\nn = 1024\n"],

@@ -10,7 +10,9 @@ from kgsig.dynamics import (
     causal_field,
     causal_fundamental,
     cumulative_simpson_nodes,
+    datum_from_modes,
     kg_residual,
+    mode_data,
     propagate,
     retarded_green,
     simpson_weights,
@@ -42,6 +44,17 @@ def test_positive_frequency_mode_rotates(basis):
     expected = np.exp(-1j * w * 0.7)
     assert out.phi == pytest.approx(expected * v, abs=1e-13)
     assert out.pi == pytest.approx(expected * w * v, abs=1e-13)
+
+
+def test_large_grid_never_builds_the_mode_table():
+    # From SINE_FFT_MIN_POINTS on the transforms run through numpy.fft, so
+    # nothing of size N^2 is allocated unless `vectors` is read.
+    large = dirichlet_basis(1024, 10.0)
+    datum = random_datum(np.random.default_rng(5), large)
+    out = propagate(datum, 0.7, MASS, large)
+    back = datum_from_modes(mode_data(out, large), large)
+    assert np.abs(back.phi - out.phi).max() <= 1e-13 * np.abs(out.phi).max()
+    assert "vectors" not in large.__dict__
 
 
 def test_propagate_matches_matrix_exponential(basis):

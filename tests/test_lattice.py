@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgsig.lattice import (
+    SINE_FFT_MIN_POINTS,
     build_grid,
     dirichlet_basis,
     laplacian,
@@ -122,17 +123,45 @@ def test_mode_table_is_exactly_symmetric(n):
     assert np.array_equal(vecs, vecs.T)
 
 
+# Grid sizes on both sides of the FFT threshold; N+1 is prime at 1020 and at
+# the threshold itself (768)
+TRANSFORM_SIZES = (1, 2, SINE_FFT_MIN_POINTS - 1, SINE_FFT_MIN_POINTS, 1020, 1024)
+
+
 def test_transforms_act_on_the_last_axis_of_a_stack():
-    basis = dirichlet_basis(33, 5.0)
-    h, vecs = basis.grid.spacing, basis.vectors
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(3, 2, 33)) + 1j * rng.normal(size=(3, 2, 33))
-    got = basis.analyze(x)
-    assert got.shape == x.shape
-    per_row = np.array([[basis.analyze(row) for row in pair] for pair in x])
-    column_form = np.array([[h * vecs.T @ row for row in pair] for pair in x])
-    scale = np.abs(column_form).max()
-    assert np.abs(got - per_row).max() <= 1e-14 * scale
-    assert np.abs(got - column_form).max() <= 1e-14 * scale
-    back = basis.synthesize(got)
-    assert np.abs(back - x).max() <= 1e-13 * np.abs(x).max()
+    for n in (33,) + TRANSFORM_SIZES:
+        basis = dirichlet_basis(n, 5.0)
+        h, vecs = basis.grid.spacing, basis.vectors
+        x = rng.normal(size=(3, 2, n)) + 1j * rng.normal(size=(3, 2, n))
+        got = basis.analyze(x)
+        assert got.shape == x.shape
+        per_row = np.array([[basis.analyze(row) for row in pair] for pair in x])
+        column_form = np.array([[h * vecs.T @ row for row in pair] for pair in x])
+        scale = np.abs(column_form).max()
+        assert np.abs(got - per_row).max() <= 1e-14 * scale
+        assert np.abs(got - column_form).max() <= 1e-14 * scale
+        back = basis.synthesize(got)
+        assert np.abs(back - x).max() <= 1e-13 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=["real", "complex2", "complex3x2"])
+@pytest.mark.parametrize("n", TRANSFORM_SIZES)
+def test_sine_transform_matches_the_table(n, lead):
+    # The table product is the reference on every grid; from
+    # SINE_FFT_MIN_POINTS on, analyze and synthesize run through numpy.fft.
+    basis = dirichlet_basis(n, 5.0)
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=lead + (n,))
+    if lead:
+        u = u + 1j * rng.normal(size=u.shape)
+    coeffs = basis.analyze(u)
+    back = basis.synthesize(coeffs)
+    h, vecs = basis.grid.spacing, basis.vectors
+    ref = h * (u @ vecs)
+    assert np.abs(coeffs - ref).max() <= 1e-13 * np.abs(ref).max()
+    ref_back = coeffs @ vecs
+    assert np.abs(back - ref_back).max() <= 1e-13 * np.abs(ref_back).max()
+    assert np.abs(back - u).max() <= 1e-13 * np.abs(u).max()
+    assert coeffs.shape == back.shape == u.shape
+    assert np.iscomplexobj(coeffs) == np.iscomplexobj(back) == bool(lead)

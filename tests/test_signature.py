@@ -63,7 +63,7 @@ def test_spectrum_is_plus_minus_pi(sig):
     assert int((vals < 0).sum()) == sig.basis.size
     om = sig.frequencies
     for k in range(sig.basis.size):
-        sub = vecs[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
+        sub = vecs[k]
         for c, val in enumerate(vals[2 * k : 2 * k + 2]):
             ref = np.array([1.0, om[k] if val < 0 else -om[k]])
             ref /= np.linalg.norm(ref)
