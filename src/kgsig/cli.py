@@ -41,7 +41,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .dynamics import causal_fundamental, kg_residual, propagate, time_window
+from .dynamics import CauchyDatum, causal_modes, kg_residual, propagate, time_window
 from .lattice import dirichlet_basis, omega
 from .massfamily import (
     ConvergenceError,
@@ -63,7 +63,7 @@ from .signature import (
 from .state import (
     build_state,
     pair_matchings,
-    solved_two_point_matrix,
+    pair_matrix,
     state_positivity_suite,
     wick_n_point,
     wick_terms,
@@ -338,17 +338,16 @@ def cmd_state(config: ExperimentConfig):
     rows = [[k, float(val)] for k, val in enumerate(suite.eigenvalues)]
     rng = np.random.default_rng(config.seed + 1)
     times = time_window(-config.window / 2, config.window / 2, config.dt)
+    fs = [random_test_function(rng, basis, times, real=True) for _ in range(6)]
+    solved = basis.synthesize(causal_modes(fs, config.m))  # pairs (f, g): rows k, k + 1
+    pair = pair_matrix(state, solved)
     im_worst = ccr_worst = 0.0
-    for _ in range(3):
-        f = random_test_function(rng, basis, times, real=True)
-        g = random_test_function(rng, basis, times, real=True)
-        solved = [causal_fundamental(h, config.m) for h in (f, g)]
-        pair = solved_two_point_matrix(state, solved)
-        w_fg, w_gf = pair[0, 1], pair[1, 0]
-        sigma = symplectic(*solved, basis.grid)  # sigma(G f, G g)
+    for k in range(0, 6, 2):
+        w_fg, w_gf = pair[k, k + 1], pair[k + 1, k]
+        sigma = symplectic(CauchyDatum(*solved[k]), CauchyDatum(*solved[k + 1]), basis.grid)
         im_worst = np.maximum(im_worst, abs(w_fg.imag - 0.5 * sigma.real))
-        anti = w_fg - w_gf
-        ccr_worst = np.maximum(ccr_worst, abs(anti - 1j * gm_form(f, g, config.m)))
+        anti = w_fg - w_gf - 1j * gm_form(fs[k], fs[k + 1], config.m)
+        ccr_worst = np.maximum(ccr_worst, abs(anti))
     results = {
         "trials": config.trials,
         "min_gram_eigenvalue": suite.min_eigenvalue,

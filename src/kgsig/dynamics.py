@@ -5,12 +5,12 @@ i dPhi/dt = H Phi. Per spectral mode the propagator is the exact 2x2 rotation
 
     U_n(t) = [[cos(w t), -i sin(w t)/w], [-i w sin(w t), cos(w t)]],
 
-with w = sqrt(lambda_n + m^2), so there is no time-stepping error anywhere in
-the homogeneous evolution. Retarded/advanced Green's operators integrate the
-Duhamel formula mode-wise with composite Simpson quadrature in time; the
-advanced pass is the retarded one run backward in time with the sign flipped.
-Every conversion between lattice values and mode coefficients, for Cauchy
-data and spacetime fields alike, is one `analyze`/`synthesize` call on a stack.
+with w = sqrt(lambda_n + m^2), so the homogeneous evolution has no time-stepping
+error. Retarded/advanced Green's operators integrate the Duhamel formula
+mode-wise with cumulative Simpson quadrature (the advanced pass is the retarded
+one run backward, negated); `causal_modes` gets the t = 0 data of their
+difference for a whole stack of sources on one window from full-window
+moments. Every lattice/mode conversion is one `analyze`/`synthesize` call.
 """
 
 from __future__ import annotations
@@ -178,20 +178,6 @@ def cumulative_simpson_nodes(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _oscillator_moments(
-    f: SpacetimeTestFunction, mass: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full-window Simpson integrals C_n = int cos(w t) f_n, S_n likewise."""
-    basis = f.basis
-    w = omega(basis.eigenvalues, mass)
-    coeffs = f.mode_values()  # (J, N)
-    phase = w[None, :] * f.times[:, None]
-    quad = simpson_weights(f.times)
-    cos_int = np.sum(quad[:, None] * np.cos(phase) * coeffs, axis=0)
-    sin_int = np.sum(quad[:, None] * np.sin(phase) * coeffs, axis=0)
-    return w, cos_int, sin_int
-
-
 def _duhamel(
     f: SpacetimeTestFunction, mass: float, retarded: bool
 ) -> SpacetimeField:
@@ -221,18 +207,35 @@ def advanced_green(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
     return _duhamel(f, mass, retarded=False)
 
 
-def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
-    """Cauchy data at t = 0 of (retarded - advanced) applied to f.
+def causal_modes(fs: list[SpacetimeTestFunction], mass: float) -> np.ndarray:
+    """(K, 2, N) mode coefficients of the t = 0 data of (retarded - advanced) f_k.
 
-    The difference is a homogeneous solution, so it is fixed by its t = 0
-    data; those data have the closed mode-wise form
-        phi_n(0) = -S_n / w_n,   pi_n(0) = i C_n,
-    with C_n, S_n the full-window cos/sin moments of f. This route shares no
-    quadrature with the cumulative Duhamel fields.
+    A homogeneous solution, fixed by phi_n(0) = -S_n / w_n, pi_n(0) = i C_n
+    with C_n, S_n the full-window Simpson moments of f against cos(w t),
+    sin(w t); no quadrature is shared with the cumulative Duhamel fields. The
+    sources share one basis object and time window, so the weighted tables are
+    built once; each row is reduced on its own and does not depend on the batch.
     """
-    w, cos_int, sin_int = _oscillator_moments(f, mass)
-    coeffs = np.stack([-sin_int / w, 1j * cos_int])
-    return datum_from_modes(coeffs, f.basis)
+    if not fs:
+        raise ValueError("no sources to solve")
+    basis, times = fs[0].basis, fs[0].times
+    if any(f.basis is not basis or not np.array_equal(f.times, times) for f in fs):
+        raise ValueError("sources must share one basis and one time window")
+    w = omega(basis.eigenvalues, mass)
+    phase = w[None, :] * times[:, None]
+    quad = simpson_weights(times)[:, None]
+    cos_table, sin_table = quad * np.cos(phase), quad * np.sin(phase)
+    out = np.empty((len(fs), 2, basis.size), dtype=complex)
+    for row, f in zip(out, fs):
+        coeffs = f.mode_values()  # (J, N)
+        row[0] = -np.sum(sin_table * coeffs, axis=0) / w
+        row[1] = 1j * np.sum(cos_table * coeffs, axis=0)
+    return out
+
+
+def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
+    """Cauchy data at t = 0 of (retarded - advanced) applied to f."""
+    return datum_from_modes(causal_modes([f], mass)[0], f.basis)
 
 
 def causal_field(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:

@@ -6,7 +6,8 @@ positive semi-definite Gram form on test functions; the imaginary part is
 half the symplectic pairing of the causal solutions, which encodes the
 canonical commutation relations. Higher correlation functions follow from
 the quasi-free (Wick) combinatorics: a sum over perfect matchings. Every pair
-value is an entry of `two_point_matrix`, which solves G f once per function.
+value is an entry of `two_point_matrix`, which makes one stacked causal solve
+(`causal_modes`) per time window and fills the matrix one row at a time.
 """
 
 from __future__ import annotations
@@ -16,17 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
+from .dynamics import (  # noqa: F401  (bench/ wraps state.causal_fundamental)
     CauchyDatum,
     SpacetimeTestFunction,
     apply_mode_blocks,
     causal_fundamental,
+    causal_modes,
     time_window,
 )
 from .lattice import SpectralBasis
 from .random_fields import random_test_function
 from .signature import complex_structure, projectors, signature_analytic
-from .symplectic import symplectic
 
 
 @dataclass(frozen=True)
@@ -51,22 +52,24 @@ def _project_hol(state: TwoPointEvaluator, datum: CauchyDatum) -> CauchyDatum:
 def two_point_matrix(
     state: TwoPointEvaluator, fs: list[SpacetimeTestFunction]
 ) -> np.ndarray:
-    """(K, K) matrix of omega2(f_i, f_j), one causal solve per f_i; both
+    """(K, K) matrix of omega2(f_i, f_j) from one stacked causal solve; both
     triangles are evaluated, so it is Hermitian only up to rounding."""
     if any(f.basis is not state.basis for f in fs):
         raise ValueError("test functions live on a different basis")
-    return solved_two_point_matrix(state, [causal_fundamental(f, state.mass) for f in fs])
+    return pair_matrix(state, state.basis.synthesize(causal_modes(fs, state.mass)))
 
 
-def solved_two_point_matrix(
-    state: TwoPointEvaluator, solved: list[CauchyDatum]
-) -> np.ndarray:
-    """`two_point_matrix` from the t = 0 causal data G f_i."""
-    hol = [_project_hol(state, g) for g in solved]
+def pair_matrix(state: TwoPointEvaluator, solved: np.ndarray) -> np.ndarray:
+    """`two_point_matrix` from the (K, 2, N) lattice stack of causal data G f_i;
+    each row keeps the operand order of `symplectic`, so entries are bitwise
+    those of the pair on its own."""
+    basis, h = state.basis, state.basis.grid.spacing
+    hol = np.einsum("nij,kjn->kin", state.hol_blocks, basis.analyze(solved))
+    hol = basis.synthesize(hol)  # chi_hol G f_j
     out = np.empty((len(solved), len(solved)), dtype=complex)
-    for i, gf in enumerate(solved):
-        for j, hg in enumerate(hol):
-            out[i, j] = 1j * symplectic(gf, hg, state.basis.grid)
+    for row, (phi, pi) in zip(out, solved):
+        pairs = np.conj(pi) * hol[:, 0] + np.conj(phi) * hol[:, 1]
+        row[:] = 1j * (1j * h * np.sum(pairs, axis=-1))
     return out
 
 

@@ -3,6 +3,7 @@ import pytest
 from kgsig.config import (
     MASS_NODES_MAX,
     SPACETIME_SAMPLES_MAX,
+    SUITE_SAMPLES_MAX,
     ConfigError,
     ExperimentConfig,
     apply_overrides,
@@ -103,6 +104,20 @@ def test_scalar_bounds():
         validate_config(ExperimentConfig(wick_order=5), "wick")
     with pytest.raises(ConfigError, match="trials"):
         validate_config(ExperimentConfig(trials=0), "state")
+
+
+def test_state_trials_capped_by_the_suite_size():
+    # checked only: the rejected counts are never allocated or run
+    for trials in (10**9, 10**400):
+        with pytest.raises(ConfigError, match="SUITE_SAMPLES_MAX"):
+            validate_config(ExperimentConfig(trials=trials), "state")
+    # 241 nodes x 64 points as in the bench state config: about 6200 trials fit
+    validate_config(ExperimentConfig(n=64, dt=0.025, trials=6000), "state")
+    assert 6000 * (241 * 64 + 6000) <= SUITE_SAMPLES_MAX
+    with pytest.raises(ConfigError, match="SUITE_SAMPLES_MAX"):
+        validate_config(ExperimentConfig(n=64, dt=0.025, trials=6500), "state")
+    for command in ("wick", "green", "massdecomp"):
+        validate_config(ExperimentConfig(trials=10**9), command)
 
 
 def test_massdecomp_checks_families_not_trials():

@@ -1,10 +1,13 @@
 """Two-point function, positivity, commutation relations, Wick rule."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from kgsig.dynamics import causal_fundamental, time_window
-from kgsig.lattice import dirichlet_basis
+from kgsig.dynamics import causal_fundamental, causal_modes, datum_from_modes, time_window
+from kgsig.lattice import SINE_FFT_MIN_POINTS, dirichlet_basis
 from kgsig.random_fields import random_test_function
 from kgsig.state import (
     _project_hol,
@@ -124,6 +127,71 @@ def test_two_point_matrix_rejects_foreign_basis_anywhere(state, basis, times):
     for pos in range(4):
         with pytest.raises(ValueError, match="different basis"):
             two_point_matrix(state, fs[:pos] + [foreign] + fs[pos:])
+
+
+@pytest.mark.parametrize("n", [64, 768])
+def test_two_point_matrix_entries_do_not_depend_on_the_batch(n):
+    # A9's exact four == direct compares batched entries with 2 x 2 ones;
+    # n = 64 runs the sine table, n = 768 the FFT
+    assert (n >= SINE_FFT_MIN_POINTS) == (n == 768)
+    basis = dirichlet_basis(n, 10.0)
+    state = build_state(MASS, basis)
+    rng = np.random.default_rng(10)
+    times = time_window(-3.0, 3.0, 0.05)
+    fs = [random_test_function(rng, basis, times, real=k < 5) for k in range(10)]
+    matrix = two_point_matrix(state, fs)
+    for i, j in itertools.combinations(range(10), 2):
+        pair = two_point_matrix(state, [fs[i], fs[j]])
+        np.testing.assert_array_equal(pair, matrix[np.ix_([i, j], [i, j])])
+
+
+def test_causal_fundamental_is_a_row_of_the_stacked_solve(basis, times):
+    rng = np.random.default_rng(11)
+    fs = [random_test_function(rng, basis, times) for _ in range(4)]
+    stacked = causal_modes(fs, MASS)
+    assert stacked.shape == (4, 2, basis.size)
+    for f, modes in zip(fs, stacked):
+        single = causal_fundamental(f, MASS)
+        expected = datum_from_modes(modes, basis)
+        assert np.array_equal(single.phi, expected.phi)
+        assert np.array_equal(single.pi, expected.pi)
+
+
+def test_causal_modes_rejects_mixed_windows_and_bases(state, basis, times):
+    rng = np.random.default_rng(12)
+    f = random_test_function(rng, basis, times)
+    # same node count, shifted nodes; then a different node count
+    for other in (time_window(-2.0, 4.0, 0.05), time_window(-4.0, 4.0, 0.05)):
+        g = random_test_function(rng, basis, other)
+        with pytest.raises(ValueError, match="one time window"):
+            causal_modes([f, g], MASS)
+        with pytest.raises(ValueError, match="one time window"):
+            two_point_matrix(state, [f, g])
+    foreign = random_test_function(rng, dirichlet_basis(16, 10.0), times)
+    with pytest.raises(ValueError, match="one basis"):
+        causal_modes([f, foreign], MASS)
+    with pytest.raises(ValueError, match="no sources"):
+        causal_modes([], MASS)
+
+
+def test_two_point_matrix_memory_stays_near_one_source():
+    # 40 sources of 241 nodes x 64 points, as in the bench state config;
+    # holding every source's (J, N) modes at once would need at least 9.4 MiB
+    basis = dirichlet_basis(64, 10.0)
+    state = build_state(MASS, basis)
+    rng = np.random.default_rng(13)
+    times = time_window(-3.0, 3.0, 0.025)
+    fs = [random_test_function(rng, basis, times, real=True) for _ in range(40)]
+    source_bytes = fs[0].values.nbytes
+    two_point_matrix(state, fs[:2])  # builds the cached mode table
+    tracemalloc.start()
+    try:
+        two_point_matrix(state, fs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert times.size == 241
+    assert peak < 8 * source_bytes
 
 
 def test_matching_counts():
