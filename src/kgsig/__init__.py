@@ -29,7 +29,6 @@ _EXPORTS = {
     "retarded_green": "dynamics",
     "advanced_green": "dynamics",
     "causal_fundamental": "dynamics",
-    "causal_modes": "dynamics",
     "causal_field": "dynamics",
     "kg_residual": "dynamics",
     "symplectic": "symplectic",

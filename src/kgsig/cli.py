@@ -41,7 +41,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .dynamics import CauchyDatum, causal_modes, kg_residual, propagate, time_window
+from .dynamics import kg_residual, propagate, time_window
 from .lattice import dirichlet_basis, omega
 from .massfamily import (
     ConvergenceError,
@@ -62,6 +62,7 @@ from .signature import (
 )
 from .state import (
     build_state,
+    causal_data,
     pair_matchings,
     pair_matrix,
     state_positivity_suite,
@@ -339,12 +340,12 @@ def cmd_state(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed + 1)
     times = time_window(-config.window / 2, config.window / 2, config.dt)
     fs = [random_test_function(rng, basis, times, real=True) for _ in range(6)]
-    solved = basis.synthesize(causal_modes(fs, config.m))  # pairs (f, g): rows k, k + 1
+    solved = causal_data(state, fs)  # pairs (f, g): entries k, k + 1
     pair = pair_matrix(state, solved)
     im_worst = ccr_worst = 0.0
     for k in range(0, 6, 2):
         w_fg, w_gf = pair[k, k + 1], pair[k + 1, k]
-        sigma = symplectic(CauchyDatum(*solved[k]), CauchyDatum(*solved[k + 1]), basis.grid)
+        sigma = symplectic(solved[k], solved[k + 1], basis.grid)  # sigma(G f, G g)
         im_worst = np.maximum(im_worst, abs(w_fg.imag - 0.5 * sigma.real))
         anti = w_fg - w_gf - 1j * gm_form(fs[k], fs[k + 1], config.m)
         ccr_worst = np.maximum(ccr_worst, abs(anti))

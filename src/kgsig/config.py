@@ -28,8 +28,7 @@ BLOCK_TOL_DEFAULT = 1e-3  # reconstruct's block tolerance unless --tol is given
 MASS_NODES_MAX = 2000
 # time nodes x grid points of one spacetime array: 64 MiB of complex values
 SPACETIME_SAMPLES_MAX = 1 << 22
-# complex values of the state suite's sources and Gram, trials x (time nodes x
-# grid points + trials): 2 GiB, so 20 trials fit at any window accepted above
+# trials x (time nodes x grid points + trials) complex values of the state suite
 SUITE_SAMPLES_MAX = 32 * SPACETIME_SAMPLES_MAX
 # masslimit needs m^2 to survive in omega^2 = lambda + m^2 for every mode; the
 # rounding of the largest lambda may reach this share of the smallest m^2
@@ -196,14 +195,14 @@ def validate_config(
             raise ConfigError("window must be positive")
         # time_window takes at most window / dt + 3 nodes; green also halves dt
         dt = config.dt / 2 if command == "green" else config.dt
-        if config.window > (SPACETIME_SAMPLES_MAX / config.n - 3) * dt:
+        samples = (config.window / dt + 3) * config.n
+        if samples > SPACETIME_SAMPLES_MAX:
             raise ConfigError(
                 "window / dt too large: a spacetime array would exceed "
                 f"{SPACETIME_SAMPLES_MAX} samples (time nodes x grid points)"
             )
-        trials = min(config.trials, SUITE_SAMPLES_MAX + 1)  # no float overflow
-        held = trials * ((config.window / dt + 3) * config.n + trials)
-        if command == "state" and held > SUITE_SAMPLES_MAX:
+        trials = min(config.trials, SUITE_SAMPLES_MAX)  # no float overflow
+        if command == "state" and trials * (samples + trials) > SUITE_SAMPLES_MAX:
             raise ConfigError(
                 "trials too large: the state suite would hold more than "
                 f"SUITE_SAMPLES_MAX = {SUITE_SAMPLES_MAX} complex values"

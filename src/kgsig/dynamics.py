@@ -8,9 +8,9 @@ i dPhi/dt = H Phi. Per spectral mode the propagator is the exact 2x2 rotation
 with w = sqrt(lambda_n + m^2), so the homogeneous evolution has no time-stepping
 error. Retarded/advanced Green's operators integrate the Duhamel formula
 mode-wise with cumulative Simpson quadrature (the advanced pass is the retarded
-one run backward, negated); `causal_modes` gets the t = 0 data of their
-difference for a whole stack of sources on one window from full-window
-moments. Every lattice/mode conversion is one `analyze`/`synthesize` call.
+one run backward, negated); `causal_fundamental` gets the t = 0 data of their
+difference from full-window moments against an `oscillator_table` that sources
+on one window share. Every lattice/mode conversion is one `analyze`/`synthesize`.
 """
 
 from __future__ import annotations
@@ -207,35 +207,31 @@ def advanced_green(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
     return _duhamel(f, mass, retarded=False)
 
 
-def causal_modes(fs: list[SpacetimeTestFunction], mass: float) -> np.ndarray:
-    """(K, 2, N) mode coefficients of the t = 0 data of (retarded - advanced) f_k.
-
-    A homogeneous solution, fixed by phi_n(0) = -S_n / w_n, pi_n(0) = i C_n
-    with C_n, S_n the full-window Simpson moments of f against cos(w t),
-    sin(w t); no quadrature is shared with the cumulative Duhamel fields. The
-    sources share one basis object and time window, so the weighted tables are
-    built once; each row is reduced on its own and does not depend on the batch.
-    """
-    if not fs:
-        raise ValueError("no sources to solve")
-    basis, times = fs[0].basis, fs[0].times
-    if any(f.basis is not basis or not np.array_equal(f.times, times) for f in fs):
-        raise ValueError("sources must share one basis and one time window")
+def oscillator_table(
+    basis: SpectralBasis, times: np.ndarray, mass: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w and the Simpson-weighted cos(w t), sin(w t), shape (J, N), on a window."""
     w = omega(basis.eigenvalues, mass)
     phase = w[None, :] * times[:, None]
     quad = simpson_weights(times)[:, None]
-    cos_table, sin_table = quad * np.cos(phase), quad * np.sin(phase)
-    out = np.empty((len(fs), 2, basis.size), dtype=complex)
-    for row, f in zip(out, fs):
-        coeffs = f.mode_values()  # (J, N)
-        row[0] = -np.sum(sin_table * coeffs, axis=0) / w
-        row[1] = 1j * np.sum(cos_table * coeffs, axis=0)
-    return out
+    return w, quad * np.cos(phase), quad * np.sin(phase)
 
 
-def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
-    """Cauchy data at t = 0 of (retarded - advanced) applied to f."""
-    return datum_from_modes(causal_modes([f], mass)[0], f.basis)
+def causal_fundamental(f: SpacetimeTestFunction, mass: float, table=None) -> CauchyDatum:
+    """Cauchy data at t = 0 of (retarded - advanced) applied to f.
+
+    The difference is a homogeneous solution, so it is fixed by its t = 0
+    data; those data have the closed mode-wise form
+        phi_n(0) = -S_n / w_n,   pi_n(0) = i C_n,
+    with C_n, S_n the full-window cos/sin moments of f. This route shares no
+    quadrature with the cumulative Duhamel fields. Sources on one window may
+    share `table = oscillator_table(f.basis, f.times, mass)`, built once.
+    """
+    w, cos_table, sin_table = table or oscillator_table(f.basis, f.times, mass)
+    coeffs = f.mode_values()  # (J, N)
+    sin_int = np.sum(sin_table * coeffs, axis=0)
+    cos_int = np.sum(cos_table * coeffs, axis=0)
+    return datum_from_modes(np.stack([-sin_int / w, 1j * cos_int]), f.basis)
 
 
 def causal_field(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:

@@ -6,8 +6,7 @@ positive semi-definite Gram form on test functions; the imaginary part is
 half the symplectic pairing of the causal solutions, which encodes the
 canonical commutation relations. Higher correlation functions follow from
 the quasi-free (Wick) combinatorics: a sum over perfect matchings. Every pair
-value is an entry of `two_point_matrix`, which makes one stacked causal solve
-(`causal_modes`) per time window and fills the matrix one row at a time.
+value is an entry of `two_point_matrix`, which solves G f once per function.
 """
 
 from __future__ import annotations
@@ -17,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (  # noqa: F401  (bench/ wraps state.causal_fundamental)
+from .dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
     apply_mode_blocks,
     causal_fundamental,
-    causal_modes,
+    oscillator_table,
     time_window,
 )
 from .lattice import SpectralBasis
@@ -52,23 +51,32 @@ def _project_hol(state: TwoPointEvaluator, datum: CauchyDatum) -> CauchyDatum:
 def two_point_matrix(
     state: TwoPointEvaluator, fs: list[SpacetimeTestFunction]
 ) -> np.ndarray:
-    """(K, K) matrix of omega2(f_i, f_j) from one stacked causal solve; both
+    """(K, K) matrix of omega2(f_i, f_j), one causal solve per f_i; both
     triangles are evaluated, so it is Hermitian only up to rounding."""
+    return pair_matrix(state, causal_data(state, fs))
+
+
+def causal_data(
+    state: TwoPointEvaluator, fs: list[SpacetimeTestFunction]
+) -> list[CauchyDatum]:
+    """The t = 0 causal data G f_i, solved against one window's oscillator table."""
     if any(f.basis is not state.basis for f in fs):
         raise ValueError("test functions live on a different basis")
-    return pair_matrix(state, state.basis.synthesize(causal_modes(fs, state.mass)))
+    if len({f.times.tobytes() for f in fs}) != 1:
+        raise ValueError("need test functions on one shared time window")
+    table = oscillator_table(state.basis, fs[0].times, state.mass)
+    return [causal_fundamental(f, state.mass, table) for f in fs]
 
 
-def pair_matrix(state: TwoPointEvaluator, solved: np.ndarray) -> np.ndarray:
-    """`two_point_matrix` from the (K, 2, N) lattice stack of causal data G f_i;
-    each row keeps the operand order of `symplectic`, so entries are bitwise
-    those of the pair on its own."""
+def pair_matrix(state: TwoPointEvaluator, solved: list[CauchyDatum]) -> np.ndarray:
+    """`two_point_matrix` from the causal data G f_i, one row at a time in the
+    operand order of `symplectic`, so entries do not depend on the batch."""
     basis, h = state.basis, state.basis.grid.spacing
-    hol = np.einsum("nij,kjn->kin", state.hol_blocks, basis.analyze(solved))
-    hol = basis.synthesize(hol)  # chi_hol G f_j
+    modes = basis.analyze(np.array([(g.phi, g.pi) for g in solved]))  # (K, 2, N)
+    hol = basis.synthesize(np.einsum("nij,kjn->kin", state.hol_blocks, modes))  # chi_hol G f_j
     out = np.empty((len(solved), len(solved)), dtype=complex)
-    for row, (phi, pi) in zip(out, solved):
-        pairs = np.conj(pi) * hol[:, 0] + np.conj(phi) * hol[:, 1]
+    for row, g in zip(out, solved):
+        pairs = np.conj(g.pi) * hol[:, 0] + np.conj(g.phi) * hol[:, 1]
         row[:] = 1j * (1j * h * np.sum(pairs, axis=-1))
     return out
 

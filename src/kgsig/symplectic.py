@@ -16,8 +16,7 @@ from .dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
     causal_field,
-    causal_modes,
-    datum_from_modes,
+    causal_fundamental,
     simpson_weights,
 )
 from .lattice import SpatialGrid
@@ -33,8 +32,9 @@ def gm_form(f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float) -> 
     """Spacetime quadrature of conj(f) * (causal field of g).
 
     Evaluated with the cumulative-Duhamel spacetime field, so it shares no
-    quadrature route with `causal_modes`; comparing against
-    `gm_symplectic_side(f, g)` is a genuine two-sided consistency check.
+    quadrature route with `causal_fundamental`; comparing against
+    symplectic(causal_fundamental(f), causal_fundamental(g)) is a genuine
+    two-sided consistency check.
     """
     fg, gg = f.basis.grid, g.basis.grid
     if fg.num_points != gg.num_points or fg.spacing != gg.spacing:
@@ -51,6 +51,7 @@ def gm_form(f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float) -> 
 def gm_symplectic_side(
     f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float
 ) -> complex:
-    """sigma(G f, G g) evaluated on the t = 0 causal data of one solve."""
-    a, b = (datum_from_modes(c, f.basis) for c in causal_modes([f, g], mass))
+    """sigma(G f, G g) evaluated on the t = 0 causal data."""
+    a = causal_fundamental(f, mass)
+    b = causal_fundamental(g, mass)
     return symplectic(a, b, f.basis.grid)

@@ -421,18 +421,18 @@ def test_wide_mass_interval_exits_3_before_building_a_rule(tmp_path, capsys, mon
 
 
 def test_state_solves_each_identity_function_once(tmp_path, monkeypatch):
-    # one stacked solve for the suite, one for the six identity sources
+    # the imaginary-part identity reuses the solves of its two-point matrix
     import kgsig.dynamics
 
-    batches = []
-    original = kgsig.dynamics.causal_modes
+    calls = []
+    original = kgsig.dynamics.causal_fundamental
 
-    def counted(fs, mass):
-        batches.append(len(fs))
-        return original(fs, mass)
+    def counted(f, mass, table=None):
+        calls.append(f)
+        return original(f, mass, table)
 
     for name in ("cli", "state", "symplectic"):
-        monkeypatch.setattr(f"kgsig.{name}.causal_modes", counted, raising=False)
+        monkeypatch.setattr(f"kgsig.{name}.causal_fundamental", counted, raising=False)
     code, _ = run(tmp_path, ["state"], SMALL + "trials = 5\n")
     assert code == 0
-    assert batches == [5, 3 * 2]
+    assert len({id(f) for f in calls}) == len(calls) == 5 + 3 * 2

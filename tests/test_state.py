@@ -6,12 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kgsig.dynamics import causal_fundamental, causal_modes, datum_from_modes, time_window
+from kgsig.dynamics import causal_fundamental, oscillator_table, time_window
 from kgsig.lattice import SINE_FFT_MIN_POINTS, dirichlet_basis
 from kgsig.random_fields import random_test_function
 from kgsig.state import (
     _project_hol,
     build_state,
+    causal_data,
     pair_matchings,
     state_positivity_suite,
     two_point,
@@ -145,33 +146,27 @@ def test_two_point_matrix_entries_do_not_depend_on_the_batch(n):
         np.testing.assert_array_equal(pair, matrix[np.ix_([i, j], [i, j])])
 
 
-def test_causal_fundamental_is_a_row_of_the_stacked_solve(basis, times):
+def test_a_shared_oscillator_table_changes_no_bit_of_a_solve(state, basis, times):
     rng = np.random.default_rng(11)
     fs = [random_test_function(rng, basis, times) for _ in range(4)]
-    stacked = causal_modes(fs, MASS)
-    assert stacked.shape == (4, 2, basis.size)
-    for f, modes in zip(fs, stacked):
-        single = causal_fundamental(f, MASS)
-        expected = datum_from_modes(modes, basis)
-        assert np.array_equal(single.phi, expected.phi)
-        assert np.array_equal(single.pi, expected.pi)
+    table = oscillator_table(basis, times, MASS)
+    for f, shared in zip(fs, causal_data(state, fs)):
+        alone = causal_fundamental(f, MASS)
+        for single in (shared, causal_fundamental(f, MASS, table)):
+            np.testing.assert_array_equal(single.phi, alone.phi)
+            np.testing.assert_array_equal(single.pi, alone.pi)
 
 
-def test_causal_modes_rejects_mixed_windows_and_bases(state, basis, times):
+def test_causal_data_rejects_mixed_windows_and_empty_input(state, basis, times):
     rng = np.random.default_rng(12)
     f = random_test_function(rng, basis, times)
     # same node count, shifted nodes; then a different node count
     for other in (time_window(-2.0, 4.0, 0.05), time_window(-4.0, 4.0, 0.05)):
         g = random_test_function(rng, basis, other)
-        with pytest.raises(ValueError, match="one time window"):
-            causal_modes([f, g], MASS)
-        with pytest.raises(ValueError, match="one time window"):
+        with pytest.raises(ValueError, match="one shared time window"):
             two_point_matrix(state, [f, g])
-    foreign = random_test_function(rng, dirichlet_basis(16, 10.0), times)
-    with pytest.raises(ValueError, match="one basis"):
-        causal_modes([f, foreign], MASS)
-    with pytest.raises(ValueError, match="no sources"):
-        causal_modes([], MASS)
+    with pytest.raises(ValueError, match="one shared time window"):
+        causal_data(state, [])
 
 
 def test_two_point_matrix_memory_stays_near_one_source():

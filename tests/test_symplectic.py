@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from kgsig.dynamics import CauchyDatum, propagate, retarded_green, time_window
+from kgsig.dynamics import (
+    CauchyDatum,
+    SpacetimeTestFunction,
+    propagate,
+    retarded_green,
+    time_window,
+)
 from kgsig.lattice import build_grid, dirichlet_basis, omega
 from kgsig.random_fields import random_datum, random_test_function
 from kgsig.symplectic import gm_form, gm_symplectic_side, symplectic
@@ -71,6 +77,19 @@ def test_causal_form_equals_symplectic_of_causal_data(basis):
         magnitudes.append(abs(lhs))
     assert residuals[0] <= 1e-6 * max(1.0, magnitudes[0])
     assert residuals[0] / residuals[1] >= 3.0
+
+
+def test_both_causal_sides_take_sources_on_equal_but_distinct_objects(basis):
+    # neither side asks for one basis object or one times array
+    times = time_window(-3.0, 3.0, 0.05)
+    rng = np.random.default_rng(5)
+    f = random_test_function(rng, basis, times)
+    g = random_test_function(rng, basis, times)
+    twin_basis = dirichlet_basis(16, 10.0)
+    twin = SpacetimeTestFunction(times=times.copy(), values=g.values, basis=twin_basis)
+    assert twin.basis is not g.basis and twin.times is not g.times
+    assert gm_form(f, twin, MASS) == gm_form(f, g, MASS)
+    assert gm_symplectic_side(f, twin, MASS) == gm_symplectic_side(f, g, MASS)
 
 
 def test_causal_form_window_mismatch_rejected(basis):
