@@ -41,7 +41,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .dynamics import kg_residual, propagate, time_window
+from .dynamics import green_residuals, propagate, time_window
 from .lattice import dirichlet_basis, omega
 from .massfamily import (
     ConvergenceError,
@@ -70,7 +70,6 @@ from .state import (
     wick_terms,
 )
 from .symplectic import gm_form, symplectic
-from .dynamics import advanced_green, retarded_green
 
 
 def _fmt(x: float) -> str:
@@ -201,13 +200,7 @@ def cmd_green(config: ExperimentConfig):
         rng = np.random.default_rng(config.seed)
         times = time_window(-config.window / 2, config.window / 2, dt)
         f = random_test_function(rng, basis, times)
-        rows.append(
-            [
-                dt,
-                kg_residual(retarded_green(f, config.m), f, config.m),
-                kg_residual(advanced_green(f, config.m), f, config.m),
-            ]
-        )
+        rows.append([dt, *green_residuals(f, config.m)])
     results = {
         "retarded_refinement_ratio": rows[0][1] / rows[1][1],
         "advanced_refinement_ratio": rows[0][2] / rows[1][2],

@@ -6,11 +6,14 @@ i dPhi/dt = H Phi. Per spectral mode the propagator is the exact 2x2 rotation
     U_n(t) = [[cos(w t), -i sin(w t)/w], [-i w sin(w t), cos(w t)]],
 
 with w = sqrt(lambda_n + m^2), so the homogeneous evolution has no time-stepping
-error. Retarded/advanced Green's operators integrate the Duhamel formula
-mode-wise with cumulative Simpson quadrature (the advanced pass is the retarded
-one run backward, negated); `causal_fundamental` gets the t = 0 data of their
-difference from full-window moments against an `oscillator_table` that sources
-on one window share. Every lattice/mode conversion is one `analyze`/`synthesize`.
+error. The retarded and advanced Green's operators come from one Duhamel pass
+per source, `duhamel_modes`: one analysis and one cos/sin phase table feed a
+forward and a backward cumulative Simpson quadrature in mode space, where
+`green_residuals` also checks both fields, with no synthesize/analyze round
+trip. `causal_fundamental` gets the t = 0 data of their difference from
+full-window moments against an `oscillator_table` that sources on one window
+share. Real sources stay real. Every lattice/mode conversion is one
+`analyze`/`synthesize`.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def simpson_weights(times: np.ndarray) -> np.ndarray:
     if n < 3 or n % 2 == 0:
         raise ValueError("Simpson weights need an odd number of nodes (>= 3)")
     dt = times[1] - times[0]
-    if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=0.0):
+    if not np.abs(np.diff(times) - dt).max() <= 1e-9 * abs(dt):  # NaN fails
         raise ValueError("time nodes must be uniform")
     w = np.ones(n)
     w[1:-1:2] = 4.0
@@ -111,7 +114,7 @@ def simpson_weights(times: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpacetimeField:
-    """Complex scalar field sampled on (time node) x (lattice point)."""
+    """Scalar field on (time node) x (lattice point); real values stay float64."""
 
     times: np.ndarray
     values: np.ndarray  # (J, N)
@@ -119,7 +122,8 @@ class SpacetimeField:
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values)
+        values = values.astype(np.result_type(values, float), copy=False)
         if values.shape != (times.size, self.basis.size):
             raise ValueError("values must have shape (num_times, num_points)")
         object.__setattr__(self, "times", times)
@@ -178,33 +182,42 @@ def cumulative_simpson_nodes(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _duhamel(
-    f: SpacetimeTestFunction, mass: float, retarded: bool
-) -> SpacetimeField:
-    # sin(w(t - t')) = sin(wt)cos(wt') - cos(wt)sin(wt'): the running Duhamel
-    # integrals reduce to cumulative Simpson of cos/sin-weighted coefficients.
-    # The advanced integral over t' >= t of sin(w(t' - t))/w f(t') is anchored
-    # at the future end of the window: the same pass run backward, negated.
-    basis = f.basis
-    w = omega(basis.eigenvalues, mass)
-    coeffs = f.mode_values()
+def duhamel_modes(
+    f: SpacetimeTestFunction, mass: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J, N) mode coefficients of f and of its retarded and advanced fields.
+
+    sin(w(t - t')) = sin(wt)cos(wt') - cos(wt)sin(wt'), so both running
+    Duhamel integrals are cumulative Simpson of the same cos/sin-weighted
+    coefficients; the advanced one, over t' >= t, is the pass run backward
+    from the future end of the window, negated.
+    """
+    w = omega(f.basis.eigenvalues, mass)
+    src = f.mode_values()
     phase = w[None, :] * f.times[:, None]
     cos_p, sin_p = np.cos(phase), np.sin(phase)
-    step = 1 if retarded else -1
-    ccum = cumulative_simpson_nodes((cos_p * coeffs)[::step], f.dt)[::step]
-    scum = cumulative_simpson_nodes((sin_p * coeffs)[::step], f.dt)[::step]
-    sol = step * (sin_p * ccum - cos_p * scum) / w[None, :]
-    return SpacetimeField(times=f.times, values=basis.synthesize(sol), basis=basis)
+    cos_src, sin_src = cos_p * src, sin_p * src
+
+    def green(step: int) -> np.ndarray:
+        ccum = cumulative_simpson_nodes(cos_src[::step], f.dt)[::step]
+        scum = cumulative_simpson_nodes(sin_src[::step], f.dt)[::step]
+        return step * (sin_p * ccum - cos_p * scum) / w[None, :]
+
+    return src, green(1), green(-1)
+
+
+def _field(f: SpacetimeTestFunction, coeffs: np.ndarray) -> SpacetimeField:
+    return SpacetimeField(times=f.times, values=f.basis.synthesize(coeffs), basis=f.basis)
 
 
 def retarded_green(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
     """Solution of (d_t^2 - Lap + m^2) u = f supported toward the future."""
-    return _duhamel(f, mass, retarded=True)
+    return _field(f, duhamel_modes(f, mass)[1])
 
 
 def advanced_green(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
     """Solution of the same equation supported toward the past."""
-    return _duhamel(f, mass, retarded=False)
+    return _field(f, duhamel_modes(f, mass)[2])
 
 
 def oscillator_table(
@@ -236,9 +249,17 @@ def causal_fundamental(f: SpacetimeTestFunction, mass: float, table=None) -> Cau
 
 def causal_field(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
     """Spacetime field of (retarded - advanced) f over f's window."""
-    ret = retarded_green(f, mass)
-    adv = advanced_green(f, mass)
-    return SpacetimeField(times=f.times, values=ret.values - adv.values, basis=f.basis)
+    _, ret, adv = duhamel_modes(f, mass)
+    return _field(f, ret - adv)
+
+
+def _mode_residual(
+    coeffs: np.ndarray, src: np.ndarray, dt: float, w2: np.ndarray
+) -> float:
+    d2 = (coeffs[2:] - 2.0 * coeffs[1:-1] + coeffs[:-2]) / dt**2
+    res = d2 + w2[None, :] * coeffs[1:-1] - src[1:-1]
+    # mode coefficients carry the h-weighted norm already (Parseval)
+    return float(np.sqrt(np.sum(np.abs(res) ** 2, axis=1)).max())
 
 
 def kg_residual(u: SpacetimeField, f: SpacetimeTestFunction, mass: float) -> float:
@@ -247,11 +268,13 @@ def kg_residual(u: SpacetimeField, f: SpacetimeTestFunction, mass: float) -> flo
     D_t^2 is the central second difference; the Laplacian acts spectrally
     (lambda_n per mode), which is exact for the lattice operator.
     """
-    coeffs = u.mode_values()
-    src = f.mode_values()
-    dt = u.dt
-    d2 = (coeffs[2:] - 2.0 * coeffs[1:-1] + coeffs[:-2]) / dt**2
     w2 = u.basis.eigenvalues + mass**2
-    res = d2 + w2[None, :] * coeffs[1:-1] - src[1:-1]
-    # mode coefficients carry the h-weighted norm already (Parseval)
-    return float(np.sqrt(np.sum(np.abs(res) ** 2, axis=1)).max())
+    return _mode_residual(u.mode_values(), f.mode_values(), u.dt, w2)
+
+
+def green_residuals(f: SpacetimeTestFunction, mass: float) -> tuple[float, float]:
+    """`kg_residual` of the retarded and advanced fields of f, taken on the
+    mode coefficients of one `duhamel_modes` pass, so f is analyzed once."""
+    src, ret, adv = duhamel_modes(f, mass)
+    w2 = f.basis.eigenvalues + mass**2
+    return _mode_residual(ret, src, f.dt, w2), _mode_residual(adv, src, f.dt, w2)

@@ -3,7 +3,8 @@
 Test sources are built from C-infinity bumps in time and Gaussian profiles in
 space. Spatial smoothness matters quantitatively: the Duhamel quadrature error
 per mode scales like (omega_n * dt)^4, so sources need decaying high-mode
-content for the stated dual-route tolerances to be meaningful.
+content for the stated dual-route tolerances to be meaningful. Real sources
+stay real: their values are float64, so every transform of them is a real one.
 """
 
 from __future__ import annotations
@@ -51,13 +52,14 @@ def random_test_function(
     span = t1 - t0
     x = basis.grid.points
     length = basis.grid.length
-    values = np.zeros((times.size, basis.size), dtype=complex)
-    for _ in range(components):
+    profiles = np.empty((components, times.size))
+    shapes = np.empty((components, basis.size), dtype=float if real else complex)
+    for k in range(components):
         center = rng.uniform(t0 + 0.30 * span, t1 - 0.30 * span)
         half_width = rng.uniform(0.15 * span, 0.25 * span)
         carrier = rng.uniform(0.0, 2.0)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        profile = bump_profile(times, center, half_width) * np.cos(
+        profiles[k] = bump_profile(times, center, half_width) * np.cos(
             carrier * times + phase
         )
         x0 = rng.uniform(0.25 * length, 0.75 * length)
@@ -67,5 +69,6 @@ def random_test_function(
             amp = rng.normal()
         else:
             amp = rng.normal() + 1j * rng.normal()
-        values += amp * profile[:, None] * shape[None, :]
+        shapes[k] = amp * shape
+    values = profiles.T @ shapes  # (J, C) @ (C, N)
     return SpacetimeTestFunction(times=times, values=values, basis=basis)

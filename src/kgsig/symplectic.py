@@ -15,8 +15,8 @@ import numpy as np
 from .dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
-    causal_field,
     causal_fundamental,
+    duhamel_modes,
     simpson_weights,
 )
 from .lattice import SpatialGrid
@@ -31,8 +31,10 @@ def symplectic(a: CauchyDatum, b: CauchyDatum, grid: SpatialGrid) -> complex:
 def gm_form(f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float) -> complex:
     """Spacetime quadrature of conj(f) * (causal field of g).
 
-    Evaluated with the cumulative-Duhamel spacetime field, so it shares no
-    quadrature route with `causal_fundamental`; comparing against
+    The lattice sum is taken in mode space by Parseval (h sum_x conj(u) v =
+    sum_n conj(u_n) v_n for the h-orthonormal sine modes) against the
+    cumulative-Duhamel field of `duhamel_modes`, so it shares no quadrature
+    route with `causal_fundamental`; comparing against
     symplectic(causal_fundamental(f), causal_fundamental(g)) is a genuine
     two-sided consistency check.
     """
@@ -41,11 +43,9 @@ def gm_form(f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float) -> 
         raise ValueError("sources must share a grid")
     if f.times.shape != g.times.shape or not np.allclose(f.times, g.times):
         raise ValueError("sources must share a time window")
-    u = causal_field(g, mass)
-    quad = simpson_weights(f.times)
-    h = f.basis.grid.spacing
-    per_node = h * np.sum(np.conj(f.values) * u.values, axis=1)
-    return complex(np.sum(quad * per_node))
+    _, ret, adv = duhamel_modes(g, mass)
+    per_node = np.sum(np.conj(f.mode_values()) * (ret - adv), axis=1)
+    return complex(np.sum(simpson_weights(f.times) * per_node))
 
 
 def gm_symplectic_side(

@@ -436,3 +436,27 @@ def test_state_solves_each_identity_function_once(tmp_path, monkeypatch):
     code, _ = run(tmp_path, ["state"], SMALL + "trials = 5\n")
     assert code == 0
     assert len({id(f) for f in calls}) == len(calls) == 5 + 3 * 2
+
+
+def test_green_analyzes_each_source_once(tmp_path, monkeypatch):
+    # both residuals come from the mode coefficients of one Duhamel pass
+    import kgsig.cli
+    from kgsig.lattice import SpectralBasis
+
+    sources, analyzed = [], []
+    make, analyze = kgsig.cli.random_test_function, SpectralBasis.analyze
+
+    def made(*args, **kwargs):
+        sources.append(make(*args, **kwargs))
+        return sources[-1]
+
+    def counted(self, u):
+        analyzed.append(u)
+        return analyze(self, u)
+
+    monkeypatch.setattr(kgsig.cli, "random_test_function", made)
+    monkeypatch.setattr(SpectralBasis, "analyze", counted)
+    code, _ = run(tmp_path, ["green"], SMALL)
+    assert code == 0
+    assert len(sources) == 2
+    assert [id(u) for u in analyzed] == [id(f.values) for f in sources]

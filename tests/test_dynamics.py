@@ -11,6 +11,8 @@ from kgsig.dynamics import (
     causal_fundamental,
     cumulative_simpson_nodes,
     datum_from_modes,
+    duhamel_modes,
+    green_residuals,
     kg_residual,
     mode_data,
     propagate,
@@ -90,6 +92,13 @@ def test_time_window_and_simpson_weights():
     assert np.sum(w * times**2) == pytest.approx(2 * 5.0**3 / 3, rel=1e-12)
     with pytest.raises(ValueError):
         time_window(2.0, 1.0)
+
+
+@pytest.mark.parametrize("node", [0.2 + 1e-6, np.nan])
+def test_simpson_weights_reject_nonuniform_and_nan_nodes(node):
+    times = np.array([0.0, 0.1, node, 0.3, 0.4])
+    with pytest.raises(ValueError, match="time nodes must be uniform"):
+        simpson_weights(times)
 
 
 def test_cumulative_simpson_exact_on_quadratics():
@@ -197,3 +206,69 @@ def test_causal_field_is_retarded_field_for_past_sources(basis):
     r_field = retarded_green(f, MASS)
     future = times > -0.9  # strictly after supp f = [-4, -1]
     assert np.abs(g_field.values[future] - r_field.values[future]).max() < 1e-12
+
+
+def reference_test_function(rng, basis, times, components=3, real=False):
+    # the per-component accumulation that random_test_function's single
+    # (J, C) @ (C, N) product replaces; same draws in the same order
+    t0, t1 = float(times[0]), float(times[-1])
+    span, x, length = t1 - t0, basis.grid.points, basis.grid.length
+    values = np.zeros((times.size, basis.size), dtype=float if real else complex)
+    for _ in range(components):
+        center = rng.uniform(t0 + 0.30 * span, t1 - 0.30 * span)
+        half_width = rng.uniform(0.15 * span, 0.25 * span)
+        carrier = rng.uniform(0.0, 2.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        profile = bump_profile(times, center, half_width) * np.cos(
+            carrier * times + phase
+        )
+        x0 = rng.uniform(0.25 * length, 0.75 * length)
+        width = rng.uniform(0.10 * length, 0.20 * length)
+        shape = np.exp(-((x - x0) ** 2) / (2.0 * width**2))
+        amp = rng.normal() if real else rng.normal() + 1j * rng.normal()
+        values += amp * profile[:, None] * shape[None, :]
+    return values
+
+
+@pytest.mark.parametrize("components", [0, 3])
+@pytest.mark.parametrize("real", [True, False])
+def test_random_sources_match_the_accumulated_reference(basis, real, components):
+    times = time_window(-3.0, 3.0, 0.05)
+    args = (basis, times, components, real)
+    got = random_test_function(np.random.default_rng(4), *args)
+    ref = reference_test_function(np.random.default_rng(4), *args)
+    assert got.values.dtype == ref.dtype
+    # three products summed in another order: a few ulp of the largest value
+    assert np.abs(got.values - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_real_sources_stay_real(basis):
+    times = time_window(-3.0, 3.0, 0.05)
+    rng = np.random.default_rng(8)
+    f = random_test_function(rng, basis, times, real=True)
+    assert f.values.dtype == np.float64
+    assert random_test_function(rng, basis, times).values.dtype == np.complex128
+    assert (f * 1j).values.dtype == np.complex128
+    as_complex = SpacetimeTestFunction(
+        times=times, values=f.values.astype(complex), basis=basis
+    )
+    got, ref = causal_fundamental(f, MASS), causal_fundamental(as_complex, MASS)
+    for a, b in ((got.phi, ref.phi), (got.pi, ref.pi)):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.025])
+def test_shared_duhamel_pass_matches_separate_routes(basis, dt):
+    times = time_window(-5.0, 5.0, dt)
+    f = random_test_function(np.random.default_rng(9), basis, times)
+    _, ret_modes, adv_modes = duhamel_modes(f, MASS)
+    ret, adv = retarded_green(f, MASS), advanced_green(f, MASS)
+    # the synthesize -> analyze round trip moves each coefficient by rounding
+    # of the largest one, which the second difference scales by 4 / dt^2
+    shared = green_residuals(f, MASS)
+    for res, field, modes in zip(shared, (ret, adv), (ret_modes, adv_modes)):
+        scale = np.abs(modes).max() / dt**2
+        assert abs(res - kg_residual(field, f, MASS)) <= 1e-12 * scale
+    diff = ret.values - adv.values
+    causal = causal_field(f, MASS).values
+    assert np.abs(causal - diff).max() <= 1e-13 * np.abs(diff).max()

@@ -4,11 +4,13 @@ import pytest
 from kgsig.dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
+    causal_field,
     propagate,
     retarded_green,
+    simpson_weights,
     time_window,
 )
-from kgsig.lattice import build_grid, dirichlet_basis, omega
+from kgsig.lattice import SpectralBasis, build_grid, dirichlet_basis, omega
 from kgsig.random_fields import random_datum, random_test_function
 from kgsig.symplectic import gm_form, gm_symplectic_side, symplectic
 
@@ -90,6 +92,34 @@ def test_both_causal_sides_take_sources_on_equal_but_distinct_objects(basis):
     assert twin.basis is not g.basis and twin.times is not g.times
     assert gm_form(f, twin, MASS) == gm_form(f, g, MASS)
     assert gm_symplectic_side(f, twin, MASS) == gm_symplectic_side(f, g, MASS)
+
+
+def test_causal_form_in_mode_space_equals_the_lattice_sum(basis):
+    # Parseval: h sum_x conj(u) v = sum_n conj(u_n) v_n for h-orthonormal modes
+    times = time_window(-5.0, 5.0, 0.05)
+    rng = np.random.default_rng(12)
+    f, g = random_test_function(rng, basis, times), random_test_function(rng, basis, times)
+    u = causal_field(g, MASS).values
+    per_node = basis.grid.spacing * np.sum(np.conj(f.values) * u, axis=1)
+    lattice = np.sum(simpson_weights(times) * per_node)
+    assert abs(gm_form(f, g, MASS) - lattice) <= 1e-13 * abs(lattice)
+
+
+def test_causal_form_analyzes_each_source_once(basis, monkeypatch):
+    # no causal field is synthesized to the lattice only to be analyzed again
+    times = time_window(-3.0, 3.0, 0.05)
+    rng = np.random.default_rng(13)
+    f, g = random_test_function(rng, basis, times), random_test_function(rng, basis, times)
+    analyzed = []
+    analyze = SpectralBasis.analyze
+
+    def counted(self, u):
+        analyzed.append(u)
+        return analyze(self, u)
+
+    monkeypatch.setattr(SpectralBasis, "analyze", counted)
+    gm_form(f, g, MASS)
+    assert sorted(map(id, analyzed)) == sorted([id(f.values), id(g.values)])
 
 
 def test_causal_form_window_mismatch_rejected(basis):
