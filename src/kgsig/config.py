@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .massfamily import MassInterval
+from . import massfamily
 from .signature import MASSLESS_MASSES
 
 
@@ -65,11 +65,11 @@ class ExperimentConfig:
     m_lo: float = 1.0
     m_hi: float = 2.0
     half_width: float = 0.05
-    mass_nodes: int = 200
+    mass_nodes: int = massfamily.MASS_NODES_DEFAULT
     dt: float = 0.05
-    t_max: float = 200.0
-    tol: float = 1e-6
-    t_ceiling: float = 51200.0
+    t_max: float = massfamily.T_MAX_DEFAULT
+    tol: float = massfamily.TOL_DEFAULT
+    t_ceiling: float = massfamily.T_CEILING_DEFAULT
     seed: int = 0
     trials: int = 20
     families: int = 5
@@ -159,9 +159,13 @@ def validate_config(
         raise ConfigError(f"mass_nodes must be at most {MASS_NODES_MAX}")
     if command in ("massdecomp", "reconstruct"):
         try:
-            MassInterval(config.m_lo, config.m_hi)
+            massfamily.MassInterval(config.m_lo, config.m_hi)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if config.t_ceiling < 2.0 * config.t_max:  # where the first stage ends
+            raise ConfigError(
+                f"t_ceiling = {config.t_ceiling:g} is below 2 * t_max = {2.0 * config.t_max:g}"
+            )
     if command == "masslimit":
         # (4 / h^2) eps > share * m_min^2, multiplied through by h^2
         m_min = min(MASSLESS_MASSES)

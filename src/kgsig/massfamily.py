@@ -4,22 +4,22 @@ A family assigns to each mass node m_q the homogeneous solution with Cauchy
 data (node scalar) * (base datum), where the node scalars are the values of a
 smooth compactly supported mass weight (times m_q^k after k applications of
 the mass operator T). The map p integrates the scalar field of the family
-over mass against the measure m dm (Gauss-Legendre nodes), and the physical
-inner product pairs p-images of families on one weight in L^2 over spacetime
-on [-T, T], with T doubled until the increment falls below tolerance. Time
-is integrated exactly: per mode the integrand is a finite sum of cos/sin
-products over the mass nodes, whose integrals over the symmetric stage sets
-are closed-form sinc kernels.
+over mass against the measure m dm, and the physical inner product pairs
+p-images of families on one weight in L^2 over spacetime on [-T, T], with T
+doubled until the increment falls below tolerance. The pairing acts per mode:
+time-integrated kernels of the weight, eigenvalue and stage alone, which a
+Gram contracts once with the families' mode data.
 The pairing converges to the mass-integral side of the decomposition
 identity, which `mass_decomposition_pairing` evaluates directly.
 
 Two quadrature choices matter and are deliberate:
 
-* Mass nodes live on the support of the weight. The integrand vanishes
-  identically outside the support, so this equals the integral over any
-  enclosing mass interval, and it is the only placement that stays accurate
-  when the weight is a narrow localization bump.
-* The spacetime Gram takes the mass integral per mode on a uniform omega
+* The weight's Gauss-Legendre nodes, used by `integrate_p`, the normalization
+  and `mass_decomposition_pairing`, live on its support. The integrand
+  vanishes identically outside the support, so this equals the integral over
+  any enclosing mass interval, and it is the only placement that stays
+  accurate when the weight is a narrow localization bump.
+* The spacetime kernels take the mass integral per mode on a uniform omega
   grid of spacing 2 pi / P (m dm = omega d omega): for the bump this
   trapezoid rule converges faster than any power, its time kernels depend
   only on q -+ q', and its sum is P-periodic in t, so a rule serves times up
@@ -43,7 +43,6 @@ TOL_DEFAULT = 1e-6
 T_CEILING_DEFAULT = 51200.0
 RULE_PERIOD_RATIO = 4  # period of a Gram mass rule over the longest time it serves
 RULE_NODES_MAX = 1 << 16  # per mode and rule; (1, 2) needs 31.8k at the default ceiling
-_ACTIVE_REL = 1e-12  # below this share of a family's largest mode: analysis noise
 _SUPPORT_SLACK = 1e-12  # rounding allowed where a weight's support meets I
 
 
@@ -147,6 +146,13 @@ class MassFamily:
         return self.weight.values * self.weight.nodes**self.mass_power
 
 
+def check_support(weight: MassWeight, interval: MassInterval) -> None:
+    """Raise ValueError unless the weight's support lies in the closure of I."""
+    lo, hi = weight.center - weight.half_width, weight.center + weight.half_width
+    if lo < interval.m_lo - _SUPPORT_SLACK or hi > interval.m_hi + _SUPPORT_SLACK:
+        raise ValueError("weight support outside I")
+
+
 def make_family(
     datum: CauchyDatum,
     basis: SpectralBasis,
@@ -155,9 +161,7 @@ def make_family(
 ) -> MassFamily:
     if datum.phi.size != basis.size:
         raise ValueError("datum does not live on the basis grid")
-    lo, hi = weight.center - weight.half_width, weight.center + weight.half_width
-    if lo < interval.m_lo - _SUPPORT_SLACK or hi > interval.m_hi + _SUPPORT_SLACK:
-        raise ValueError("weight support outside I")
+    check_support(weight, interval)
     return MassFamily(base=datum, basis=basis, weight=weight)
 
 
@@ -207,22 +211,21 @@ def _rule_nodes(weight: MassWeight, lam: np.ndarray, period: float) -> float:
 
 
 def _uniform_rule(
-    families: list[MassFamily], modes: np.ndarray, active: np.ndarray, period: float
+    weight: MassWeight, lam: np.ndarray, powers: np.ndarray, period: float, nodes: int
 ):
-    """Stage function (t_lo, t_hi) -> exact time integral of the pairing over
-    [-t_hi, -t_lo] and [t_lo, t_hi] ([-t_hi, t_hi] for t_lo = 0).
+    """Stage function (t_lo, t_hi) -> per-mode kernels g = (g_cos, g_sin),
+    (2, N, K, K) over the K `powers`, of the time integral over [-t_hi, -t_lo]
+    and [t_lo, t_hi] ([-t_hi, t_hi] for t_lo = 0).
 
     Per mode, p a_i(t) = sum_q u_iq [phi_i cos(w_q t) - i pi_i sin(w_q t) / w_q];
     the cos sin terms are odd in t and vanish, the rest pairs node vectors
     with K(w_q - w_q') +- K(w_q + w_q'), K(x) = int_{t_lo}^{t_hi} cos(x s) ds.
-    With w_q = w_lo + q step and u_kq = step w_q w(m_q) m_q^k per mass power
-    k (w = 0 past the support), K(d step) meets the node correlations and
-    K(2 w_lo + s step) the node convolutions, both built here once by FFT.
+    With the `nodes` w_q = w_lo + q step and u_kq = step w_q w(m_q) m_q^k per
+    mass power k (w = 0 past the support), K(d step) meets the node
+    correlations and K(2 w_lo + s step) the node convolutions, both built
+    here once by FFT.
     """
-    weight, lam = families[0].weight, families[0].basis.eigenvalues
-    powers, row = np.unique([f.mass_power for f in families], return_inverse=True)
-    nodes, step = int(_rule_nodes(weight, lam, period)), 2 * np.pi / period
-    size, lo = 2 * nodes - 1, weight.center - weight.half_width
+    step, size, lo = 2 * np.pi / period, 2 * nodes - 1, weight.center - weight.half_width
     om_lo = np.sqrt(lam + lo**2)[:, None]
     dw = step * np.arange(nodes)  # omega - omega_lo
     m = np.sqrt(lo**2 + dw * (2 * om_lo + dw))  # sqrt(omega^2 - lambda), no cancellation
@@ -239,23 +242,52 @@ def _uniform_rule(
 
         half = kernel(step * np.arange(1, nodes))
         near = np.concatenate([[t_hi - t_lo], half, half[::-1]])
-        g_cos, g_sin = corr @ near + np.einsum(
+        return corr @ near + np.einsum(
             "xnabs,ns->xnab", conv, kernel(2 * om_lo + step * np.arange(size))
         )
-        out = np.zeros((len(families), len(families)), dtype=complex)
-        for n in range(lam.size):
-            idx = np.flatnonzero(active[:, n])
-            if idx.size == 0:
-                continue
-            k = np.ix_(row[idx], row[idx])
-            phi, pi = modes[idx, 0, n], modes[idx, 1, n]
-            out[np.ix_(idx, idx)] += (
-                np.outer(phi.conj(), phi) * g_cos[n][k]
-                + np.outer(pi.conj(), pi) * g_sin[n][k]
-            )
-        return out
 
     return stage
+
+
+def adaptive_kernels(
+    weight: MassWeight, lam: np.ndarray, powers: np.ndarray, contract, t_max, tol, t_ceiling
+) -> tuple[np.ndarray, ConvergenceReport]:
+    """`contract` of the [-T, T] kernels of `_uniform_rule`, T doubled from t_max
+    until the largest entry of a contracted increment is below tol (absolute).
+    A stage ending past t_ceiling or a rule above RULE_NODES_MAX raises
+    ConvergenceError before its rule is built. Stage [T, 2T] runs on the rule
+    of period RULE_PERIOD_RATIO * 2T; the result is one [-T, T] evaluation on
+    the last rule (shorter periods would fold the slow tail back in)."""
+    records: list[StageRecord] = []
+    t_cur = t_max
+    while True:
+        started, t_hi = time.perf_counter(), 2 * t_cur
+        if t_hi > t_ceiling:
+            stall = f"spacetime pairing did not converge by T = {t_cur:g} (tol {tol:g})"
+            break
+        period = RULE_PERIOD_RATIO * t_hi
+        nodes = _rule_nodes(weight, lam, period)
+        if not nodes <= RULE_NODES_MAX:
+            stall = (
+                f"mass rule for T = {t_hi:g} needs {nodes:g} nodes per mode, "
+                f"above the cap RULE_NODES_MAX = {RULE_NODES_MAX}"
+            )
+            break
+        rule = _uniform_rule(weight, lam, powers, period, int(nodes))
+        worst = float(np.abs(contract(rule(t_cur, t_hi))).max())
+        elapsed = time.perf_counter() - started
+        records.append(StageRecord(t_cur, t_hi, period, int(nodes), worst, elapsed))
+        t_cur = t_hi
+        if worst < tol:
+            return contract(rule(0.0, t_cur)), ConvergenceReport(
+                True, t_cur, worst, stages=len(records) + 1, records=tuple(records)
+            )
+    last = (
+        f"[{r.t_lo:g}, {r.t_hi:g}] P = {r.period:g}, {r.nodes} nodes, "
+        f"increment {r.increment:.3e}, {r.seconds:.3f} s"
+        for r in records[-2:]
+    )
+    raise ConvergenceError("; ".join([stall, *last]))
 
 
 def spacetime_gram(
@@ -266,13 +298,10 @@ def spacetime_gram(
 ) -> tuple[np.ndarray, ConvergenceReport]:
     """Matrix of spacetime inner products <p a_i | p a_j> over [-T, T].
 
-    The families share one spectral basis and one mass weight. T doubles
-    from t_max until the largest entrywise increment drops below tol
-    (absolute); passing t_ceiling or RULE_NODES_MAX raises ConvergenceError.
-    Stage [T, 2T] runs on the rule of period RULE_PERIOD_RATIO * 2T, and the
-    result is one [-T, T] evaluation on the last rule (increments of shorter
-    periods would fold the slow tail back in). It is Hermitian positive
-    semidefinite by construction.
+    The families share one spectral basis and one mass weight; `tol` and the
+    window are those of `adaptive_kernels`, whose per-mode kernels each stage
+    contracts with the stacked mode data in one einsum. The result is
+    Hermitian positive semidefinite by construction.
 
     No cancellation fools the stopping rule: an increment is the Gram matrix
     of the p-images over its stage set, hence positive semidefinite, so its
@@ -289,40 +318,13 @@ def spacetime_gram(
             raise ValueError("families must share one spectral basis")
         if fam.weight is not weight:
             raise ValueError("families must share one mass weight")
-    modes = np.stack([mode_data(f.base, f.basis) for f in families])
-    magnitude = np.abs(modes).sum(axis=1)
-    active = magnitude > _ACTIVE_REL * magnitude.max(axis=1, keepdims=True)
+    modes = np.stack([mode_data(f.base, f.basis) for f in families])  # (F, 2, N)
+    powers, row = np.unique([f.mass_power for f in families], return_inverse=True)
 
-    records: list[StageRecord] = []
-    t_cur = t_max
-    while True:
-        started, t_hi = time.perf_counter(), 2 * t_cur
-        period = RULE_PERIOD_RATIO * t_hi
-        nodes = _rule_nodes(weight, basis.eigenvalues, period)
-        if not nodes <= RULE_NODES_MAX:
-            stall = (
-                f"mass rule for T = {t_hi:g} needs {nodes:g} nodes per mode, "
-                f"above the cap RULE_NODES_MAX = {RULE_NODES_MAX}"
-            )
-            break
-        rule = _uniform_rule(families, modes, active, period)
-        worst = float(np.abs(rule(t_cur, t_hi)).max())
-        elapsed = time.perf_counter() - started
-        records.append(StageRecord(t_cur, t_hi, period, int(nodes), worst, elapsed))
-        t_cur = t_hi
-        if worst < tol:
-            return rule(0.0, t_cur), ConvergenceReport(
-                True, t_cur, worst, stages=len(records) + 1, records=tuple(records)
-            )
-        if 2 * t_cur > t_ceiling:
-            stall = f"spacetime pairing did not converge by T = {t_cur:g} (tol {tol:g})"
-            break
-    last = (
-        f"[{r.t_lo:g}, {r.t_hi:g}] P = {r.period:g}, {r.nodes} nodes, "
-        f"increment {r.increment:.3e}, {r.seconds:.3f} s"
-        for r in records[-2:]
-    )
-    raise ConvergenceError("; ".join([stall, *last]))
+    def contract(g):
+        return np.einsum("ixn,jxn,xnij->ij", modes.conj(), modes, g[:, :, row][:, :, :, row])
+
+    return adaptive_kernels(weight, basis.eigenvalues, powers, contract, t_max, tol, t_ceiling)
 
 
 def spacetime_inner(

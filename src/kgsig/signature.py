@@ -8,7 +8,7 @@ pi times the identity, and J = i S / pi is a complex structure.
 
 The same operator is recovered numerically from the spacetime pairing of
 mass families localized by a narrow weight (a Dirac-sequence limit): the
-normalized pairings of per-mode unit data solve for the blocks, and the
+normalized per-mode kernels of the pairing solve for the blocks, and the
 deviation from the analytic form is O(half_width^2).
 """
 
@@ -21,11 +21,14 @@ import numpy as np
 from .dynamics import CauchyDatum, apply_mode_blocks
 from .lattice import SpectralBasis, omega
 from .massfamily import (
+    MASS_NODES_DEFAULT,
+    T_CEILING_DEFAULT,
+    T_MAX_DEFAULT,
     ConvergenceReport,
     MassInterval,
+    adaptive_kernels,
     bump_weight,
-    make_family,
-    spacetime_gram,
+    check_support,
 )
 from .symplectic import symplectic
 
@@ -231,19 +234,20 @@ def signature_reconstruct(
     half_width: float,
     tol: float = 1e-3,
     interval: MassInterval | None = None,
-    num_nodes: int = 200,
-    t_max: float = 200.0,
-    t_ceiling: float = 51200.0,
+    num_nodes: int = MASS_NODES_DEFAULT,
+    t_max: float = T_MAX_DEFAULT,
+    t_ceiling: float = T_CEILING_DEFAULT,
 ) -> tuple[SignatureOperator, ReconstructionReport]:
     """Recover the signature blocks from the spacetime pairing.
 
-    Builds, for every mode, the two unit data (v_n, 0) and (0, v_n) smeared
-    by a weight of the given half_width centered at the mass, pairs them
-    over spacetime, divides by the weight normalization int w^2 m' dm', and
-    solves i sigma(e_i, S e_j) = P_ij for the blocks. The deviation from the
-    analytic operator is O(half_width^2) once the adaptive time window has
-    converged; the internal window tolerance is scaled below the requested
-    block tolerance so truncation stays subdominant to localization.
+    Unit data (v_n, 0) and (0, v_n) smeared by a weight of the given
+    half_width at the mass pair only within mode n, to the power-0 kernels
+    P_n = diag(g_cos[n], g_sin[n]); divided by the weight normalization
+    int w^2 m' dm', these solve i sigma(e_i, S e_j) = P_ij for the blocks
+    -FLIP P_n. The deviation from the analytic operator is O(half_width^2)
+    once the adaptive time window has converged; the internal window
+    tolerance is scaled below the requested block tolerance so truncation
+    stays subdominant to localization.
     """
     if not mass - half_width > 0.0:
         raise ValueError("weight support must stay at positive mass")
@@ -252,30 +256,19 @@ def signature_reconstruct(
     if interval is None:
         interval = MassInterval(0.5 * (mass - half_width), mass + 2.0 * half_width)
     weight = bump_weight(mass, half_width, num_nodes)
+    check_support(weight, interval)
     norm2 = weight.mass_moment(power=1, squared=True)
 
-    n = basis.size
-    zero = np.zeros(n)
-    families = []
-    for v in basis.synthesize(np.eye(n)):  # row k is the unit mode v_k
-        for datum in (CauchyDatum(phi=v, pi=zero), CauchyDatum(phi=zero, pi=v)):
-            families.append(make_family(datum, basis, weight, interval))
-    gram, report = spacetime_gram(
-        families,
-        t_max=t_max,
-        tol=tol * norm2 * 1e-2,
-        t_ceiling=t_ceiling,
+    g, window = adaptive_kernels(
+        weight, basis.eigenvalues, np.array([0]), lambda g: g,
+        t_max=t_max, tol=tol * norm2 * 1e-2, t_ceiling=t_ceiling,
     )
-
-    pairs = gram.reshape(n, 2, n, 2)[np.arange(n), :, np.arange(n), :] / norm2
-    adjoint = pairs.conj().transpose(0, 2, 1)
-    blocks = -_FLIP @ (0.5 * (pairs + adjoint))
-    return (
-        SignatureOperator(mass=mass, basis=basis, blocks=blocks.real),
-        ReconstructionReport(
-            hermiticity_defect=np.abs(pairs - adjoint).max(),
-            imag_defect=np.abs(blocks.imag).max(),
-            normalization=norm2,
-            convergence=report,
-        ),
+    pairs = g[:, :, 0, 0].T[:, :, None] * np.eye(2) / norm2  # (N, 2, 2) diagonal
+    blocks = -_FLIP @ pairs
+    report = ReconstructionReport(
+        hermiticity_defect=np.abs(pairs - pairs.transpose(0, 2, 1)).max(),
+        imag_defect=np.abs(np.imag(blocks)).max(),
+        normalization=norm2,
+        convergence=window,
     )
+    return SignatureOperator(mass=mass, basis=basis, blocks=blocks), report

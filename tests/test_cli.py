@@ -85,6 +85,17 @@ def test_stalled_convergence_exits_3(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["massdecomp", "reconstruct"])
+def test_ceiling_below_first_stage_exits_2(tmp_path, capsys, command):
+    # the first doubling stage [t_max, 2 t_max] would already end past it
+    text = "[quadrature]\nt_max = 1000\nt_ceiling = 500\n"
+    code, out = run(tmp_path, [command], text)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "t_ceiling = 500" in err and "2 * t_max = 2000" in err
+    assert not (out / f"{command}_summary.json").exists()
+
+
 def test_rerun_is_byte_identical_except_meta(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text(SMALL)

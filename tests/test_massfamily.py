@@ -74,11 +74,20 @@ def simpson_stage(families, t_lo, t_hi, dt, period):
 
 def stage_gram(families, t_lo, t_hi, period=None):
     """One stage on the rule of the given period (the production period
-    RULE_PERIOD_RATIO * t_hi by default)."""
+    RULE_PERIOD_RATIO * t_hi by default): the per-mode kernels summed over
+    modes against each family pair's mode data."""
     period = period or massfamily.RULE_PERIOD_RATIO * t_hi
+    weight, lam = families[0].weight, families[0].basis.eigenvalues
+    powers, row = np.unique([f.mass_power for f in families], return_inverse=True)
+    nodes = int(massfamily._rule_nodes(weight, lam, period))
+    g = massfamily._uniform_rule(weight, lam, powers, period, nodes)(t_lo, t_hi)
     modes = np.stack([mode_data(f.base, f.basis) for f in families])
-    active = np.ones((len(families), families[0].basis.size), dtype=bool)
-    return massfamily._uniform_rule(families, modes, active, period)(t_lo, t_hi)
+    gram = np.zeros((len(families), len(families)), dtype=complex)
+    for n in range(lam.size):
+        for x in (0, 1):  # phi with g_cos, pi with g_sin
+            c = modes[:, x, n]
+            gram += np.outer(c.conj(), c) * g[x, n][np.ix_(row, row)]
+    return gram
 
 
 @pytest.fixture(
@@ -231,19 +240,6 @@ def test_long_stage_increments_are_positive_semidefinite(basis, weight):
         assert_psd(inc, total)
 
 
-def test_unit_mode_families_pair_only_their_mode():
-    # analysis leaves ~1e-16 noise in the other modes; it must not pair
-    basis8 = dirichlet_basis(8, 10.0)
-    wgt = bump_weight(1.5, 0.2, 64)
-    fams = [
-        make_family(CauchyDatum(phi=v, pi=np.zeros(8)), basis8, wgt, INTERVAL)
-        for v in basis8.vectors[:, :2].T
-    ]
-    gram, _ = spacetime_gram(fams, tol=1e-8)
-    assert gram[0, 1] == 0.0 and gram[1, 0] == 0.0
-    assert gram[0, 0].real > 0.0 and gram[1, 1].real > 0.0
-
-
 def test_gram_matches_mass_decomposition(basis):
     rng = np.random.default_rng(7)
     wgt = interval_weight(INTERVAL, 200)
@@ -348,3 +344,18 @@ def test_ceiling_raises_convergence_error(basis):
     )
     with pytest.raises(ConvergenceError, match="did not converge"):
         spacetime_gram([fam], t_max=200.0, tol=1e-30, t_ceiling=400.0)
+
+
+def test_first_stage_past_ceiling_raises(basis, monkeypatch):
+    # the first stage [t_max, 2 t_max] would end at 2000, past the ceiling:
+    # no rule is built and no result with final_t > t_ceiling comes back
+    def no_rule(*args):
+        raise AssertionError("a stage past t_ceiling was built")
+
+    rng = np.random.default_rng(5)
+    fam = make_family(
+        random_datum(rng, basis), basis, interval_weight(INTERVAL, 200), INTERVAL
+    )
+    monkeypatch.setattr(massfamily, "_uniform_rule", no_rule)
+    with pytest.raises(ConvergenceError, match="did not converge by T = 1000"):
+        spacetime_gram([fam], t_max=1000.0, t_ceiling=500.0)

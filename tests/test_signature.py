@@ -8,7 +8,7 @@ import pytest
 
 from kgsig.dynamics import CauchyDatum, datum_from_modes, mode_data, propagate
 from kgsig.lattice import build_grid, dirichlet_basis
-from kgsig.massfamily import MassInterval
+from kgsig.massfamily import MassInterval, bump_weight, make_family, spacetime_gram
 from kgsig.random_fields import random_datum
 from kgsig.signature import (
     apply_signature,
@@ -225,6 +225,38 @@ def test_reconstruction_converges_in_half_width():
     assert devs[0] / devs[1] > 2.5
 
 
+def unit_family_blocks(mass, basis, half_width, tol=1e-3):
+    """Reference route to the blocks: one spacetime Gram of the 2N unit-data
+    families (v_n, 0) and (0, v_n), of which only the diagonal 2x2 blocks
+    are read."""
+    weight = bump_weight(mass, half_width)
+    norm2 = weight.mass_moment(power=1, squared=True)
+    interval = MassInterval(0.5 * (mass - half_width), mass + 2.0 * half_width)
+    n, zero = basis.size, np.zeros(basis.size)
+    families = [
+        make_family(datum, basis, weight, interval)
+        for v in basis.synthesize(np.eye(n))
+        for datum in (CauchyDatum(phi=v, pi=zero), CauchyDatum(phi=zero, pi=v))
+    ]
+    gram, report = spacetime_gram(families, tol=tol * norm2 * 1e-2)
+    pairs = gram.reshape(n, 2, n, 2)[np.arange(n), :, np.arange(n), :] / norm2
+    return -np.array([[0.0, 1.0], [1.0, 0.0]]) @ pairs, report
+
+
+@pytest.mark.parametrize("half_width", [0.2, 0.05])
+def test_reconstruction_matches_unit_family_gram(half_width):
+    # per-mode kernels read directly give the unit-family blocks, with no
+    # cross-mode term: the pairings are real and diagonal
+    basis8 = dirichlet_basis(8, 10.0)
+    rec, report = signature_reconstruct(1.5, basis8, half_width)
+    ref, ref_report = unit_family_blocks(1.5, basis8, half_width)
+    assert np.abs(rec.blocks - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert report.convergence.final_t == ref_report.final_t
+    assert report.convergence.stages == ref_report.stages
+    assert report.hermiticity_defect == 0.0 and report.imag_defect == 0.0
+    assert np.all(rec.blocks[:, [0, 1], [0, 1]] == 0.0)
+
+
 def test_reconstruction_ignores_enclosing_interval():
     basis8 = dirichlet_basis(8, 10.0)
     rec_a, _ = signature_reconstruct(
@@ -241,5 +273,7 @@ def test_reconstruction_preconditions(basis):
         signature_reconstruct(0.1, basis, 0.2)
     with pytest.raises(ValueError, match="half-width too large"):
         signature_reconstruct(1.5, basis, 0.5)
+    with pytest.raises(ValueError, match="support outside I"):
+        signature_reconstruct(1.5, basis, 0.2, interval=MassInterval(1.4, 2.0))
     with pytest.raises(ValueError, match="nonnegative"):
         signature_analytic(-1.0, basis)
