@@ -33,7 +33,6 @@ _EXPORTS = {
     "kg_residual": "dynamics",
     "symplectic": "symplectic",
     "gm_form": "symplectic",
-    "gm_symplectic_side": "symplectic",
     "MassInterval": "massfamily",
     "MassWeight": "massfamily",
     "MassFamily": "massfamily",

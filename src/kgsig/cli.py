@@ -172,14 +172,14 @@ def cmd_evolve(config: ExperimentConfig):
     sig = signature_analytic(config.m, basis)
     rng = np.random.default_rng(config.seed)
     a, b = random_datum(rng, basis), random_datum(rng, basis)
-    ref_sym = symplectic(a, b, basis.grid)
+    ref_sym = symplectic(a, b)
     ref_norm = scalar_product(sig, a, a)
     rows = []
     worst_sym = worst_norm = 0.0
     for t in np.linspace(0.0, config.time, config.samples):
-        at = propagate(a, float(t), config.m, basis)
-        bt = propagate(b, float(t), config.m, basis)
-        sym_drift = abs(symplectic(at, bt, basis.grid) - ref_sym) / abs(ref_sym)
+        at = propagate(a, float(t), config.m)
+        bt = propagate(b, float(t), config.m)
+        sym_drift = abs(symplectic(at, bt) - ref_sym) / abs(ref_sym)
         norm_drift = abs(scalar_product(sig, at, at) - ref_norm) / abs(ref_norm)
         worst_sym = np.maximum(worst_sym, sym_drift)
         worst_norm = np.maximum(worst_norm, norm_drift)
@@ -239,7 +239,7 @@ def cmd_massdecomp(config: ExperimentConfig):
     weight = interval_weight(interval, config.mass_nodes)
     rng = np.random.default_rng(config.seed)
     families = [
-        make_family(random_datum(rng, basis), basis, weight, interval)
+        make_family(random_datum(rng, basis), weight, interval)
         for _ in range(config.families)
     ]
     gram, report = spacetime_gram(
@@ -338,7 +338,7 @@ def cmd_state(config: ExperimentConfig):
     im_worst = ccr_worst = 0.0
     for k in range(0, 6, 2):
         w_fg, w_gf = pair[k, k + 1], pair[k + 1, k]
-        sigma = symplectic(solved[k], solved[k + 1], basis.grid)  # sigma(G f, G g)
+        sigma = symplectic(solved[k], solved[k + 1])  # sigma(G f, G g)
         im_worst = np.maximum(im_worst, abs(w_fg.imag - 0.5 * sigma.real))
         anti = w_fg - w_gf - 1j * gm_form(fs[k], fs[k + 1], config.m)
         ccr_worst = np.maximum(ccr_worst, abs(anti))

@@ -1,7 +1,10 @@
 """Hamiltonian Klein-Gordon dynamics on the lattice.
 
 State variables are pairs Phi = (phi, pi) with pi = i * dphi/dt, evolving by
-i dPhi/dt = H Phi. Per spectral mode the propagator is the exact 2x2 rotation
+i dPhi/dt = H Phi. A `CauchyDatum` holds them as its (2, N) stack of sine-mode
+coefficients (phi_n, pi_n), so propagation and every per-mode 2x2 block act on
+it with no lattice transform. Per spectral mode the propagator is the exact
+2x2 rotation
 
     U_n(t) = [[cos(w t), -i sin(w t)/w], [-i w sin(w t), cos(w t)]],
 
@@ -10,10 +13,11 @@ error. The retarded and advanced Green's operators come from one Duhamel pass
 per source, `duhamel_modes`: one analysis and one cos/sin phase table feed a
 forward and a backward cumulative Simpson quadrature in mode space, where
 `green_residuals` also checks both fields, with no synthesize/analyze round
-trip. `causal_fundamental` gets the t = 0 data of their difference from
-full-window moments against an `oscillator_table` that sources on one window
-share. Real sources stay real. Every lattice/mode conversion is one
-`analyze`/`synthesize`.
+trip. `causal_fundamental` gets the t = 0 data of their difference, as mode
+coefficients, from full-window moments against an `oscillator_table` that
+sources on one window share. Spacetime sources and fields stay
+lattice-valued; real sources stay real, and each of their lattice/mode
+conversions is one `analyze`/`synthesize`.
 """
 
 from __future__ import annotations
@@ -29,58 +33,43 @@ DT_DEFAULT = 0.05
 
 @dataclass(frozen=True)
 class CauchyDatum:
-    """Instantaneous field data (phi, pi) on the lattice, pi = i*dphi/dt."""
+    """Instantaneous field data as mode coefficients: `modes` is the (2, N)
+    stack of (phi_n, pi_n) against `basis`, pi = i*dphi/dt."""
 
-    phi: np.ndarray
-    pi: np.ndarray
+    modes: np.ndarray
+    basis: SpectralBasis
 
     def __post_init__(self) -> None:
-        phi = np.asarray(self.phi, dtype=complex)
-        pi = np.asarray(self.pi, dtype=complex)
-        if phi.shape != pi.shape or phi.ndim != 1:
-            raise ValueError("phi and pi must be 1-d arrays of equal length")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "pi", pi)
+        modes = np.asarray(self.modes, dtype=complex)
+        if modes.shape != (2, self.basis.size):
+            raise ValueError("modes must have shape (2, basis.size)")
+        object.__setattr__(self, "modes", modes)
 
     def __add__(self, other: "CauchyDatum") -> "CauchyDatum":
-        return CauchyDatum(self.phi + other.phi, self.pi + other.pi)
+        if other.basis is not self.basis:
+            raise ValueError("data live on different bases")
+        return CauchyDatum(self.modes + other.modes, self.basis)
 
     def __mul__(self, c: complex) -> "CauchyDatum":
-        return CauchyDatum(c * self.phi, c * self.pi)
+        return CauchyDatum(c * self.modes, self.basis)
 
     __rmul__ = __mul__
 
 
-def mode_data(datum: CauchyDatum, basis: SpectralBasis) -> np.ndarray:
-    """Stack of mode coefficients, shape (2, N): rows are (phi_n, pi_n)."""
-    return basis.analyze(np.stack([datum.phi, datum.pi]))
-
-
-def datum_from_modes(coeffs: np.ndarray, basis: SpectralBasis) -> CauchyDatum:
-    """Inverse of mode_data: Cauchy datum from its (2, N) coefficient stack."""
-    phi, pi = basis.synthesize(coeffs)
-    return CauchyDatum(phi, pi)
-
-
-def apply_mode_blocks(
-    blocks: np.ndarray, datum: CauchyDatum, basis: SpectralBasis
-) -> CauchyDatum:
+def apply_mode_blocks(blocks: np.ndarray, datum: CauchyDatum) -> CauchyDatum:
     """Act with per-mode 2x2 blocks, shape (N, 2, 2), on (phi_n, pi_n)."""
-    coeffs = np.einsum("nij,jn->in", blocks, mode_data(datum, basis))
-    return datum_from_modes(coeffs, basis)
+    return CauchyDatum(np.einsum("nij,jn->in", blocks, datum.modes), datum.basis)
 
 
-def propagate(
-    datum: CauchyDatum, t: float, mass: float, basis: SpectralBasis
-) -> CauchyDatum:
+def propagate(datum: CauchyDatum, t: float, mass: float) -> CauchyDatum:
     """Evolve Cauchy data by the exact spectral propagator."""
-    w = omega(basis.eigenvalues, mass)  # rejects a zero mode
-    c = mode_data(datum, basis)
+    w = omega(datum.basis.eigenvalues, mass)  # rejects a zero mode
+    c = datum.modes
     cos, sin = np.cos(w * t), np.sin(w * t)
     out = np.empty_like(c)
     out[0] = cos * c[0] - 1j * (sin / w) * c[1]
     out[1] = -1j * (w * sin) * c[0] + cos * c[1]
-    return datum_from_modes(out, basis)
+    return CauchyDatum(out, datum.basis)
 
 
 def time_window(t_min: float, t_max: float, dt: float = DT_DEFAULT) -> np.ndarray:
@@ -244,7 +233,7 @@ def causal_fundamental(f: SpacetimeTestFunction, mass: float, table=None) -> Cau
     coeffs = f.mode_values()  # (J, N)
     sin_int = np.sum(sin_table * coeffs, axis=0)
     cos_int = np.sum(cos_table * coeffs, axis=0)
-    return datum_from_modes(np.stack([-sin_int / w, 1j * cos_int]), f.basis)
+    return CauchyDatum(np.stack([-sin_int / w, 1j * cos_int]), f.basis)
 
 
 def causal_field(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:

@@ -8,7 +8,10 @@ over mass against the measure m dm, and the physical inner product pairs
 p-images of families on one weight in L^2 over spacetime on [-T, T], with T
 doubled until the increment falls below tolerance. The pairing acts per mode:
 time-integrated kernels of the weight, eigenvalue and stage alone, which a
-Gram contracts once with the families' mode data.
+Gram contracts once with the (2, N) mode stacks of the families' base data.
+The doubling stops only once every mode has dephased over the window (T times
+its omega spread at least 2 pi): before that an increment is small only
+because its window is short.
 The pairing converges to the mass-integral side of the decomposition
 identity, which `mass_decomposition_pairing` evaluates directly.
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import CauchyDatum, mode_data
+from .dynamics import CauchyDatum
 from .lattice import SpectralBasis
 from .random_fields import bump
 
@@ -136,9 +139,12 @@ class MassFamily:
     """
 
     base: CauchyDatum
-    basis: SpectralBasis
     weight: MassWeight
     mass_power: int = 0
+
+    @property
+    def basis(self) -> SpectralBasis:
+        return self.base.basis
 
     @property
     def node_scale(self) -> np.ndarray:
@@ -154,15 +160,10 @@ def check_support(weight: MassWeight, interval: MassInterval) -> None:
 
 
 def make_family(
-    datum: CauchyDatum,
-    basis: SpectralBasis,
-    weight: MassWeight,
-    interval: MassInterval,
+    datum: CauchyDatum, weight: MassWeight, interval: MassInterval
 ) -> MassFamily:
-    if datum.phi.size != basis.size:
-        raise ValueError("datum does not live on the basis grid")
     check_support(weight, interval)
-    return MassFamily(base=datum, basis=basis, weight=weight)
+    return MassFamily(base=datum, weight=weight)
 
 
 def apply_T(family: MassFamily) -> MassFamily:
@@ -175,7 +176,7 @@ def integrate_p(family: MassFamily, t: float) -> np.ndarray:
     lam = family.basis.eigenvalues
     om = np.sqrt(lam[:, None] + family.weight.nodes[None, :] ** 2)
     u = family.weight.quad * family.weight.nodes * family.node_scale
-    coeffs = mode_data(family.base, family.basis)
+    coeffs = family.base.modes
     phase = om * t
     p_modes = (np.cos(phase) @ u) * coeffs[0] - 1j * ((np.sin(phase) / om) @ u) * coeffs[1]
     return family.basis.synthesize(p_modes)
@@ -203,11 +204,15 @@ class ConvergenceReport:
     records: tuple[StageRecord, ...]  # the doubling stages
 
 
+def _spread(weight: MassWeight, lam: np.ndarray) -> np.ndarray:
+    """Per-mode omega range sqrt(lam + hi^2) - sqrt(lam + lo^2) of the support."""
+    lo, hi = weight.center - weight.half_width, weight.center + weight.half_width
+    return np.sqrt(lam + hi**2) - np.sqrt(lam + lo**2)
+
+
 def _rule_nodes(weight: MassWeight, lam: np.ndarray, period: float) -> float:
     """Node count of the widest mode's rule (a float: inf on overflow)."""
-    lo, hi = weight.center - weight.half_width, weight.center + weight.half_width
-    spread = np.sqrt(lam + hi**2) - np.sqrt(lam + lo**2)
-    return float(np.ceil(spread.max() * period / (2 * np.pi))) + 1
+    return float(np.ceil(_spread(weight, lam).max() * period / (2 * np.pi))) + 1
 
 
 def _uniform_rule(
@@ -253,12 +258,14 @@ def adaptive_kernels(
     weight: MassWeight, lam: np.ndarray, powers: np.ndarray, contract, t_max, tol, t_ceiling
 ) -> tuple[np.ndarray, ConvergenceReport]:
     """`contract` of the [-T, T] kernels of `_uniform_rule`, T doubled from t_max
-    until the largest entry of a contracted increment is below tol (absolute).
-    A stage ending past t_ceiling or a rule above RULE_NODES_MAX raises
-    ConvergenceError before its rule is built. Stage [T, 2T] runs on the rule
-    of period RULE_PERIOD_RATIO * 2T; the result is one [-T, T] evaluation on
+    until the largest entry of a contracted increment is below tol (absolute)
+    at a T with T min_n spread_n >= 2 pi. A stage ending past t_ceiling or a
+    rule above RULE_NODES_MAX raises ConvergenceError before its rule is
+    built, a non-finite increment after. Stage [T, 2T] runs on the rule of
+    period RULE_PERIOD_RATIO * 2T; the result is one [-T, T] evaluation on
     the last rule (shorter periods would fold the slow tail back in)."""
     records: list[StageRecord] = []
+    narrowest = _spread(weight, lam).min()
     t_cur = t_max
     while True:
         started, t_hi = time.perf_counter(), 2 * t_cur
@@ -277,8 +284,11 @@ def adaptive_kernels(
         worst = float(np.abs(contract(rule(t_cur, t_hi))).max())
         elapsed = time.perf_counter() - started
         records.append(StageRecord(t_cur, t_hi, period, int(nodes), worst, elapsed))
+        if not np.isfinite(worst):
+            stall = f"non-finite increment in stage [{t_cur:g}, {t_hi:g}]"
+            break
         t_cur = t_hi
-        if worst < tol:
+        if worst < tol and t_cur * narrowest >= 2 * np.pi:  # every mode dephased
             return contract(rule(0.0, t_cur)), ConvergenceReport(
                 True, t_cur, worst, stages=len(records) + 1, records=tuple(records)
             )
@@ -318,7 +328,7 @@ def spacetime_gram(
             raise ValueError("families must share one spectral basis")
         if fam.weight is not weight:
             raise ValueError("families must share one mass weight")
-    modes = np.stack([mode_data(f.base, f.basis) for f in families])  # (F, 2, N)
+    modes = np.stack([f.base.modes for f in families])  # (F, 2, N)
     powers, row = np.unique([f.mass_power for f in families], return_inverse=True)
 
     def contract(g):
@@ -353,7 +363,7 @@ def mass_decomposition_pairing(fa: MassFamily, fb: MassFamily) -> complex:
         raise ValueError("families must share one mass weight")
     wq = fa.weight
     lam = fa.basis.eigenvalues
-    ca, cb = mode_data(fa.base, fa.basis), mode_data(fb.base, fb.basis)
+    ca, cb = fa.base.modes, fb.base.modes
     om = np.sqrt(lam[:, None] + wq.nodes[None, :] ** 2)
     per_mass = np.pi * (
         om.T @ (np.conj(ca[0]) * cb[0]) + (1.0 / om.T) @ (np.conj(ca[1]) * cb[1])

@@ -5,13 +5,14 @@ space. Spatial smoothness matters quantitatively: the Duhamel quadrature error
 per mode scales like (omega_n * dt)^4, so sources need decaying high-mode
 content for the stated dual-route tolerances to be meaningful. Real sources
 stay real: their values are float64, so every transform of them is a real one.
+Random Cauchy data are drawn directly as mode coefficients, with no transform.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import CauchyDatum, SpacetimeTestFunction, datum_from_modes
+from .dynamics import CauchyDatum, SpacetimeTestFunction
 from .lattice import SpectralBasis
 
 
@@ -33,7 +34,7 @@ def random_datum(rng: np.random.Generator, basis: SpectralBasis) -> CauchyDatum:
     """Cauchy datum with standard complex normal mode coefficients."""
     n = basis.size
     coeffs = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-    return datum_from_modes(coeffs, basis)
+    return CauchyDatum(coeffs, basis)
 
 
 def random_test_function(

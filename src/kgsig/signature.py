@@ -61,14 +61,16 @@ def signature_analytic(mass: float, basis: SpectralBasis) -> SignatureOperator:
 
 
 def apply_signature(sig: SignatureOperator, datum: CauchyDatum) -> CauchyDatum:
-    return apply_mode_blocks(sig.blocks, datum, sig.basis)
+    if datum.basis is not sig.basis:
+        raise ValueError("datum lives on a different basis")
+    return apply_mode_blocks(sig.blocks, datum)
 
 
 def scalar_product(
     sig: SignatureOperator, a: CauchyDatum, b: CauchyDatum
 ) -> complex:
     """<a|b> = i sigma(a, S b); positive definite for the analytic blocks."""
-    return 1j * symplectic(a, apply_signature(sig, b), sig.basis.grid)
+    return 1j * symplectic(a, apply_signature(sig, b))
 
 
 def assemble(sig: SignatureOperator) -> np.ndarray:
@@ -217,7 +219,7 @@ def riesz_consistency(
     """
     inv = riesz_inverse(sig)
     denom = scalar_product(sig, a, apply_signature(inv, b))
-    return symplectic(a, b, sig.basis.grid) / denom
+    return symplectic(a, b) / denom
 
 
 @dataclass(frozen=True)

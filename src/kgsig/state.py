@@ -45,7 +45,7 @@ def build_state(mass: float, basis: SpectralBasis) -> TwoPointEvaluator:
 
 
 def _project_hol(state: TwoPointEvaluator, datum: CauchyDatum) -> CauchyDatum:
-    return apply_mode_blocks(state.hol_blocks, datum, state.basis)
+    return apply_mode_blocks(state.hol_blocks, datum)
 
 
 def two_point_matrix(
@@ -71,13 +71,12 @@ def causal_data(
 def pair_matrix(state: TwoPointEvaluator, solved: list[CauchyDatum]) -> np.ndarray:
     """`two_point_matrix` from the causal data G f_i, one row at a time in the
     operand order of `symplectic`, so entries do not depend on the batch."""
-    basis, h = state.basis, state.basis.grid.spacing
-    modes = basis.analyze(np.array([(g.phi, g.pi) for g in solved]))  # (K, 2, N)
-    hol = basis.synthesize(np.einsum("nij,kjn->kin", state.hol_blocks, modes))  # chi_hol G f_j
+    modes = np.stack([g.modes for g in solved])  # (K, 2, N)
+    hol = np.einsum("nij,kjn->kin", state.hol_blocks, modes)  # chi_hol G f_j
     out = np.empty((len(solved), len(solved)), dtype=complex)
-    for row, g in zip(out, solved):
-        pairs = np.conj(g.pi) * hol[:, 0] + np.conj(g.phi) * hol[:, 1]
-        row[:] = 1j * (1j * h * np.sum(pairs, axis=-1))
+    for row, (phi, pi) in zip(out, modes):
+        pairs = np.conj(pi) * hol[:, 0] + np.conj(phi) * hol[:, 1]
+        row[:] = 1j * (1j * np.sum(pairs, axis=-1))
     return out
 
 

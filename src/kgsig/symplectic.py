@@ -1,11 +1,14 @@
 """Symplectic pairing of Cauchy data and the causal sesquilinear form.
 
-sigma(a, b) = i * h * sum_x [conj(a.pi) b.phi + conj(a.phi) b.pi]
+sigma(a, b) = i * h * sum_x [conj(pi_a) phi_b + conj(phi_a) pi_b]
+            = i * sum_n [conj(pi_a,n) phi_b,n + conj(phi_a,n) pi_b,n]
 
 is sesquilinear (conjugate-linear on the left) and skew in the sense
-sigma(a, b) = -conj(sigma(b, a)). The causal form pairs a source f against
-the causally propagated field of g and, in the continuum, coincides with the
-symplectic pairing of the two propagated solutions.
+sigma(a, b) = -conj(sigma(b, a)). The second form is Parseval for the
+h-orthonormal sine modes (h sum_x conj(u) v = sum_n conj(u_n) v_n), and it is
+the one evaluated, on the data's mode coefficients. The causal form pairs a
+source f against the causally propagated field of g and, in the continuum,
+coincides with the symplectic pairing of the two propagated solutions.
 """
 
 from __future__ import annotations
@@ -15,17 +18,16 @@ import numpy as np
 from .dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
-    causal_fundamental,
     duhamel_modes,
     simpson_weights,
 )
-from .lattice import SpatialGrid
 
 
-def symplectic(a: CauchyDatum, b: CauchyDatum, grid: SpatialGrid) -> complex:
-    if a.phi.size != grid.num_points or b.phi.size != grid.num_points:
-        raise ValueError("data do not live on this grid")
-    return 1j * grid.spacing * np.sum(np.conj(a.pi) * b.phi + np.conj(a.phi) * b.pi)
+def symplectic(a: CauchyDatum, b: CauchyDatum) -> complex:
+    if a.basis is not b.basis:
+        raise ValueError("data live on different bases")
+    (phi_a, pi_a), (phi_b, pi_b) = a.modes, b.modes
+    return 1j * np.sum(np.conj(pi_a) * phi_b + np.conj(phi_a) * pi_b)
 
 
 def gm_form(f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float) -> complex:
@@ -46,12 +48,3 @@ def gm_form(f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float) -> 
     _, ret, adv = duhamel_modes(g, mass)
     per_node = np.sum(np.conj(f.mode_values()) * (ret - adv), axis=1)
     return complex(np.sum(simpson_weights(f.times) * per_node))
-
-
-def gm_symplectic_side(
-    f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float
-) -> complex:
-    """sigma(G f, G g) evaluated on the t = 0 causal data."""
-    a = causal_fundamental(f, mass)
-    b = causal_fundamental(g, mass)
-    return symplectic(a, b, f.basis.grid)

@@ -1,5 +1,7 @@
 import pytest
 
+from kgsig.lattice import SpectralBasis
+
 _CRITERIA: list[str] = []
 
 
@@ -19,6 +21,22 @@ def criterion():
         assert ok, line
 
     return record
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """List of the (method name, operand) of every `SpectralBasis.analyze`
+    and `synthesize` call made while the test runs."""
+    calls: list[tuple[str, object]] = []
+    for name in ("analyze", "synthesize"):
+        original = getattr(SpectralBasis, name)
+
+        def counted(self, u, name=name, original=original):
+            calls.append((name, u))
+            return original(self, u)
+
+        monkeypatch.setattr(SpectralBasis, name, counted)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus):

@@ -471,3 +471,30 @@ def test_green_analyzes_each_source_once(tmp_path, monkeypatch):
     assert code == 0
     assert len(sources) == 2
     assert [id(u) for u in analyzed] == [id(f.values) for f in sources]
+
+
+@pytest.mark.parametrize("t_max", ["0.01", "1e-9"])
+def test_short_first_window_still_meets_the_identity(tmp_path, t_max):
+    # a stage over a short window has a tiny increment only because it is
+    # short; it must not end the doubling with a near-zero Gram
+    code, out = run(tmp_path, ["massdecomp"], f"[quadrature]\nt_max = {t_max}\n")
+    assert code == 0
+    results = read_summary(out, "massdecomp")["results"]
+    assert results["converged"] is True
+    assert results["max_relative_error"] <= 1e-8
+    assert results["final_t"] >= 100.0
+
+
+def test_non_finite_increment_exits_3(tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run(tmp_path, ["massdecomp"], "[quadrature]\nt_max = 1e-300\n")
+    assert code == 3
+    assert "non-finite increment in stage [1e-300, 2e-300]" in capsys.readouterr().err
+    assert not (out / "massdecomp_summary.json").exists()
+
+
+def test_evolve_makes_no_transform(tmp_path, transforms):
+    # the random data are drawn, propagated and paired as mode stacks
+    code, _ = run(tmp_path, ["evolve"], SMALL)
+    assert code == 0
+    assert transforms == []

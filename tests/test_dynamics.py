@@ -10,11 +10,9 @@ from kgsig.dynamics import (
     causal_field,
     causal_fundamental,
     cumulative_simpson_nodes,
-    datum_from_modes,
     duhamel_modes,
     green_residuals,
     kg_residual,
-    mode_data,
     propagate,
     retarded_green,
     simpson_weights,
@@ -22,6 +20,9 @@ from kgsig.dynamics import (
 )
 from kgsig.lattice import dirichlet_basis, laplacian, omega
 from kgsig.random_fields import bump_profile, random_datum, random_test_function
+from kgsig.signature import apply_signature, scalar_product, signature_analytic
+from kgsig.state import build_state, causal_data, pair_matrix
+from kgsig.symplectic import symplectic
 
 MASS = 1.0
 
@@ -42,10 +43,11 @@ def test_positive_frequency_mode_rotates(basis):
     n = 3
     w = omega(basis.eigenvalues[n], MASS)
     v = basis.vectors[:, n]
-    out = propagate(CauchyDatum(v, w * v), 0.7, MASS, basis)
+    out = propagate(CauchyDatum(basis.analyze(np.stack([v, w * v])), basis), 0.7, MASS)
+    phi, pi = basis.synthesize(out.modes)
     expected = np.exp(-1j * w * 0.7)
-    assert out.phi == pytest.approx(expected * v, abs=1e-13)
-    assert out.pi == pytest.approx(expected * w * v, abs=1e-13)
+    assert phi == pytest.approx(expected * v, abs=1e-13)
+    assert pi == pytest.approx(expected * w * v, abs=1e-13)
 
 
 def test_large_grid_never_builds_the_mode_table():
@@ -53,10 +55,38 @@ def test_large_grid_never_builds_the_mode_table():
     # nothing of size N^2 is allocated unless `vectors` is read.
     large = dirichlet_basis(1024, 10.0)
     datum = random_datum(np.random.default_rng(5), large)
-    out = propagate(datum, 0.7, MASS, large)
-    back = datum_from_modes(mode_data(out, large), large)
-    assert np.abs(back.phi - out.phi).max() <= 1e-13 * np.abs(out.phi).max()
+    out = propagate(datum, 0.7, MASS)
+    back = large.analyze(large.synthesize(out.modes))
+    assert np.abs(back - out.modes).max() <= 1e-13 * np.abs(out.modes).max()
     assert "vectors" not in large.__dict__
+
+
+def test_cauchy_data_stay_in_mode_space(basis, transforms):
+    # drawing, propagating, acting on and pairing Cauchy data, and pairing
+    # the causal data of sources, read only the (2, N) mode stacks
+    state, sig = build_state(MASS, basis), signature_analytic(MASS, basis)
+    rng = np.random.default_rng(14)
+    times = time_window(-3.0, 3.0, 0.05)
+    solved = causal_data(state, [random_test_function(rng, basis, times) for _ in range(3)])
+    del transforms[:]  # the sources' own analysis is not a datum's
+    a, b = random_datum(rng, basis), random_datum(rng, basis)
+    at = propagate(a, 0.7, MASS)
+    scalar_product(sig, apply_signature(sig, at), b)
+    symplectic(at, b)
+    pair_matrix(state, solved)
+    assert transforms == []
+
+
+def test_datum_shape_and_basis_checks(basis):
+    with pytest.raises(ValueError, match="shape"):
+        CauchyDatum(np.zeros((2, basis.size + 1)), basis)
+    with pytest.raises(ValueError, match="shape"):
+        CauchyDatum(np.zeros(basis.size), basis)
+    datum = random_datum(np.random.default_rng(15), basis)
+    assert (datum + datum).basis is basis and (2.0 * datum).basis is basis
+    twin = CauchyDatum(datum.modes, dirichlet_basis(16, 10.0))
+    with pytest.raises(ValueError, match="different bases"):
+        datum + twin
 
 
 def test_propagate_matches_matrix_exponential(basis):
@@ -68,18 +98,20 @@ def test_propagate_matches_matrix_exponential(basis):
     t = 1.3
     rng = np.random.default_rng(11)
     datum = random_datum(rng, basis)
-    ref = expm(-1j * t * ham) @ np.concatenate([datum.phi, datum.pi])
-    got = propagate(datum, t, MASS, basis)
-    assert np.concatenate([got.phi, got.pi]) == pytest.approx(ref, abs=1e-12)
+    ref = expm(-1j * t * ham) @ basis.synthesize(datum.modes).reshape(-1)
+    got = basis.synthesize(propagate(datum, t, MASS).modes).reshape(-1)
+    assert got == pytest.approx(ref, abs=1e-12)
 
 
 def test_propagate_group_property(basis):
     rng = np.random.default_rng(3)
     datum = random_datum(rng, basis)
-    one = propagate(propagate(datum, 0.4, MASS, basis), 1.1, MASS, basis)
-    two = propagate(datum, 1.5, MASS, basis)
-    assert one.phi == pytest.approx(two.phi, abs=1e-12)
-    assert one.pi == pytest.approx(two.pi, abs=1e-12)
+    one = propagate(propagate(datum, 0.4, MASS), 1.1, MASS)
+    two = propagate(datum, 1.5, MASS)
+    phi1, pi1 = basis.synthesize(one.modes)
+    phi2, pi2 = basis.synthesize(two.modes)
+    assert phi1 == pytest.approx(phi2, abs=1e-12)
+    assert pi1 == pytest.approx(pi2, abs=1e-12)
 
 
 def test_time_window_and_simpson_weights():
@@ -192,8 +224,8 @@ def test_causal_data_reproduce_causal_field(basis):
         field = causal_field(f, MASS)
         worst = 0.0
         for j in range(0, times.size, 7):
-            evolved = propagate(data, times[j], MASS, basis)
-            worst = max(worst, float(np.abs(evolved.phi - field.values[j]).max()))
+            phi = basis.synthesize(propagate(data, times[j], MASS).modes[0])
+            worst = max(worst, float(np.abs(phi - field.values[j]).max()))
         errs.append(worst)
     assert errs[0] < 5e-6
     assert errs[0] / errs[1] > 8.0
@@ -253,7 +285,7 @@ def test_real_sources_stay_real(basis):
         times=times, values=f.values.astype(complex), basis=basis
     )
     got, ref = causal_fundamental(f, MASS), causal_fundamental(as_complex, MASS)
-    for a, b in ((got.phi, ref.phi), (got.pi, ref.pi)):
+    for a, b in zip(basis.synthesize(got.modes), basis.synthesize(ref.modes)):
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kgsig import massfamily
-from kgsig.dynamics import CauchyDatum, mode_data, simpson_weights, time_window
+from kgsig.dynamics import CauchyDatum, simpson_weights, time_window
 from kgsig.lattice import dirichlet_basis
 from kgsig.massfamily import (
     ConvergenceError,
@@ -31,7 +31,7 @@ def rhs_pairing(fa, fb):
     """Mass-decomposition value: integral of scale_a scale_b <a|b>_m m dm."""
     wq = fa.weight
     lam = fa.basis.eigenvalues
-    ca, cb = mode_data(fa.base, fa.basis), mode_data(fb.base, fb.basis)
+    ca, cb = fa.base.modes, fb.base.modes
     om = np.sqrt(lam[:, None] + wq.nodes[None, :] ** 2)
     per_m = np.pi * (
         om.T @ (np.conj(ca[0]) * cb[0]) + (1.0 / om.T) @ (np.conj(ca[1]) * cb[1])
@@ -53,7 +53,7 @@ def uniform_p(family, period, t):
     m = np.sqrt(np.maximum(om**2 - lam, 0.0))
     u = step * om * wgt.profile(m) * m**family.mass_power
     cos_part, sin_part = (u * np.cos(om * t)).sum(1), (u * np.sin(om * t) / om).sum(1)
-    coeffs = mode_data(family.base, family.basis)
+    coeffs = family.base.modes
     return family.basis.synthesize(cos_part * coeffs[0] - 1j * sin_part * coeffs[1])
 
 
@@ -81,7 +81,7 @@ def stage_gram(families, t_lo, t_hi, period=None):
     powers, row = np.unique([f.mass_power for f in families], return_inverse=True)
     nodes = int(massfamily._rule_nodes(weight, lam, period))
     g = massfamily._uniform_rule(weight, lam, powers, period, nodes)(t_lo, t_hi)
-    modes = np.stack([mode_data(f.base, f.basis) for f in families])
+    modes = np.stack([f.base.modes for f in families])
     gram = np.zeros((len(families), len(families)), dtype=complex)
     for n in range(lam.size):
         for x in (0, 1):  # phi with g_cos, pi with g_sin
@@ -101,9 +101,9 @@ def mixed_families(request):
     rng = np.random.default_rng(13)
     weight = request.param
     return [
-        make_family(random_datum(rng, basis8), basis8, weight, INTERVAL),
-        make_family(random_datum(rng, basis8), basis8, weight, INTERVAL),
-        apply_T(make_family(random_datum(rng, basis8), basis8, weight, INTERVAL)),
+        make_family(random_datum(rng, basis8), weight, INTERVAL),
+        make_family(random_datum(rng, basis8), weight, INTERVAL),
+        apply_T(make_family(random_datum(rng, basis8), weight, INTERVAL)),
     ]
 
 
@@ -137,8 +137,8 @@ def test_make_family_validates_support(basis):
     rng = np.random.default_rng(0)
     datum = random_datum(rng, basis)
     with pytest.raises(ValueError, match="support outside I"):
-        make_family(datum, basis, bump_weight(1.9, 0.3, 32), INTERVAL)
-    fam = make_family(datum, basis, interval_weight(INTERVAL, 32), INTERVAL)
+        make_family(datum, bump_weight(1.9, 0.3, 32), INTERVAL)
+    fam = make_family(datum, interval_weight(INTERVAL, 32), INTERVAL)
     assert fam.mass_power == 0
     assert np.array_equal(fam.node_scale, fam.weight.values)
 
@@ -146,7 +146,7 @@ def test_make_family_validates_support(basis):
 def test_apply_T_scales_nodes(basis):
     rng = np.random.default_rng(1)
     fam = make_family(
-        random_datum(rng, basis), basis, interval_weight(INTERVAL, 32), INTERVAL
+        random_datum(rng, basis), interval_weight(INTERVAL, 32), INTERVAL
     )
     twice = apply_T(apply_T(fam))
     assert twice.mass_power == 2
@@ -161,8 +161,8 @@ def test_integrate_p_single_mode_oracle():
     basis8 = dirichlet_basis(8, 10.0)
     v = basis8.vectors[:, 2]
     assert basis8.eigenvalues[2] == pytest.approx(0.81, abs=1e-12)
-    datum = CauchyDatum(phi=(0.3 + 0.1j) * v, pi=(-0.2 + 0.4j) * v)
-    fam = make_family(datum, basis8, interval_weight(INTERVAL, 200), INTERVAL)
+    datum = CauchyDatum(basis8.analyze(np.stack([(0.3 + 0.1j) * v, (-0.2 + 0.4j) * v])), basis8)
+    fam = make_family(datum, interval_weight(INTERVAL, 200), INTERVAL)
     cos_int, sin_int = 0.10664898728246866, 0.17727872666041597
     expect = (cos_int * (0.3 + 0.1j) - 1j * sin_int * (-0.2 + 0.4j)) * v
     assert np.abs(integrate_p(fam, 0.7) - expect).max() < 1e-12
@@ -171,7 +171,7 @@ def test_integrate_p_single_mode_oracle():
 def test_integrate_p_decays(basis):
     rng = np.random.default_rng(7)
     fam = make_family(
-        random_datum(rng, basis), basis, interval_weight(INTERVAL, 200), INTERVAL
+        random_datum(rng, basis), interval_weight(INTERVAL, 200), INTERVAL
     )
     norms = [np.linalg.norm(integrate_p(fam, t)) for t in (0.0, 50.0, 200.0)]
     assert norms[1] < 0.03 * norms[0]
@@ -201,7 +201,7 @@ def increments(basis, weight, starts):
     of six random families."""
     rng = np.random.default_rng(17)
     fams = [
-        make_family(random_datum(rng, basis), basis, weight, INTERVAL) for _ in range(6)
+        make_family(random_datum(rng, basis), weight, INTERVAL) for _ in range(6)
     ]
     incs = [stage_gram(fams, t, 2 * t) for t in starts]
     return incs, stage_gram(fams, 0.0, 2 * starts[-1])
@@ -244,7 +244,7 @@ def test_gram_matches_mass_decomposition(basis):
     rng = np.random.default_rng(7)
     wgt = interval_weight(INTERVAL, 200)
     fams = [
-        make_family(random_datum(rng, basis), basis, wgt, INTERVAL) for _ in range(3)
+        make_family(random_datum(rng, basis), wgt, INTERVAL) for _ in range(3)
     ]
     gram, report = spacetime_gram(fams, t_max=200.0, tol=1e-6)
     assert report.converged
@@ -264,7 +264,7 @@ def test_narrow_gram_is_one_evaluation_on_the_final_rule(basis):
     rng = np.random.default_rng(7)
     wgt = bump_weight(1.5, 0.05)
     fams = [
-        make_family(random_datum(rng, basis), basis, wgt, INTERVAL) for _ in range(3)
+        make_family(random_datum(rng, basis), wgt, INTERVAL) for _ in range(3)
     ]
     gram, report = spacetime_gram(fams, tol=1e-11)
     assert report.converged and report.final_t >= 6400.0
@@ -277,11 +277,11 @@ def test_library_pairing_matches_local_oracle(basis):
 
     rng = np.random.default_rng(9)
     wgt = interval_weight(INTERVAL, 64)
-    a = make_family(random_datum(rng, basis), basis, wgt, INTERVAL)
-    b = make_family(random_datum(rng, basis), basis, wgt, INTERVAL)
+    a = make_family(random_datum(rng, basis), wgt, INTERVAL)
+    b = make_family(random_datum(rng, basis), wgt, INTERVAL)
     lib, local = mass_decomposition_pairing(a, b), rhs_pairing(a, b)
     assert abs(lib - local) < 1e-13 * abs(local)
-    other = make_family(a.base, basis, interval_weight(INTERVAL, 32), INTERVAL)
+    other = make_family(a.base, interval_weight(INTERVAL, 32), INTERVAL)
     with pytest.raises(ValueError, match="share one mass weight"):
         mass_decomposition_pairing(a, other)
 
@@ -289,8 +289,8 @@ def test_library_pairing_matches_local_oracle(basis):
 def test_mass_operator_is_symmetric_for_pairing(basis):
     rng = np.random.default_rng(11)
     wgt = interval_weight(INTERVAL, 200)
-    a = make_family(random_datum(rng, basis), basis, wgt, INTERVAL)
-    b = make_family(random_datum(rng, basis), basis, wgt, INTERVAL)
+    a = make_family(random_datum(rng, basis), wgt, INTERVAL)
+    b = make_family(random_datum(rng, basis), wgt, INTERVAL)
     lhs, _ = spacetime_inner(apply_T(a), b)
     rhs, _ = spacetime_inner(a, apply_T(b))
     assert abs(lhs - rhs) < 1e-10 * abs(lhs)
@@ -303,7 +303,7 @@ def test_narrow_weight_localizes_pairing():
     basis8 = dirichlet_basis(8, 10.0)
     rng = np.random.default_rng(3)
     da, db = random_datum(rng, basis8), random_datum(rng, basis8)
-    ca, cb = mode_data(da, basis8), mode_data(db, basis8)
+    ca, cb = da.modes, db.modes
     m0 = 1.5
     om0 = np.sqrt(basis8.eigenvalues + m0**2)
     target = np.pi * np.sum(
@@ -312,8 +312,8 @@ def test_narrow_weight_localizes_pairing():
     errs = []
     for hw in (0.2, 0.1):
         wgt = bump_weight(m0, hw, 200)
-        fa = make_family(da, basis8, wgt, INTERVAL)
-        fb = make_family(db, basis8, wgt, INTERVAL)
+        fa = make_family(da, wgt, INTERVAL)
+        fb = make_family(db, wgt, INTERVAL)
         val, report = spacetime_inner(fa, fb, tol=1e-8)
         assert report.converged
         approx = val / wgt.mass_moment(power=1, squared=True)
@@ -326,11 +326,11 @@ def test_gram_requires_shared_basis(basis):
     rng = np.random.default_rng(0)
     other = dirichlet_basis(16, 10.0)
     wgt = interval_weight(INTERVAL, 32)
-    fam_a = make_family(random_datum(rng, basis), basis, wgt, INTERVAL)
-    fam_b = make_family(random_datum(rng, other), other, wgt, INTERVAL)
+    fam_a = make_family(random_datum(rng, basis), wgt, INTERVAL)
+    fam_b = make_family(random_datum(rng, other), wgt, INTERVAL)
     with pytest.raises(ValueError, match="share one spectral basis"):
         spacetime_gram([fam_a, fam_b])
-    fam_c = make_family(fam_a.base, basis, interval_weight(INTERVAL, 32), INTERVAL)
+    fam_c = make_family(fam_a.base, interval_weight(INTERVAL, 32), INTERVAL)
     with pytest.raises(ValueError, match="share one mass weight"):
         spacetime_gram([fam_a, fam_c])
     with pytest.raises(ValueError, match="no families"):
@@ -340,7 +340,7 @@ def test_gram_requires_shared_basis(basis):
 def test_ceiling_raises_convergence_error(basis):
     rng = np.random.default_rng(5)
     fam = make_family(
-        random_datum(rng, basis), basis, interval_weight(INTERVAL, 200), INTERVAL
+        random_datum(rng, basis), interval_weight(INTERVAL, 200), INTERVAL
     )
     with pytest.raises(ConvergenceError, match="did not converge"):
         spacetime_gram([fam], t_max=200.0, tol=1e-30, t_ceiling=400.0)
@@ -354,8 +354,40 @@ def test_first_stage_past_ceiling_raises(basis, monkeypatch):
 
     rng = np.random.default_rng(5)
     fam = make_family(
-        random_datum(rng, basis), basis, interval_weight(INTERVAL, 200), INTERVAL
+        random_datum(rng, basis), interval_weight(INTERVAL, 200), INTERVAL
     )
     monkeypatch.setattr(massfamily, "_uniform_rule", no_rule)
     with pytest.raises(ConvergenceError, match="did not converge by T = 1000"):
         spacetime_gram([fam], t_max=1000.0, t_ceiling=500.0)
+
+
+@pytest.mark.parametrize("t_max", [0.01, 1e-9])
+def test_short_first_window_does_not_end_the_doubling(basis, t_max):
+    # the increment of a short stage is small only because the stage is: the
+    # doubling may stop only once every mode has dephased over the window
+    rng = np.random.default_rng(7)
+    wgt = interval_weight(INTERVAL, 200)
+    fams = [make_family(random_datum(rng, basis), wgt, INTERVAL) for _ in range(3)]
+    gram, report = spacetime_gram(fams, t_max=t_max, tol=1e-6)
+    rhs = np.array([[rhs_pairing(a, b) for b in fams] for a in fams])
+    assert report.converged
+    assert np.abs(gram - rhs).max() <= 1e-8 * np.abs(rhs).max()
+    spread = massfamily._spread(wgt, basis.eigenvalues)
+    assert report.final_t * spread.min() >= 2 * np.pi
+
+
+def test_non_finite_increment_raises_naming_the_stage(basis):
+    # at t_max = 1e-300 the rule step overflows and the increment is NaN
+    fam = make_family(
+        random_datum(np.random.default_rng(5), basis), interval_weight(INTERVAL, 32), INTERVAL
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match=r"non-finite increment in stage \[1e-300, 2e-300\]"):
+            spacetime_gram([fam], t_max=1e-300)
+
+
+def test_family_basis_is_its_base_datum_basis(basis):
+    datum = random_datum(np.random.default_rng(2), basis)
+    fam = make_family(datum, interval_weight(INTERVAL, 32), INTERVAL)
+    assert fam.basis is datum.basis is basis
+    assert apply_T(fam).basis is basis

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kgsig.dynamics import CauchyDatum, datum_from_modes, mode_data, propagate
+from kgsig.dynamics import CauchyDatum, propagate
 from kgsig.lattice import build_grid, dirichlet_basis
 from kgsig.massfamily import MassInterval, bump_weight, make_family, spacetime_gram
 from kgsig.random_fields import random_datum
@@ -44,17 +44,19 @@ def test_block_action_at_unit_frequency(basis):
     mass = float(np.sqrt(1.0 - basis.eigenvalues[0]))
     sig1 = signature_analytic(mass, basis)
     v = basis.vectors[:, 0].astype(complex)
-    out = apply_signature(sig1, CauchyDatum(phi=v, pi=np.zeros_like(v)))
-    assert np.abs(out.phi).max() < 1e-14
-    assert np.abs(out.pi + np.pi * basis.vectors[:, 0]).max() < 1e-13
+    datum = CauchyDatum(basis.analyze(np.stack([v, np.zeros_like(v)])), basis)
+    phi, pi = basis.synthesize(apply_signature(sig1, datum).modes)
+    assert np.abs(phi).max() < 1e-14
+    assert np.abs(pi + np.pi * basis.vectors[:, 0]).max() < 1e-13
 
 
 def test_blocks_square_to_pi_squared(sig):
     rng = np.random.default_rng(1)
     a = random_datum(rng, sig.basis)
     twice = apply_signature(sig, apply_signature(sig, a))
-    assert np.abs(twice.phi - np.pi**2 * a.phi).max() < 1e-12
-    assert np.abs(twice.pi - np.pi**2 * a.pi).max() < 1e-12
+    (phi2, pi2), (phi, pi) = sig.basis.synthesize(twice.modes), sig.basis.synthesize(a.modes)
+    assert np.abs(phi2 - np.pi**2 * phi).max() < 1e-12
+    assert np.abs(pi2 - np.pi**2 * pi).max() < 1e-12
 
 
 def test_spectrum_is_plus_minus_pi(sig):
@@ -82,7 +84,7 @@ def test_scalar_product_values_and_symmetry(sig):
     n = sig.basis.size
     coeffs = np.zeros((2, n), dtype=complex)
     coeffs[:, 3] = (1.0, om[3])
-    datum = datum_from_modes(coeffs, sig.basis)
+    datum = CauchyDatum(coeffs, sig.basis)
     assert scalar_product(sig, datum, datum) == pytest.approx(2 * np.pi * om[3])
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -94,32 +96,33 @@ def test_scalar_product_values_and_symmetry(sig):
 
 
 def test_scalar_product_rejects_grid_mismatch(sig):
-    other = dirichlet_basis(8, 10.0)
     rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        scalar_product(sig, random_datum(rng, other), random_datum(rng, other))
+    for other in (dirichlet_basis(8, 10.0), dirichlet_basis(16, 10.0)):
+        with pytest.raises(ValueError, match="different basis"):
+            scalar_product(sig, random_datum(rng, other), random_datum(rng, other))
 
 
 def test_signature_commutes_with_propagation(sig):
     rng = np.random.default_rng(4)
     a = random_datum(rng, sig.basis)
     for t in (0.5, 10.0, 100.0):
-        lhs = apply_signature(sig, propagate(a, t, sig.mass, sig.basis))
-        rhs = propagate(apply_signature(sig, a), t, sig.mass, sig.basis)
-        assert np.abs(lhs.phi - rhs.phi).max() < 1e-11
-        assert np.abs(lhs.pi - rhs.pi).max() < 1e-11
+        lhs = apply_signature(sig, propagate(a, t, sig.mass))
+        rhs = propagate(apply_signature(sig, a), t, sig.mass)
+        (phi_l, pi_l), (phi_r, pi_r) = sig.basis.synthesize(np.stack([lhs.modes, rhs.modes]))
+        assert np.abs(phi_l - phi_r).max() < 1e-11
+        assert np.abs(pi_l - pi_r).max() < 1e-11
 
 
 def test_norm_and_symplectic_conserved_under_flow(sig):
     rng = np.random.default_rng(5)
     a, b = random_datum(rng, sig.basis), random_datum(rng, sig.basis)
     ref_norm = scalar_product(sig, a, a)
-    ref_sym = symplectic(a, b, sig.basis.grid)
+    ref_sym = symplectic(a, b)
     for t in (1.0, 50.0, 100.0):
-        at = propagate(a, t, sig.mass, sig.basis)
-        bt = propagate(b, t, sig.mass, sig.basis)
+        at = propagate(a, t, sig.mass)
+        bt = propagate(b, t, sig.mass)
         assert abs(scalar_product(sig, at, at) - ref_norm) < 1e-11 * abs(ref_norm)
-        assert abs(symplectic(at, bt, sig.basis.grid) - ref_sym) < 1e-11 * abs(ref_sym)
+        assert abs(symplectic(at, bt) - ref_sym) < 1e-11 * abs(ref_sym)
 
 
 def test_complex_structure_squares_to_minus_one(sig):
@@ -131,7 +134,7 @@ def test_complex_structure_squares_to_minus_one(sig):
     assert np.abs(j[5] @ vec + 1j * vec).max() < 1e-12
     rng = np.random.default_rng(6)
     a = random_datum(rng, sig.basis)
-    ja = datum_from_modes(np.einsum("nij,jn->in", j, mode_data(a, sig.basis)), sig.basis)
+    ja = CauchyDatum(np.einsum("nij,jn->in", j, a.modes), sig.basis)
     na, nja = scalar_product(sig, a, a), scalar_product(sig, ja, ja)
     assert abs(na - nja) < 1e-12 * abs(na)
 
@@ -234,9 +237,9 @@ def unit_family_blocks(mass, basis, half_width, tol=1e-3):
     interval = MassInterval(0.5 * (mass - half_width), mass + 2.0 * half_width)
     n, zero = basis.size, np.zeros(basis.size)
     families = [
-        make_family(datum, basis, weight, interval)
-        for v in basis.synthesize(np.eye(n))
-        for datum in (CauchyDatum(phi=v, pi=zero), CauchyDatum(phi=zero, pi=v))
+        make_family(CauchyDatum(modes, basis), weight, interval)
+        for e in np.eye(n)
+        for modes in ((e, zero), (zero, e))
     ]
     gram, report = spacetime_gram(families, tol=tol * norm2 * 1e-2)
     pairs = gram.reshape(n, 2, n, 2)[np.arange(n), :, np.arange(n), :] / norm2

@@ -5,14 +5,15 @@ from kgsig.dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
     causal_field,
+    causal_fundamental,
     propagate,
     retarded_green,
     simpson_weights,
     time_window,
 )
-from kgsig.lattice import SpectralBasis, build_grid, dirichlet_basis, omega
+from kgsig.lattice import SINE_FFT_MIN_POINTS, SpectralBasis, dirichlet_basis, omega
 from kgsig.random_fields import random_datum, random_test_function
-from kgsig.symplectic import gm_form, gm_symplectic_side, symplectic
+from kgsig.symplectic import gm_form, symplectic
 
 MASS = 1.0
 
@@ -27,42 +28,56 @@ def test_positive_frequency_diagonal_value(basis):
     n = 4
     w = omega(basis.eigenvalues[n], MASS)
     v = basis.vectors[:, n]
-    datum = CauchyDatum(v, w * v)
-    assert symplectic(datum, datum, basis.grid) == pytest.approx(2j * w, abs=1e-12)
+    datum = CauchyDatum(basis.analyze(np.stack([v, w * v])), basis)
+    assert symplectic(datum, datum) == pytest.approx(2j * w, abs=1e-12)
 
 
 def test_sesquilinear_and_skew(basis):
     rng = np.random.default_rng(21)
     a, b, c = (random_datum(rng, basis) for _ in range(3))
     al, be = 0.3 - 1.1j, -0.7 + 0.2j
-    lin = symplectic(a, al * b + be * c, basis.grid)
+    lin = symplectic(a, al * b + be * c)
     assert lin == pytest.approx(
-        al * symplectic(a, b, basis.grid) + be * symplectic(a, c, basis.grid),
+        al * symplectic(a, b) + be * symplectic(a, c),
         rel=1e-12,
     )
-    left = symplectic(al * a, b, basis.grid)
-    assert left == pytest.approx(np.conj(al) * symplectic(a, b, basis.grid), rel=1e-12)
-    assert symplectic(a, b, basis.grid) == pytest.approx(
-        -np.conj(symplectic(b, a, basis.grid)), rel=1e-12
-    )
+    left = symplectic(al * a, b)
+    assert left == pytest.approx(np.conj(al) * symplectic(a, b), rel=1e-12)
+    assert symplectic(a, b) == pytest.approx(-np.conj(symplectic(b, a)), rel=1e-12)
 
 
-def test_grid_mismatch_rejected(basis):
-    other = build_grid(8, 10.0)
+def test_basis_mismatch_rejected(basis):
+    # another size, then equal parameters on a distinct object: by identity
     rng = np.random.default_rng(1)
     a = random_datum(rng, basis)
-    with pytest.raises(ValueError):
-        symplectic(a, a, other)
+    for other in (dirichlet_basis(8, 10.0), dirichlet_basis(16, 10.0)):
+        b = random_datum(rng, other)
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="different bases"):
+                symplectic(*pair)
+
+
+@pytest.mark.parametrize("n", [16, 768])
+def test_mode_space_form_equals_the_lattice_sum(n):
+    # Parseval against i h sum_x [conj(pi_a) phi_b + conj(phi_a) pi_b];
+    # n = 16 runs the sine table, n = 768 the FFT
+    assert (n >= SINE_FFT_MIN_POINTS) == (n == 768)
+    basis = dirichlet_basis(n, 10.0)
+    rng = np.random.default_rng(34)
+    a, b = random_datum(rng, basis), random_datum(rng, basis)
+    (phi_a, pi_a), (phi_b, pi_b) = basis.synthesize(a.modes), basis.synthesize(b.modes)
+    lattice = 1j * basis.grid.spacing * np.sum(np.conj(pi_a) * phi_b + np.conj(phi_a) * pi_b)
+    assert abs(symplectic(a, b) - lattice) <= 1e-13 * abs(lattice)
 
 
 def test_invariance_under_propagation(basis):
     rng = np.random.default_rng(33)
     a, b = random_datum(rng, basis), random_datum(rng, basis)
-    ref = symplectic(a, b, basis.grid)
+    ref = symplectic(a, b)
     for t in (0.5, 7.0, 31.0):
-        at = propagate(a, t, MASS, basis)
-        bt = propagate(b, t, MASS, basis)
-        assert symplectic(at, bt, basis.grid) == pytest.approx(ref, rel=1e-12)
+        at = propagate(a, t, MASS)
+        bt = propagate(b, t, MASS)
+        assert symplectic(at, bt) == pytest.approx(ref, rel=1e-12)
 
 
 def test_causal_form_equals_symplectic_of_causal_data(basis):
@@ -74,7 +89,7 @@ def test_causal_form_equals_symplectic_of_causal_data(basis):
         f = random_test_function(rng, basis, times)
         g = random_test_function(rng, basis, times)
         lhs = gm_form(f, g, MASS)
-        rhs = gm_symplectic_side(f, g, MASS)
+        rhs = symplectic(causal_fundamental(f, MASS), causal_fundamental(g, MASS))
         residuals.append(abs(lhs - rhs))
         magnitudes.append(abs(lhs))
     assert residuals[0] <= 1e-6 * max(1.0, magnitudes[0])
@@ -82,7 +97,7 @@ def test_causal_form_equals_symplectic_of_causal_data(basis):
 
 
 def test_both_causal_sides_take_sources_on_equal_but_distinct_objects(basis):
-    # neither side asks for one basis object or one times array
+    # gm_form asks for neither one basis object nor one times array
     times = time_window(-3.0, 3.0, 0.05)
     rng = np.random.default_rng(5)
     f = random_test_function(rng, basis, times)
@@ -91,7 +106,6 @@ def test_both_causal_sides_take_sources_on_equal_but_distinct_objects(basis):
     twin = SpacetimeTestFunction(times=times.copy(), values=g.values, basis=twin_basis)
     assert twin.basis is not g.basis and twin.times is not g.times
     assert gm_form(f, twin, MASS) == gm_form(f, g, MASS)
-    assert gm_symplectic_side(f, twin, MASS) == gm_symplectic_side(f, g, MASS)
 
 
 def test_causal_form_in_mode_space_equals_the_lattice_sum(basis):
