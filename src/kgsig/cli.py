@@ -289,7 +289,6 @@ def cmd_reconstruct(config: ExperimentConfig):
             hw,
             tol=config.tol,
             interval=interval,
-            num_nodes=config.mass_nodes,
             t_max=config.t_max,
             t_ceiling=config.t_ceiling,
         )
@@ -434,19 +433,22 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key = value config file")
-    common.add_argument("--out", metavar="DIR", default="results", help="output directory")
-    common.add_argument("--seed", type=int, help="override the run seed")
-    common.add_argument("--tol", type=float, help="override the tolerance")
-    common.add_argument("--quiet", action="store_true", help="suppress progress output")
+    """One flat parser: the command is a positional, options go before or
+    after it."""
     parser = argparse.ArgumentParser(
         prog="kgsig",
         description="signature-operator experiments on lattice Klein-Gordon fields",
+        epilog="commands:\n" + "\n".join(f"  {k:<12} {v}" for k, v in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in _COMMANDS.items():
-        sub.add_parser(name, help=text, parents=[common])
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
+    )
+    parser.add_argument("--config", metavar="PATH", help="key = value config file")
+    parser.add_argument("--out", metavar="DIR", default="results", help="output directory")
+    parser.add_argument("--seed", type=int, help="override the run seed")
+    parser.add_argument("--tol", type=float, help="override the tolerance")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
 

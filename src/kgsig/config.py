@@ -24,7 +24,8 @@ class ConfigError(ValueError):
 
 BLOCK_TOL_DEFAULT = 1e-3  # reconstruct's block tolerance unless --tol is given
 # Gauss-Legendre rules come from a dense num_nodes^2 eigenproblem: at this cap
-# one rule takes 32 MB and about a second
+# one rule takes 32 MB and about a second. Only massdecomp builds one (and the
+# library's integrate_p); reconstruct reads no rule
 MASS_NODES_MAX = 2000
 # time nodes x grid points of one spacetime array: 64 MiB of complex values
 SPACETIME_SAMPLES_MAX = 1 << 22
@@ -165,6 +166,14 @@ def validate_config(
         if config.t_ceiling < 2.0 * config.t_max:  # where the first stage ends
             raise ConfigError(
                 f"t_ceiling = {config.t_ceiling:g} is below 2 * t_max = {2.0 * config.t_max:g}"
+            )
+        # the first stage's mass rule has omega step 2 pi / (ratio * 2 t_max),
+        # and the rule squares it
+        step = 2.0 * math.pi / (massfamily.RULE_PERIOD_RATIO * 2.0 * config.t_max)
+        if math.isinf(step * step):
+            raise ConfigError(
+                f"t_max = {config.t_max:g} too small: the first mass rule's omega "
+                f"step {step:g} overflows when squared"
             )
     if command == "masslimit":
         # (4 / h^2) eps > share * m_min^2, multiplied through by h^2

@@ -17,22 +17,26 @@ identity, which `mass_decomposition_pairing` evaluates directly.
 
 Two quadrature choices matter and are deliberate:
 
-* The weight's Gauss-Legendre nodes, used by `integrate_p`, the normalization
-  and `mass_decomposition_pairing`, live on its support. The integrand
-  vanishes identically outside the support, so this equals the integral over
-  any enclosing mass interval, and it is the only placement that stays
-  accurate when the weight is a narrow localization bump.
+* The weight's Gauss-Legendre nodes, used by `integrate_p` and
+  `mass_decomposition_pairing` and built on first read, live on its support.
+  The integrand vanishes identically outside the support, so this equals the
+  integral over any enclosing mass interval, and it is the only placement
+  that stays accurate when the weight is a narrow localization bump. The
+  reconstruction normalization int w^2 m dm needs no nodes: it has a closed
+  form (`signature.signature_reconstruct`).
 * The spacetime kernels take the mass integral per mode on a uniform omega
   grid of spacing 2 pi / P (m dm = omega d omega): for the bump this
   trapezoid rule converges faster than any power, its time kernels depend
   only on q -+ q', and its sum is P-periodic in t, so a rule serves times up
-  to P / RULE_PERIOD_RATIO, where the aliased copies are negligible.
+  to P / RULE_PERIOD_RATIO, where the aliased copies are negligible. Its
+  FFTs run at the next 5-smooth length, never at a prime one.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -92,15 +96,34 @@ class MassInterval:
 class MassWeight:
     """Smooth bump on [center - half_width, center + half_width].
 
-    Carries its own Gauss-Legendre rule on the support; `values` are the
-    bump samples at the nodes.
+    Carries a num_nodes-point Gauss-Legendre rule on its support, built on
+    first read: `nodes`, their weights `quad`, and the bump samples `values`
+    there.
     """
 
     center: float
     half_width: float
-    nodes: np.ndarray
-    quad: np.ndarray
-    values: np.ndarray
+    num_nodes: int = MASS_NODES_DEFAULT
+
+    def __post_init__(self) -> None:
+        if not self.half_width > 0.0 or self.num_nodes < 2:
+            raise ValueError("weight needs positive half_width and >= 2 nodes")
+
+    @cached_property
+    def _legendre(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.polynomial.legendre.leggauss(self.num_nodes)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return self.center + self.half_width * self._legendre[0]
+
+    @cached_property
+    def quad(self) -> np.ndarray:
+        return self.half_width * self._legendre[1]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return bump(self._legendre[0])
 
     def profile(self, m: np.ndarray) -> np.ndarray:
         return bump((np.asarray(m, dtype=float) - self.center) / self.half_width)
@@ -115,11 +138,8 @@ def bump_weight(
     center: float, half_width: float, num_nodes: int = MASS_NODES_DEFAULT
 ) -> MassWeight:
     """Bump on [center - half_width, center + half_width] with a num_nodes-point
-    Gauss-Legendre rule."""
-    if not half_width > 0.0 or num_nodes < 2:
-        raise ValueError("weight needs positive half_width and >= 2 nodes")
-    x, w = np.polynomial.legendre.leggauss(num_nodes)
-    return MassWeight(center, half_width, center + half_width * x, half_width * w, bump(x))
+    Gauss-Legendre rule (built on first read)."""
+    return MassWeight(center, half_width, num_nodes)
 
 
 def interval_weight(
@@ -215,6 +235,20 @@ def _rule_nodes(weight: MassWeight, lam: np.ndarray, period: float) -> float:
     return float(np.ceil(_spread(weight, lam).max() * period / (2 * np.pi))) + 1
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= n: an FFT length that
+    numpy.fft never sends through Bluestein's algorithm."""
+    best = 1 << (n - 1).bit_length()  # the next power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _uniform_rule(
     weight: MassWeight, lam: np.ndarray, powers: np.ndarray, period: float, nodes: int
 ):
@@ -228,18 +262,24 @@ def _uniform_rule(
     With the `nodes` w_q = w_lo + q step and u_kq = step w_q w(m_q) m_q^k per
     mass power k (w = 0 past the support), K(d step) meets the node
     correlations and K(2 w_lo + s step) the node convolutions, both built
-    here once by FFT.
+    here once by FFT. The FFTs run at the 5-smooth length L >= 2 nodes - 1:
+    linear correlations and convolutions of length-`nodes` vectors fit in
+    any such L, so the padding is exact.
     """
     step, size, lo = 2 * np.pi / period, 2 * nodes - 1, weight.center - weight.half_width
+    length = _fast_len(size)
     om_lo = np.sqrt(lam + lo**2)[:, None]
     dw = step * np.arange(nodes)  # omega - omega_lo
     m = np.sqrt(lo**2 + dw * (2 * om_lo + dw))  # sqrt(omega^2 - lambda), no cancellation
     u = (step * (om_lo + dw) * weight.profile(m))[:, None] * m[:, None] ** powers[:, None]
-    spec = np.fft.rfft(np.stack([u, u / (om_lo + dw)[:, None]]), size)  # cos, sin parts
+    spec = np.fft.rfft(np.stack([u, u / (om_lo + dw)[:, None]]), length)  # cos, sin parts
     a, b = spec[..., :, None, :], spec[..., None, :, :]
-    corr = np.fft.irfft(a * b.conj(), size)  # lag d at index d mod size
+    # lag d at index d mod length: lags 0 .. nodes - 1, then 1 - nodes .. -1
+    corr = np.fft.irfft(a * b.conj(), length)
+    corr = np.concatenate([corr[..., :nodes], corr[..., length - nodes + 1 :]], axis=-1)
     # the far kernel enters the sin sin part with a minus sign
-    conv = np.fft.irfft(a * b, size) * np.array([1.0, -1.0])[:, None, None, None, None]
+    sign = np.array([1.0, -1.0])[:, None, None, None, None]
+    conv = np.fft.irfft(a * b, length)[..., :size] * sign
 
     def stage(t_lo: float, t_hi: float) -> np.ndarray:
         def kernel(x):

@@ -21,7 +21,6 @@ import numpy as np
 from .dynamics import CauchyDatum, apply_mode_blocks
 from .lattice import SpectralBasis, omega
 from .massfamily import (
-    MASS_NODES_DEFAULT,
     T_CEILING_DEFAULT,
     T_MAX_DEFAULT,
     ConvergenceReport,
@@ -33,6 +32,8 @@ from .massfamily import (
 from .symplectic import symplectic
 
 _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
+# int_{-1}^{1} bump(x)^2 dx = 2 e^-1 (K_1(1) - K_0(1)); see signature_reconstruct
+BUMP_SQUARED_INTEGRAL = 0.13308612084499427
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,6 @@ def signature_reconstruct(
     half_width: float,
     tol: float = 1e-3,
     interval: MassInterval | None = None,
-    num_nodes: int = MASS_NODES_DEFAULT,
     t_max: float = T_MAX_DEFAULT,
     t_ceiling: float = T_CEILING_DEFAULT,
 ) -> tuple[SignatureOperator, ReconstructionReport]:
@@ -250,6 +250,17 @@ def signature_reconstruct(
     once the adaptive time window has converged; the internal window
     tolerance is scaled below the requested block tolerance so truncation
     stays subdominant to localization.
+
+    The normalization needs no mass rule. With m' = mass + half_width x and
+    w(m') = b(x), b the bump,
+    int w^2 m' dm' = half_width int b(x)^2 (mass + half_width x) dx; the odd
+    part drops, leaving mass * half_width * I, I = int_{-1}^{1}
+    exp(-2 / (1 - x^2)) dx. In F(a) = int_{-1}^{1} exp(-a / (1 - x^2)) dx
+    put x = tanh u: 1 / (1 - x^2) = cosh^2 u = (1 + cosh 2u) / 2, so
+    F'(a) = -e^{-a/2} K_0(a/2). Since z e^{-z} (K_1(z) - K_0(z)) has
+    derivative -e^{-z} K_0(z) and F vanishes as a grows,
+    F(a) = a e^{-a/2} (K_1 - K_0)(a/2), and I = F(2) = 2 e^-1 (K_1(1) - K_0(1))
+    = BUMP_SQUARED_INTEGRAL.
     """
     if not mass - half_width > 0.0:
         raise ValueError("weight support must stay at positive mass")
@@ -257,9 +268,9 @@ def signature_reconstruct(
         raise ValueError("half-width too large for the requested tolerance")
     if interval is None:
         interval = MassInterval(0.5 * (mass - half_width), mass + 2.0 * half_width)
-    weight = bump_weight(mass, half_width, num_nodes)
+    weight = bump_weight(mass, half_width)
     check_support(weight, interval)
-    norm2 = weight.mass_moment(power=1, squared=True)
+    norm2 = mass * half_width * BUMP_SQUARED_INTEGRAL
 
     g, window = adaptive_kernels(
         weight, basis.eigenvalues, np.array([0]), lambda g: g,

@@ -1,12 +1,13 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kgsig.cli import _COMMANDS, _render_json, cmd_evolve, main
+from kgsig.cli import _COMMANDS, _render_json, build_parser, cmd_evolve, main
 from kgsig.config import ExperimentConfig
 
 SMALL = "[grid]\nn = 4\nl = 6.0\n\n[quadrature]\nmass_nodes = 64\ntol = 1e-5\n\n[run]\nfamilies = 3\n"
@@ -485,12 +486,44 @@ def test_short_first_window_still_meets_the_identity(tmp_path, t_max):
     assert results["final_t"] >= 100.0
 
 
-def test_non_finite_increment_exits_3(tmp_path, capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out = run(tmp_path, ["massdecomp"], "[quadrature]\nt_max = 1e-300\n")
-    assert code == 3
-    assert "non-finite increment in stage [1e-300, 2e-300]" in capsys.readouterr().err
-    assert not (out / "massdecomp_summary.json").exists()
+@pytest.mark.parametrize("command", ["massdecomp", "reconstruct"])
+def test_unsquarable_t_max_exits_2(tmp_path, capsys, command):
+    # the first rule's omega step 2 pi / (8 t_max) overflows when squared:
+    # rejected before any rule is built, so numpy warns of no overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(tmp_path, [command], "[quadrature]\nt_max = 1e-300\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "t_max = 1e-300 too small" in err and "Warning" not in err
+    assert not (out / f"{command}_summary.json").exists()
+
+
+def test_unknown_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_options_parse_the_same_before_and_after_the_command():
+    options = ["--config", "run.ini", "--out", "o", "--seed", "3", "--tol", "1e-4", "--quiet"]
+    after = vars(build_parser().parse_args(["wick", *options]))
+    assert after == vars(build_parser().parse_args([*options, "wick"]))
+    assert after == vars(build_parser().parse_args([*options[:4], "wick", *options[4:]]))
+    assert after == {
+        "command": "wick", "config": "run.ini", "out": "o", "seed": 3, "tol": 1e-4,
+        "quiet": True,
+    }
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for name, summary in _COMMANDS.items():
+        assert f"{name} " in text and summary in text
 
 
 def test_evolve_makes_no_transform(tmp_path, transforms):

@@ -157,6 +157,17 @@ def test_widest_exact_interval_still_builds_its_weight():
     validate_config(ExperimentConfig(m_hi=1e15), "massdecomp")
 
 
+@pytest.mark.parametrize("command", ["massdecomp", "reconstruct"])
+def test_t_max_whose_rule_step_cannot_be_squared_rejected(command):
+    # step 2 pi / (8 t_max): 1.31e154 at 6e-155 squares to 1.71e308, 1.57e154
+    # at 5e-155 overflows
+    validate_config(ExperimentConfig(t_max=6e-155), command)
+    for t_max in (5e-155, 1e-300, 5e-324):
+        with pytest.raises(ConfigError, match="t_max = .* too small"):
+            validate_config(ExperimentConfig(t_max=t_max), command)
+    validate_config(ExperimentConfig(t_max=1e-300), "spectrum")  # reads no t_max
+
+
 def test_mass_nodes_capped():
     validate_config(ExperimentConfig(mass_nodes=MASS_NODES_MAX), "massdecomp")
     with pytest.raises(ConfigError, match=f"at most {MASS_NODES_MAX}"):

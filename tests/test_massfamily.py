@@ -391,3 +391,56 @@ def test_family_basis_is_its_base_datum_basis(basis):
     fam = make_family(datum, interval_weight(INTERVAL, 32), INTERVAL)
     assert fam.basis is datum.basis is basis
     assert apply_T(fam).basis is basis
+
+
+def _five_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def test_fast_len_is_the_next_five_smooth_integer():
+    for n in range(1, 2001):
+        assert massfamily._fast_len(n) == next(k for k in range(n, 2 * n + 1) if _five_smooth(k))
+
+
+@pytest.mark.parametrize("nodes", [26, 250])  # 2 nodes - 1 = 51, 499 (prime)
+def test_padded_stage_kernels_match_the_direct_double_sum(nodes):
+    # the rule FFTs run at the padded lengths 54 and 500
+    lam = dirichlet_basis(8, 10.0).eigenvalues
+    weight = bump_weight(1.5, 0.2)
+    powers = np.array([0, 1])
+    period = 2 * np.pi * (nodes - 1) / massfamily._spread(weight, lam).max()
+    stage = massfamily._uniform_rule(weight, lam, powers, period, nodes)
+    step, lo = 2 * np.pi / period, weight.center - weight.half_width
+    q = np.arange(nodes)
+    om_lo = np.sqrt(lam + lo**2)[:, None]
+    w = om_lo + step * q  # (N, Q)
+    m = np.sqrt(lo**2 + step * q * (2 * om_lo + step * q))
+    u = (step * w * weight.profile(m))[:, None, :] * m[:, None, :] ** powers[:, None]
+    v = u / w[:, None, :]
+    diff = step * (q[:, None] - q[None, :])  # w_q - w_q', exact on the grid
+
+    def direct_sum(t_lo, t_hi, absolute=False):
+        """O(Q^2) sums of u K(w_q -+ w_q') u'; with `absolute`, of |u| |K| |u'|,
+        the rounding scale of either sum."""
+        def kernel(x):
+            safe = np.where(x == 0.0, 1.0, x)
+            return np.where(
+                x == 0.0, t_hi - t_lo, (np.sin(x * t_hi) - np.sin(x * t_lo)) / safe
+            )
+
+        near = kernel(diff)
+        far = kernel(2 * om_lo[:, :, None] + step * (q[:, None] + q[None, :]))
+        pairs = [(u, near + far), (v, near - far)]
+        if absolute:
+            pairs = [(np.abs(x), np.abs(near) + np.abs(far)) for x, _ in pairs]
+        return np.stack([np.einsum("nkq,nqr,nlr->nkl", x, k, x) for x, k in pairs])
+
+    for t_lo, t_hi in [(0.0, period / 4), (period / 8, period / 4)]:
+        err = np.abs(stage(t_lo, t_hi) - direct_sum(t_lo, t_hi))
+        assert np.all(err <= 1e-13 * direct_sum(t_lo, t_hi, absolute=True))
+    # the [-T, T] kernels, far from cancellation, also match relatively
+    total = direct_sum(0.0, period / 4)
+    assert np.abs(stage(0.0, period / 4) - total).max() <= 1e-13 * np.abs(total).max()

@@ -11,6 +11,7 @@ from kgsig.lattice import build_grid, dirichlet_basis
 from kgsig.massfamily import MassInterval, bump_weight, make_family, spacetime_gram
 from kgsig.random_fields import random_datum
 from kgsig.signature import (
+    BUMP_SQUARED_INTEGRAL,
     apply_signature,
     assemble,
     complex_structure,
@@ -280,3 +281,29 @@ def test_reconstruction_preconditions(basis):
         signature_reconstruct(1.5, basis, 0.2, interval=MassInterval(1.4, 2.0))
     with pytest.raises(ValueError, match="nonnegative"):
         signature_analytic(-1.0, basis)
+
+
+def test_reconstruction_builds_no_gauss_rule(monkeypatch):
+    def no_rule(*args, **kwargs):
+        raise AssertionError("signature_reconstruct built a Gauss-Legendre rule")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+    _, report = signature_reconstruct(1.5, dirichlet_basis(4, 10.0), 0.2)
+    assert report.convergence.converged
+
+
+@pytest.mark.parametrize(
+    "mass, half_width", [(1.5, 0.05), (1.5, 0.2), (0.5, 0.1), (4.0, 0.5)]
+)
+def test_reconstruction_normalization_matches_the_gauss_rule(mass, half_width):
+    _, report = signature_reconstruct(
+        mass, dirichlet_basis(2, 3.0), half_width, tol=1e-2
+    )
+    rule = bump_weight(mass, half_width, 200).mass_moment(1, squared=True)
+    assert report.normalization == pytest.approx(rule, rel=1e-14, abs=0.0)
+
+
+def test_bump_squared_integral_bessel_form():
+    special = pytest.importorskip("scipy.special")
+    bessel = 2.0 * np.exp(-1.0) * (special.k1(1.0) - special.k0(1.0))
+    assert BUMP_SQUARED_INTEGRAL == pytest.approx(bessel, rel=1e-15, abs=0.0)
