@@ -37,13 +37,11 @@ _EXPORTS = {
     "MassWeight": "massfamily",
     "MassFamily": "massfamily",
     "ConvergenceError": "massfamily",
-    "bump_weight": "massfamily",
     "interval_weight": "massfamily",
     "make_family": "massfamily",
     "apply_T": "massfamily",
     "integrate_p": "massfamily",
     "spacetime_gram": "massfamily",
-    "spacetime_inner": "massfamily",
     "mass_decomposition_pairing": "massfamily",
     "SignatureOperator": "signature",
     "signature_analytic": "signature",

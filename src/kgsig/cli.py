@@ -236,7 +236,7 @@ def cmd_signature(config: ExperimentConfig):
 def cmd_massdecomp(config: ExperimentConfig):
     basis = dirichlet_basis(config.n, config.l)
     interval = MassInterval(config.m_lo, config.m_hi)
-    weight = interval_weight(interval, config.mass_nodes)
+    weight = interval_weight(interval)
     rng = np.random.default_rng(config.seed)
     families = [
         make_family(random_datum(rng, basis), weight, interval)
@@ -294,15 +294,7 @@ def cmd_reconstruct(config: ExperimentConfig):
         )
         dev = float(np.abs(rec.blocks - analytic.blocks).max())
         deviations.append(dev)
-        rows.append(
-            [
-                hw,
-                dev,
-                report.hermiticity_defect,
-                report.convergence.final_t,
-                report.convergence.stages,
-            ]
-        )
+        rows.append([hw, dev, report.convergence.final_t, report.convergence.stages])
     results = {
         "block_tolerance": config.tol,
         "deviation_at_half_width": deviations[0],
@@ -312,7 +304,7 @@ def cmd_reconstruct(config: ExperimentConfig):
     }
     return results, {
         "convergence": (
-            ["half_width", "max_deviation", "hermiticity_defect", "final_t", "stages"],
+            ["half_width", "max_deviation", "final_t", "stages"],
             rows,
         )
     }

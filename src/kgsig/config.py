@@ -23,10 +23,6 @@ class ConfigError(ValueError):
 
 
 BLOCK_TOL_DEFAULT = 1e-3  # reconstruct's block tolerance unless --tol is given
-# Gauss-Legendre rules come from a dense num_nodes^2 eigenproblem: at this cap
-# one rule takes 32 MB and about a second. Only massdecomp builds one (and the
-# library's integrate_p); reconstruct reads no rule
-MASS_NODES_MAX = 2000
 # time nodes x grid points of one spacetime array: 64 MiB of complex values
 SPACETIME_SAMPLES_MAX = 1 << 22
 # trials x (time nodes x grid points + trials) complex values of the state suite
@@ -40,7 +36,6 @@ _SCHEMA: dict[str, dict[str, type]] = {
     "grid": {"n": int, "l": float},
     "mass": {"m": float, "m_lo": float, "m_hi": float, "half_width": float},
     "quadrature": {
-        "mass_nodes": int,
         "dt": float,
         "t_max": float,
         "tol": float,
@@ -66,7 +61,6 @@ class ExperimentConfig:
     m_lo: float = 1.0
     m_hi: float = 2.0
     half_width: float = 0.05
-    mass_nodes: int = massfamily.MASS_NODES_DEFAULT
     dt: float = 0.05
     t_max: float = massfamily.T_MAX_DEFAULT
     tol: float = massfamily.TOL_DEFAULT
@@ -154,15 +148,14 @@ def validate_config(
     for name in ("dt", "tol", "t_max", "t_ceiling", "half_width"):
         if getattr(config, name) <= 0.0:
             raise ConfigError(f"{name} must be positive")
-    if config.mass_nodes < 2:
-        raise ConfigError("mass quadrature needs at least two nodes")
-    if config.mass_nodes > MASS_NODES_MAX:
-        raise ConfigError(f"mass_nodes must be at most {MASS_NODES_MAX}")
     if command in ("massdecomp", "reconstruct"):
         try:
             massfamily.MassInterval(config.m_lo, config.m_hi)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # the mass rules' frequencies reach sqrt(m_hi^2 + 4 / h^2)
+        if math.isinf(config.m_hi * config.m_hi + 4.0 / (h * h)):
+            raise ConfigError("m_hi too large: m_hi^2 + 4 / h^2 overflows")
         if config.t_ceiling < 2.0 * config.t_max:  # where the first stage ends
             raise ConfigError(
                 f"t_ceiling = {config.t_ceiling:g} is below 2 * t_max = {2.0 * config.t_max:g}"

@@ -17,8 +17,8 @@ identity, which `mass_decomposition_pairing` evaluates directly.
 
 Two quadrature choices matter and are deliberate:
 
-* The weight's Gauss-Legendre nodes, used by `integrate_p` and
-  `mass_decomposition_pairing` and built on first read, live on its support.
+* The weight's fixed 200-node Gauss-Legendre rule, used by `integrate_p` and
+  `mass_decomposition_pairing` and built on first read, lives on its support.
   The integrand vanishes identically outside the support, so this equals the
   integral over any enclosing mass interval, and it is the only placement
   that stays accurate when the weight is a narrow localization bump. The
@@ -44,13 +44,16 @@ from .dynamics import CauchyDatum
 from .lattice import SpectralBasis
 from .random_fields import bump
 
-MASS_NODES_DEFAULT = 200
 T_MAX_DEFAULT = 200.0
 TOL_DEFAULT = 1e-6
 T_CEILING_DEFAULT = 51200.0
 RULE_PERIOD_RATIO = 4  # period of a Gram mass rule over the longest time it serves
 RULE_NODES_MAX = 1 << 16  # per mode and rule; (1, 2) needs 31.8k at the default ceiling
 _SUPPORT_SLACK = 1e-12  # rounding allowed where a weight's support meets I
+# nodes of a weight's Gauss-Legendre rule: the bump alone sets the integrand's
+# smoothness, and the mass pairing plateaus at rounding from about 80 nodes,
+# while leggauss itself loses digits past about 400
+_GAUSS_NODES = 200
 
 
 class ConvergenceError(RuntimeError):
@@ -96,22 +99,21 @@ class MassInterval:
 class MassWeight:
     """Smooth bump on [center - half_width, center + half_width].
 
-    Carries a num_nodes-point Gauss-Legendre rule on its support, built on
+    Carries a fixed 200-node Gauss-Legendre rule on its support, built on
     first read: `nodes`, their weights `quad`, and the bump samples `values`
     there.
     """
 
     center: float
     half_width: float
-    num_nodes: int = MASS_NODES_DEFAULT
 
     def __post_init__(self) -> None:
-        if not self.half_width > 0.0 or self.num_nodes < 2:
-            raise ValueError("weight needs positive half_width and >= 2 nodes")
+        if not self.half_width > 0.0:
+            raise ValueError("weight needs positive half_width")
 
     @cached_property
     def _legendre(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.polynomial.legendre.leggauss(self.num_nodes)
+        return np.polynomial.legendre.leggauss(_GAUSS_NODES)
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -134,19 +136,9 @@ class MassWeight:
         return float(np.sum(self.quad * vals * self.nodes**power))
 
 
-def bump_weight(
-    center: float, half_width: float, num_nodes: int = MASS_NODES_DEFAULT
-) -> MassWeight:
-    """Bump on [center - half_width, center + half_width] with a num_nodes-point
-    Gauss-Legendre rule (built on first read)."""
-    return MassWeight(center, half_width, num_nodes)
-
-
-def interval_weight(
-    interval: MassInterval, num_nodes: int = MASS_NODES_DEFAULT
-) -> MassWeight:
+def interval_weight(interval: MassInterval) -> MassWeight:
     """Bump spanning the whole mass interval."""
-    return bump_weight(interval.center, interval.half_width, num_nodes)
+    return MassWeight(interval.center, interval.half_width)
 
 
 @dataclass(frozen=True)
@@ -377,23 +369,11 @@ def spacetime_gram(
     return adaptive_kernels(weight, basis.eigenvalues, powers, contract, t_max, tol, t_ceiling)
 
 
-def spacetime_inner(
-    a: MassFamily,
-    b: MassFamily,
-    t_max: float = T_MAX_DEFAULT,
-    tol: float = TOL_DEFAULT,
-    t_ceiling: float = T_CEILING_DEFAULT,
-) -> tuple[complex, ConvergenceReport]:
-    """<p a | p b> over spacetime, conjugate-linear in the first argument."""
-    gram, report = spacetime_gram([a, b], t_max=t_max, tol=tol, t_ceiling=t_ceiling)
-    return complex(gram[0, 1]), report
-
-
 def mass_decomposition_pairing(fa: MassFamily, fb: MassFamily) -> complex:
     """Mass-integral side of the decomposition identity.
 
     Evaluates the weighted integral of the fixed-mass scalar products,
-    int scale_a(m) scale_b(m) <a|b>_m m dm, on the weight's base rule. The
+    int scale_a(m) scale_b(m) <a|b>_m m dm, on the weight's Gauss rule. The
     spacetime pairing of the same two families converges to this value as
     the time window grows.
     """

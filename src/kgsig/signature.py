@@ -25,8 +25,8 @@ from .massfamily import (
     T_MAX_DEFAULT,
     ConvergenceReport,
     MassInterval,
+    MassWeight,
     adaptive_kernels,
-    bump_weight,
     check_support,
 )
 from .symplectic import symplectic
@@ -225,8 +225,6 @@ def riesz_consistency(
 
 @dataclass(frozen=True)
 class ReconstructionReport:
-    hermiticity_defect: float
-    imag_defect: float
     normalization: float
     convergence: ConvergenceReport
 
@@ -266,10 +264,9 @@ def signature_reconstruct(
         raise ValueError("weight support must stay at positive mass")
     if (half_width / mass) ** 2 > 25.0 * tol:
         raise ValueError("half-width too large for the requested tolerance")
-    if interval is None:
-        interval = MassInterval(0.5 * (mass - half_width), mass + 2.0 * half_width)
-    weight = bump_weight(mass, half_width)
-    check_support(weight, interval)
+    weight = MassWeight(mass, half_width)
+    if interval is not None:
+        check_support(weight, interval)
     norm2 = mass * half_width * BUMP_SQUARED_INTEGRAL
 
     g, window = adaptive_kernels(
@@ -278,10 +275,5 @@ def signature_reconstruct(
     )
     pairs = g[:, :, 0, 0].T[:, :, None] * np.eye(2) / norm2  # (N, 2, 2) diagonal
     blocks = -_FLIP @ pairs
-    report = ReconstructionReport(
-        hermiticity_defect=np.abs(pairs - pairs.transpose(0, 2, 1)).max(),
-        imag_defect=np.abs(np.imag(blocks)).max(),
-        normalization=norm2,
-        convergence=window,
-    )
+    report = ReconstructionReport(normalization=norm2, convergence=window)
     return SignatureOperator(mass=mass, basis=basis, blocks=blocks), report

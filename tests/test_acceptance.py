@@ -42,7 +42,7 @@ def basis16():
 def test_a1_mass_decomposition(basis16, criterion):
     started = time.monotonic()
     interval = MassInterval(1.0, 2.0)
-    weight = interval_weight(interval, 200)
+    weight = interval_weight(interval)
     rng = np.random.default_rng(11)
     families = [
         make_family(random_datum(rng, basis16), weight, interval)

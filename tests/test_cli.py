@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kgsig.cli import _COMMANDS, _render_json, build_parser, cmd_evolve, main
 from kgsig.config import ExperimentConfig
 
-SMALL = "[grid]\nn = 4\nl = 6.0\n\n[quadrature]\nmass_nodes = 64\ntol = 1e-5\n\n[run]\nfamilies = 3\n"
+SMALL = "[grid]\nn = 4\nl = 6.0\n\n[quadrature]\ntol = 1e-5\n\n[run]\nfamilies = 3\n"
 
 
 def run(tmp_path, args, config_text=None):
@@ -78,7 +78,7 @@ def test_malformed_value_exits_2(tmp_path, capsys):
 def test_stalled_convergence_exits_3(tmp_path, capsys):
     text = (
         "[grid]\nn = 2\nl = 3.0\n\n"
-        "[quadrature]\nmass_nodes = 32\ntol = 1e-30\nt_ceiling = 400\n\n"
+        "[quadrature]\ntol = 1e-30\nt_ceiling = 400\n\n"
         "[run]\nfamilies = 2\n"
     )
     code, _ = run(tmp_path, ["massdecomp"], text)
@@ -227,7 +227,7 @@ def test_evolve_without_samples_exits_2(tmp_path, capsys, samples):
 
 
 def test_reconstruct_echoes_the_tolerance_it_used(tmp_path):
-    text = "[grid]\nn = 2\nl = 3.0\n\n[quadrature]\nmass_nodes = 64\ntol = 1e-9\n"
+    text = "[grid]\nn = 2\nl = 3.0\n\n[quadrature]\ntol = 1e-9\n"
     code, out = run(tmp_path, ["reconstruct"], text)
     assert code == 0
     summary = read_summary(out, "reconstruct")
@@ -259,6 +259,12 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, args, text):
         ("spectrum", "[grid]\nl = 1e-200\n", "grid spacing"),
         ("signature", "[grid]\nl = 1e-160\n", "grid spacing"),
         ("crosscheck", "[grid]\nl = 1e-160\n", "grid spacing"),
+        ("massdecomp", "[mass]\nm_lo = 1e154\nm_hi = 1.5e154\n", "m_hi too large"),
+        (
+            "reconstruct",
+            "[mass]\nm = 1.3e154\nhalf_width = 1e153\nm_lo = 1e154\nm_hi = 1.5e154\n",
+            "m_hi too large",
+        ),
     ],
     ids=[
         "spectrum-m1e200",
@@ -269,10 +275,13 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, args, text):
         "spectrum-l1e-200",
         "signature-l1e-160",
         "crosscheck-l1e-160",
+        "massdecomp-m_hi1.5e154",
+        "reconstruct-m_hi1.5e154",
     ],
 )
 def test_extreme_magnitudes_exit_2(tmp_path, capsys, command, text, message):
-    # m^2, h^2 or 4 / h^2 leaves the float range: these ended in tracebacks
+    # m^2, m_hi^2, h^2 or 4 / h^2 leaves the float range: these ended in
+    # tracebacks
     code, out = run(tmp_path, [command], text)
     assert code == 2
     assert message in capsys.readouterr().err
@@ -303,7 +312,6 @@ FUZZ_SECTIONS = {
     "grid": {"n": st.integers(1, 8), "l": st.floats(0.5, 50.0)},
     "mass": {"m": st.floats(0.0, 4.0), "half_width": _power_of_ten(-2.5, np.log10(0.5))},
     "quadrature": {
-        "mass_nodes": st.integers(-1, 64),
         "dt": st.floats(0.01, 1.0),
         "tol": _power_of_ten(-8.0, -2.0),
         "t_ceiling": st.floats(0.0, 3200.0),
@@ -386,10 +394,10 @@ def _no_rule(*args, **kwargs):
     "command, text, message",
     [
         ("massdecomp", "[mass]\nm_hi = 1e160\n", "too wide"),
-        ("massdecomp", "[quadrature]\nmass_nodes = 1000000000\n", "mass_nodes"),
-        ("reconstruct", "[quadrature]\nmass_nodes = 1000000000\n", "mass_nodes"),
+        # the node count is fixed; files that still name it are refused
+        ("massdecomp", "[quadrature]\nmass_nodes = 200\n", "unknown key 'mass_nodes'"),
     ],
-    ids=["massdecomp-m_hi1e160", "massdecomp-nodes1e9", "reconstruct-nodes1e9"],
+    ids=["massdecomp-m_hi1e160", "massdecomp-mass_nodes"],
 )
 def test_mass_quadrature_inputs_rejected_before_any_rule(
     tmp_path, capsys, monkeypatch, command, text, message
@@ -430,6 +438,13 @@ def test_wide_mass_interval_exits_3_before_building_a_rule(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert "T = 400" in err and "RULE_NODES_MAX = 65536" in err
     assert not (out / "massdecomp_summary.json").exists()
+
+
+def test_largest_squarable_m_hi_still_exits_3_at_the_rule_cap(tmp_path, capsys):
+    # m_hi^2 stays finite at 1.3e154, so validation passes; the rule cap stops it
+    code, _ = run(tmp_path, ["massdecomp"], "[mass]\nm_lo = 1e154\nm_hi = 1.3e154\n")
+    assert code == 3
+    assert "RULE_NODES_MAX = 65536" in capsys.readouterr().err
 
 
 def test_state_solves_each_identity_function_once(tmp_path, monkeypatch):

@@ -1,7 +1,6 @@
 import pytest
 
 from kgsig.config import (
-    MASS_NODES_MAX,
     SPACETIME_SAMPLES_MAX,
     SUITE_SAMPLES_MAX,
     ConfigError,
@@ -152,7 +151,7 @@ def test_interval_too_wide_for_its_midpoint_form(m_hi, command):
 
 def test_widest_exact_interval_still_builds_its_weight():
     interval = MassInterval(1.0, 1e15)  # midpoint form still exact here
-    weight = interval_weight(interval, 2)
+    weight = interval_weight(interval)
     assert weight.center - weight.half_width == 1.0
     validate_config(ExperimentConfig(m_hi=1e15), "massdecomp")
 
@@ -168,12 +167,16 @@ def test_t_max_whose_rule_step_cannot_be_squared_rejected(command):
     validate_config(ExperimentConfig(t_max=1e-300), "spectrum")  # reads no t_max
 
 
-def test_mass_nodes_capped():
-    validate_config(ExperimentConfig(mass_nodes=MASS_NODES_MAX), "massdecomp")
-    with pytest.raises(ConfigError, match=f"at most {MASS_NODES_MAX}"):
-        validate_config(ExperimentConfig(mass_nodes=MASS_NODES_MAX + 1), "massdecomp")
-    with pytest.raises(ConfigError, match="mass_nodes"):
-        validate_config(ExperimentConfig(mass_nodes=10**12), "reconstruct")
+@pytest.mark.parametrize("command", ["massdecomp", "reconstruct"])
+def test_m_hi_whose_square_overflows_rejected(command):
+    # the mass rules square the weight's upper edge: 1.34e154 squares to
+    # 1.796e308, 1.5e154 overflows (an OverflowError in the Gram before)
+    edge = dict(m=1.2e154, half_width=1e153, m_lo=1e154)
+    validate_config(ExperimentConfig(m_hi=1.34e154, **edge), command)
+    for m_hi in (1.5e154, 2e154):
+        with pytest.raises(ConfigError, match="m_hi too large"):
+            validate_config(ExperimentConfig(m_hi=m_hi, **edge), command)
+    validate_config(ExperimentConfig(m_hi=1.5e154, **edge), "spectrum")  # reads no m_hi
 
 
 @pytest.mark.parametrize("command, dt_scale", [("state", 1), ("wick", 1), ("green", 2)])

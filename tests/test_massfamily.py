@@ -9,13 +9,13 @@ from kgsig.lattice import dirichlet_basis
 from kgsig.massfamily import (
     ConvergenceError,
     MassInterval,
+    MassWeight,
     apply_T,
-    bump_weight,
     integrate_p,
     interval_weight,
     make_family,
+    mass_decomposition_pairing,
     spacetime_gram,
-    spacetime_inner,
 )
 from kgsig.random_fields import random_datum
 
@@ -27,16 +27,19 @@ def basis():
     return dirichlet_basis(16, 10.0)
 
 
-def rhs_pairing(fa, fb):
-    """Mass-decomposition value: integral of scale_a scale_b <a|b>_m m dm."""
-    wq = fa.weight
+def rhs_pairing(fa, fb, nodes=200):
+    """Mass-decomposition value: integral of scale_a scale_b <a|b>_m m dm on a
+    local `nodes`-point Gauss-Legendre rule of the weight's support."""
+    wgt = fa.weight
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    m = wgt.center + wgt.half_width * x
     lam = fa.basis.eigenvalues
     ca, cb = fa.base.modes, fb.base.modes
-    om = np.sqrt(lam[:, None] + wq.nodes[None, :] ** 2)
+    om = np.sqrt(lam[:, None] + m[None, :] ** 2)
     per_m = np.pi * (
         om.T @ (np.conj(ca[0]) * cb[0]) + (1.0 / om.T) @ (np.conj(ca[1]) * cb[1])
     )
-    u = wq.quad * wq.nodes * fa.node_scale * fb.node_scale
+    u = wgt.half_width * w * wgt.profile(m) ** 2 * m ** (1 + fa.mass_power + fb.mass_power)
     return complex(np.sum(u * per_m))
 
 
@@ -92,7 +95,7 @@ def stage_gram(families, t_lo, t_hi, period=None):
 
 @pytest.fixture(
     scope="module",
-    params=[interval_weight(INTERVAL, 64), bump_weight(1.5, 0.2, 48)],
+    params=[interval_weight(INTERVAL), MassWeight(1.5, 0.2)],
     ids=["broad", "narrow"],
 )
 def mixed_families(request):
@@ -118,7 +121,7 @@ def test_interval_rejects_zero_in_closure():
 
 def test_weight_moments_against_adaptive_quadrature():
     # frozen values from scipy.integrate.quad at epsabs 1e-15
-    wgt = interval_weight(INTERVAL, 200)
+    wgt = interval_weight(INTERVAL)
     assert wgt.mass_moment(power=1) == pytest.approx(0.332995362126059, abs=1e-13)
     assert wgt.mass_moment(power=1, squared=True) == pytest.approx(
         0.09981459063374484, abs=1e-13
@@ -127,7 +130,7 @@ def test_weight_moments_against_adaptive_quadrature():
 
 
 def test_weight_profile_matches_node_values():
-    wgt = bump_weight(1.5, 0.3, 64)
+    wgt = MassWeight(1.5, 0.3)
     assert np.allclose(wgt.profile(wgt.nodes), wgt.values, atol=1e-15)
     assert wgt.profile(np.array([1.2, 1.8])) == pytest.approx([0.0, 0.0])
     assert wgt.profile(np.array([1.5]))[0] == pytest.approx(np.exp(-1.0))
@@ -137,8 +140,8 @@ def test_make_family_validates_support(basis):
     rng = np.random.default_rng(0)
     datum = random_datum(rng, basis)
     with pytest.raises(ValueError, match="support outside I"):
-        make_family(datum, bump_weight(1.9, 0.3, 32), INTERVAL)
-    fam = make_family(datum, interval_weight(INTERVAL, 32), INTERVAL)
+        make_family(datum, MassWeight(1.9, 0.3), INTERVAL)
+    fam = make_family(datum, interval_weight(INTERVAL), INTERVAL)
     assert fam.mass_power == 0
     assert np.array_equal(fam.node_scale, fam.weight.values)
 
@@ -146,7 +149,7 @@ def test_make_family_validates_support(basis):
 def test_apply_T_scales_nodes(basis):
     rng = np.random.default_rng(1)
     fam = make_family(
-        random_datum(rng, basis), interval_weight(INTERVAL, 32), INTERVAL
+        random_datum(rng, basis), interval_weight(INTERVAL), INTERVAL
     )
     twice = apply_T(apply_T(fam))
     assert twice.mass_power == 2
@@ -162,7 +165,7 @@ def test_integrate_p_single_mode_oracle():
     v = basis8.vectors[:, 2]
     assert basis8.eigenvalues[2] == pytest.approx(0.81, abs=1e-12)
     datum = CauchyDatum(basis8.analyze(np.stack([(0.3 + 0.1j) * v, (-0.2 + 0.4j) * v])), basis8)
-    fam = make_family(datum, interval_weight(INTERVAL, 200), INTERVAL)
+    fam = make_family(datum, interval_weight(INTERVAL), INTERVAL)
     cos_int, sin_int = 0.10664898728246866, 0.17727872666041597
     expect = (cos_int * (0.3 + 0.1j) - 1j * sin_int * (-0.2 + 0.4j)) * v
     assert np.abs(integrate_p(fam, 0.7) - expect).max() < 1e-12
@@ -171,7 +174,7 @@ def test_integrate_p_single_mode_oracle():
 def test_integrate_p_decays(basis):
     rng = np.random.default_rng(7)
     fam = make_family(
-        random_datum(rng, basis), interval_weight(INTERVAL, 200), INTERVAL
+        random_datum(rng, basis), interval_weight(INTERVAL), INTERVAL
     )
     norms = [np.linalg.norm(integrate_p(fam, t)) for t in (0.0, 50.0, 200.0)]
     assert norms[1] < 0.03 * norms[0]
@@ -214,7 +217,7 @@ def assert_psd(inc, total):
 
 WEIGHTS = pytest.mark.parametrize(
     "weight",
-    [interval_weight(INTERVAL, 200), bump_weight(1.5, 0.05)],
+    [interval_weight(INTERVAL), MassWeight(1.5, 0.05)],
     ids=["broad", "narrow"],
 )
 
@@ -242,7 +245,7 @@ def test_long_stage_increments_are_positive_semidefinite(basis, weight):
 
 def test_gram_matches_mass_decomposition(basis):
     rng = np.random.default_rng(7)
-    wgt = interval_weight(INTERVAL, 200)
+    wgt = interval_weight(INTERVAL)
     fams = [
         make_family(random_datum(rng, basis), wgt, INTERVAL) for _ in range(3)
     ]
@@ -262,7 +265,7 @@ def test_narrow_gram_is_one_evaluation_on_the_final_rule(basis):
     # of the shorter-period rules folds the slow tail of a narrow weight back
     # into the early windows (~7e-5 of the largest entry here)
     rng = np.random.default_rng(7)
-    wgt = bump_weight(1.5, 0.05)
+    wgt = MassWeight(1.5, 0.05)
     fams = [
         make_family(random_datum(rng, basis), wgt, INTERVAL) for _ in range(3)
     ]
@@ -273,26 +276,36 @@ def test_narrow_gram_is_one_evaluation_on_the_final_rule(basis):
 
 
 def test_library_pairing_matches_local_oracle(basis):
-    from kgsig.massfamily import mass_decomposition_pairing
-
     rng = np.random.default_rng(9)
-    wgt = interval_weight(INTERVAL, 64)
+    wgt = interval_weight(INTERVAL)
     a = make_family(random_datum(rng, basis), wgt, INTERVAL)
     b = make_family(random_datum(rng, basis), wgt, INTERVAL)
     lib, local = mass_decomposition_pairing(a, b), rhs_pairing(a, b)
     assert abs(lib - local) < 1e-13 * abs(local)
-    other = make_family(a.base, interval_weight(INTERVAL, 32), INTERVAL)
+    other = make_family(a.base, MassWeight(1.5, 0.5), INTERVAL)  # equal, not shared
     with pytest.raises(ValueError, match="share one mass weight"):
         mass_decomposition_pairing(a, other)
 
 
+@WEIGHTS
+def test_fixed_gauss_rule_sits_on_its_plateau(basis, weight):
+    # the pairing settles at rounding from about 80 nodes, so the fixed rule
+    # agrees with a 100-node one to rounding, broad or narrow
+    rng = np.random.default_rng(21)
+    fams = [make_family(random_datum(rng, basis), weight, INTERVAL) for _ in range(3)]
+    fams[2] = apply_T(fams[2])
+    lib = np.array([[mass_decomposition_pairing(a, b) for b in fams] for a in fams])
+    local = np.array([[rhs_pairing(a, b, nodes=100) for b in fams] for a in fams])
+    assert np.abs(lib - local).max() <= 1e-13 * np.abs(local).max()
+
+
 def test_mass_operator_is_symmetric_for_pairing(basis):
     rng = np.random.default_rng(11)
-    wgt = interval_weight(INTERVAL, 200)
+    wgt = interval_weight(INTERVAL)
     a = make_family(random_datum(rng, basis), wgt, INTERVAL)
     b = make_family(random_datum(rng, basis), wgt, INTERVAL)
-    lhs, _ = spacetime_inner(apply_T(a), b)
-    rhs, _ = spacetime_inner(a, apply_T(b))
+    lhs = spacetime_gram([apply_T(a), b])[0][0, 1]
+    rhs = spacetime_gram([a, apply_T(b)])[0][0, 1]
     assert abs(lhs - rhs) < 1e-10 * abs(lhs)
     assert abs(lhs - rhs_pairing(apply_T(a), b)) < 1e-8 * abs(lhs)
 
@@ -311,12 +324,12 @@ def test_narrow_weight_localizes_pairing():
     )
     errs = []
     for hw in (0.2, 0.1):
-        wgt = bump_weight(m0, hw, 200)
+        wgt = MassWeight(m0, hw)
         fa = make_family(da, wgt, INTERVAL)
         fb = make_family(db, wgt, INTERVAL)
-        val, report = spacetime_inner(fa, fb, tol=1e-8)
+        gram, report = spacetime_gram([fa, fb], tol=1e-8)
         assert report.converged
-        approx = val / wgt.mass_moment(power=1, squared=True)
+        approx = gram[0, 1] / wgt.mass_moment(power=1, squared=True)
         errs.append(abs(approx - target) / abs(target))
     assert errs[1] < 1e-3
     assert errs[0] / errs[1] > 2.5
@@ -325,12 +338,12 @@ def test_narrow_weight_localizes_pairing():
 def test_gram_requires_shared_basis(basis):
     rng = np.random.default_rng(0)
     other = dirichlet_basis(16, 10.0)
-    wgt = interval_weight(INTERVAL, 32)
+    wgt = interval_weight(INTERVAL)
     fam_a = make_family(random_datum(rng, basis), wgt, INTERVAL)
     fam_b = make_family(random_datum(rng, other), wgt, INTERVAL)
     with pytest.raises(ValueError, match="share one spectral basis"):
         spacetime_gram([fam_a, fam_b])
-    fam_c = make_family(fam_a.base, interval_weight(INTERVAL, 32), INTERVAL)
+    fam_c = make_family(fam_a.base, MassWeight(1.5, 0.5), INTERVAL)  # equal, not shared
     with pytest.raises(ValueError, match="share one mass weight"):
         spacetime_gram([fam_a, fam_c])
     with pytest.raises(ValueError, match="no families"):
@@ -340,7 +353,7 @@ def test_gram_requires_shared_basis(basis):
 def test_ceiling_raises_convergence_error(basis):
     rng = np.random.default_rng(5)
     fam = make_family(
-        random_datum(rng, basis), interval_weight(INTERVAL, 200), INTERVAL
+        random_datum(rng, basis), interval_weight(INTERVAL), INTERVAL
     )
     with pytest.raises(ConvergenceError, match="did not converge"):
         spacetime_gram([fam], t_max=200.0, tol=1e-30, t_ceiling=400.0)
@@ -354,7 +367,7 @@ def test_first_stage_past_ceiling_raises(basis, monkeypatch):
 
     rng = np.random.default_rng(5)
     fam = make_family(
-        random_datum(rng, basis), interval_weight(INTERVAL, 200), INTERVAL
+        random_datum(rng, basis), interval_weight(INTERVAL), INTERVAL
     )
     monkeypatch.setattr(massfamily, "_uniform_rule", no_rule)
     with pytest.raises(ConvergenceError, match="did not converge by T = 1000"):
@@ -366,7 +379,7 @@ def test_short_first_window_does_not_end_the_doubling(basis, t_max):
     # the increment of a short stage is small only because the stage is: the
     # doubling may stop only once every mode has dephased over the window
     rng = np.random.default_rng(7)
-    wgt = interval_weight(INTERVAL, 200)
+    wgt = interval_weight(INTERVAL)
     fams = [make_family(random_datum(rng, basis), wgt, INTERVAL) for _ in range(3)]
     gram, report = spacetime_gram(fams, t_max=t_max, tol=1e-6)
     rhs = np.array([[rhs_pairing(a, b) for b in fams] for a in fams])
@@ -379,7 +392,7 @@ def test_short_first_window_does_not_end_the_doubling(basis, t_max):
 def test_non_finite_increment_raises_naming_the_stage(basis):
     # at t_max = 1e-300 the rule step overflows and the increment is NaN
     fam = make_family(
-        random_datum(np.random.default_rng(5), basis), interval_weight(INTERVAL, 32), INTERVAL
+        random_datum(np.random.default_rng(5), basis), interval_weight(INTERVAL), INTERVAL
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ConvergenceError, match=r"non-finite increment in stage \[1e-300, 2e-300\]"):
@@ -388,7 +401,7 @@ def test_non_finite_increment_raises_naming_the_stage(basis):
 
 def test_family_basis_is_its_base_datum_basis(basis):
     datum = random_datum(np.random.default_rng(2), basis)
-    fam = make_family(datum, interval_weight(INTERVAL, 32), INTERVAL)
+    fam = make_family(datum, interval_weight(INTERVAL), INTERVAL)
     assert fam.basis is datum.basis is basis
     assert apply_T(fam).basis is basis
 
@@ -409,7 +422,7 @@ def test_fast_len_is_the_next_five_smooth_integer():
 def test_padded_stage_kernels_match_the_direct_double_sum(nodes):
     # the rule FFTs run at the padded lengths 54 and 500
     lam = dirichlet_basis(8, 10.0).eigenvalues
-    weight = bump_weight(1.5, 0.2)
+    weight = MassWeight(1.5, 0.2)
     powers = np.array([0, 1])
     period = 2 * np.pi * (nodes - 1) / massfamily._spread(weight, lam).max()
     stage = massfamily._uniform_rule(weight, lam, powers, period, nodes)
