@@ -25,7 +25,6 @@ if _THREADS:
         os.environ.setdefault(_var, _THREADS)
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -52,7 +51,7 @@ from .massfamily import (
     spacetime_gram,
 )
 from .minkowski import cross_check_lattice
-from .random_fields import random_datum, random_test_function
+from .random_fields import Draws, random_datum, random_test_function
 from .signature import (
     scalar_product,
     signature_analytic,
@@ -109,24 +108,23 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(_render_json(payload) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    _fmt(cell) if isinstance(cell, (float, np.floating)) else cell
-                    for cell in row
-                ]
-            )
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
+    """One line per row: floats (numpy float64 is one) to 17 significant
+    digits, every other cell through str. No cell holds a comma, quote or
+    newline, so none needs quoting."""
+    lines = [",".join(header)]
+    lines.extend(
+        ",".join([format(c, ".17g") if isinstance(c, float) else str(c) for c in row])
+        for row in rows
+    )
+    path.write_text("\n".join(lines) + "\n", newline="")
 
 
 def _emit(
     command: str,
     config: ExperimentConfig,
     results: dict,
-    tables: dict[str, tuple[list[str], list[list]]],
+    tables: dict[str, tuple[list[str], list]],
     out_dir: Path,
     quiet: bool,
     started: float,
@@ -155,9 +153,7 @@ def _emit(
 def cmd_spectrum(config: ExperimentConfig):
     basis = dirichlet_basis(config.n, config.l)
     om = omega(basis.eigenvalues, config.m)
-    rows = [
-        [k, float(basis.eigenvalues[k]), float(om[k])] for k in range(basis.size)
-    ]
+    rows = list(zip(range(basis.size), basis.eigenvalues.tolist(), om.tolist()))
     results = {
         "num_modes": basis.size,
         "min_eigenvalue": float(basis.eigenvalues[0]),
@@ -170,7 +166,7 @@ def cmd_spectrum(config: ExperimentConfig):
 def cmd_evolve(config: ExperimentConfig):
     basis = dirichlet_basis(config.n, config.l)
     sig = signature_analytic(config.m, basis)
-    rng = np.random.default_rng(config.seed)
+    rng = Draws(config.seed)
     a, b = random_datum(rng, basis), random_datum(rng, basis)
     ref_sym = symplectic(a, b)
     ref_norm = scalar_product(sig, a, a)
@@ -197,7 +193,7 @@ def cmd_green(config: ExperimentConfig):
     rows = []
     for refine in (1, 2):
         dt = config.dt / refine
-        rng = np.random.default_rng(config.seed)
+        rng = Draws(config.seed)
         times = time_window(-config.window / 2, config.window / 2, dt)
         f = random_test_function(rng, basis, times)
         rows.append([dt, *green_residuals(f, config.m)])
@@ -214,11 +210,16 @@ def cmd_signature(config: ExperimentConfig):
     basis = dirichlet_basis(config.n, config.l)
     sig = signature_analytic(config.m, basis)
     vals, _ = signature_spectrum(sig)
-    freqs = sig.frequencies
-    rows = [
-        [k, float(basis.eigenvalues[k]), float(freqs[k]), lo, hi]
-        for k, (lo, hi) in enumerate(np.sort(vals.reshape(-1, 2), axis=1))
-    ]
+    lo, hi = np.sort(vals.reshape(-1, 2), axis=1).T
+    rows = list(
+        zip(
+            range(basis.size),
+            basis.eigenvalues.tolist(),
+            sig.frequencies.tolist(),
+            lo.tolist(),
+            hi.tolist(),
+        )
+    )
     results = {
         "mass": config.m,
         "max_deviation_from_pi": float(np.abs(np.abs(vals) - np.pi).max()),
@@ -237,7 +238,7 @@ def cmd_massdecomp(config: ExperimentConfig):
     basis = dirichlet_basis(config.n, config.l)
     interval = MassInterval(config.m_lo, config.m_hi)
     weight = interval_weight(interval)
-    rng = np.random.default_rng(config.seed)
+    rng = Draws(config.seed)
     families = [
         make_family(random_datum(rng, basis), weight, interval)
         for _ in range(config.families)
@@ -321,7 +322,7 @@ def cmd_state(config: ExperimentConfig):
         dt=config.dt,
     )
     rows = [[k, float(val)] for k, val in enumerate(suite.eigenvalues)]
-    rng = np.random.default_rng(config.seed + 1)
+    rng = Draws(config.seed + 1)
     times = time_window(-config.window / 2, config.window / 2, config.dt)
     fs = [random_test_function(rng, basis, times, real=True) for _ in range(6)]
     solved = causal_data(state, fs)  # pairs (f, g): entries k, k + 1
@@ -364,15 +365,14 @@ def cmd_crosscheck(config: ExperimentConfig):
     basis = dirichlet_basis(config.n, config.l)
     report = cross_check_lattice(config.m, basis)
     om = omega(basis.eigenvalues, config.m)
-    rows = [
-        [
-            k,
-            float(basis.eigenvalues[k]),
-            float(om[k]),
-            float(report.block_deviations[k]),
-        ]
-        for k in range(basis.size)
-    ]
+    rows = list(
+        zip(
+            range(basis.size),
+            basis.eigenvalues.tolist(),
+            om.tolist(),
+            report.block_deviations.tolist(),
+        )
+    )
     results = {
         "max_block_deviation": report.max_block_deviation,
         "max_eigenvalue_deviation": report.max_eigenvalue_deviation,
@@ -385,7 +385,7 @@ def cmd_crosscheck(config: ExperimentConfig):
 def cmd_wick(config: ExperimentConfig):
     basis = dirichlet_basis(config.n, config.l)
     state = build_state(config.m, basis)
-    rng = np.random.default_rng(config.seed)
+    rng = Draws(config.seed)
     times = time_window(-config.window / 2, config.window / 2, config.dt)
     count = 2 * config.wick_order
     fs = [random_test_function(rng, basis, times) for _ in range(count)]

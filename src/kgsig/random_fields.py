@@ -6,14 +6,51 @@ per mode scales like (omega_n * dt)^4, so sources need decaying high-mode
 content for the stated dual-route tolerances to be meaningful. Real sources
 stay real: their values are float64, so every transform of them is a real one.
 Random Cauchy data are drawn directly as mode coefficients, with no transform.
+
+The draws are probes, so the exact random stream does not matter; what
+matters is that a seed reproduces them. `Draws` takes them from the stdlib
+Mersenne Twister, which `import numpy` has already loaded, so no command pays
+for importing `numpy.random`. Python keeps `random.Random(seed).random()`
+the same across versions, so a seed gives the same data on every Python.
+The generators accept any object with `uniform(lo, hi)` and
+`normal(size=None)`, a numpy `Generator` included.
 """
 
 from __future__ import annotations
+
+import math
+import random
 
 import numpy as np
 
 from .dynamics import CauchyDatum, SpacetimeTestFunction
 from .lattice import SpectralBasis
+
+
+class Draws:
+    """Seeded uniform and standard normal draws from `random.Random(seed)`.
+
+    Normals come from Box-Muller on consecutive pairs of `random()` values,
+    sqrt(-2 log1p(-u1)) cos(2 pi u2); since u1 < 1, the log's argument is
+    never 0. Each normal consumes two values, whether drawn alone or in an
+    array, so `normal(k)` agrees with k calls of `normal()` up to rounding.
+    """
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed).random
+
+    def uniform(self, lo: float, hi: float) -> float:
+        """One draw from [lo, hi); as in `random.uniform`, rounding may give hi."""
+        return lo + (hi - lo) * self._random()
+
+    def normal(self, size=None):
+        """A float, or an array of shape `size`, of standard normal draws."""
+        if size is None:
+            u1, u2 = self._random(), self._random()
+            return math.sqrt(-2.0 * math.log1p(-u1)) * math.cos(2.0 * math.pi * u2)
+        u = np.array([self._random() for _ in range(2 * int(np.prod(size)))])
+        normals = np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+        return normals.reshape(size)
 
 
 def bump(s: np.ndarray) -> np.ndarray:
@@ -30,7 +67,7 @@ def bump_profile(times: np.ndarray, center: float, half_width: float) -> np.ndar
     return bump((times - center) / half_width)
 
 
-def random_datum(rng: np.random.Generator, basis: SpectralBasis) -> CauchyDatum:
+def random_datum(rng: Draws, basis: SpectralBasis) -> CauchyDatum:
     """Cauchy datum with standard complex normal mode coefficients."""
     n = basis.size
     coeffs = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
@@ -38,7 +75,7 @@ def random_datum(rng: np.random.Generator, basis: SpectralBasis) -> CauchyDatum:
 
 
 def random_test_function(
-    rng: np.random.Generator,
+    rng: Draws,
     basis: SpectralBasis,
     times: np.ndarray,
     components: int = 3,

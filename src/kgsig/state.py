@@ -25,7 +25,7 @@ from .dynamics import (
     time_window,
 )
 from .lattice import SpectralBasis
-from .random_fields import random_test_function
+from .random_fields import Draws, random_test_function
 from .signature import complex_structure, projectors, signature_analytic
 
 
@@ -164,7 +164,7 @@ def state_positivity_suite(
     state positivity: for a = sum c_i f_i the expectation of a* a is
     c^dagger Gram c.
     """
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     times = time_window(-t_span / 2, t_span / 2, dt)
     funcs = [
         random_test_function(rng, state.basis, times, real=True)

@@ -1,12 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kgsig
 from kgsig.cli import _COMMANDS, _render_json, build_parser, cmd_evolve, main
 from kgsig.config import ExperimentConfig
 
@@ -546,3 +551,24 @@ def test_evolve_makes_no_transform(tmp_path, transforms):
     code, _ = run(tmp_path, ["evolve"], SMALL)
     assert code == 0
     assert transforms == []
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    """Every command draws from the stdlib stream that numpy already loaded,
+    so none pays the numpy.random import; one interpreter runs all ten."""
+    (tmp_path / "tiny.ini").write_text("[grid]\nn = 4\n")
+    script = (
+        "import sys\n"
+        "from kgsig.cli import _COMMANDS, main\n"
+        "codes = [main([c, '--config', 'tiny.ini', '--out', 'out', '--quiet'])"
+        " for c in _COMMANDS]\n"
+        "assert codes == [0] * len(_COMMANDS), codes\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    src = str(Path(kgsig.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
