@@ -27,6 +27,9 @@ BLOCK_TOL_DEFAULT = 1e-3  # reconstruct's block tolerance unless --tol is given
 SPACETIME_SAMPLES_MAX = 1 << 22
 # trials x (time nodes x grid points + trials) complex values of the state suite
 SUITE_SAMPLES_MAX = 32 * SPACETIME_SAMPLES_MAX
+# rows of a table built one Python row at a time (evolve's samples, massdecomp's
+# family pairs): about 6 s of rows at 0.1 ms each
+TABLE_ROWS_MAX = SPACETIME_SAMPLES_MAX >> 6
 # masslimit needs m^2 to survive in omega^2 = lambda + m^2 for every mode; the
 # rounding of the largest lambda may reach this share of the smallest m^2
 MASSLIMIT_ROUNDING_SHARE = 1e-3
@@ -119,6 +122,18 @@ def apply_overrides(
     return out
 
 
+def _check_size(key: str, rows: int, samples: int, what: str) -> None:
+    if rows > TABLE_ROWS_MAX:
+        raise ConfigError(
+            f"{key} too large: {rows} table rows exceed TABLE_ROWS_MAX = {TABLE_ROWS_MAX}"
+        )
+    if samples > SPACETIME_SAMPLES_MAX:
+        raise ConfigError(
+            f"{key} too large: {what} = {samples} exceeds "
+            f"SPACETIME_SAMPLES_MAX = {SPACETIME_SAMPLES_MAX}"
+        )
+
+
 def validate_config(
     config: ExperimentConfig, command: str, block_tol: float = BLOCK_TOL_DEFAULT
 ) -> None:
@@ -196,6 +211,12 @@ def validate_config(
     counts = {"evolve": "samples", "state": "trials", "massdecomp": "families"}
     if command in counts and getattr(config, counts[command]) < 1:
         raise ConfigError(f"{counts[command]} must be positive")
+    if command == "evolve":  # one propagated n-mode pair per sample
+        samples = config.samples
+        _check_size("samples", samples, samples * config.n, "samples x grid points")
+    if command == "massdecomp":  # the Gram contracts a (2, n, families, families) kernel
+        f = config.families
+        _check_size("families", f * (f + 1) // 2, f * f * config.n, "families^2 x grid points")
     if command in ("state", "green", "wick"):
         if not config.window > 0.0:
             raise ConfigError("window must be positive")

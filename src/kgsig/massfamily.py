@@ -22,8 +22,10 @@ Two quadrature choices matter and are deliberate:
   The integrand vanishes identically outside the support, so this equals the
   integral over any enclosing mass interval, and it is the only placement
   that stays accurate when the weight is a narrow localization bump. The
-  reconstruction normalization int w^2 m dm needs no nodes: it has a closed
-  form (`signature.signature_reconstruct`).
+  rule is computed here (`_gauss_legendre`: Newton's method on the Fourier
+  series of P_n), to rounding in nodes and weights. The reconstruction
+  normalization int w^2 m dm needs no nodes: it has a closed form
+  (`signature.signature_reconstruct`).
 * The spacetime kernels take the mass integral per mode on a uniform omega
   grid of spacing 2 pi / P (m dm = omega d omega): for the bump this
   trapezoid rule converges faster than any power, its time kernels depend
@@ -51,13 +53,58 @@ RULE_PERIOD_RATIO = 4  # period of a Gram mass rule over the longest time it ser
 RULE_NODES_MAX = 1 << 16  # per mode and rule; (1, 2) needs 31.8k at the default ceiling
 _SUPPORT_SLACK = 1e-12  # rounding allowed where a weight's support meets I
 # nodes of a weight's Gauss-Legendre rule: the bump alone sets the integrand's
-# smoothness, and the mass pairing plateaus at rounding from about 80 nodes,
-# while leggauss itself loses digits past about 400
+# smoothness, and the mass pairing plateaus at rounding from about 80 nodes
 _GAUSS_NODES = 200
+_NEWTON_PASSES = 10  # cap of the rule's Newton iteration; 4 passes suffice at 200
+_NEWTON_STEP_TOL = 1e-14  # largest theta step of a converged pass
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive time doubling hit the ceiling before meeting tolerance."""
+    """An iteration hit its cap before meeting tolerance: the adaptive time
+    doubling or the Gauss-Legendre rule's Newton passes."""
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], n even.
+
+    Newton's method in theta = arccos x on the n / 2 positive nodes at once,
+    on the Fourier series P_n(cos theta) = sum_k c_k c_{n-k} cos((n - 2k) theta),
+    c_k = binom(2k, k) / 4^k (Swarztrauber, SIAM J. Sci. Comput. 24 (2002)
+    945). Terms k and n - k are equal, so the positive frequencies carry twice
+    their amplitude. The amplitudes are rescaled to sum to P_n(1) = 1, which
+    removes the rounding their product recurrence accumulates. Starts at
+    theta_k = pi (4k - 1) / (4n + 2); the weights are 2 / (dP_n / dtheta)^2
+    with the derivative of the last pass, which moved theta by at most
+    _NEWTON_STEP_TOL.
+    """
+    if n < 2 or n % 2:
+        raise ValueError(f"Gauss-Legendre rule needs an even node count, got {n}")
+    half = n // 2
+    k = np.arange(1, n + 1)
+    c = np.cumprod(np.concatenate([[1.0], (k - 0.5) / k]))  # c_0 .. c_n
+    amp = 2 * c[:half] * c[n : half : -1]  # frequencies n, n - 2, ..., 2
+    const = c[half] ** 2  # frequency 0
+    total = amp.sum() + const
+    amp, const = amp / total, const / total
+    freq = n - 2.0 * np.arange(half)
+    theta = np.pi * (4 * np.arange(1, half + 1) - 1) / (4 * n + 2)
+    for _ in range(_NEWTON_PASSES):
+        # theta = hi + lo with hi on a 2^-40 grid, so every freq * hi is exact
+        # (freq < 2^12) and lo enters to first order: the rounded products
+        # freq * theta would cost the weights 5e-14 relative at n = 200
+        hi = np.round(theta * 2.0**40) / 2.0**40
+        arg, lo = np.multiply.outer(hi, freq), np.multiply.outer(theta - hi, freq)
+        cos, sin = np.cos(arg), np.sin(arg)
+        slope = (sin + lo * cos) @ (-amp * freq)  # dP_n / dtheta
+        step = ((cos - lo * sin) @ amp + const) / slope
+        theta -= step
+        if np.abs(step).max() <= _NEWTON_STEP_TOL:
+            x, w = np.cos(theta), 2.0 / slope**2  # x descending
+            return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+    raise ConvergenceError(
+        f"Gauss-Legendre rule of {n} nodes: Newton step {np.abs(step).max():.3e} "
+        f"after {_NEWTON_PASSES} passes, above {_NEWTON_STEP_TOL:g}"
+    )
 
 
 @dataclass(frozen=True)
@@ -113,7 +160,7 @@ class MassWeight:
 
     @cached_property
     def _legendre(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.polynomial.legendre.leggauss(_GAUSS_NODES)
+        return _gauss_legendre(_GAUSS_NODES)
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -295,7 +342,8 @@ def adaptive_kernels(
     rule above RULE_NODES_MAX raises ConvergenceError before its rule is
     built, a non-finite increment after. Stage [T, 2T] runs on the rule of
     period RULE_PERIOD_RATIO * 2T; the result is one [-T, T] evaluation on
-    the last rule (shorter periods would fold the slow tail back in)."""
+    the last rule (shorter periods would fold the slow tail back in). When
+    the last increment was below tol, the error names the dephasing T."""
     records: list[StageRecord] = []
     narrowest = _spread(weight, lam).min()
     t_cur = t_max
@@ -324,6 +372,16 @@ def adaptive_kernels(
             return contract(rule(0.0, t_cur)), ConvergenceReport(
                 True, t_cur, worst, stages=len(records) + 1, records=tuple(records)
             )
+    if records and records[-1].increment < tol:  # only the dephasing test held it
+        need = (
+            f"it needs T = 2 pi / min spread = {2 * np.pi / narrowest:g}"
+            if narrowest > 0
+            else "min spread rounds to 0, so no T dephases every mode"
+        )
+        stall += (
+            f"; the last increment is below tol, but not every mode has dephased "
+            f"(T * min spread = {t_cur * narrowest:.3g} < 2 pi): {need}"
+        )
     last = (
         f"[{r.t_lo:g}, {r.t_hi:g}] P = {r.period:g}, {r.nodes} nodes, "
         f"increment {r.increment:.3e}, {r.seconds:.3f} s"

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kgsig
+from kgsig import massfamily
 from kgsig.cli import _COMMANDS, _render_json, build_parser, cmd_evolve, main
 from kgsig.config import ExperimentConfig
 
@@ -208,6 +209,26 @@ def test_zero_families_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, ["massdecomp"], "[run]\nfamilies = 0\n")
     assert code == 2
     assert "families must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        # a 2.33 TiB Gram operand, and a 1e8-row drift table
+        ("massdecomp", "[run]\nfamilies = 100000\n", "families too large"),
+        ("evolve", "[run]\nsamples = 100000000\n", "samples too large"),
+    ],
+    ids=["massdecomp-families1e5", "evolve-samples1e8"],
+)
+def test_size_caps_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, command, text, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("data were drawn before validation")
+
+    monkeypatch.setattr("kgsig.cli.random_datum", no_draw)
+    code, out = run(tmp_path, [command], text)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / f"{command}_summary.json").exists()
 
 
 def test_reconstruct_tolerance_below_width_error_exits_2(tmp_path, capsys):
@@ -407,7 +428,7 @@ def _no_rule(*args, **kwargs):
 def test_mass_quadrature_inputs_rejected_before_any_rule(
     tmp_path, capsys, monkeypatch, command, text, message
 ):
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", _no_rule)
+    monkeypatch.setattr(massfamily, "_gauss_legendre", _no_rule)
     code, _ = run(tmp_path, [command], text)
     assert code == 2
     assert message in capsys.readouterr().err
@@ -555,7 +576,9 @@ def test_evolve_makes_no_transform(tmp_path, transforms):
 
 def test_no_command_imports_numpy_random(tmp_path):
     """Every command draws from the stdlib stream that numpy already loaded,
-    so none pays the numpy.random import; one interpreter runs all ten."""
+    so none pays the numpy.random import, and massdecomp's Gauss rule is
+    built in-package, so none loads numpy.polynomial; one interpreter runs
+    all ten."""
     (tmp_path / "tiny.ini").write_text("[grid]\nn = 4\n")
     script = (
         "import sys\n"
@@ -564,6 +587,7 @@ def test_no_command_imports_numpy_random(tmp_path):
         " for c in _COMMANDS]\n"
         "assert codes == [0] * len(_COMMANDS), codes\n"
         "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+        "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial was imported'\n"
     )
     src = str(Path(kgsig.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")

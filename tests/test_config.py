@@ -3,6 +3,7 @@ import pytest
 from kgsig.config import (
     SPACETIME_SAMPLES_MAX,
     SUITE_SAMPLES_MAX,
+    TABLE_ROWS_MAX,
     ConfigError,
     ExperimentConfig,
     apply_overrides,
@@ -117,6 +118,27 @@ def test_state_trials_capped_by_the_suite_size():
         validate_config(ExperimentConfig(n=64, dt=0.025, trials=6500), "state")
     for command in ("wick", "green", "massdecomp"):
         validate_config(ExperimentConfig(trials=10**9), command)
+
+
+def test_evolve_and_massdecomp_size_caps_sit_at_their_boundaries():
+    # the largest accepted counts, then one more: validation builds nothing
+    validate_config(ExperimentConfig(n=1, samples=TABLE_ROWS_MAX), "evolve")
+    with pytest.raises(ConfigError, match="TABLE_ROWS_MAX"):
+        validate_config(ExperimentConfig(n=1, samples=TABLE_ROWS_MAX + 1), "evolve")
+    n = 1024
+    validate_config(ExperimentConfig(n=n, samples=SPACETIME_SAMPLES_MAX // n), "evolve")
+    with pytest.raises(ConfigError, match="SPACETIME_SAMPLES_MAX"):
+        validate_config(ExperimentConfig(n=n, samples=SPACETIME_SAMPLES_MAX // n + 1), "evolve")
+    # 361 families make 65341 pairs, 362 make 65703
+    validate_config(ExperimentConfig(n=1, families=361), "massdecomp")
+    with pytest.raises(ConfigError, match="TABLE_ROWS_MAX"):
+        validate_config(ExperimentConfig(n=1, families=362), "massdecomp")
+    # 64^2 x 1024 = 2^22 Gram operand entries
+    validate_config(ExperimentConfig(n=n, families=64), "massdecomp")
+    with pytest.raises(ConfigError, match="SPACETIME_SAMPLES_MAX"):
+        validate_config(ExperimentConfig(n=n, families=65), "massdecomp")
+    for command in ("spectrum", "state", "reconstruct"):  # read neither count
+        validate_config(ExperimentConfig(samples=10**9, families=10**9), command)
 
 
 def test_massdecomp_checks_families_not_trials():

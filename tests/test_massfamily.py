@@ -136,6 +136,34 @@ def test_weight_profile_matches_node_values():
     assert wgt.profile(np.array([1.5]))[0] == pytest.approx(np.exp(-1.0))
 
 
+@pytest.mark.parametrize("n", [2, 8, 64, 200])
+def test_gauss_rule_integrates_monomials_to_rounding(n):
+    # exact for every degree below 2n: sum w x^p = 2 / (p + 1), 0 for odd p
+    x, w = massfamily._gauss_legendre(n)
+    for p in range(2 * n):
+        exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+        assert abs(w @ x**p - exact) <= 1e-15 * max(exact, 1.0), p
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 200])
+def test_gauss_rule_matches_leggauss(n):
+    x, w = massfamily._gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.abs(x - ref_x).max() <= 1e-15
+    assert np.abs(w / ref_w - 1).max() <= 1e-10
+
+
+def test_gauss_rule_refuses_odd_counts_and_a_stalled_iteration(monkeypatch):
+    for n in (0, 3, 201):
+        with pytest.raises(ValueError, match="even node count"):
+            massfamily._gauss_legendre(n)
+    monkeypatch.setattr(massfamily, "_NEWTON_PASSES", 2)
+    with pytest.raises(ConvergenceError, match="after 2 passes"):
+        massfamily._gauss_legendre(200)
+
+
 def test_make_family_validates_support(basis):
     rng = np.random.default_rng(0)
     datum = random_datum(rng, basis)
@@ -387,6 +415,25 @@ def test_short_first_window_does_not_end_the_doubling(basis, t_max):
     assert np.abs(gram - rhs).max() <= 1e-8 * np.abs(rhs).max()
     spread = massfamily._spread(wgt, basis.eigenvalues)
     assert report.final_t * spread.min() >= 2 * np.pi
+
+
+def test_dephasing_stall_names_the_t_it_needs():
+    # every increment of a 1e-9 wide interval is below tol; the loop runs to
+    # the ceiling only because the narrowest mode has not dephased
+    basis = dirichlet_basis(4, 10.0)
+    interval = MassInterval(1.999999999, 2.0)
+    wgt = interval_weight(interval)
+    fam = make_family(random_datum(np.random.default_rng(5), basis), wgt, interval)
+    need = 2 * np.pi / massfamily._spread(wgt, basis.eigenvalues).min()
+    assert need > 1e9
+    with pytest.raises(ConvergenceError) as err:
+        spacetime_gram([fam])
+    assert "not every mode has dephased" in str(err.value)
+    assert f"it needs T = 2 pi / min spread = {need:g}" in str(err.value)
+    # a stall above tol does not name the dephasing T
+    with pytest.raises(ConvergenceError) as err:
+        spacetime_gram([fam], tol=0.0, t_ceiling=400.0)
+    assert "dephased" not in str(err.value)
 
 
 def test_non_finite_increment_raises_naming_the_stage(basis):
