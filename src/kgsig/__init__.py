@@ -42,7 +42,7 @@ _EXPORTS = {
     "apply_T": "massfamily",
     "integrate_p": "massfamily",
     "spacetime_gram": "massfamily",
-    "mass_decomposition_pairing": "massfamily",
+    "mass_decomposition_gram": "massfamily",
     "SignatureOperator": "signature",
     "signature_analytic": "signature",
     "apply_signature": "signature",

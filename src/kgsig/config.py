@@ -27,8 +27,8 @@ BLOCK_TOL_DEFAULT = 1e-3  # reconstruct's block tolerance unless --tol is given
 SPACETIME_SAMPLES_MAX = 1 << 22
 # trials x (time nodes x grid points + trials) complex values of the state suite
 SUITE_SAMPLES_MAX = 32 * SPACETIME_SAMPLES_MAX
-# rows of a table built one Python row at a time (evolve's samples, massdecomp's
-# family pairs): about 6 s of rows at 0.1 ms each
+# rows of a written table: evolve's samples, one Python iteration of about
+# 0.1 ms each (about 6 s in all), or massdecomp's family pairs, read off two Grams
 TABLE_ROWS_MAX = SPACETIME_SAMPLES_MAX >> 6
 # masslimit needs m^2 to survive in omega^2 = lambda + m^2 for every mode; the
 # rounding of the largest lambda may reach this share of the smallest m^2

@@ -12,13 +12,14 @@ Gram contracts once with the (2, N) mode stacks of the families' base data.
 The doubling stops only once every mode has dephased over the window (T times
 its omega spread at least 2 pi): before that an increment is small only
 because its window is short.
-The pairing converges to the mass-integral side of the decomposition
-identity, which `mass_decomposition_pairing` evaluates directly.
+The Gram converges to the mass-integral side of the decomposition identity,
+`mass_decomposition_gram`: the same contraction of per-mode kernels, taken on
+the weight's Gauss rule with no time window.
 
 Two quadrature choices matter and are deliberate:
 
 * The weight's fixed 200-node Gauss-Legendre rule, used by `integrate_p` and
-  `mass_decomposition_pairing` and built on first read, lives on its support.
+  `mass_decomposition_gram` and built on first read, lives on its support.
   The integrand vanishes identically outside the support, so this equals the
   integral over any enclosing mass interval, and it is the only placement
   that stays accurate when the weight is a narrow localization bump. The
@@ -390,6 +391,27 @@ def adaptive_kernels(
     raise ConvergenceError("; ".join([stall, *last]))
 
 
+def _family_stack(families: list[MassFamily]):
+    """Eigenvalues, shared weight, distinct mass powers and the Gram contraction
+    of per-mode (2, N, K, K) kernels with the families' (F, 2, N) mode stack;
+    the families must share one spectral basis and one mass weight."""
+    if not families:
+        raise ValueError("no families given")
+    basis, weight = families[0].basis, families[0].weight
+    for fam in families:
+        if fam.basis is not basis:
+            raise ValueError("families must share one spectral basis")
+        if fam.weight is not weight:
+            raise ValueError("families must share one mass weight")
+    modes = np.stack([f.base.modes for f in families])  # (F, 2, N)
+    powers, row = np.unique([f.mass_power for f in families], return_inverse=True)
+
+    def contract(g):
+        return np.einsum("ixn,jxn,xnij->ij", modes.conj(), modes, g[:, :, row][:, :, :, row])
+
+    return basis.eigenvalues, weight, powers, contract
+
+
 def spacetime_gram(
     families: list[MassFamily],
     t_max: float = T_MAX_DEFAULT,
@@ -410,41 +432,28 @@ def spacetime_gram(
     mass interval: omega'(m) = m / omega > 0 on the support, so the phase of
     p a(t) is never stationary (the mass oscillation property).
     """
-    if not families:
-        raise ValueError("no families given")
-    basis, weight = families[0].basis, families[0].weight
-    for fam in families:
-        if fam.basis is not basis:
-            raise ValueError("families must share one spectral basis")
-        if fam.weight is not weight:
-            raise ValueError("families must share one mass weight")
-    modes = np.stack([f.base.modes for f in families])  # (F, 2, N)
-    powers, row = np.unique([f.mass_power for f in families], return_inverse=True)
-
-    def contract(g):
-        return np.einsum("ixn,jxn,xnij->ij", modes.conj(), modes, g[:, :, row][:, :, :, row])
-
-    return adaptive_kernels(weight, basis.eigenvalues, powers, contract, t_max, tol, t_ceiling)
+    lam, weight, powers, contract = _family_stack(families)
+    return adaptive_kernels(weight, lam, powers, contract, t_max, tol, t_ceiling)
 
 
-def mass_decomposition_pairing(fa: MassFamily, fb: MassFamily) -> complex:
-    """Mass-integral side of the decomposition identity.
-
-    Evaluates the weighted integral of the fixed-mass scalar products,
-    int scale_a(m) scale_b(m) <a|b>_m m dm, on the weight's Gauss rule. The
-    spacetime pairing of the same two families converges to this value as
-    the time window grows.
-    """
-    if fa.basis is not fb.basis:
-        raise ValueError("families must share one spectral basis")
-    if fa.weight is not fb.weight:
-        raise ValueError("families must share one mass weight")
-    wq = fa.weight
-    lam = fa.basis.eigenvalues
-    ca, cb = fa.base.modes, fb.base.modes
-    om = np.sqrt(lam[:, None] + wq.nodes[None, :] ** 2)
-    per_mass = np.pi * (
-        om.T @ (np.conj(ca[0]) * cb[0]) + (1.0 / om.T) @ (np.conj(ca[1]) * cb[1])
+def _mass_kernels(weight: MassWeight, lam: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Per-mode kernels (2, N, K, K) of the mass integral on the weight's Gauss
+    rule, pi sum_q quad_q m_q w(m_q)^2 m_q^(k_a + k_b) (omega_nq, 1 / omega_nq):
+    the T -> infinity limit of `_uniform_rule`'s [-T, T] kernels."""
+    om = np.sqrt(lam[:, None] + weight.nodes**2)
+    scale = weight.values * weight.nodes ** powers[:, None]  # (K, Q)
+    return np.pi * np.einsum(
+        "aq,bq,xnq->xnab", scale, weight.quad * weight.nodes * scale, np.stack([om, 1 / om])
     )
-    u = wq.quad * wq.nodes * fa.node_scale * fb.node_scale
-    return complex(np.sum(u * per_mass))
+
+
+def mass_decomposition_gram(families: list[MassFamily]) -> np.ndarray:
+    """Mass-integral side of the decomposition identity, one matrix.
+
+    Entry (i, j) is the weighted integral of the fixed-mass scalar products,
+    int scale_i(m) scale_j(m) <a_i|a_j>_m m dm, on the weight's Gauss rule;
+    the families are those of `spacetime_gram`, whose Gram converges to this
+    one as the time window grows.
+    """
+    lam, weight, powers, contract = _family_stack(families)
+    return contract(_mass_kernels(weight, lam, powers))

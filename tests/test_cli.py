@@ -123,12 +123,21 @@ def test_rerun_is_byte_identical_except_meta(tmp_path):
 
 
 def test_massdecomp_matches_identity(tmp_path):
-    code, out = run(tmp_path, ["massdecomp"], SMALL)
-    assert code == 0
-    results = read_summary(out, "massdecomp")["results"]
-    assert results["converged"] is True
-    assert results["pair_count"] == 3
-    assert results["max_relative_error"] < 1e-5
+    for families in (3, 100):
+        text = SMALL.replace("families = 3", f"families = {families}")
+        code, out = run(tmp_path, ["massdecomp"], text)  # rewrites both files
+        assert code == 0
+        results = read_summary(out, "massdecomp")["results"]
+        assert results["converged"] is True
+        assert results["pair_count"] == families * (families - 1) // 2
+        assert results["max_relative_error"] < 1e-5
+        with open(out / "massdecomp_pairs.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        # every pair once, diagonal included, row by row of the upper triangle
+        assert [(int(r["i"]), int(r["j"])) for r in rows] == [
+            (i, j) for i in range(families) for j in range(i, families)
+        ]
+        assert results["max_relative_error"] == max(float(r["relative_error"]) for r in rows)
 
 
 def test_seed_override_changes_wick_value(tmp_path):
@@ -572,6 +581,13 @@ def test_evolve_makes_no_transform(tmp_path, transforms):
     code, _ = run(tmp_path, ["evolve"], SMALL)
     assert code == 0
     assert transforms == []
+
+
+def test_every_package_export_resolves():
+    # a name left in the lazy export table after its function is gone
+    # would otherwise fail only when a caller reaches for it
+    for name in kgsig.__all__:
+        assert getattr(kgsig, name) is not None, name
 
 
 def test_no_command_imports_numpy_random(tmp_path):

@@ -14,7 +14,7 @@ from kgsig.massfamily import (
     integrate_p,
     interval_weight,
     make_family,
-    mass_decomposition_pairing,
+    mass_decomposition_gram,
     spacetime_gram,
 )
 from kgsig.random_fields import random_datum
@@ -308,11 +308,23 @@ def test_library_pairing_matches_local_oracle(basis):
     wgt = interval_weight(INTERVAL)
     a = make_family(random_datum(rng, basis), wgt, INTERVAL)
     b = make_family(random_datum(rng, basis), wgt, INTERVAL)
-    lib, local = mass_decomposition_pairing(a, b), rhs_pairing(a, b)
+    lib, local = mass_decomposition_gram([a, b])[0, 1], rhs_pairing(a, b)
     assert abs(lib - local) < 1e-13 * abs(local)
-    other = make_family(a.base, MassWeight(1.5, 0.5), INTERVAL)  # equal, not shared
-    with pytest.raises(ValueError, match="share one mass weight"):
-        mass_decomposition_pairing(a, other)
+
+
+@WEIGHTS
+@pytest.mark.parametrize("n", [8, 16])
+def test_mass_kernels_are_the_long_window_limit_per_mode(weight, n):
+    # the identity per mode, before any contraction with family data: the
+    # adaptive [-T, T] kernels converge to the Gauss-rule mass kernels
+    lam = dirichlet_basis(n, 10.0).eigenvalues
+    powers = np.array([0, 1])
+    limit = massfamily._mass_kernels(weight, lam, powers)
+    kernels, report = massfamily.adaptive_kernels(
+        weight, lam, powers, lambda g: g, 200.0, 1e-9, massfamily.T_CEILING_DEFAULT
+    )
+    assert report.converged and kernels.shape == limit.shape == (2, n, 2, 2)
+    assert np.abs(kernels - limit).max() <= 1e-12 * np.abs(limit).max()
 
 
 @WEIGHTS
@@ -322,7 +334,7 @@ def test_fixed_gauss_rule_sits_on_its_plateau(basis, weight):
     rng = np.random.default_rng(21)
     fams = [make_family(random_datum(rng, basis), weight, INTERVAL) for _ in range(3)]
     fams[2] = apply_T(fams[2])
-    lib = np.array([[mass_decomposition_pairing(a, b) for b in fams] for a in fams])
+    lib = mass_decomposition_gram(fams)
     local = np.array([[rhs_pairing(a, b, nodes=100) for b in fams] for a in fams])
     assert np.abs(lib - local).max() <= 1e-13 * np.abs(local).max()
 
@@ -369,13 +381,14 @@ def test_gram_requires_shared_basis(basis):
     wgt = interval_weight(INTERVAL)
     fam_a = make_family(random_datum(rng, basis), wgt, INTERVAL)
     fam_b = make_family(random_datum(rng, other), wgt, INTERVAL)
-    with pytest.raises(ValueError, match="share one spectral basis"):
-        spacetime_gram([fam_a, fam_b])
     fam_c = make_family(fam_a.base, MassWeight(1.5, 0.5), INTERVAL)  # equal, not shared
-    with pytest.raises(ValueError, match="share one mass weight"):
-        spacetime_gram([fam_a, fam_c])
-    with pytest.raises(ValueError, match="no families"):
-        spacetime_gram([])
+    for gram in (spacetime_gram, mass_decomposition_gram):  # one shared check
+        with pytest.raises(ValueError, match="share one spectral basis"):
+            gram([fam_a, fam_b])
+        with pytest.raises(ValueError, match="share one mass weight"):
+            gram([fam_a, fam_c])
+        with pytest.raises(ValueError, match="no families"):
+            gram([])
 
 
 def test_ceiling_raises_convergence_error(basis):
