@@ -9,15 +9,15 @@ it with no lattice transform. Per spectral mode the propagator is the exact
     U_n(t) = [[cos(w t), -i sin(w t)/w], [-i w sin(w t), cos(w t)]],
 
 with w = sqrt(lambda_n + m^2), so the homogeneous evolution has no time-stepping
-error. The retarded and advanced Green's operators come from one Duhamel pass
-per source, `duhamel_modes`: one analysis and one cos/sin phase table feed a
-forward and a backward cumulative Simpson quadrature in mode space, where
-`green_residuals` also checks both fields, with no synthesize/analyze round
-trip. `causal_fundamental` gets the t = 0 data of their difference, as mode
-coefficients, from full-window moments against an `oscillator_table` that
-sources on one window share. Spacetime sources and fields stay
-lattice-valued; real sources stay real, and each of their lattice/mode
-conversions is one `analyze`/`synthesize`.
+error. Spacetime sources and fields live in mode space too: a
+`SpacetimeField` holds the (J, N) sine-mode coefficients of its values at J
+time nodes, real for a real source, so no function here makes a lattice
+transform. The retarded and advanced Green's operators come from one Duhamel
+pass per source, `duhamel_modes`: one cos/sin phase table feeds a forward and
+a backward cumulative Simpson quadrature, whose fields `green_residuals` also
+checks. `causal_fundamental` gets the t = 0 data of their difference from
+full-window moments against an `oscillator_table` that sources on one window
+share.
 """
 
 from __future__ import annotations
@@ -34,15 +34,15 @@ DT_DEFAULT = 0.05
 @dataclass(frozen=True)
 class CauchyDatum:
     """Instantaneous field data as mode coefficients: `modes` is the (2, N)
-    stack of (phi_n, pi_n) against `basis`, pi = i*dphi/dt."""
+    stack of (phi_n, pi_n) against `basis`, pi = i*dphi/dt, or (..., 2, N)."""
 
     modes: np.ndarray
     basis: SpectralBasis
 
     def __post_init__(self) -> None:
         modes = np.asarray(self.modes, dtype=complex)
-        if modes.shape != (2, self.basis.size):
-            raise ValueError("modes must have shape (2, basis.size)")
+        if modes.shape[-2:] != (2, self.basis.size):
+            raise ValueError("modes must have shape (..., 2, basis.size)")
         object.__setattr__(self, "modes", modes)
 
     def __add__(self, other: "CauchyDatum") -> "CauchyDatum":
@@ -58,17 +58,17 @@ class CauchyDatum:
 
 def apply_mode_blocks(blocks: np.ndarray, datum: CauchyDatum) -> CauchyDatum:
     """Act with per-mode 2x2 blocks, shape (N, 2, 2), on (phi_n, pi_n)."""
-    return CauchyDatum(np.einsum("nij,jn->in", blocks, datum.modes), datum.basis)
+    return CauchyDatum(np.einsum("nij,...jn->...in", blocks, datum.modes), datum.basis)
 
 
 def propagate(datum: CauchyDatum, t: float, mass: float) -> CauchyDatum:
     """Evolve Cauchy data by the exact spectral propagator."""
     w = omega(datum.basis.eigenvalues, mass)  # rejects a zero mode
-    c = datum.modes
+    phi, pi = datum.modes[..., 0, :], datum.modes[..., 1, :]
     cos, sin = np.cos(w * t), np.sin(w * t)
-    out = np.empty_like(c)
-    out[0] = cos * c[0] - 1j * (sin / w) * c[1]
-    out[1] = -1j * (w * sin) * c[0] + cos * c[1]
+    out = np.empty_like(datum.modes)
+    out[..., 0, :] = cos * phi - 1j * (sin / w) * pi
+    out[..., 1, :] = -1j * (w * sin) * phi + cos * pi
     return CauchyDatum(out, datum.basis)
 
 
@@ -103,31 +103,28 @@ def simpson_weights(times: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpacetimeField:
-    """Scalar field on (time node) x (lattice point); real values stay float64."""
+    """Scalar field on (time node) x (lattice point) as its (J, N) sine-mode
+    coefficients per time node; real coefficients stay float64."""
 
     times: np.ndarray
-    values: np.ndarray  # (J, N)
+    modes: np.ndarray  # (J, N)
     basis: SpectralBasis
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values)
-        values = values.astype(np.result_type(values, float), copy=False)
-        if values.shape != (times.size, self.basis.size):
-            raise ValueError("values must have shape (num_times, num_points)")
+        modes = np.asarray(self.modes)
+        modes = modes.astype(np.result_type(modes, float), copy=False)
+        if modes.shape != (times.size, self.basis.size):
+            raise ValueError("modes must have shape (num_times, basis.size)")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "modes", modes)
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def mode_values(self) -> np.ndarray:
-        """Coefficients against the spectral basis, shape (J, N)."""
-        return self.basis.analyze(self.values)
-
     def __mul__(self, c: complex) -> "SpacetimeField":
-        return replace(self, values=self.values * c)
+        return replace(self, modes=self.modes * c)
 
     __rmul__ = __mul__
 
@@ -136,16 +133,16 @@ class SpacetimeField:
 class SpacetimeTestFunction(SpacetimeField):
     """Smooth source supported strictly inside its time window.
 
-    The first and last time node must carry (numerically) vanishing values.
+    The first and last time node must carry (numerically) vanishing modes.
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
         simpson_weights(self.times)  # validates uniform odd-length node set
-        scale = max(1.0, float(np.abs(self.values).max()))
+        scale = max(1.0, float(np.abs(self.modes).max()))
         if (
-            np.abs(self.values[0]).max() > 1e-12 * scale
-            or np.abs(self.values[-1]).max() > 1e-12 * scale
+            np.abs(self.modes[0]).max() > 1e-12 * scale
+            or np.abs(self.modes[-1]).max() > 1e-12 * scale
         ):
             raise ValueError("window too small to contain the support of f")
 
@@ -171,10 +168,8 @@ def cumulative_simpson_nodes(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def duhamel_modes(
-    f: SpacetimeTestFunction, mass: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J, N) mode coefficients of f and of its retarded and advanced fields.
+def duhamel_modes(f: SpacetimeTestFunction, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """(J, N) mode coefficients of the retarded and advanced fields of f.
 
     sin(w(t - t')) = sin(wt)cos(wt') - cos(wt)sin(wt'), so both running
     Duhamel integrals are cumulative Simpson of the same cos/sin-weighted
@@ -182,31 +177,30 @@ def duhamel_modes(
     from the future end of the window, negated.
     """
     w = omega(f.basis.eigenvalues, mass)
-    src = f.mode_values()
     phase = w[None, :] * f.times[:, None]
     cos_p, sin_p = np.cos(phase), np.sin(phase)
-    cos_src, sin_src = cos_p * src, sin_p * src
+    cos_src, sin_src = cos_p * f.modes, sin_p * f.modes
 
     def green(step: int) -> np.ndarray:
         ccum = cumulative_simpson_nodes(cos_src[::step], f.dt)[::step]
         scum = cumulative_simpson_nodes(sin_src[::step], f.dt)[::step]
         return step * (sin_p * ccum - cos_p * scum) / w[None, :]
 
-    return src, green(1), green(-1)
+    return green(1), green(-1)
 
 
-def _field(f: SpacetimeTestFunction, coeffs: np.ndarray) -> SpacetimeField:
-    return SpacetimeField(times=f.times, values=f.basis.synthesize(coeffs), basis=f.basis)
+def _field(f: SpacetimeTestFunction, modes: np.ndarray) -> SpacetimeField:
+    return SpacetimeField(times=f.times, modes=modes, basis=f.basis)
 
 
 def retarded_green(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
     """Solution of (d_t^2 - Lap + m^2) u = f supported toward the future."""
-    return _field(f, duhamel_modes(f, mass)[1])
+    return _field(f, duhamel_modes(f, mass)[0])
 
 
 def advanced_green(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
     """Solution of the same equation supported toward the past."""
-    return _field(f, duhamel_modes(f, mass)[2])
+    return _field(f, duhamel_modes(f, mass)[1])
 
 
 def oscillator_table(
@@ -230,25 +224,15 @@ def causal_fundamental(f: SpacetimeTestFunction, mass: float, table=None) -> Cau
     share `table = oscillator_table(f.basis, f.times, mass)`, built once.
     """
     w, cos_table, sin_table = table or oscillator_table(f.basis, f.times, mass)
-    coeffs = f.mode_values()  # (J, N)
-    sin_int = np.sum(sin_table * coeffs, axis=0)
-    cos_int = np.sum(cos_table * coeffs, axis=0)
+    sin_int = np.sum(sin_table * f.modes, axis=0)
+    cos_int = np.sum(cos_table * f.modes, axis=0)
     return CauchyDatum(np.stack([-sin_int / w, 1j * cos_int]), f.basis)
 
 
 def causal_field(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
     """Spacetime field of (retarded - advanced) f over f's window."""
-    _, ret, adv = duhamel_modes(f, mass)
+    ret, adv = duhamel_modes(f, mass)
     return _field(f, ret - adv)
-
-
-def _mode_residual(
-    coeffs: np.ndarray, src: np.ndarray, dt: float, w2: np.ndarray
-) -> float:
-    d2 = (coeffs[2:] - 2.0 * coeffs[1:-1] + coeffs[:-2]) / dt**2
-    res = d2 + w2[None, :] * coeffs[1:-1] - src[1:-1]
-    # mode coefficients carry the h-weighted norm already (Parseval)
-    return float(np.sqrt(np.sum(np.abs(res) ** 2, axis=1)).max())
 
 
 def kg_residual(u: SpacetimeField, f: SpacetimeTestFunction, mass: float) -> float:
@@ -257,13 +241,14 @@ def kg_residual(u: SpacetimeField, f: SpacetimeTestFunction, mass: float) -> flo
     D_t^2 is the central second difference; the Laplacian acts spectrally
     (lambda_n per mode), which is exact for the lattice operator.
     """
-    w2 = u.basis.eigenvalues + mass**2
-    return _mode_residual(u.mode_values(), f.mode_values(), u.dt, w2)
+    c, w2 = u.modes, u.basis.eigenvalues + mass**2
+    res = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / u.dt**2 + w2 * c[1:-1] - f.modes[1:-1]
+    # mode coefficients carry the h-weighted norm already (Parseval)
+    return float(np.sqrt(np.sum(np.abs(res) ** 2, axis=1)).max())
 
 
 def green_residuals(f: SpacetimeTestFunction, mass: float) -> tuple[float, float]:
-    """`kg_residual` of the retarded and advanced fields of f, taken on the
-    mode coefficients of one `duhamel_modes` pass, so f is analyzed once."""
-    src, ret, adv = duhamel_modes(f, mass)
-    w2 = f.basis.eigenvalues + mass**2
-    return _mode_residual(ret, src, f.dt, w2), _mode_residual(adv, src, f.dt, w2)
+    """`kg_residual` of the retarded and advanced fields of f, both from one
+    `duhamel_modes` pass."""
+    ret, adv = duhamel_modes(f, mass)
+    return kg_residual(_field(f, ret), f, mass), kg_residual(_field(f, adv), f, mass)

@@ -56,14 +56,13 @@ def laplacian(grid: SpatialGrid) -> np.ndarray:
 
 
 # Grid size from which `SpectralBasis` applies the sine transform through
-# numpy.fft instead of the table. Timed per call on complex stacks of 1, 2,
-# 64 and 481 rows (2-core Xeon, numpy 2.4.6, one BLAS thread): at n = 64 the
-# table wins at every height (481 rows: 0.41 ms table, 2.9 ms FFT); up to
-# about n = 750 it still wins on tall stacks when N+1 is prime, which makes
-# the FFT length 2(N+1) a Bluestein one (n = 540, 481 rows: 28 ms table,
-# 39 ms FFT); from n = 768 on the FFT wins at every height, primes included
-# (n = 1020, 481 rows: 91 ms table, 45 ms FFT; n = 1024, 2 rows: 4.6 ms
-# table, 0.13 ms FFT).
+# numpy.fft instead of the table. In the package, `analyze` serves only the
+# (3, N) spatial-profile stacks of random sources. Timed per call on 3
+# real rows (2-core Xeon, numpy 2.4.6, one BLAS thread): the table wins up to
+# n = 256 (0.024 ms table, 0.11 ms FFT) and the FFT from about n = 384 (0.051
+# ms table, 0.030 ms FFT); at n = 767 the table takes 0.50 ms, the FFT 0.055
+# ms, and the table's build 10.5 ms more. It stays at 768: lowering it would
+# move state, wick and green outputs on those grids by rounding, for ~10 ms.
 SINE_FFT_MIN_POINTS = 768
 
 

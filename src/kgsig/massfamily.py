@@ -52,6 +52,9 @@ TOL_DEFAULT = 1e-6
 T_CEILING_DEFAULT = 51200.0
 RULE_PERIOD_RATIO = 4  # period of a Gram mass rule over the longest time it serves
 RULE_NODES_MAX = 1 << 16  # per mode and rule; (1, 2) needs 31.8k at the default ceiling
+# mode-nodes (modes x powers^2 x nodes) of one rule: massdecomp's peak RSS grows by
+# ~200 B each (n = 64 to 256), so 1.6 GiB here, within config's 2 GiB suite cap
+RULE_SIZE_MAX = 1 << 23
 _SUPPORT_SLACK = 1e-12  # rounding allowed where a weight's support meets I
 # nodes of a weight's Gauss-Legendre rule: the bump alone sets the integrand's
 # smoothness, and the mass pairing plateaus at rounding from about 80 nodes
@@ -232,14 +235,13 @@ def apply_T(family: MassFamily) -> MassFamily:
 
 
 def integrate_p(family: MassFamily, t: float) -> np.ndarray:
-    """Scalar field of the mass integral (p phi)(t, .) on the lattice."""
+    """(N,) mode coefficients of the mass integral (p phi)(t, .)."""
     lam = family.basis.eigenvalues
     om = np.sqrt(lam[:, None] + family.weight.nodes[None, :] ** 2)
     u = family.weight.quad * family.weight.nodes * family.node_scale
     coeffs = family.base.modes
     phase = om * t
-    p_modes = (np.cos(phase) @ u) * coeffs[0] - 1j * ((np.sin(phase) / om) @ u) * coeffs[1]
-    return family.basis.synthesize(p_modes)
+    return (np.cos(phase) @ u) * coeffs[0] - 1j * ((np.sin(phase) / om) @ u) * coeffs[1]
 
 
 @dataclass(frozen=True)
@@ -340,11 +342,12 @@ def adaptive_kernels(
     """`contract` of the [-T, T] kernels of `_uniform_rule`, T doubled from t_max
     until the largest entry of a contracted increment is below tol (absolute)
     at a T with T min_n spread_n >= 2 pi. A stage ending past t_ceiling or a
-    rule above RULE_NODES_MAX raises ConvergenceError before its rule is
-    built, a non-finite increment after. Stage [T, 2T] runs on the rule of
-    period RULE_PERIOD_RATIO * 2T; the result is one [-T, T] evaluation on
-    the last rule (shorter periods would fold the slow tail back in). When
-    the last increment was below tol, the error names the dephasing T."""
+    rule above RULE_NODES_MAX or RULE_SIZE_MAX raises ConvergenceError before
+    its rule is built, a non-finite increment after. Stage [T, 2T] runs on
+    the rule of period RULE_PERIOD_RATIO * 2T; the result is one [-T, T]
+    evaluation on the last rule (shorter periods would fold the slow tail
+    back in). When the last increment was below tol, the error names the
+    dephasing T."""
     records: list[StageRecord] = []
     narrowest = _spread(weight, lam).min()
     t_cur = t_max
@@ -359,6 +362,13 @@ def adaptive_kernels(
             stall = (
                 f"mass rule for T = {t_hi:g} needs {nodes:g} nodes per mode, "
                 f"above the cap RULE_NODES_MAX = {RULE_NODES_MAX}"
+            )
+            break
+        size = lam.size * powers.size**2 * nodes
+        if not size <= RULE_SIZE_MAX:
+            stall = (
+                f"mass rule for T = {t_hi:g} needs {size:.0f} mode-nodes (modes x "
+                f"powers^2 x nodes), above the cap RULE_SIZE_MAX = {RULE_SIZE_MAX}"
             )
             break
         rule = _uniform_rule(weight, lam, powers, period, int(nodes))

@@ -3,9 +3,10 @@
 Test sources are built from C-infinity bumps in time and Gaussian profiles in
 space. Spatial smoothness matters quantitatively: the Duhamel quadrature error
 per mode scales like (omega_n * dt)^4, so sources need decaying high-mode
-content for the stated dual-route tolerances to be meaningful. Real sources
-stay real: their values are float64, so every transform of them is a real one.
-Random Cauchy data are drawn directly as mode coefficients, with no transform.
+content for the stated dual-route tolerances to be meaningful. A source holds
+mode coefficients: its (C, N) stack of spatial profiles is analyzed once, a
+real stack by a real transform, so real sources stay float64. Random Cauchy
+data are drawn directly as mode coefficients, with no transform.
 
 The draws are probes, so the exact random stream does not matter; what
 matters is that a seed reproduces them. `Draws` takes them from the stdlib
@@ -84,7 +85,7 @@ def random_test_function(
     """Random smooth source supported strictly inside the time window.
 
     A sum of (time bump x carrier) x (Gaussian space profile) terms with
-    random centers, widths, amplitudes and carrier frequencies.
+    random centers, widths, amplitudes and carrier frequencies, in mode space.
     """
     t0, t1 = float(times[0]), float(times[-1])
     span = t1 - t0
@@ -108,5 +109,5 @@ def random_test_function(
         else:
             amp = rng.normal() + 1j * rng.normal()
         shapes[k] = amp * shape
-    values = profiles.T @ shapes  # (J, C) @ (C, N)
-    return SpacetimeTestFunction(times=times, values=values, basis=basis)
+    modes = profiles.T @ basis.analyze(shapes)  # (J, C) @ (C, N)
+    return SpacetimeTestFunction(times=times, modes=modes, basis=basis)

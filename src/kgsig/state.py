@@ -6,7 +6,8 @@ positive semi-definite Gram form on test functions; the imaginary part is
 half the symplectic pairing of the causal solutions, which encodes the
 canonical commutation relations. Higher correlation functions follow from
 the quasi-free (Wick) combinatorics: a sum over perfect matchings. Every pair
-value is an entry of `two_point_matrix`, which solves G f once per function.
+value is an entry of `two_point_matrix`: one solve G f per function, one
+chi_hol projection of the stack, one broadcast `symplectic` per row.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .dynamics import (
 from .lattice import SpectralBasis
 from .random_fields import Draws, random_test_function
 from .signature import complex_structure, projectors, signature_analytic
+from .symplectic import symplectic
 
 
 @dataclass(frozen=True)
@@ -69,15 +71,11 @@ def causal_data(
 
 
 def pair_matrix(state: TwoPointEvaluator, solved: list[CauchyDatum]) -> np.ndarray:
-    """`two_point_matrix` from the causal data G f_i, one row at a time in the
-    operand order of `symplectic`, so entries do not depend on the batch."""
-    modes = np.stack([g.modes for g in solved])  # (K, 2, N)
-    hol = np.einsum("nij,kjn->kin", state.hol_blocks, modes)  # chi_hol G f_j
-    out = np.empty((len(solved), len(solved)), dtype=complex)
-    for row, (phi, pi) in zip(out, modes):
-        pairs = np.conj(pi) * hol[:, 0] + np.conj(phi) * hol[:, 1]
-        row[:] = 1j * (1j * np.sum(pairs, axis=-1))
-    return out
+    """`two_point_matrix` from the causal data G f_i: row i is i sigma(G f_i,
+    chi_hol G f_j) over the stack, so entries do not depend on the batch, and
+    one row at a time keeps the work at K x N."""
+    hol = _project_hol(state, CauchyDatum(np.stack([g.modes for g in solved]), state.basis))
+    return np.array([1j * symplectic(g, hol) for g in solved])
 
 
 def two_point(

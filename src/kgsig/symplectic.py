@@ -6,9 +6,10 @@ sigma(a, b) = i * h * sum_x [conj(pi_a) phi_b + conj(phi_a) pi_b]
 is sesquilinear (conjugate-linear on the left) and skew in the sense
 sigma(a, b) = -conj(sigma(b, a)). The second form is Parseval for the
 h-orthonormal sine modes (h sum_x conj(u) v = sum_n conj(u_n) v_n), and it is
-the one evaluated, on the data's mode coefficients. The causal form pairs a
-source f against the causally propagated field of g and, in the continuum,
-coincides with the symplectic pairing of the two propagated solutions.
+the one evaluated, on the data's mode coefficients, entry by entry (numpy
+broadcasting) for data with leading batch axes. The causal form pairs a
+source f against the causally propagated field of g, both in mode space, and,
+in the continuum, coincides with the symplectic pairing of the two solutions.
 """
 
 from __future__ import annotations
@@ -23,28 +24,30 @@ from .dynamics import (
 )
 
 
-def symplectic(a: CauchyDatum, b: CauchyDatum) -> complex:
+def symplectic(a: CauchyDatum, b: CauchyDatum) -> complex | np.ndarray:
+    """sigma(a, b); (..., 2, N) stacks give the broadcast array of pairings."""
     if a.basis is not b.basis:
         raise ValueError("data live on different bases")
-    (phi_a, pi_a), (phi_b, pi_b) = a.modes, b.modes
-    return 1j * np.sum(np.conj(pi_a) * phi_b + np.conj(phi_a) * pi_b)
+    phi_a, pi_a = a.modes[..., 0, :], a.modes[..., 1, :]
+    phi_b, pi_b = b.modes[..., 0, :], b.modes[..., 1, :]
+    return 1j * np.sum(np.conj(pi_a) * phi_b + np.conj(phi_a) * pi_b, axis=-1)
 
 
 def gm_form(f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float) -> complex:
     """Spacetime quadrature of conj(f) * (causal field of g).
 
     The lattice sum is taken in mode space by Parseval (h sum_x conj(u) v =
-    sum_n conj(u_n) v_n for the h-orthonormal sine modes) against the
-    cumulative-Duhamel field of `duhamel_modes`, so it shares no quadrature
-    route with `causal_fundamental`; comparing against
-    symplectic(causal_fundamental(f), causal_fundamental(g)) is a genuine
-    two-sided consistency check.
+    sum_n conj(u_n) v_n for the h-orthonormal sine modes), on f's mode
+    coefficients against the cumulative-Duhamel field of `duhamel_modes`,
+    so it shares no quadrature route with `causal_fundamental`; comparing
+    against symplectic(causal_fundamental(f), causal_fundamental(g)) is a
+    genuine two-sided consistency check.
     """
     fg, gg = f.basis.grid, g.basis.grid
     if fg.num_points != gg.num_points or fg.spacing != gg.spacing:
         raise ValueError("sources must share a grid")
     if f.times.shape != g.times.shape or not np.allclose(f.times, g.times):
         raise ValueError("sources must share a time window")
-    _, ret, adv = duhamel_modes(g, mass)
-    per_node = np.sum(np.conj(f.mode_values()) * (ret - adv), axis=1)
+    ret, adv = duhamel_modes(g, mass)
+    per_node = np.sum(np.conj(f.modes) * (ret - adv), axis=1)
     return complex(np.sum(simpson_weights(f.times) * per_node))

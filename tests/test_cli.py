@@ -482,6 +482,25 @@ def test_largest_squarable_m_hi_still_exits_3_at_the_rule_cap(tmp_path, capsys):
     assert "RULE_NODES_MAX = 65536" in capsys.readouterr().err
 
 
+def test_rule_size_cap_exits_3_before_building_an_over_cap_rule(tmp_path, capsys, monkeypatch):
+    # n = 4096 passes validation, but the [3200, 6400] rule would hold 16.3M
+    # mode-nodes, about 3 GiB: exit 3 naming the cap before that rule exists.
+    # A stub stands in for the rules so that the test builds none of them.
+    sizes = []
+
+    def stub(weight, lam, powers, period, nodes):
+        sizes.append(lam.size * powers.size**2 * nodes)
+        return lambda t_lo, t_hi: np.zeros((2, lam.size, powers.size, powers.size))
+
+    monkeypatch.setattr(massfamily, "_uniform_rule", stub)
+    code, out = run(tmp_path, ["massdecomp"], "[grid]\nn = 4096\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "T = 6400 needs 16297984 mode-nodes" in err and "RULE_SIZE_MAX = 8388608" in err
+    assert sizes and max(sizes) <= massfamily.RULE_SIZE_MAX
+    assert not (out / "massdecomp_summary.json").exists()
+
+
 def test_state_solves_each_identity_function_once(tmp_path, monkeypatch):
     # the imaginary-part identity reuses the solves of its two-point matrix
     import kgsig.dynamics
@@ -500,28 +519,32 @@ def test_state_solves_each_identity_function_once(tmp_path, monkeypatch):
     assert len({id(f) for f in calls}) == len(calls) == 5 + 3 * 2
 
 
-def test_green_analyzes_each_source_once(tmp_path, monkeypatch):
-    # both residuals come from the mode coefficients of one Duhamel pass
-    import kgsig.cli
-    from kgsig.lattice import SpectralBasis
+@pytest.mark.parametrize("command, sources", [("green", 2), ("state", 5 + 6), ("wick", 4)])
+def test_each_source_is_analyzed_once_and_nothing_synthesized(
+    tmp_path, monkeypatch, transforms, command, sources
+):
+    # a source's (components, N) stack of spatial shapes is analyzed once, as
+    # it is drawn; the Duhamel, causal and two-point layers read its modes
+    import kgsig.random_fields
+    import kgsig.state
 
-    sources, analyzed = [], []
-    make, analyze = kgsig.cli.random_test_function, SpectralBasis.analyze
+    per_source = []
+    draw = kgsig.random_fields.random_test_function
 
-    def made(*args, **kwargs):
-        sources.append(make(*args, **kwargs))
-        return sources[-1]
+    def drawn(*args, **kwargs):
+        before = len(transforms)
+        f = draw(*args, **kwargs)
+        per_source.append(transforms[before:])
+        return f
 
-    def counted(self, u):
-        analyzed.append(u)
-        return analyze(self, u)
-
-    monkeypatch.setattr(kgsig.cli, "random_test_function", made)
-    monkeypatch.setattr(SpectralBasis, "analyze", counted)
-    code, _ = run(tmp_path, ["green"], SMALL)
+    for module in (kgsig.cli, kgsig.state):
+        monkeypatch.setattr(module, "random_test_function", drawn)
+    code, _ = run(tmp_path, [command], SMALL + "trials = 5\n")
     assert code == 0
-    assert len(sources) == 2
-    assert [id(u) for u in analyzed] == [id(f.values) for f in sources]
+    assert len(per_source) == sources
+    for calls in per_source:
+        assert [(name, np.shape(u)) for name, u in calls] == [("analyze", (3, 4))]
+    assert len(transforms) == sources
 
 
 @pytest.mark.parametrize("t_max", ["0.01", "1e-9"])

@@ -174,7 +174,7 @@ def test_two_point_matrix_memory_stays_near_one_source():
     rng = np.random.default_rng(13)
     times = time_window(-3.0, 3.0, 0.025)
     fs = [random_test_function(rng, basis, times, real=True) for _ in range(40)]
-    source_bytes = fs[0].values.nbytes
+    source_bytes = fs[0].modes.nbytes
     two_point_matrix(state, fs[:2])  # builds the cached mode table
     tracemalloc.start()
     try:
