@@ -110,13 +110,17 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
     """One line per row: floats (numpy float64 is one) to 17 significant
-    digits, every other cell through str. No cell holds a comma, quote or
-    newline, so none needs quoting."""
+    digits, every other cell through str, by one `%` template per run of rows
+    with the same cell types. No cell holds a comma, quote or newline, so
+    none needs quoting."""
     lines = [",".join(header)]
-    lines.extend(
-        ",".join([format(c, ".17g") if isinstance(c, float) else str(c) for c in row])
-        for row in rows
-    )
+    types = None
+    for row in map(tuple, rows):
+        row_types = tuple(map(type, row))
+        if row_types != types:
+            types = row_types
+            template = ",".join(["%.17g" if issubclass(t, float) else "%s" for t in types])
+        lines.append(template % row)
     path.write_text("\n".join(lines) + "\n", newline="")
 
 

@@ -214,6 +214,8 @@ def validate_config(
     if command == "evolve":  # one propagated n-mode pair per sample
         samples = config.samples
         _check_size("samples", samples, samples * config.n, "samples x grid points")
+        if math.isinf(math.sqrt(config.m * config.m + 4.0 / (h * h)) * abs(config.time)):
+            raise ConfigError("time too large: the phase sqrt(m^2 + 4 / h^2) |time| overflows")
     if command == "massdecomp":  # the Gram contracts a (2, n, families, families) kernel
         f = config.families
         _check_size("families", f * (f + 1) // 2, f * f * config.n, "families^2 x grid points")

@@ -13,6 +13,8 @@ matters is that a seed reproduces them. `Draws` takes them from the stdlib
 Mersenne Twister, which `import numpy` has already loaded, so no command pays
 for importing `numpy.random`. Python keeps `random.Random(seed).random()`
 the same across versions, so a seed gives the same data on every Python.
+An array of normals takes its uniforms from one `randbytes` call, which
+relies on CPython's word order (see `Draws`).
 The generators accept any object with `uniform(lo, hi)` and
 `normal(size=None)`, a numpy `Generator` included.
 """
@@ -35,21 +37,28 @@ class Draws:
     sqrt(-2 log1p(-u1)) cos(2 pi u2); since u1 < 1, the log's argument is
     never 0. Each normal consumes two values, whether drawn alone or in an
     array, so `normal(k)` agrees with k calls of `normal()` up to rounding.
+
+    An array reads `randbytes(16 k)` as the 4k 32-bit words that 2k
+    `random()` calls would take, in order, and forms each value as `random()`
+    does, ((w0 >> 5) 2^26 + (w1 >> 6)) / 2^53, so values and the generator's
+    next state are bit-identical; `test_bulk_normals_consume_the_single_draw_stream`
+    pins both.
     """
 
     def __init__(self, seed: int):
-        self._random = random.Random(seed).random
+        self._twister = random.Random(seed)
 
     def uniform(self, lo: float, hi: float) -> float:
         """One draw from [lo, hi); as in `random.uniform`, rounding may give hi."""
-        return lo + (hi - lo) * self._random()
+        return lo + (hi - lo) * self._twister.random()
 
     def normal(self, size=None):
         """A float, or an array of shape `size`, of standard normal draws."""
         if size is None:
-            u1, u2 = self._random(), self._random()
+            u1, u2 = self._twister.random(), self._twister.random()
             return math.sqrt(-2.0 * math.log1p(-u1)) * math.cos(2.0 * math.pi * u2)
-        u = np.array([self._random() for _ in range(2 * int(np.prod(size)))])
+        words = np.frombuffer(self._twister.randbytes(16 * int(np.prod(size))), "<u4")
+        u = ((words[0::2] >> 5).astype(np.int64) << 26 | words[1::2] >> 6) * 2.0**-53
         normals = np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
         return normals.reshape(size)
 

@@ -143,13 +143,23 @@ def operator_distance(a: SignatureOperator, b: SignatureOperator) -> float:
 
 
 def per_mode_distance(a: SignatureOperator, b: SignatureOperator) -> np.ndarray:
+    """Largest singular value of each Sobolev-weighted block difference.
+
+    A real block [[p, q], [r, s]] is x times a rotation plus y times a
+    reflection, x = hypot(p + s, q - r) / 2 and y = hypot(p - s, q + r) / 2;
+    its Gram matrix (x^2 + y^2) Id + 2xy (a reflection) has eigenvalues
+    (x -+ y)^2, so the norm is x + y. hypot keeps the form free of overflow.
+    """
     if a.basis is not b.basis:
         raise ValueError("operators live on different bases")
+    if np.iscomplexobj(a.blocks) or np.iscomplexobj(b.blocks):
+        raise ValueError("signature blocks must be real")
     scale = sobolev_scale(a.basis)[:, None]
     weighted = a.blocks - b.blocks
     weighted[:, 0, :] *= scale
     weighted[:, :, 0] *= 1.0 / scale
-    return np.linalg.norm(weighted, 2, axis=(1, 2))
+    p, q, r, s = weighted.reshape(-1, 4).T
+    return 0.5 * (np.hypot(p + s, q - r) + np.hypot(p - s, q + r))
 
 
 @dataclass(frozen=True)

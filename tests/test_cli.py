@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import kgsig
 from kgsig import massfamily
-from kgsig.cli import _COMMANDS, _render_json, build_parser, cmd_evolve, main
+from kgsig.cli import _COMMANDS, _render_json, _write_csv, build_parser, cmd_evolve, main
 from kgsig.config import ExperimentConfig
 
 SMALL = "[grid]\nn = 4\nl = 6.0\n\n[quadrature]\ntol = 1e-5\n\n[run]\nfamilies = 3\n"
@@ -259,6 +259,29 @@ def test_evolve_without_samples_exits_2(tmp_path, capsys, samples):
     assert code == 2
     assert "samples must be positive" in capsys.readouterr().err
     assert not (out / "evolve_summary.json").exists()
+
+
+@pytest.mark.parametrize("time, code", [("1e308", 2), ("-1e308", 2), ("100", 0), ("-50", 0)])
+def test_evolve_time_whose_phases_overflow_exits_2(tmp_path, capsys, time, code):
+    # omega t overflowed to inf, sin and cos gave NaN, and the summary's
+    # JSON rendering raised: exit 1 with a traceback
+    assert run(tmp_path, ["evolve"], f"[run]\ntime = {time}\n")[0] == code
+    err = capsys.readouterr().err
+    assert ("time too large" in err) == (code == 2) and "Traceback" not in err
+
+
+def test_write_csv_matches_the_per_cell_rule(tmp_path):
+    rows = [
+        (0, 1.5, "a", True, 2),
+        [np.int64(1), np.float64(1e300), "b", np.bool_(False), 3.25],
+        (2, -0.0, "c", False, np.float64(-1e-300)),
+        (np.int64(3), np.float64(-0.0), "d", np.True_, 7),
+        (4, 0.1, "e", True, 2.0 / 3.0),
+    ]
+    _write_csv(tmp_path / "t.csv", ["i", "x", "s", "b", "mixed"], rows)
+    cell = lambda c: format(c, ".17g") if isinstance(c, float) else str(c)  # noqa: E731
+    lines = ["i,x,s,b,mixed"] + [",".join(cell(c) for c in row) for row in rows]
+    assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_reconstruct_echoes_the_tolerance_it_used(tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,16 @@ def test_seed7_draws_are_pinned():
     scalar = Draws(7)
     for got in (Draws(7).normal(5).tolist(), [scalar.normal() for _ in range(5)]):
         np.testing.assert_allclose(got, SEED7_NORMALS, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 1000])
+def test_bulk_normals_consume_the_single_draw_stream(seed, k):
+    # normal(k) reads its 2k uniforms in bulk; they, and the state after
+    # them, must be exactly those of 2k random() calls
+    draws = Draws(seed)
+    bulk, after = draws.normal(k), draws.uniform(0.0, 1.0)
+    stream = random.Random(seed)
+    u = np.array([stream.random() for _ in range(2 * k)])
+    assert np.array_equal(bulk, np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2]))
+    assert after == stream.random()

@@ -27,6 +27,7 @@ from kgsig.signature import (
     signature_analytic,
     signature_reconstruct,
     signature_spectrum,
+    sobolev_scale,
 )
 from kgsig.symplectic import symplectic
 
@@ -194,6 +195,48 @@ def test_massless_limit_table(basis):
     sig_m = signature_analytic(0.5, basis)
     assert operator_distance(sig_m, limit) == pytest.approx(table.norms[1])
     assert per_mode_distance(sig_m, limit) == pytest.approx(table.mode_norms[1])
+
+
+def _operator(basis, blocks):
+    return replace(signature_analytic(1.0, basis), blocks=blocks)
+
+
+def _blocks_of_every_kind(n, rng):
+    angles = rng.uniform(0.0, 2.0 * np.pi, n)
+    c, s = np.cos(angles), np.sin(angles)
+    rotations = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+    u, v = rng.normal(size=(2, n, 2))
+    return {
+        "random": rng.normal(size=(n, 2, 2)),
+        "zero": np.zeros((n, 2, 2)),
+        "rank_one": u[:, :, None] * v[:, None, :],
+        "diagonal": np.einsum("ni,ij->nij", rng.normal(size=(n, 2)) - 3.0, np.eye(2)),
+        "scaled_rotation": rng.uniform(0.1, 10.0, (n, 1, 1)) * rotations,
+        "scaled_reflection": rng.uniform(0.1, 10.0, (n, 1, 1)) * rotations @ np.diag([1.0, -1.0]),
+        "huge": 1e300 * rng.normal(size=(n, 2, 2)),
+        "tiny": 1e-300 * rng.normal(size=(n, 2, 2)),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["random", "zero", "rank_one", "diagonal", "scaled_rotation", "scaled_reflection", "huge", "tiny"],
+)
+def test_closed_form_block_norm_matches_svd(basis, kind):
+    # the closed form against LAPACK's SVD on the same weighted blocks
+    blocks = _blocks_of_every_kind(basis.size, np.random.default_rng(11))[kind]
+    scale, weighted = sobolev_scale(basis)[:, None], blocks.copy()
+    weighted[:, 0, :] *= scale
+    weighted[:, :, 0] *= 1.0 / scale
+    svd = np.linalg.norm(weighted, 2, axis=(1, 2))
+    closed = per_mode_distance(_operator(basis, blocks), _operator(basis, 0.0 * blocks))
+    assert np.all(np.isfinite(closed))
+    assert np.allclose(closed, svd, rtol=8 * np.finfo(float).eps, atol=0.0)
+
+
+def test_per_mode_distance_rejects_complex_blocks(basis, sig):
+    with pytest.raises(ValueError, match="real"):
+        per_mode_distance(_operator(basis, sig.blocks + 0j), sig)
 
 
 def test_massless_limit_validates_sequence(basis):
