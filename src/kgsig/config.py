@@ -175,14 +175,6 @@ def validate_config(
             raise ConfigError(
                 f"t_ceiling = {config.t_ceiling:g} is below 2 * t_max = {2.0 * config.t_max:g}"
             )
-        # the first stage's mass rule has omega step 2 pi / (ratio * 2 t_max),
-        # and the rule squares it
-        step = 2.0 * math.pi / (massfamily.RULE_PERIOD_RATIO * 2.0 * config.t_max)
-        if math.isinf(step * step):
-            raise ConfigError(
-                f"t_max = {config.t_max:g} too small: the first mass rule's omega "
-                f"step {step:g} overflows when squared"
-            )
     if command == "masslimit":
         # (4 / h^2) eps > share * m_min^2, multiplied through by h^2
         m_min = min(MASSLESS_MASSES)

@@ -139,11 +139,10 @@ class SpacetimeTestFunction(SpacetimeField):
     def __post_init__(self) -> None:
         super().__post_init__()
         simpson_weights(self.times)  # validates uniform odd-length node set
+        if not np.isfinite(self.modes).all():
+            raise ValueError("source modes must be finite")
         scale = max(1.0, float(np.abs(self.modes).max()))
-        if (
-            np.abs(self.modes[0]).max() > 1e-12 * scale
-            or np.abs(self.modes[-1]).max() > 1e-12 * scale
-        ):
+        if not np.abs(self.modes[[0, -1]]).max() <= 1e-12 * scale:
             raise ValueError("window too small to contain the support of f")
 
 

@@ -9,9 +9,10 @@ p-images of families on one weight in L^2 over spacetime on [-T, T], with T
 doubled until the increment falls below tolerance. The pairing acts per mode:
 time-integrated kernels of the weight, eigenvalue and stage alone, which a
 Gram contracts once with the (2, N) mode stacks of the families' base data.
-The doubling stops only once every mode has dephased over the window (T times
-its omega spread at least 2 pi): before that an increment is small only
-because its window is short.
+A stage that ends before every mode has dephased over the window (T times
+its omega spread below 2 pi) cannot stop the doubling: its increment is small
+only because its window is short. T doubles from t_max past such stages
+without building them.
 The Gram converges to the mass-integral side of the decomposition identity,
 `mass_decomposition_gram`: the same contraction of per-mode kernels, taken on
 the weight's Gauss rule with no time window.
@@ -218,7 +219,7 @@ class MassFamily:
 def check_support(weight: MassWeight, interval: MassInterval) -> None:
     """Raise ValueError unless the weight's support lies in the closure of I."""
     lo, hi = weight.center - weight.half_width, weight.center + weight.half_width
-    if lo < interval.m_lo - _SUPPORT_SLACK or hi > interval.m_hi + _SUPPORT_SLACK:
+    if not (interval.m_lo - _SUPPORT_SLACK <= lo and hi <= interval.m_hi + _SUPPORT_SLACK):
         raise ValueError("weight support outside I")
 
 
@@ -262,7 +263,9 @@ class ConvergenceReport:
     converged: bool
     final_t: float
     last_increment: float
-    stages: int  # windows: [-t_max, t_max] and one per doubling
+    # windows: the first, at the first T = t_max 2^k whose stage [T, 2T] ends
+    # dephased, and one per doubling
+    stages: int
     records: tuple[StageRecord, ...]  # the doubling stages
 
 
@@ -340,21 +343,30 @@ def adaptive_kernels(
     weight: MassWeight, lam: np.ndarray, powers: np.ndarray, contract, t_max, tol, t_ceiling
 ) -> tuple[np.ndarray, ConvergenceReport]:
     """`contract` of the [-T, T] kernels of `_uniform_rule`, T doubled from t_max
-    until the largest entry of a contracted increment is below tol (absolute)
-    at a T with T min_n spread_n >= 2 pi. A stage ending past t_ceiling or a
-    rule above RULE_NODES_MAX or RULE_SIZE_MAX raises ConvergenceError before
-    its rule is built, a non-finite increment after. Stage [T, 2T] runs on
-    the rule of period RULE_PERIOD_RATIO * 2T; the result is one [-T, T]
-    evaluation on the last rule (shorter periods would fold the slow tail
-    back in). When the last increment was below tol, the error names the
-    dephasing T."""
+    until the largest entry of a contracted increment is below tol (absolute).
+    Stages [T, 2T] with 2T min_n spread_n < 2 pi are skipped unbuilt, so T
+    stays on the grid t_max 2^k and every built stage ends dephased. A stage
+    ending past t_ceiling or a rule above RULE_NODES_MAX or RULE_SIZE_MAX
+    raises ConvergenceError before its rule is built, a non-finite increment
+    after. Stage [T, 2T] runs on the rule of period RULE_PERIOD_RATIO * 2T;
+    the result is one [-T, T] evaluation on the last rule (shorter periods
+    would fold the slow tail back in). When the skip reaches t_ceiling, the
+    error names the dephasing T."""
     records: list[StageRecord] = []
-    narrowest = _spread(weight, lam).min()
+    narrowest = float(_spread(weight, lam).min())
     t_cur = t_max
+    while 2 * t_cur <= t_ceiling and not 2 * t_cur * narrowest >= 2 * np.pi:
+        t_cur *= 2
     while True:
         started, t_hi = time.perf_counter(), 2 * t_cur
         if t_hi > t_ceiling:
             stall = f"spacetime pairing did not converge by T = {t_cur:g} (tol {tol:g})"
+            if not t_hi * narrowest >= 2 * np.pi:
+                stall += "; not every mode has dephased by then: " + (
+                    f"it needs T = 2 pi / min spread = {2 * np.pi / narrowest:g}"
+                    if narrowest > 0
+                    else "min spread rounds to 0, so no T dephases every mode"
+                )
             break
         period = RULE_PERIOD_RATIO * t_hi
         nodes = _rule_nodes(weight, lam, period)
@@ -379,20 +391,10 @@ def adaptive_kernels(
             stall = f"non-finite increment in stage [{t_cur:g}, {t_hi:g}]"
             break
         t_cur = t_hi
-        if worst < tol and t_cur * narrowest >= 2 * np.pi:  # every mode dephased
+        if worst < tol:
             return contract(rule(0.0, t_cur)), ConvergenceReport(
                 True, t_cur, worst, stages=len(records) + 1, records=tuple(records)
             )
-    if records and records[-1].increment < tol:  # only the dephasing test held it
-        need = (
-            f"it needs T = 2 pi / min spread = {2 * np.pi / narrowest:g}"
-            if narrowest > 0
-            else "min spread rounds to 0, so no T dephases every mode"
-        )
-        stall += (
-            f"; the last increment is below tol, but not every mode has dephased "
-            f"(T * min spread = {t_cur * narrowest:.3g} < 2 pi): {need}"
-        )
     last = (
         f"[{r.t_lo:g}, {r.t_hi:g}] P = {r.period:g}, {r.nodes} nodes, "
         f"increment {r.increment:.3e}, {r.seconds:.3f} s"

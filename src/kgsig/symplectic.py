@@ -46,7 +46,7 @@ def gm_form(f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float) -> 
     fg, gg = f.basis.grid, g.basis.grid
     if fg.num_points != gg.num_points or fg.spacing != gg.spacing:
         raise ValueError("sources must share a grid")
-    if f.times.shape != g.times.shape or not np.allclose(f.times, g.times):
+    if not np.array_equal(f.times, g.times):
         raise ValueError("sources must share a time window")
     ret, adv = duhamel_modes(g, mass)
     per_node = np.sum(np.conj(f.modes) * (ret - adv), axis=1)

@@ -179,17 +179,6 @@ def test_widest_exact_interval_still_builds_its_weight():
 
 
 @pytest.mark.parametrize("command", ["massdecomp", "reconstruct"])
-def test_t_max_whose_rule_step_cannot_be_squared_rejected(command):
-    # step 2 pi / (8 t_max): 1.31e154 at 6e-155 squares to 1.71e308, 1.57e154
-    # at 5e-155 overflows
-    validate_config(ExperimentConfig(t_max=6e-155), command)
-    for t_max in (5e-155, 1e-300, 5e-324):
-        with pytest.raises(ConfigError, match="t_max = .* too small"):
-            validate_config(ExperimentConfig(t_max=t_max), command)
-    validate_config(ExperimentConfig(t_max=1e-300), "spectrum")  # reads no t_max
-
-
-@pytest.mark.parametrize("command", ["massdecomp", "reconstruct"])
 def test_m_hi_whose_square_overflows_rejected(command):
     # the mass rules square the weight's upper edge: 1.34e154 squares to
     # 1.796e308, 1.5e154 overflows (an OverflowError in the Gram before)

@@ -167,6 +167,16 @@ def test_source_validation_rejects_touching_window_edge(basis):
         SpacetimeTestFunction(times=times, modes=modes, basis=basis)
 
 
+@pytest.mark.parametrize("node, value", [(0, np.nan), (20, np.inf)], ids=["nan-edge", "inf"])
+def test_source_validation_rejects_non_finite_modes(basis, node, value):
+    # a NaN at the edge fails no > comparison; an inf elsewhere made the scale inf
+    times = time_window(-3.0, 3.0, 0.1)
+    modes = single_mode_source(basis, times, 2).modes.copy()
+    modes[node, 5] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        SpacetimeTestFunction(times=times, modes=modes, basis=basis)
+
+
 def test_retarded_green_matches_adaptive_quadrature(basis):
     # Mode-wise Duhamel oracle via scipy.integrate.quad.
     n = 5

@@ -178,6 +178,11 @@ def test_make_family_validates_support(basis):
     assert np.array_equal(fam.node_scale, fam.weight.values)
 
 
+def test_nan_weight_fails_the_support_check():
+    with pytest.raises(ValueError, match="support outside I"):
+        massfamily.check_support(MassWeight(np.nan, 0.1), INTERVAL)
+
+
 def test_apply_T_scales_nodes(basis):
     rng = np.random.default_rng(1)
     fam = make_family(
@@ -419,7 +424,7 @@ def test_first_stage_past_ceiling_raises(basis, monkeypatch):
         spacetime_gram([fam], t_max=1000.0, t_ceiling=500.0)
 
 
-@pytest.mark.parametrize("t_max", [0.01, 1e-9])
+@pytest.mark.parametrize("t_max", [0.01, 1e-9, 1e-300])
 def test_short_first_window_does_not_end_the_doubling(basis, t_max):
     # the increment of a short stage is small only because the stage is: the
     # doubling may stop only once every mode has dephased over the window
@@ -434,9 +439,48 @@ def test_short_first_window_does_not_end_the_doubling(basis, t_max):
     assert report.final_t * spread.min() >= 2 * np.pi
 
 
+def test_short_first_window_skips_to_its_first_dephased_grid_point(basis):
+    # from t_max = 0.01, the first stage that ends with every mode dephased is
+    # [10.24, 20.48]: the skip builds no rule before it, and the Gram, final_t
+    # and stage records are those of a run seeded at 10.24
+    rng = np.random.default_rng(7)
+    wgt = interval_weight(INTERVAL)
+    fams = [make_family(random_datum(rng, basis), wgt, INTERVAL) for _ in range(3)]
+    narrowest = massfamily._spread(wgt, basis.eigenvalues).min()
+    assert 10.24 * narrowest < 2 * np.pi <= 20.48 * narrowest
+    gram, report = spacetime_gram(fams, t_max=0.01)
+    seeded, seeded_report = spacetime_gram(fams, t_max=10.24)
+    assert gram.tobytes() == seeded.tobytes()
+    assert report.final_t == seeded_report.final_t
+    assert report.stages == seeded_report.stages
+    assert [(r.t_lo, r.t_hi, r.period, r.nodes, r.increment) for r in report.records] == [
+        (r.t_lo, r.t_hi, r.period, r.nodes, r.increment) for r in seeded_report.records
+    ]
+
+
+def test_no_stage_is_built_before_every_mode_dephases(basis, monkeypatch):
+    # a rule of period P serves the stage that ends at P / RULE_PERIOD_RATIO
+    built = []
+    rule = massfamily._uniform_rule
+
+    def counted(weight, lam, powers, period, nodes):
+        built.append(period / massfamily.RULE_PERIOD_RATIO)
+        return rule(weight, lam, powers, period, nodes)
+
+    monkeypatch.setattr(massfamily, "_uniform_rule", counted)
+    wgt = interval_weight(INTERVAL)
+    fam = make_family(random_datum(np.random.default_rng(3), basis), wgt, INTERVAL)
+    narrowest = massfamily._spread(wgt, basis.eigenvalues).min()
+    for t_max in (1e-300, 1e-3, 1.0):
+        built.clear()
+        _, report = spacetime_gram([fam], t_max=t_max)
+        assert built and min(built) * narrowest >= 2 * np.pi
+        assert len(built) == len(report.records)
+
+
 def test_dephasing_stall_names_the_t_it_needs():
-    # every increment of a 1e-9 wide interval is below tol; the loop runs to
-    # the ceiling only because the narrowest mode has not dephased
+    # the narrowest mode of a 1e-9 wide interval dephases only past the
+    # ceiling: the skip reaches it and no stage is built
     basis = dirichlet_basis(4, 10.0)
     interval = MassInterval(1.999999999, 2.0)
     wgt = interval_weight(interval)
@@ -445,22 +489,28 @@ def test_dephasing_stall_names_the_t_it_needs():
     assert need > 1e9
     with pytest.raises(ConvergenceError) as err:
         spacetime_gram([fam])
+    assert "did not converge by T = 51200" in str(err.value)
     assert "not every mode has dephased" in str(err.value)
     assert f"it needs T = 2 pi / min spread = {need:g}" in str(err.value)
-    # a stall above tol does not name the dephasing T
-    with pytest.raises(ConvergenceError) as err:
+    # a stall over dephased stages is the increment's, and does not blame dephasing
+    wide = interval_weight(INTERVAL)
+    fam = make_family(random_datum(np.random.default_rng(5), basis), wide, INTERVAL)
+    with pytest.raises(ConvergenceError, match="did not converge by T = 400") as err:
         spacetime_gram([fam], tol=0.0, t_ceiling=400.0)
     assert "dephased" not in str(err.value)
 
 
-def test_non_finite_increment_raises_naming_the_stage(basis):
-    # at t_max = 1e-300 the rule step overflows and the increment is NaN
+def test_non_finite_increment_raises_naming_the_stage(basis, monkeypatch):
+    # a rule whose kernels are NaN stands in for an overflowing one
+    def nan_rule(weight, lam, powers, period, nodes):
+        return lambda t_lo, t_hi: np.full((2, lam.size, powers.size, powers.size), np.nan)
+
     fam = make_family(
         random_datum(np.random.default_rng(5), basis), interval_weight(INTERVAL), INTERVAL
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ConvergenceError, match=r"non-finite increment in stage \[1e-300, 2e-300\]"):
-            spacetime_gram([fam], t_max=1e-300)
+    monkeypatch.setattr(massfamily, "_uniform_rule", nan_rule)
+    with pytest.raises(ConvergenceError, match=r"non-finite increment in stage \[200, 400\]"):
+        spacetime_gram([fam])
 
 
 def test_family_basis_is_its_base_datum_basis(basis):

@@ -127,6 +127,19 @@ def test_causal_form_window_mismatch_rejected(basis):
         gm_form(f, g, MASS)
 
 
+@pytest.mark.parametrize("move", [lambda t: t + 1e-9, lambda t: t * (1 + 3e-6)], ids=["shift", "rescale"])
+def test_causal_form_needs_the_same_time_nodes(basis, move):
+    # np.allclose accepts both windows; the rescaled one moved the value by
+    # 3.6e-6 on 1.47, above the 1e-6 CCR tolerance
+    times = time_window(-3.0, 3.0, 0.05)
+    rng = np.random.default_rng(5)
+    f, g = random_test_function(rng, basis, times), random_test_function(rng, basis, times)
+    moved = SpacetimeTestFunction(times=move(times), modes=g.modes, basis=basis)
+    assert np.allclose(moved.times, times)
+    with pytest.raises(ValueError, match="sources must share a time window"):
+        gm_form(f, moved, MASS)
+
+
 def test_disjoint_supports_reduce_to_advanced_part(basis):
     # g supported after f: the retarded part of G g does not meet supp f.
     times = time_window(-6.0, 6.0, 0.05)
