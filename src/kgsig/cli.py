@@ -7,7 +7,8 @@ so reruns with the same config and seed are byte-identical. Wall-clock
 runtime goes to a separate run_meta.json sidecar, which is the one file
 excluded from that guarantee.
 
-Exit codes: 0 success, 2 configuration error, 3 non-convergence.
+Exit codes: 0 success, 2 configuration error, 3 non-convergence or a
+non-finite result (nothing is written then).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .dynamics import green_residuals, propagate, time_window
+from .dynamics import causal_fundamental, green_residuals, propagate, time_window
 from .lattice import dirichlet_basis, omega
 from .massfamily import (
     ConvergenceError,
@@ -61,7 +62,6 @@ from .signature import (
 )
 from .state import (
     build_state,
-    causal_data,
     pair_matchings,
     pair_matrix,
     state_positivity_suite,
@@ -71,26 +71,15 @@ from .state import (
 from .symplectic import gm_form, symplectic
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _render_json(value, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items = ",\n".join(
             f"{inner}{json.dumps(str(k))}: {_render_json(v, indent + 1)}"
             for k, v in value.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(f"{inner}{_render_json(v, indent + 1)}" for v in value)
-        return "[\n" + items + "\n" + pad + "]"
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -98,7 +87,7 @@ def _render_json(value, indent: int = 0) -> str:
     if isinstance(value, (float, np.floating)):
         if not np.isfinite(value):
             raise ValueError(f"non-finite value {value!r} has no JSON form")
-        return _fmt(value)
+        return format(float(value), ".17g")
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -122,6 +111,17 @@ def _write_csv(path: Path, header: list[str], rows: list) -> None:
             template = ",".join(["%.17g" if issubclass(t, float) else "%s" for t in types])
         lines.append(template % row)
     path.write_text("\n".join(lines) + "\n", newline="")
+
+
+def _non_finite(results: dict, tables: dict[str, tuple[list[str], list]]) -> str | None:
+    """The first result or table column holding NaN or inf, or None."""
+    columns = [(f"result {key}", [value]) for key, value in results.items()]
+    for name, (header, rows) in tables.items():
+        columns += [(f"{name} column {c}", cells) for c, cells in zip(header, zip(*rows))]
+    for where, cells in columns:
+        values = np.array(cells)  # str, int and bool columns hold no NaN
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
+            return where
 
 
 def _emit(
@@ -148,8 +148,7 @@ def _emit(
     )
     if not quiet:
         for key, value in results.items():
-            if isinstance(value, (int, float, bool, np.integer, np.floating)):
-                print(f"{key}: {value}")
+            print(f"{key}: {value}")
         for path in paths:
             print(f"wrote {path}")
 
@@ -321,16 +320,13 @@ def cmd_state(config: ExperimentConfig):
     rows = [[k, float(val)] for k, val in enumerate(suite.eigenvalues)]
     rng = Draws(config.seed + 1)
     times = time_window(-config.window / 2, config.window / 2, config.dt)
-    fs = [random_test_function(rng, basis, times, real=True) for _ in range(6)]
-    solved = causal_data(state, fs)  # pairs (f, g): entries k, k + 1
+    fs = random_test_function(rng, basis, times, real=True, size=6)
+    solved = causal_fundamental(fs, config.m)  # pairs (f, g): entries k, k + 1
     pair = pair_matrix(state, solved)
-    im_worst = ccr_worst = 0.0
-    for k in range(0, 6, 2):
-        w_fg, w_gf = pair[k, k + 1], pair[k + 1, k]
-        sigma = symplectic(solved[k], solved[k + 1])  # sigma(G f, G g)
-        im_worst = np.maximum(im_worst, abs(w_fg.imag - 0.5 * sigma.real))
-        anti = w_fg - w_gf - 1j * gm_form(fs[k], fs[k + 1], config.m)
-        ccr_worst = np.maximum(ccr_worst, abs(anti))
+    w_fg, w_gf = pair[0::2, 1::2].diagonal(), pair[1::2, 0::2].diagonal()
+    sigma = symplectic(solved[0::2], solved[1::2])  # sigma(G f, G g)
+    im_worst = np.abs(w_fg.imag - 0.5 * sigma.real).max()
+    ccr_worst = np.abs(w_fg - w_gf - 1j * gm_form(fs[0::2], fs[1::2], config.m)).max()
     results = {
         "trials": config.trials,
         "min_gram_eigenvalue": suite.min_eigenvalue,
@@ -385,7 +381,7 @@ def cmd_wick(config: ExperimentConfig):
     rng = Draws(config.seed)
     times = time_window(-config.window / 2, config.window / 2, config.dt)
     count = 2 * config.wick_order
-    fs = [random_test_function(rng, basis, times) for _ in range(count)]
+    fs = random_test_function(rng, basis, times, size=count)
     terms = wick_terms(state, fs)
     value = sum(terms, 0j)
     odd_value = wick_n_point(state, fs[: count - 1])
@@ -457,6 +453,9 @@ def main(argv: list[str] | None = None) -> int:
         results, tables = globals()[f"cmd_{args.command}"](config)
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
+        return 3
+    if where := _non_finite(results, tables):
+        print(f"non-finite result: {where}; nothing was written", file=sys.stderr)
         return 3
     _emit(args.command, config, results, tables, Path(args.out), args.quiet, started)
     return 0

@@ -222,6 +222,11 @@ def validate_config(
                 "window / dt too large: a spacetime array would exceed "
                 f"{SPACETIME_SAMPLES_MAX} samples (time nodes x grid points)"
             )
+        # the node spacing, about min(dt, window / 2), is squared by the Green layer
+        for step in {min(dt, config.window / 2), min(config.dt, config.window / 2)}:
+            if not sys.float_info.min <= step * step < math.inf:
+                raise ConfigError(f"time step min(dt, window / 2) = {step:g} squared "
+                                  "leaves the normal float range")
         trials = min(config.trials, SUITE_SAMPLES_MAX)  # no float overflow
         if command == "state" and trials * (samples + trials) > SUITE_SAMPLES_MAX:
             raise ConfigError(

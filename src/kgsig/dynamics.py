@@ -12,12 +12,12 @@ with w = sqrt(lambda_n + m^2), so the homogeneous evolution has no time-stepping
 error. Spacetime sources and fields live in mode space too: a
 `SpacetimeField` holds the (J, N) sine-mode coefficients of its values at J
 time nodes, real for a real source, so no function here makes a lattice
-transform. The retarded and advanced Green's operators come from one Duhamel
-pass per source, `duhamel_modes`: one cos/sin phase table feeds a forward and
-a backward cumulative Simpson quadrature, whose fields `green_residuals` also
-checks. `causal_fundamental` gets the t = 0 data of their difference from
-full-window moments against an `oscillator_table` that sources on one window
-share.
+transform. Data and sources may be stacks, (..., 2, N) and (..., J, N) on one
+window, indexed on the leading axes; every function here acts on the last
+two. The retarded and advanced Green's operators come from one Duhamel pass,
+`duhamel_modes`: one cos/sin phase table feeds a forward and a backward
+cumulative Simpson quadrature, whose fields `green_residuals` also checks.
+`causal_fundamental` gets the t = 0 data of their difference from moments.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ class CauchyDatum:
         if modes.shape[-2:] != (2, self.basis.size):
             raise ValueError("modes must have shape (..., 2, basis.size)")
         object.__setattr__(self, "modes", modes)
+
+    def __getitem__(self, index) -> "CauchyDatum":
+        return CauchyDatum(self.modes[index], self.basis)
 
     def __add__(self, other: "CauchyDatum") -> "CauchyDatum":
         if other.basis is not self.basis:
@@ -104,20 +107,24 @@ def simpson_weights(times: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SpacetimeField:
     """Scalar field on (time node) x (lattice point) as its (J, N) sine-mode
-    coefficients per time node; real coefficients stay float64."""
+    coefficients per time node, or a (..., J, N) stack of fields; real
+    coefficients stay float64."""
 
     times: np.ndarray
-    modes: np.ndarray  # (J, N)
+    modes: np.ndarray  # (..., J, N)
     basis: SpectralBasis
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
         modes = np.asarray(self.modes)
         modes = modes.astype(np.result_type(modes, float), copy=False)
-        if modes.shape != (times.size, self.basis.size):
-            raise ValueError("modes must have shape (num_times, basis.size)")
+        if modes.shape[-2:] != (times.size, self.basis.size) or times.ndim != 1:
+            raise ValueError("modes must have shape (..., num_times, basis.size)")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "modes", modes)
+
+    def __getitem__(self, index) -> "SpacetimeField":
+        return replace(self, modes=self.modes[index])
 
     @property
     def dt(self) -> float:
@@ -131,31 +138,34 @@ class SpacetimeField:
 
 @dataclass(frozen=True)
 class SpacetimeTestFunction(SpacetimeField):
-    """Smooth source supported strictly inside its time window.
+    """Smooth source supported strictly inside its time window, or a stack.
 
-    The first and last time node must carry (numerically) vanishing modes.
+    The first and last time node must carry (numerically) vanishing modes;
+    each source is checked alone, with no temporary the size of the stack.
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
         simpson_weights(self.times)  # validates uniform odd-length node set
-        if not np.isfinite(self.modes).all():
-            raise ValueError("source modes must be finite")
-        scale = max(1.0, float(np.abs(self.modes).max()))
-        if not np.abs(self.modes[[0, -1]]).max() <= 1e-12 * scale:
-            raise ValueError("window too small to contain the support of f")
+        for modes in self.modes.reshape((-1,) + self.modes.shape[-2:]):
+            if not np.isfinite(modes).all():
+                raise ValueError("source modes must be finite")
+            scale = max(1.0, float(np.abs(modes).max()))
+            if not np.abs(modes[[0, -1]]).max() <= 1e-12 * scale:
+                raise ValueError("window too small to contain the support of f")
 
 
 def cumulative_simpson_nodes(y: np.ndarray, dt: float) -> np.ndarray:
-    """Running composite Simpson integral along axis 0 (odd node count).
+    """Running composite Simpson integral along axis -2 (odd node count).
 
     Even-indexed nodes accumulate full Simpson pairs; odd-indexed nodes add
     the exact integral of the local interpolating parabola over the trailing
     subinterval. Complex-safe (scipy's cumulative_simpson is not).
     """
-    j = y.shape[0]
+    j = y.shape[-2]
     if j < 3 or j % 2 == 0:
         raise ValueError("cumulative Simpson needs an odd number of nodes (>= 3)")
+    y = np.moveaxis(y, -2, 0)  # a view
     out = np.zeros_like(y)
     pairs = (dt / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
     out[2::2] = np.cumsum(pairs, axis=0)
@@ -164,11 +174,11 @@ def cumulative_simpson_nodes(y: np.ndarray, dt: float) -> np.ndarray:
         out[3::2] = out[2:-1:2] + (dt / 12.0) * (
             -y[1:-2:2] + 8.0 * y[2:-1:2] + 5.0 * y[3::2]
         )
-    return out
+    return np.moveaxis(out, 0, -2)
 
 
 def duhamel_modes(f: SpacetimeTestFunction, mass: float) -> tuple[np.ndarray, np.ndarray]:
-    """(J, N) mode coefficients of the retarded and advanced fields of f.
+    """(..., J, N) mode coefficients of the retarded and advanced fields of f.
 
     sin(w(t - t')) = sin(wt)cos(wt') - cos(wt)sin(wt'), so both running
     Duhamel integrals are cumulative Simpson of the same cos/sin-weighted
@@ -181,8 +191,8 @@ def duhamel_modes(f: SpacetimeTestFunction, mass: float) -> tuple[np.ndarray, np
     cos_src, sin_src = cos_p * f.modes, sin_p * f.modes
 
     def green(step: int) -> np.ndarray:
-        ccum = cumulative_simpson_nodes(cos_src[::step], f.dt)[::step]
-        scum = cumulative_simpson_nodes(sin_src[::step], f.dt)[::step]
+        ccum = cumulative_simpson_nodes(cos_src[..., ::step, :], f.dt)[..., ::step, :]
+        scum = cumulative_simpson_nodes(sin_src[..., ::step, :], f.dt)[..., ::step, :]
         return step * (sin_p * ccum - cos_p * scum) / w[None, :]
 
     return green(1), green(-1)
@@ -202,30 +212,22 @@ def advanced_green(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
     return _field(f, duhamel_modes(f, mass)[1])
 
 
-def oscillator_table(
-    basis: SpectralBasis, times: np.ndarray, mass: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """w and the Simpson-weighted cos(w t), sin(w t), shape (J, N), on a window."""
-    w = omega(basis.eigenvalues, mass)
-    phase = w[None, :] * times[:, None]
-    quad = simpson_weights(times)[:, None]
-    return w, quad * np.cos(phase), quad * np.sin(phase)
-
-
-def causal_fundamental(f: SpacetimeTestFunction, mass: float, table=None) -> CauchyDatum:
+def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
     """Cauchy data at t = 0 of (retarded - advanced) applied to f.
 
     The difference is a homogeneous solution, so it is fixed by its t = 0
     data; those data have the closed mode-wise form
         phi_n(0) = -S_n / w_n,   pi_n(0) = i C_n,
     with C_n, S_n the full-window cos/sin moments of f. This route shares no
-    quadrature with the cumulative Duhamel fields. Sources on one window may
-    share `table = oscillator_table(f.basis, f.times, mass)`, built once.
+    quadrature with the cumulative Duhamel fields. One Simpson-weighted phase
+    table serves the whole stack, contracted with no stack-sized temporary.
     """
-    w, cos_table, sin_table = table or oscillator_table(f.basis, f.times, mass)
-    sin_int = np.sum(sin_table * f.modes, axis=0)
-    cos_int = np.sum(cos_table * f.modes, axis=0)
-    return CauchyDatum(np.stack([-sin_int / w, 1j * cos_int]), f.basis)
+    w = omega(f.basis.eigenvalues, mass)
+    phase = w[None, :] * f.times[:, None]
+    quad = simpson_weights(f.times)[:, None]
+    sin_int = np.einsum("jn,...jn->...n", quad * np.sin(phase), f.modes)
+    cos_int = np.einsum("jn,...jn->...n", quad * np.cos(phase), f.modes)
+    return CauchyDatum(np.stack([-sin_int / w, 1j * cos_int], axis=-2), f.basis)
 
 
 def causal_field(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
@@ -234,16 +236,19 @@ def causal_field(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
     return _field(f, ret - adv)
 
 
-def kg_residual(u: SpacetimeField, f: SpacetimeTestFunction, mass: float) -> float:
-    """Max norm of (D_t^2 - Lap + m^2) u - f over interior time nodes.
+def kg_residual(
+    u: SpacetimeField, f: SpacetimeTestFunction, mass: float
+) -> float | np.ndarray:
+    """Max norm of (D_t^2 - Lap + m^2) u - f over interior time nodes, per field.
 
     D_t^2 is the central second difference; the Laplacian acts spectrally
     (lambda_n per mode), which is exact for the lattice operator.
     """
-    c, w2 = u.modes, u.basis.eigenvalues + mass**2
-    res = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / u.dt**2 + w2 * c[1:-1] - f.modes[1:-1]
+    c, w2 = np.moveaxis(u.modes, -2, 0), u.basis.eigenvalues + mass**2  # time first
+    src = np.moveaxis(f.modes, -2, 0)[1:-1]
+    res = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / u.dt**2 + w2 * c[1:-1] - src
     # mode coefficients carry the h-weighted norm already (Parseval)
-    return float(np.sqrt(np.sum(np.abs(res) ** 2, axis=1)).max())
+    return np.sqrt(np.sum(np.abs(res) ** 2, axis=-1)).max(axis=0)
 
 
 def green_residuals(f: SpacetimeTestFunction, mass: float) -> tuple[float, float]:

@@ -56,13 +56,13 @@ def laplacian(grid: SpatialGrid) -> np.ndarray:
 
 
 # Grid size from which `SpectralBasis` applies the sine transform through
-# numpy.fft instead of the table. In the package, `analyze` serves only the
-# (3, N) spatial-profile stacks of random sources. Timed per call on 3
-# real rows (2-core Xeon, numpy 2.4.6, one BLAS thread): the table wins up to
-# n = 256 (0.024 ms table, 0.11 ms FFT) and the FFT from about n = 384 (0.051
-# ms table, 0.030 ms FFT); at n = 767 the table takes 0.50 ms, the FFT 0.055
-# ms, and the table's build 10.5 ms more. It stays at 768: lowering it would
-# move state, wick and green outputs on those grids by rounding, for ~10 ms.
+# numpy.fft instead of the table; `analyze` serves the (3 S, N) profile stacks
+# of S random sources. On 120 real rows (2-core Xeon, numpy 2.4.6, one BLAS
+# thread), table / FFT per call: n = 256 0.40 / 5.0 ms, 400 0.90 / 4.4 ms, 500
+# 1.3 / 4.2 ms, 700 2.0 / 4.9 ms, 766 3.1 / 1.9 ms: numpy.fft runs Bluestein's
+# algorithm where N + 1 has a large prime factor. Only the FFT is batch-
+# invariant: one (18, N) table product and six (3, N) ones differ by up to
+# 1.5e-15 of the largest entry at n = 300, 500 and 767 (first seen at n = 236).
 SINE_FFT_MIN_POINTS = 768
 
 

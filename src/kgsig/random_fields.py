@@ -3,9 +3,9 @@
 Test sources are built from C-infinity bumps in time and Gaussian profiles in
 space. Spatial smoothness matters quantitatively: the Duhamel quadrature error
 per mode scales like (omega_n * dt)^4, so sources need decaying high-mode
-content for the stated dual-route tolerances to be meaningful. A source holds
-mode coefficients: its (C, N) stack of spatial profiles is analyzed once, a
-real stack by a real transform, so real sources stay float64. Random Cauchy
+content for the stated dual-route tolerances to be meaningful. One call draws
+a source or a stack of them and analyzes all their spatial profiles at once,
+a real stack by a real transform, so real sources stay float64. Random Cauchy
 data are drawn directly as mode coefficients, with no transform.
 
 The draws are probes, so the exact random stream does not matter; what
@@ -73,7 +73,7 @@ def bump(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump_profile(times: np.ndarray, center: float, half_width: float) -> np.ndarray:
+def bump_profile(times: np.ndarray, center, half_width) -> np.ndarray:
     return bump((times - center) / half_width)
 
 
@@ -90,33 +90,33 @@ def random_test_function(
     times: np.ndarray,
     components: int = 3,
     real: bool = False,
+    size: int | None = None,
 ) -> SpacetimeTestFunction:
-    """Random smooth source supported strictly inside the time window.
+    """Random smooth source supported strictly inside the time window, or the
+    (size, J, N) stack of the sources that `size` single calls would draw.
 
-    A sum of (time bump x carrier) x (Gaussian space profile) terms with
-    random centers, widths, amplitudes and carrier frequencies, in mode space.
+    Each is a sum of (time bump x carrier) x (Gaussian space profile) terms
+    with random centers, widths, amplitudes and carrier frequencies, in mode
+    space; per term the draws are center, half-width, carrier, phase, x0,
+    width, amplitude.
     """
-    t0, t1 = float(times[0]), float(times[-1])
+    t0, t1, length = float(times[0]), float(times[-1]), basis.grid.length
     span = t1 - t0
-    x = basis.grid.points
-    length = basis.grid.length
-    profiles = np.empty((components, times.size))
-    shapes = np.empty((components, basis.size), dtype=float if real else complex)
-    for k in range(components):
-        center = rng.uniform(t0 + 0.30 * span, t1 - 0.30 * span)
-        half_width = rng.uniform(0.15 * span, 0.25 * span)
-        carrier = rng.uniform(0.0, 2.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        profiles[k] = bump_profile(times, center, half_width) * np.cos(
-            carrier * times + phase
-        )
-        x0 = rng.uniform(0.25 * length, 0.75 * length)
-        width = rng.uniform(0.10 * length, 0.20 * length)
-        shape = np.exp(-((x - x0) ** 2) / (2.0 * width**2))
-        if real:
-            amp = rng.normal()
-        else:
-            amp = rng.normal() + 1j * rng.normal()
-        shapes[k] = amp * shape
-    modes = profiles.T @ basis.analyze(shapes)  # (J, C) @ (C, N)
-    return SpacetimeTestFunction(times=times, modes=modes, basis=basis)
+    bounds = [(t0 + 0.30 * span, t1 - 0.30 * span), (0.15 * span, 0.25 * span),  # time bump
+              (0.0, 2.0), (0.0, 2.0 * np.pi),  # carrier frequency and phase
+              (0.25 * length, 0.75 * length), (0.10 * length, 0.20 * length)]  # space
+    count = 1 if size is None else size
+    params = np.empty((6, count * components))
+    amps = np.empty(count * components, dtype=float if real else complex)
+    for k in range(count * components):
+        drawn = [rng.uniform(lo, hi) for lo, hi in bounds]
+        drawn[-1] = 2.0 * drawn[-1] ** 2  # Python's pow: may round unlike numpy's square
+        params[:, k] = drawn
+        amps[k] = rng.normal() if real else rng.normal() + 1j * rng.normal()
+    center, half_width, carrier, phase, x0, spread = params[:, :, None]
+    profiles = bump_profile(times, center, half_width) * np.cos(carrier * times + phase)
+    shapes = amps[:, None] * np.exp(-((basis.grid.points - x0) ** 2) / spread)
+    # per source (J, C) @ (C, N), against one analysis of every term's shape
+    profiles = profiles.reshape(count, components, times.size).swapaxes(-2, -1)
+    modes = profiles @ basis.analyze(shapes).reshape(count, components, basis.size)
+    return SpacetimeTestFunction(times, modes[0] if size is None else modes, basis)

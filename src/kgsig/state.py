@@ -5,9 +5,9 @@ projector, omega2(f, g) = i sigma(G f, chi_hol G g). Its real part is a
 positive semi-definite Gram form on test functions; the imaginary part is
 half the symplectic pairing of the causal solutions, which encodes the
 canonical commutation relations. Higher correlation functions follow from
-the quasi-free (Wick) combinatorics: a sum over perfect matchings. Every pair
-value is an entry of `two_point_matrix`: one solve G f per function, one
-chi_hol projection of the stack, one broadcast `symplectic` per row.
+the quasi-free (Wick) combinatorics: a sum over perfect matchings. Test
+functions come as a (K, J, N) stack; `two_point_matrix` makes one causal
+solve G f of it, one chi_hol projection and one broadcast `symplectic` per row.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .dynamics import (
     SpacetimeTestFunction,
     apply_mode_blocks,
     causal_fundamental,
-    oscillator_table,
     time_window,
 )
 from .lattice import SpectralBasis
@@ -46,43 +45,36 @@ def build_state(mass: float, basis: SpectralBasis) -> TwoPointEvaluator:
     return TwoPointEvaluator(mass=mass, basis=basis, hol_blocks=hol)
 
 
-def _project_hol(state: TwoPointEvaluator, datum: CauchyDatum) -> CauchyDatum:
-    return apply_mode_blocks(state.hol_blocks, datum)
-
-
-def two_point_matrix(
-    state: TwoPointEvaluator, fs: list[SpacetimeTestFunction]
-) -> np.ndarray:
-    """(K, K) matrix of omega2(f_i, f_j), one causal solve per f_i; both
-    triangles are evaluated, so it is Hermitian only up to rounding."""
-    return pair_matrix(state, causal_data(state, fs))
-
-
-def causal_data(
-    state: TwoPointEvaluator, fs: list[SpacetimeTestFunction]
-) -> list[CauchyDatum]:
-    """The t = 0 causal data G f_i, solved against one window's oscillator table."""
-    if any(f.basis is not state.basis for f in fs):
+def _solve(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> CauchyDatum:
+    """The t = 0 causal data G f of a source or a stack, on the state's basis."""
+    if fs.basis is not state.basis:
         raise ValueError("test functions live on a different basis")
-    if len({f.times.tobytes() for f in fs}) != 1:
-        raise ValueError("need test functions on one shared time window")
-    table = oscillator_table(state.basis, fs[0].times, state.mass)
-    return [causal_fundamental(f, state.mass, table) for f in fs]
+    return causal_fundamental(fs, state.mass)
 
 
-def pair_matrix(state: TwoPointEvaluator, solved: list[CauchyDatum]) -> np.ndarray:
-    """`two_point_matrix` from the causal data G f_i: row i is i sigma(G f_i,
-    chi_hol G f_j) over the stack, so entries do not depend on the batch, and
-    one row at a time keeps the work at K x N."""
-    hol = _project_hol(state, CauchyDatum(np.stack([g.modes for g in solved]), state.basis))
-    return np.array([1j * symplectic(g, hol) for g in solved])
+def two_point_matrix(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> np.ndarray:
+    """(K, K) matrix of omega2(f_i, f_j) of a (K, J, N) stack; both triangles
+    are evaluated, so it is Hermitian only up to rounding."""
+    return pair_matrix(state, _solve(state, fs))
+
+
+def pair_matrix(state: TwoPointEvaluator, solved: CauchyDatum) -> np.ndarray:
+    """`two_point_matrix` from the (K, 2, N) causal data G f_i: row i is
+    i sigma(G f_i, chi_hol G f_j) over the stack, so entries do not depend on
+    the batch, and one row at a time keeps the work at K x N."""
+    if solved.modes.ndim != 3 or not len(solved.modes):
+        raise ValueError(f"need a stack of K >= 1 test functions, got {solved.modes.shape}")
+    hol = apply_mode_blocks(state.hol_blocks, solved)
+    return np.array([1j * symplectic(solved[i], hol) for i in range(len(solved.modes))])
 
 
 def two_point(
     state: TwoPointEvaluator, f: SpacetimeTestFunction, g: SpacetimeTestFunction
-) -> complex:
-    """omega2(f, g) = i sigma(G f, chi_hol G g) evaluated at time zero."""
-    return complex(two_point_matrix(state, [f, g])[0, 1])
+) -> complex | np.ndarray:
+    """omega2(f, g) = i sigma(G f, chi_hol G g) evaluated at time zero,
+    broadcast over stacks."""
+    hol_g = apply_mode_blocks(state.hol_blocks, _solve(state, g))
+    return 1j * symplectic(_solve(state, f), hol_g)
 
 
 def pair_matchings(count: int) -> list[list[tuple[int, int]]]:
@@ -92,50 +84,45 @@ def pair_matchings(count: int) -> list[list[tuple[int, int]]]:
     pairs (i, j) with i < j and increasing first members; there are
     (count - 1)!! of them.
     """
-    if count == 0:
-        return [[]]
     if count % 2:
         raise ValueError("perfect matchings need an even count")
-    items = list(range(count))
 
     def recurse(rest: list[int]) -> list[list[tuple[int, int]]]:
         if not rest:
             return [[]]
         first, tail = rest[0], rest[1:]
-        out = []
-        for k, partner in enumerate(tail):
-            for sub in recurse(tail[:k] + tail[k + 1 :]):
-                out.append([(first, partner)] + sub)
-        return out
+        return [
+            [(first, partner)] + sub
+            for k, partner in enumerate(tail)
+            for sub in recurse(tail[:k] + tail[k + 1 :])
+        ]
 
-    return recurse(items)
+    return recurse(list(range(count)))
 
 
-def wick_terms(
-    state: TwoPointEvaluator, fs: list[SpacetimeTestFunction]
-) -> list[complex]:
-    """Product of two-point factors for each matching, in `pair_matchings`
-    order; an even argument count is required."""
-    pairs = two_point_matrix(state, fs)
+def wick_terms(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> list[complex]:
+    """Product of two-point factors of a (K, J, N) stack, K even, for each
+    matching in `pair_matchings` order; Python complex products overflow to
+    inf without a warning."""
+    pairs = two_point_matrix(state, fs).tolist()
     return [
-        complex(math.prod((pairs[i, j] for i, j in matching), start=1 + 0j))
-        for matching in pair_matchings(len(fs))
+        math.prod((pairs[i][j] for i, j in matching), start=1 + 0j)
+        for matching in pair_matchings(len(pairs))
     ]
 
 
-def wick_n_point(
-    state: TwoPointEvaluator, fs: list[SpacetimeTestFunction]
-) -> complex:
-    """Quasi-free n-point function: sum over pairings of two-point factors.
-
-    Odd argument counts vanish identically and return exactly 0; more than
-    eight arguments (105 pairings) are rejected.
-    """
-    if len(fs) % 2:
+def wick_n_point(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> complex:
+    """Quasi-free n-point function of a (K, J, N) stack: the sum over pairings
+    of two-point factors, exactly 0 for odd K and 1 for K = 0; K > 8 (105
+    pairings) is rejected."""
+    if fs.modes.ndim != 3:
+        raise ValueError(f"need a stack of K test functions, got {fs.modes.shape}")
+    count = len(fs.modes)
+    if count % 2:
         return 0j
-    if len(fs) > 8:
+    if count > 8:
         raise ValueError("more than 8 arguments; pairing count grows as (2n-1)!!")
-    if not fs:
+    if not count:
         return 1 + 0j
     return sum(wick_terms(state, fs), 0j)
 
@@ -164,10 +151,7 @@ def state_positivity_suite(
     """
     rng = Draws(seed)
     times = time_window(-t_span / 2, t_span / 2, dt)
-    funcs = [
-        random_test_function(rng, state.basis, times, real=True)
-        for _ in range(trials)
-    ]
+    funcs = random_test_function(rng, state.basis, times, real=True, size=trials)
     gram = two_point_matrix(state, funcs)
     defect = float(np.abs(gram - gram.conj().T).max())
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))

@@ -33,8 +33,11 @@ def symplectic(a: CauchyDatum, b: CauchyDatum) -> complex | np.ndarray:
     return 1j * np.sum(np.conj(pi_a) * phi_b + np.conj(phi_a) * pi_b, axis=-1)
 
 
-def gm_form(f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float) -> complex:
-    """Spacetime quadrature of conj(f) * (causal field of g).
+def gm_form(
+    f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float
+) -> complex | np.ndarray:
+    """Spacetime quadrature of conj(f) * (causal field of g), broadcast over
+    the stack axes of f and g.
 
     The lattice sum is taken in mode space by Parseval (h sum_x conj(u) v =
     sum_n conj(u_n) v_n for the h-orthonormal sine modes), on f's mode
@@ -49,5 +52,5 @@ def gm_form(f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float) -> 
     if not np.array_equal(f.times, g.times):
         raise ValueError("sources must share a time window")
     ret, adv = duhamel_modes(g, mass)
-    per_node = np.sum(np.conj(f.modes) * (ret - adv), axis=1)
-    return complex(np.sum(simpson_weights(f.times) * per_node))
+    per_node = np.sum(np.conj(f.modes) * (ret - adv), axis=-1)
+    return np.sum(simpson_weights(f.times) * per_node, axis=-1)

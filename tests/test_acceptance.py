@@ -226,7 +226,7 @@ def test_a9_wick_combinatorics(criterion):
     state = build_state(1.0, basis)
     rng = np.random.default_rng(19)
     times = time_window(-3.0, 3.0, 0.05)
-    fs = [random_test_function(rng, basis, times) for _ in range(4)]
+    fs = random_test_function(rng, basis, times, size=4)  # one (4, J, N) stack
     w = {
         (i, j): two_point(state, fs[i], fs[j])
         for i in range(4)

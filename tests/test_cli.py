@@ -269,6 +269,48 @@ def test_evolve_time_whose_phases_overflow_exits_2(tmp_path, capsys, time, code)
     assert ("time too large" in err) == (code == 2) and "Traceback" not in err
 
 
+HUGE_STEP = "[quadrature]\ndt = {0}\n\n[run]\nwindow = {0}\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, code, message",
+    [
+        ("green", "[run]\nwindow = 1e-160\n", 2, "time step min(dt, window / 2) = 5e-161 squared"),
+        ("green", "[run]\nwindow = 1e-155\n", 2, "time step min(dt, window / 2) = 5e-156 squared"),
+        ("green", HUGE_STEP.format("1e200"), 2, "time step min(dt, window / 2) = 5e+199 squared"),
+        ("state", HUGE_STEP.format("1e200"), 2, "time step min(dt, window / 2) = 5e+199 squared"),
+        ("wick", HUGE_STEP.format("1e200"), 2, "time step min(dt, window / 2) = 5e+199 squared"),
+        ("wick", HUGE_STEP.format("1e100"), 3, "non-finite result: result value_re;"),
+    ],
+    ids=["green-w1e-160", "green-w1e-155", "green-1e200", "state-1e200", "wick-1e200", "wick-1e100"],
+)
+def test_extreme_time_steps_exit_2_or_3(tmp_path, capsys, recwarn, command, text, code, message):
+    # these ended in tracebacks: a node spacing squared to a subnormal or to
+    # inf (NaN residuals, OverflowError, LinAlgError), or Wick products
+    # overflowing to NaN
+    assert run(tmp_path, [command], text)[0] == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("window", ["1e-150", "1e-100"])
+@pytest.mark.parametrize("command", ["green", "state", "wick"])
+def test_tiny_windows_whose_step_squares_still_run(tmp_path, command, window):
+    assert run(tmp_path, [command], f"[run]\nwindow = {window}\n")[0] == 0
+
+
+def test_non_finite_table_cell_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def nan_row(config):
+        return {"x": 1.0}, {"t": (["k", "label", "value"], [[0, "a", 1.0], [1, "b", np.nan]])}
+
+    monkeypatch.setattr(kgsig.cli, "cmd_spectrum", nan_row)
+    assert run(tmp_path, ["spectrum"])[0] == 3
+    assert "non-finite result: t column value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_write_csv_matches_the_per_cell_rule(tmp_path):
     rows = [
         (0, 1.5, "a", True, 2),
@@ -524,49 +566,52 @@ def test_rule_size_cap_exits_3_before_building_an_over_cap_rule(tmp_path, capsys
 
 
 def test_state_solves_each_identity_function_once(tmp_path, monkeypatch):
-    # the imaginary-part identity reuses the solves of its two-point matrix
+    # one causal solve per stack: the suite's 5 sources, then the identity
+    # pairs' 6, whose solve the imaginary-part identity reuses
     import kgsig.dynamics
 
     calls = []
     original = kgsig.dynamics.causal_fundamental
 
-    def counted(f, mass, table=None):
+    def counted(f, mass):
         calls.append(f)
-        return original(f, mass, table)
+        return original(f, mass)
 
     for name in ("cli", "state", "symplectic"):
         monkeypatch.setattr(f"kgsig.{name}.causal_fundamental", counted, raising=False)
     code, _ = run(tmp_path, ["state"], SMALL + "trials = 5\n")
     assert code == 0
-    assert len({id(f) for f in calls}) == len(calls) == 5 + 3 * 2
+    assert [f.modes.shape[0] for f in calls] == [5, 6]
+    assert len({id(f) for f in calls}) == len(calls)
 
 
 @pytest.mark.parametrize("command, sources", [("green", 2), ("state", 5 + 6), ("wick", 4)])
 def test_each_source_is_analyzed_once_and_nothing_synthesized(
     tmp_path, monkeypatch, transforms, command, sources
 ):
-    # a source's (components, N) stack of spatial shapes is analyzed once, as
-    # it is drawn; the Duhamel, causal and two-point layers read its modes
+    # each draw analyzes the (3 S, N) stack of its S sources' spatial shapes
+    # once; the Duhamel, causal and two-point layers read its modes
     import kgsig.random_fields
     import kgsig.state
 
-    per_source = []
+    per_draw = []
     draw = kgsig.random_fields.random_test_function
 
     def drawn(*args, **kwargs):
         before = len(transforms)
         f = draw(*args, **kwargs)
-        per_source.append(transforms[before:])
+        per_draw.append((f.modes.shape[:-2], transforms[before:]))
         return f
 
     for module in (kgsig.cli, kgsig.state):
         monkeypatch.setattr(module, "random_test_function", drawn)
     code, _ = run(tmp_path, [command], SMALL + "trials = 5\n")
     assert code == 0
-    assert len(per_source) == sources
-    for calls in per_source:
-        assert [(name, np.shape(u)) for name, u in calls] == [("analyze", (3, 4))]
-    assert len(transforms) == sources
+    counts = [stack[0] if stack else 1 for stack, _ in per_draw]
+    assert sum(counts) == sources
+    for count, (_, calls) in zip(counts, per_draw):
+        assert [(name, np.shape(u)) for name, u in calls] == [("analyze", (3 * count, 4))]
+    assert len(transforms) == len(per_draw) == (2 if command != "wick" else 1)
 
 
 @pytest.mark.parametrize("t_max", ["0.01", "1e-9", "1e-300"])

@@ -19,10 +19,10 @@ from kgsig.dynamics import (
     time_window,
 )
 from kgsig.lattice import dirichlet_basis, laplacian, omega
-from kgsig.random_fields import bump_profile, random_datum, random_test_function
+from kgsig.random_fields import Draws, bump_profile, random_datum, random_test_function
 from kgsig.signature import apply_signature, scalar_product, signature_analytic
-from kgsig.state import build_state, causal_data, pair_matrix
-from kgsig.symplectic import symplectic
+from kgsig.state import build_state, pair_matrix
+from kgsig.symplectic import gm_form, symplectic
 
 MASS = 1.0
 
@@ -67,7 +67,7 @@ def test_cauchy_data_stay_in_mode_space(basis, transforms):
     state, sig = build_state(MASS, basis), signature_analytic(MASS, basis)
     rng = np.random.default_rng(14)
     times = time_window(-3.0, 3.0, 0.05)
-    solved = causal_data(state, [random_test_function(rng, basis, times) for _ in range(3)])
+    solved = causal_fundamental(random_test_function(rng, basis, times, size=3), MASS)
     del transforms[:]  # the sources' own analysis is not a datum's
     a, b = random_datum(rng, basis), random_datum(rng, basis)
     at = propagate(a, 0.7, MASS)
@@ -329,3 +329,58 @@ def test_shared_duhamel_pass_matches_separate_routes(basis, dt):
         assert res == kg_residual(field, f, MASS)
     diff = ret.modes - adv.modes
     np.testing.assert_array_equal(causal_field(f, MASS).modes, diff)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_a_stack_draw_leaves_the_stream_where_single_draws_do(basis, real):
+    times = time_window(-3.0, 3.0, 0.05)
+    for make in (lambda: Draws(3), lambda: np.random.default_rng(3)):
+        stacked, single = make(), make()
+        random_test_function(stacked, basis, times, real=real, size=4)
+        for _ in range(4):
+            random_test_function(single, basis, times, real=real)
+        assert stacked.uniform(0.0, 1.0) == single.uniform(0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [16, 64, 300, 1024])
+@pytest.mark.parametrize("real", [True, False])
+def test_a_stack_draw_holds_the_single_draws(n, real):
+    # one analysis of the (12, N) shapes against four of (3, N): the FFT path
+    # and the table up to a few hundred points do not depend on the batch,
+    # the table product at n = 300 may round differently
+    basis = dirichlet_basis(n, 10.0)
+    times = time_window(-3.0, 3.0, 0.05)
+    stack = random_test_function(Draws(5), basis, times, real=real, size=4)
+    rng = Draws(5)
+    single = np.stack([random_test_function(rng, basis, times, real=real).modes for _ in range(4)])
+    assert stack.modes.dtype == single.dtype
+    if n == 300:
+        assert np.abs(stack.modes - single).max() <= 1e-15 * np.abs(single).max()
+    else:
+        np.testing.assert_array_equal(stack.modes, single)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_functions_of_a_source_act_row_by_row_on_a_stack(basis, real):
+    # a (2, 2, J, N) stack: every row of every result equals the function of
+    # that row alone, bit for bit, so no function mixes rows or reads axis 0
+    times = time_window(-3.0, 3.0, 0.05)
+    draws = random_test_function(Draws(6), basis, times, real=real, size=8).modes
+    fs, gs = (
+        SpacetimeTestFunction(times=times, modes=m.reshape(2, 2, *m.shape[1:]), basis=basis)
+        for m in (draws[:4], draws[4:])
+    )
+    solved = causal_fundamental(fs, MASS)
+    ret, adv = duhamel_modes(fs, MASS)
+    running = cumulative_simpson_nodes(fs.modes, fs.dt)
+    residual = kg_residual(causal_field(gs, MASS), fs, MASS)
+    pairing = gm_form(fs, gs, MASS)
+    assert solved.modes.shape == (2, 2, 2, basis.size) and pairing.shape == residual.shape == (2, 2)
+    for a, b in np.ndindex(2, 2):
+        f, g = fs[a, b], gs[a, b]
+        np.testing.assert_array_equal(solved[a, b].modes, causal_fundamental(f, MASS).modes)
+        for stacked, alone in zip((ret, adv), duhamel_modes(f, MASS)):
+            np.testing.assert_array_equal(stacked[a, b], alone)
+        np.testing.assert_array_equal(running[a, b], cumulative_simpson_nodes(f.modes, f.dt))
+        assert residual[a, b] == kg_residual(causal_field(g, MASS), f, MASS)
+        assert pairing[a, b] == gm_form(f, g, MASS)

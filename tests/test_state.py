@@ -6,14 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kgsig.dynamics import causal_fundamental, oscillator_table, time_window
+from kgsig.dynamics import (
+    SpacetimeTestFunction,
+    apply_mode_blocks,
+    causal_fundamental,
+    time_window,
+)
 from kgsig.lattice import SINE_FFT_MIN_POINTS, dirichlet_basis
 from kgsig.random_fields import random_test_function
 from kgsig.state import (
-    _project_hol,
     build_state,
-    causal_data,
     pair_matchings,
+    pair_matrix,
     state_positivity_suite,
     two_point,
     two_point_matrix,
@@ -102,30 +106,45 @@ def reference_pair(state, f, g):
     """omega2(f, g) one pair at a time: two causal solves, no batching."""
     gf = causal_fundamental(f, state.mass)
     gg = causal_fundamental(g, state.mass)
-    return 1j * symplectic(gf, _project_hol(state, gg))
+    return 1j * symplectic(gf, apply_mode_blocks(state.hol_blocks, gg))
+
+
+def mixed_stack(rng, basis, times, count=5):
+    """`count` real sources, then `count` complex ones, as one stack."""
+    real = random_test_function(rng, basis, times, real=True, size=count)
+    cplx = random_test_function(rng, basis, times, size=count)
+    modes = np.concatenate([real.modes, cplx.modes])
+    return SpacetimeTestFunction(times=times, modes=modes, basis=basis)
 
 
 def test_two_point_matrix_matches_pairwise_reference(state, basis, times):
     rng = np.random.default_rng(8)
-    fs = [random_test_function(rng, basis, times, real=True) for _ in range(5)]
-    fs += [random_test_function(rng, basis, times) for _ in range(5)]
+    fs = mixed_stack(rng, basis, times)
     matrix = two_point_matrix(state, fs)
     assert matrix.shape == (10, 10)
-    for i, f in enumerate(fs):
-        for j, g in enumerate(fs):
-            assert matrix[i, j] == reference_pair(state, f, g)
+    for i in range(10):
+        for j in range(10):
+            assert matrix[i, j] == reference_pair(state, fs[i], fs[j])
+            assert matrix[i, j] == two_point(state, fs[i], fs[j])
     for count in (2, 4, 6):
         assert sum(wick_terms(state, fs[:count]), 0j) == wick_n_point(state, fs[:count])
 
 
 def test_two_point_matrix_rejects_foreign_basis_anywhere(state, basis, times):
     rng = np.random.default_rng(9)
-    fs = [random_test_function(rng, basis, times) for _ in range(3)]
+    fs = random_test_function(rng, basis, times, size=3)
     # same parameters, distinct object: the basis check is by identity
-    foreign = random_test_function(rng, dirichlet_basis(16, 10.0), times)
-    for pos in range(4):
+    foreign = random_test_function(rng, dirichlet_basis(16, 10.0), times, size=3)
+    calls = (
+        lambda: two_point_matrix(state, foreign),
+        lambda: two_point(state, fs[0], foreign[0]),
+        lambda: two_point(state, foreign[0], fs[0]),
+        lambda: wick_terms(state, foreign[:2]),
+        lambda: wick_n_point(state, foreign[:2]),
+    )
+    for call in calls:
         with pytest.raises(ValueError, match="different basis"):
-            two_point_matrix(state, fs[:pos] + [foreign] + fs[pos:])
+            call()
 
 
 @pytest.mark.parametrize("n", [64, 768])
@@ -137,43 +156,30 @@ def test_two_point_matrix_entries_do_not_depend_on_the_batch(n):
     state = build_state(MASS, basis)
     rng = np.random.default_rng(10)
     times = time_window(-3.0, 3.0, 0.05)
-    fs = [random_test_function(rng, basis, times, real=k < 5) for k in range(10)]
+    fs = mixed_stack(rng, basis, times)
     matrix = two_point_matrix(state, fs)
     for i, j in itertools.combinations(range(10), 2):
-        pair = two_point_matrix(state, [fs[i], fs[j]])
+        pair = two_point_matrix(state, fs[[i, j]])
         np.testing.assert_array_equal(pair, matrix[np.ix_([i, j], [i, j])])
 
 
-def test_a_shared_oscillator_table_changes_no_bit_of_a_solve(state, basis, times):
-    rng = np.random.default_rng(11)
-    fs = [random_test_function(rng, basis, times) for _ in range(4)]
-    table = oscillator_table(basis, times, MASS)
-    for f, shared in zip(fs, causal_data(state, fs)):
-        alone = causal_fundamental(f, MASS)
-        for single in (shared, causal_fundamental(f, MASS, table)):
-            np.testing.assert_array_equal(single.modes, alone.modes)
-
-
-def test_causal_data_rejects_mixed_windows_and_empty_input(state, basis, times):
-    rng = np.random.default_rng(12)
-    f = random_test_function(rng, basis, times)
-    # same node count, shifted nodes; then a different node count
-    for other in (time_window(-2.0, 4.0, 0.05), time_window(-4.0, 4.0, 0.05)):
-        g = random_test_function(rng, basis, other)
-        with pytest.raises(ValueError, match="one shared time window"):
-            two_point_matrix(state, [f, g])
-    with pytest.raises(ValueError, match="one shared time window"):
-        causal_data(state, [])
+def test_two_point_matrix_rejects_an_empty_stack_and_a_single_source(state, basis, times):
+    fs = random_test_function(np.random.default_rng(12), basis, times, size=3)
+    for bad in (fs[:0], fs[0], fs[None]):  # empty, one source, (1, 3, J, N)
+        with pytest.raises(ValueError, match="stack of K >= 1"):
+            two_point_matrix(state, bad)
+        with pytest.raises(ValueError, match="stack of K >= 1"):
+            pair_matrix(state, causal_fundamental(bad, MASS))
 
 
 def test_two_point_matrix_memory_stays_near_one_source():
-    # 40 sources of 241 nodes x 64 points, as in the bench state config;
-    # holding every source's (J, N) modes at once would need at least 9.4 MiB
+    # a (40, 241, 64) stack, as in the bench state config: the solve
+    # contracts the stack with a (J, N) table and makes no temporary of its size
     basis = dirichlet_basis(64, 10.0)
     state = build_state(MASS, basis)
     rng = np.random.default_rng(13)
     times = time_window(-3.0, 3.0, 0.025)
-    fs = [random_test_function(rng, basis, times, real=True) for _ in range(40)]
+    fs = random_test_function(rng, basis, times, real=True, size=40)
     source_bytes = fs[0].modes.nbytes
     two_point_matrix(state, fs[:2])  # builds the cached mode table
     tracemalloc.start()
@@ -182,7 +188,7 @@ def test_two_point_matrix_memory_stays_near_one_source():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert times.size == 241
+    assert fs.modes.shape == (40, 241, 64)
     assert peak < 8 * source_bytes
 
 
@@ -211,13 +217,13 @@ def test_matchings_against_brute_force_enumeration():
 
 def test_wick_two_point_reduction(state, basis, times):
     rng = np.random.default_rng(5)
-    f, g = (random_test_function(rng, basis, times) for _ in range(2))
-    assert wick_n_point(state, [f, g]) == two_point(state, f, g)
+    fs = random_test_function(rng, basis, times, size=2)
+    assert wick_n_point(state, fs) == two_point(state, fs[0], fs[1])
 
 
 def test_wick_four_point_three_terms(state, basis, times):
     rng = np.random.default_rng(6)
-    fs = [random_test_function(rng, basis, times) for _ in range(4)]
+    fs = random_test_function(rng, basis, times, size=4)
     direct = (
         two_point(state, fs[0], fs[1]) * two_point(state, fs[2], fs[3])
         + two_point(state, fs[0], fs[2]) * two_point(state, fs[1], fs[3])
@@ -237,8 +243,10 @@ def test_wick_four_point_three_terms(state, basis, times):
 
 def test_wick_odd_and_guard(state, basis, times):
     rng = np.random.default_rng(7)
-    fs = [random_test_function(rng, basis, times) for _ in range(3)]
+    fs = random_test_function(rng, basis, times, size=3)
     assert wick_n_point(state, fs) == 0j
-    assert wick_n_point(state, []) == 1 + 0j
+    assert wick_n_point(state, fs[:0]) == 1 + 0j
     with pytest.raises(ValueError, match="more than 8"):
-        wick_n_point(state, [fs[0]] * 10)
+        wick_n_point(state, fs[[0] * 10])
+    with pytest.raises(ValueError, match="stack of K"):
+        wick_n_point(state, fs[0])  # one source, not a stack of J of them
