@@ -227,6 +227,10 @@ def validate_config(
             if not sys.float_info.min <= step * step < math.inf:
                 raise ConfigError(f"time step min(dt, window / 2) = {step:g} squared "
                                   "leaves the normal float range")
+        # time_window takes 3 nodes whatever dt says once ceil(window / dt) <= 2
+        if math.ceil(config.window / config.dt) <= 2:
+            raise ConfigError(f"window / dt = {config.window / config.dt:g} is at most 2: "
+                              "the time grid would have 3 nodes whatever dt is")
         trials = min(config.trials, SUITE_SAMPLES_MAX)  # no float overflow
         if command == "state" and trials * (samples + trials) > SUITE_SAMPLES_MAX:
             raise ConfigError(

@@ -15,19 +15,19 @@ only because its window is short. T doubles from t_max past such stages
 without building them.
 The Gram converges to the mass-integral side of the decomposition identity,
 `mass_decomposition_gram`: the same contraction of per-mode kernels, taken on
-the weight's Gauss rule with no time window.
+the weight's own rule with no time window.
 
 Two quadrature choices matter and are deliberate:
 
-* The weight's fixed 200-node Gauss-Legendre rule, used by `integrate_p` and
-  `mass_decomposition_gram` and built on first read, lives on its support.
-  The integrand vanishes identically outside the support, so this equals the
-  integral over any enclosing mass interval, and it is the only placement
-  that stays accurate when the weight is a narrow localization bump. The
-  rule is computed here (`_gauss_legendre`: Newton's method on the Fourier
-  series of P_n), to rounding in nodes and weights. The reconstruction
-  normalization int w^2 m dm needs no nodes: it has a closed form
-  (`signature.signature_reconstruct`).
+* The weight's own rule, used by `integrate_p` and `mass_decomposition_gram`,
+  is the trapezoid rule on the 255 interior nodes of a uniform grid of 256
+  intervals over its support. The bump vanishes to all orders at both ends,
+  so this rule converges faster than any power (Trefethen and Weideman, SIAM
+  Review 56 (2014) 385), and the integrand vanishes identically outside the
+  support, so it equals the integral over any enclosing mass interval and
+  stays accurate when the weight is a narrow localization bump. The
+  reconstruction normalization int w^2 m dm needs no nodes: it has a closed
+  form (`signature.signature_reconstruct`).
 * The spacetime kernels take the mass integral per mode on a uniform omega
   grid of spacing 2 pi / P (m dm = omega d omega): for the bump this
   trapezoid rule converges faster than any power, its time kernels depend
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -57,59 +56,19 @@ RULE_NODES_MAX = 1 << 16  # per mode and rule; (1, 2) needs 31.8k at the default
 # ~200 B each (n = 64 to 256), so 1.6 GiB here, within config's 2 GiB suite cap
 RULE_SIZE_MAX = 1 << 23
 _SUPPORT_SLACK = 1e-12  # rounding allowed where a weight's support meets I
-# nodes of a weight's Gauss-Legendre rule: the bump alone sets the integrand's
-# smoothness, and the mass pairing plateaus at rounding from about 80 nodes
-_GAUSS_NODES = 200
-_NEWTON_PASSES = 10  # cap of the rule's Newton iteration; 4 passes suffice at 200
-_NEWTON_STEP_TOL = 1e-14  # largest theta step of a converged pass
+# intervals of a weight's trapezoid rule: the bump vanishes to all orders at
+# both ends of its support, so the rule converges faster than any power, and
+# the mass pairing sits on its rounding plateau here (doubling moves it by ulps)
+_INTERVALS = 256
+_UNIT_NODES = np.linspace(-1.0, 1.0, _INTERVALS + 1)[1:-1]  # interior nodes
+_UNIT_VALUES = bump(_UNIT_NODES)  # the bump there, shared by every weight
+_UNIT_NODES.setflags(write=False)
+_UNIT_VALUES.setflags(write=False)
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration hit its cap before meeting tolerance: the adaptive time
-    doubling or the Gauss-Legendre rule's Newton passes."""
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], n even.
-
-    Newton's method in theta = arccos x on the n / 2 positive nodes at once,
-    on the Fourier series P_n(cos theta) = sum_k c_k c_{n-k} cos((n - 2k) theta),
-    c_k = binom(2k, k) / 4^k (Swarztrauber, SIAM J. Sci. Comput. 24 (2002)
-    945). Terms k and n - k are equal, so the positive frequencies carry twice
-    their amplitude. The amplitudes are rescaled to sum to P_n(1) = 1, which
-    removes the rounding their product recurrence accumulates. Starts at
-    theta_k = pi (4k - 1) / (4n + 2); the weights are 2 / (dP_n / dtheta)^2
-    with the derivative of the last pass, which moved theta by at most
-    _NEWTON_STEP_TOL.
-    """
-    if n < 2 or n % 2:
-        raise ValueError(f"Gauss-Legendre rule needs an even node count, got {n}")
-    half = n // 2
-    k = np.arange(1, n + 1)
-    c = np.cumprod(np.concatenate([[1.0], (k - 0.5) / k]))  # c_0 .. c_n
-    amp = 2 * c[:half] * c[n : half : -1]  # frequencies n, n - 2, ..., 2
-    const = c[half] ** 2  # frequency 0
-    total = amp.sum() + const
-    amp, const = amp / total, const / total
-    freq = n - 2.0 * np.arange(half)
-    theta = np.pi * (4 * np.arange(1, half + 1) - 1) / (4 * n + 2)
-    for _ in range(_NEWTON_PASSES):
-        # theta = hi + lo with hi on a 2^-40 grid, so every freq * hi is exact
-        # (freq < 2^12) and lo enters to first order: the rounded products
-        # freq * theta would cost the weights 5e-14 relative at n = 200
-        hi = np.round(theta * 2.0**40) / 2.0**40
-        arg, lo = np.multiply.outer(hi, freq), np.multiply.outer(theta - hi, freq)
-        cos, sin = np.cos(arg), np.sin(arg)
-        slope = (sin + lo * cos) @ (-amp * freq)  # dP_n / dtheta
-        step = ((cos - lo * sin) @ amp + const) / slope
-        theta -= step
-        if np.abs(step).max() <= _NEWTON_STEP_TOL:
-            x, w = np.cos(theta), 2.0 / slope**2  # x descending
-            return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
-    raise ConvergenceError(
-        f"Gauss-Legendre rule of {n} nodes: Newton step {np.abs(step).max():.3e} "
-        f"after {_NEWTON_PASSES} passes, above {_NEWTON_STEP_TOL:g}"
-    )
+    """The adaptive time doubling stopped before an increment met tolerance:
+    a window or rule cap was reached, or an increment was not finite."""
 
 
 @dataclass(frozen=True)
@@ -151,9 +110,9 @@ class MassInterval:
 class MassWeight:
     """Smooth bump on [center - half_width, center + half_width].
 
-    Carries a fixed 200-node Gauss-Legendre rule on its support, built on
-    first read: `nodes`, their weights `quad`, and the bump samples `values`
-    there.
+    Carries the trapezoid rule on the interior nodes of a uniform grid of
+    _INTERVALS intervals over its support: `nodes`, their common weight
+    `quad` (a scalar) and the bump samples `values` there.
     """
 
     center: float
@@ -163,21 +122,17 @@ class MassWeight:
         if not self.half_width > 0.0:
             raise ValueError("weight needs positive half_width")
 
-    @cached_property
-    def _legendre(self) -> tuple[np.ndarray, np.ndarray]:
-        return _gauss_legendre(_GAUSS_NODES)
-
-    @cached_property
+    @property
     def nodes(self) -> np.ndarray:
-        return self.center + self.half_width * self._legendre[0]
+        return self.center + self.half_width * _UNIT_NODES
 
-    @cached_property
-    def quad(self) -> np.ndarray:
-        return self.half_width * self._legendre[1]
+    @property
+    def quad(self) -> float:
+        return self.half_width * 2 / _INTERVALS
 
-    @cached_property
+    @property
     def values(self) -> np.ndarray:
-        return bump(self._legendre[0])
+        return _UNIT_VALUES
 
     def profile(self, m: np.ndarray) -> np.ndarray:
         return bump((np.asarray(m, dtype=float) - self.center) / self.half_width)
@@ -236,13 +191,14 @@ def apply_T(family: MassFamily) -> MassFamily:
 
 
 def integrate_p(family: MassFamily, t: float) -> np.ndarray:
-    """(N,) mode coefficients of the mass integral (p phi)(t, .)."""
+    """(..., N) mode coefficients of the mass integral (p phi)(t, .), one row
+    per datum of a stacked base; phi and pi are read from axis -2."""
     lam = family.basis.eigenvalues
     om = np.sqrt(lam[:, None] + family.weight.nodes[None, :] ** 2)
     u = family.weight.quad * family.weight.nodes * family.node_scale
-    coeffs = family.base.modes
+    phi, pi = family.base.modes[..., 0, :], family.base.modes[..., 1, :]
     phase = om * t
-    return (np.cos(phase) @ u) * coeffs[0] - 1j * ((np.sin(phase) / om) @ u) * coeffs[1]
+    return (np.cos(phase) @ u) * phi - 1j * ((np.sin(phase) / om) @ u) * pi
 
 
 @dataclass(frozen=True)
@@ -449,7 +405,7 @@ def spacetime_gram(
 
 
 def _mass_kernels(weight: MassWeight, lam: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Per-mode kernels (2, N, K, K) of the mass integral on the weight's Gauss
+    """Per-mode kernels (2, N, K, K) of the mass integral on the weight's own
     rule, pi sum_q quad_q m_q w(m_q)^2 m_q^(k_a + k_b) (omega_nq, 1 / omega_nq):
     the T -> infinity limit of `_uniform_rule`'s [-T, T] kernels."""
     om = np.sqrt(lam[:, None] + weight.nodes**2)
@@ -463,7 +419,7 @@ def mass_decomposition_gram(families: list[MassFamily]) -> np.ndarray:
     """Mass-integral side of the decomposition identity, one matrix.
 
     Entry (i, j) is the weighted integral of the fixed-mass scalar products,
-    int scale_i(m) scale_j(m) <a_i|a_j>_m m dm, on the weight's Gauss rule;
+    int scale_i(m) scale_j(m) <a_i|a_j>_m m dm, on the weight's own rule;
     the families are those of `spacetime_gram`, whose Gram converges to this
     one as the time window grows.
     """

@@ -75,15 +75,11 @@ def scalar_product(
 
 
 def assemble(sig: SignatureOperator) -> np.ndarray:
-    """Dense matrix on interleaved mode coefficients (phi_1, pi_1, ...)."""
-    return _block_diagonal(sig.blocks)
-
-
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """(2N, 2N) matrix carrying the (N, 2, 2) blocks on its diagonal."""
-    n = len(blocks)
-    full = np.zeros((2 * n, 2 * n), dtype=blocks.dtype)
-    full.reshape(n, 2, n, 2)[np.arange(n), :, np.arange(n), :] = blocks
+    """Dense (2N, 2N) matrix on interleaved mode coefficients (phi_1, pi_1,
+    ...), carrying the (N, 2, 2) blocks on its diagonal."""
+    n = len(sig.blocks)
+    full = np.zeros((2 * n, 2 * n), dtype=sig.blocks.dtype)
+    full.reshape(n, 2, n, 2)[np.arange(n), :, np.arange(n), :] = sig.blocks
     return full
 
 

@@ -280,14 +280,23 @@ HUGE_STEP = "[quadrature]\ndt = {0}\n\n[run]\nwindow = {0}\n"
         ("green", HUGE_STEP.format("1e200"), 2, "time step min(dt, window / 2) = 5e+199 squared"),
         ("state", HUGE_STEP.format("1e200"), 2, "time step min(dt, window / 2) = 5e+199 squared"),
         ("wick", HUGE_STEP.format("1e200"), 2, "time step min(dt, window / 2) = 5e+199 squared"),
-        ("wick", HUGE_STEP.format("1e100"), 3, "non-finite result: result value_re;"),
+        ("wick", HUGE_STEP.format("1e100"), 2, "window / dt = 1 is at most 2"),
+        ("wick", "[quadrature]\ndt = 1e100\n\n[run]\nwindow = 1e101\n", 3,
+         "non-finite result: result value_re;"),
+        ("green", "[run]\nwindow = 1e-100\n", 2, "window / dt = 2e-99 is at most 2"),
+        ("green", HUGE_STEP.format("1e150"), 2, "window / dt = 1 is at most 2"),
+        ("state", HUGE_STEP.format("1e150"), 2, "window / dt = 1 is at most 2"),
+        ("wick", "[run]\nwindow = 0.1\n", 2, "window / dt = 2 is at most 2"),
     ],
-    ids=["green-w1e-160", "green-w1e-155", "green-1e200", "state-1e200", "wick-1e200", "wick-1e100"],
+    ids=["green-w1e-160", "green-w1e-155", "green-1e200", "state-1e200", "wick-1e200",
+         "wick-1e100", "wick-1e100-w1e101", "green-w1e-100", "green-1e150", "state-1e150",
+         "wick-w0.1"],
 )
 def test_extreme_time_steps_exit_2_or_3(tmp_path, capsys, recwarn, command, text, code, message):
     # these ended in tracebacks: a node spacing squared to a subnormal or to
     # inf (NaN residuals, OverflowError, LinAlgError), or Wick products
-    # overflowing to NaN
+    # overflowing to NaN; a window of at most 2 dt ran on 3 time nodes
+    # whatever dt said (green ratio 1, state Gram eigenvalue -3.6e283)
     assert run(tmp_path, [command], text)[0] == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
@@ -298,7 +307,9 @@ def test_extreme_time_steps_exit_2_or_3(tmp_path, capsys, recwarn, command, text
 @pytest.mark.parametrize("window", ["1e-150", "1e-100"])
 @pytest.mark.parametrize("command", ["green", "state", "wick"])
 def test_tiny_windows_whose_step_squares_still_run(tmp_path, command, window):
-    assert run(tmp_path, [command], f"[run]\nwindow = {window}\n")[0] == 0
+    dt = float(window) / 100
+    text = f"[quadrature]\ndt = {dt!r}\n\n[run]\nwindow = {window}\n"
+    assert run(tmp_path, [command], text)[0] == 0
 
 
 def test_non_finite_table_cell_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -485,10 +496,6 @@ def test_masslimit_controls_still_run(tmp_path, text):
     assert results["max_mode_ratio"] > 0.5
 
 
-def _no_rule(*args, **kwargs):
-    raise AssertionError("a Gauss-Legendre rule was built before validation")
-
-
 @pytest.mark.parametrize(
     "command, text, message",
     [
@@ -498,10 +505,7 @@ def _no_rule(*args, **kwargs):
     ],
     ids=["massdecomp-m_hi1e160", "massdecomp-mass_nodes"],
 )
-def test_mass_quadrature_inputs_rejected_before_any_rule(
-    tmp_path, capsys, monkeypatch, command, text, message
-):
-    monkeypatch.setattr(massfamily, "_gauss_legendre", _no_rule)
+def test_mass_quadrature_inputs_rejected_before_any_rule(tmp_path, capsys, command, text, message):
     code, _ = run(tmp_path, [command], text)
     assert code == 2
     assert message in capsys.readouterr().err
@@ -678,9 +682,9 @@ def test_every_package_export_resolves():
 
 def test_no_command_imports_numpy_random(tmp_path):
     """Every command draws from the stdlib stream that numpy already loaded,
-    so none pays the numpy.random import, and massdecomp's Gauss rule is
-    built in-package, so none loads numpy.polynomial; one interpreter runs
-    all ten."""
+    so none pays the numpy.random import, and massdecomp's mass rule is a
+    uniform grid, so none loads numpy.polynomial; one interpreter runs all
+    ten."""
     (tmp_path / "tiny.ini").write_text("[grid]\nn = 4\n")
     script = (
         "import sys\n"

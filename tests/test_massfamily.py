@@ -17,7 +17,7 @@ from kgsig.massfamily import (
     mass_decomposition_gram,
     spacetime_gram,
 )
-from kgsig.random_fields import random_datum
+from kgsig.random_fields import bump, random_datum
 
 INTERVAL = MassInterval(1.0, 2.0)
 
@@ -123,14 +123,19 @@ def test_interval_rejects_zero_in_closure():
         MassInterval(2.0, 1.0)
 
 
+# (power, squared) -> moment of the (1, 2) weight, frozen from
+# scipy.integrate.quad at epsabs 1e-15
+FROZEN_MOMENTS = {
+    (1, False): 0.332995362126059,
+    (1, True): 0.09981459063374484,
+    (2, False): 0.5082682277832105,
+}
+
+
 def test_weight_moments_against_adaptive_quadrature():
-    # frozen values from scipy.integrate.quad at epsabs 1e-15
     wgt = interval_weight(INTERVAL)
-    assert wgt.mass_moment(power=1) == pytest.approx(0.332995362126059, abs=1e-13)
-    assert wgt.mass_moment(power=1, squared=True) == pytest.approx(
-        0.09981459063374484, abs=1e-13
-    )
-    assert wgt.mass_moment(power=2) == pytest.approx(0.5082682277832105, abs=1e-13)
+    for (power, squared), value in FROZEN_MOMENTS.items():
+        assert wgt.mass_moment(power, squared) == pytest.approx(value, abs=1e-13)
 
 
 def test_weight_profile_matches_node_values():
@@ -138,34 +143,6 @@ def test_weight_profile_matches_node_values():
     assert np.allclose(wgt.profile(wgt.nodes), wgt.values, atol=1e-15)
     assert wgt.profile(np.array([1.2, 1.8])) == pytest.approx([0.0, 0.0])
     assert wgt.profile(np.array([1.5]))[0] == pytest.approx(np.exp(-1.0))
-
-
-@pytest.mark.parametrize("n", [2, 8, 64, 200])
-def test_gauss_rule_integrates_monomials_to_rounding(n):
-    # exact for every degree below 2n: sum w x^p = 2 / (p + 1), 0 for odd p
-    x, w = massfamily._gauss_legendre(n)
-    for p in range(2 * n):
-        exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
-        assert abs(w @ x**p - exact) <= 1e-15 * max(exact, 1.0), p
-
-
-@pytest.mark.parametrize("n", [2, 8, 64, 200])
-def test_gauss_rule_matches_leggauss(n):
-    x, w = massfamily._gauss_legendre(n)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
-    assert np.all(np.diff(x) > 0)
-    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-    assert np.abs(x - ref_x).max() <= 1e-15
-    assert np.abs(w / ref_w - 1).max() <= 1e-10
-
-
-def test_gauss_rule_refuses_odd_counts_and_a_stalled_iteration(monkeypatch):
-    for n in (0, 3, 201):
-        with pytest.raises(ValueError, match="even node count"):
-            massfamily._gauss_legendre(n)
-    monkeypatch.setattr(massfamily, "_NEWTON_PASSES", 2)
-    with pytest.raises(ConvergenceError, match="after 2 passes"):
-        massfamily._gauss_legendre(200)
 
 
 def test_make_family_validates_support(basis):
@@ -206,6 +183,18 @@ def test_integrate_p_single_mode_oracle():
     cos_int, sin_int = 0.10664898728246866, 0.17727872666041597
     expect = (cos_int * (0.3 + 0.1j) - 1j * sin_int * (-0.2 + 0.4j)) * v
     assert np.abs(basis8.synthesize(integrate_p(fam, 0.7)) - expect).max() < 1e-12
+
+
+def test_integrate_p_of_a_stacked_base_is_the_per_datum_images():
+    basis8 = dirichlet_basis(8, 10.0)
+    rng = np.random.default_rng(5)
+    data = [random_datum(rng, basis8) for _ in range(3)]
+    stack = CauchyDatum(np.stack([d.modes for d in data]), basis8)  # (3, 2, N)
+    weight = interval_weight(INTERVAL)
+    images = integrate_p(make_family(stack, weight, INTERVAL), 0.7)
+    each = [integrate_p(make_family(d, weight, INTERVAL), 0.7) for d in data]
+    assert images.shape == (3, 8)
+    assert np.array_equal(images, np.stack(each))
 
 
 def test_integrate_p_decays(basis):
@@ -325,7 +314,7 @@ def test_library_pairing_matches_local_oracle(basis):
 @pytest.mark.parametrize("n", [8, 16])
 def test_mass_kernels_are_the_long_window_limit_per_mode(weight, n):
     # the identity per mode, before any contraction with family data: the
-    # adaptive [-T, T] kernels converge to the Gauss-rule mass kernels
+    # adaptive [-T, T] kernels converge to the weight's mass-rule kernels
     lam = dirichlet_basis(n, 10.0).eigenvalues
     powers = np.array([0, 1])
     limit = massfamily._mass_kernels(weight, lam, powers)
@@ -338,14 +327,37 @@ def test_mass_kernels_are_the_long_window_limit_per_mode(weight, n):
 
 @WEIGHTS
 def test_fixed_gauss_rule_sits_on_its_plateau(basis, weight):
-    # the pairing settles at rounding from about 80 nodes, so the fixed rule
-    # agrees with a 100-node one to rounding, broad or narrow
+    # the library's trapezoid rule and an independent 100-node Gauss rule
+    # agree to rounding, broad or narrow
     rng = np.random.default_rng(21)
     fams = [make_family(random_datum(rng, basis), weight, INTERVAL) for _ in range(3)]
     fams[2] = apply_T(fams[2])
     lib = mass_decomposition_gram(fams)
     local = np.array([[rhs_pairing(a, b, nodes=100) for b in fams] for a in fams])
     assert np.abs(lib - local).max() <= 1e-13 * np.abs(local).max()
+
+
+@pytest.mark.parametrize(
+    "weight", [interval_weight(INTERVAL), MassWeight(1.5, 0.0125)], ids=["broad", "narrow"]
+)
+def test_doubling_the_mass_rule_moves_the_gram_by_ulps(basis, monkeypatch, weight):
+    # the bump vanishes to all orders at its ends, so the trapezoid rule is on
+    # its rounding plateau at 256 intervals (at 128 the Gram is 300+ ulps off)
+    rng = np.random.default_rng(21)
+    fams = [make_family(random_datum(rng, basis), weight, INTERVAL) for _ in range(3)]
+    fams[2] = apply_T(fams[2])
+    broad, grams, moments = interval_weight(INTERVAL), [], []
+    for intervals in (massfamily._INTERVALS, 2 * massfamily._INTERVALS):
+        nodes = np.linspace(-1.0, 1.0, intervals + 1)[1:-1]
+        monkeypatch.setattr(massfamily, "_INTERVALS", intervals)
+        monkeypatch.setattr(massfamily, "_UNIT_NODES", nodes)
+        monkeypatch.setattr(massfamily, "_UNIT_VALUES", bump(nodes))
+        grams.append(mass_decomposition_gram(fams))
+        moments.append([broad.mass_moment(power, sq) for power, sq in FROZEN_MOMENTS])
+    largest = np.abs(grams[0]).max()
+    assert np.abs(grams[1] - grams[0]).max() <= 8 * np.spacing(largest)
+    for found in moments:
+        assert found == pytest.approx(list(FROZEN_MOMENTS.values()), abs=1e-14, rel=0.0)
 
 
 def test_mass_operator_is_symmetric_for_pairing(basis):

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kgsig import massfamily
 from kgsig.dynamics import CauchyDatum, propagate
 from kgsig.lattice import build_grid, dirichlet_basis
 from kgsig.massfamily import MassInterval, MassWeight, make_family, spacetime_gram
@@ -324,11 +323,13 @@ def test_reconstruction_preconditions(basis):
         signature_analytic(-1.0, basis)
 
 
-def test_reconstruction_builds_no_gauss_rule(monkeypatch):
-    def no_rule(*args, **kwargs):
-        raise AssertionError("signature_reconstruct built a Gauss-Legendre rule")
+def test_reconstruction_reads_no_mass_rule(monkeypatch):
+    # the normalization has a closed form and the kernels their own omega rule
+    def no_rule(self):
+        raise AssertionError("signature_reconstruct read the weight's mass rule")
 
-    monkeypatch.setattr(massfamily, "_gauss_legendre", no_rule)
+    for name in ("nodes", "quad", "values"):
+        monkeypatch.setattr(MassWeight, name, property(no_rule))
     _, report = signature_reconstruct(1.5, dirichlet_basis(4, 10.0), 0.2)
     assert report.convergence.converged
 
