@@ -291,7 +291,7 @@ def cmd_reconstruct(config: ExperimentConfig):
         )
         dev = float(np.abs(rec.blocks - analytic.blocks).max())
         deviations.append(dev)
-        rows.append([hw, dev, report.convergence.final_t, report.convergence.stages])
+        rows.append([hw, dev, report.final_t, report.stages])
     results = {
         "block_tolerance": config.tol,
         "deviation_at_half_width": deviations[0],

@@ -4,6 +4,7 @@ The file format is INI-style (configparser): sections [grid], [mass],
 [quadrature], [run]. Every value has a default, so an empty or missing file
 is valid; unknown sections or keys are rejected rather than ignored so that
 typos surface as configuration errors (exit code 2 at the CLI).
+`ExperimentConfig` is a NamedTuple, so an override returns a changed copy.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import configparser
 import math
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import massfamily
 from .signature import MASSLESS_MASSES
@@ -56,8 +57,7 @@ _SCHEMA: dict[str, dict[str, type]] = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     n: int = 16
     l: float = 10.0
     m: float = 1.5
@@ -116,9 +116,9 @@ def apply_overrides(
 ) -> ExperimentConfig:
     out = config
     if seed is not None:
-        out = replace(out, seed=seed)
+        out = out._replace(seed=seed)
     if tol is not None:
-        out = replace(out, tol=tol)
+        out = out._replace(tol=tol)
     return out
 
 
@@ -214,15 +214,20 @@ def validate_config(
     if command in ("state", "green", "wick"):
         if not config.window > 0.0:
             raise ConfigError("window must be positive")
-        # time_window takes at most window / dt + 3 nodes; green also halves dt
-        dt = config.dt / 2 if command == "green" else config.dt
-        samples = (config.window / dt + 3) * config.n
+        # the random sources' Gaussian profiles square distances of up to 0.75 l
+        if math.isinf(config.l * config.l):
+            raise ConfigError("grid length too large: l^2 overflows in the random sources")
+        # time_window takes at most window / dt + 3 nodes; green also halves dt,
+        # so it doubles the count (a halved dt may round to 0)
+        refine = 2 if command == "green" else 1
+        samples = (refine * (config.window / config.dt) + 3) * config.n
         if samples > SPACETIME_SAMPLES_MAX:
             raise ConfigError(
                 "window / dt too large: a spacetime array would exceed "
                 f"{SPACETIME_SAMPLES_MAX} samples (time nodes x grid points)"
             )
         # the node spacing, about min(dt, window / 2), is squared by the Green layer
+        dt = config.dt / refine
         for step in {min(dt, config.window / 2), min(config.dt, config.window / 2)}:
             if not sys.float_info.min <= step * step < math.inf:
                 raise ConfigError(f"time step min(dt, window / 2) = {step:g} squared "

@@ -22,8 +22,6 @@ cumulative Simpson quadrature, whose fields `green_residuals` also checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .lattice import SpectralBasis, omega
@@ -31,19 +29,17 @@ from .lattice import SpectralBasis, omega
 DT_DEFAULT = 0.05
 
 
-@dataclass(frozen=True)
 class CauchyDatum:
     """Instantaneous field data as mode coefficients: `modes` is the (2, N)
     stack of (phi_n, pi_n) against `basis`, pi = i*dphi/dt, or (..., 2, N)."""
 
-    modes: np.ndarray
-    basis: SpectralBasis
+    __slots__ = ("modes", "basis")
 
-    def __post_init__(self) -> None:
-        modes = np.asarray(self.modes, dtype=complex)
-        if modes.shape[-2:] != (2, self.basis.size):
+    def __init__(self, modes: np.ndarray, basis: SpectralBasis) -> None:
+        modes = np.asarray(modes, dtype=complex)
+        if modes.shape[-2:] != (2, basis.size):
             raise ValueError("modes must have shape (..., 2, basis.size)")
-        object.__setattr__(self, "modes", modes)
+        self.modes, self.basis = modes, basis
 
     def __getitem__(self, index) -> "CauchyDatum":
         return CauchyDatum(self.modes[index], self.basis)
@@ -104,39 +100,35 @@ def simpson_weights(times: np.ndarray) -> np.ndarray:
     return w * (dt / 3.0)
 
 
-@dataclass(frozen=True)
 class SpacetimeField:
     """Scalar field on (time node) x (lattice point) as its (J, N) sine-mode
     coefficients per time node, or a (..., J, N) stack of fields; real
-    coefficients stay float64."""
+    coefficients stay float64. Indexing and scaling rebuild the same class,
+    so a test function's checks run again."""
 
-    times: np.ndarray
-    modes: np.ndarray  # (..., J, N)
-    basis: SpectralBasis
+    __slots__ = ("times", "modes", "basis")
 
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        modes = np.asarray(self.modes)
-        modes = modes.astype(np.result_type(modes, float), copy=False)
-        if modes.shape[-2:] != (times.size, self.basis.size) or times.ndim != 1:
+    def __init__(self, times: np.ndarray, modes: np.ndarray, basis: SpectralBasis) -> None:
+        times = np.asarray(times, dtype=float)
+        modes = np.asarray(modes)
+        modes = modes.astype(np.result_type(modes, float), copy=False)  # (..., J, N)
+        if modes.shape[-2:] != (times.size, basis.size) or times.ndim != 1:
             raise ValueError("modes must have shape (..., num_times, basis.size)")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "modes", modes)
+        self.times, self.modes, self.basis = times, modes, basis
 
     def __getitem__(self, index) -> "SpacetimeField":
-        return replace(self, modes=self.modes[index])
+        return type(self)(self.times, self.modes[index], self.basis)
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
     def __mul__(self, c: complex) -> "SpacetimeField":
-        return replace(self, modes=self.modes * c)
+        return type(self)(self.times, self.modes * c, self.basis)
 
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
 class SpacetimeTestFunction(SpacetimeField):
     """Smooth source supported strictly inside its time window, or a stack.
 
@@ -144,14 +136,16 @@ class SpacetimeTestFunction(SpacetimeField):
     each source is checked alone, with no temporary the size of the stack.
     """
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, times: np.ndarray, modes: np.ndarray, basis: SpectralBasis) -> None:
+        super().__init__(times, modes, basis)
         simpson_weights(self.times)  # validates uniform odd-length node set
-        for modes in self.modes.reshape((-1,) + self.modes.shape[-2:]):
-            if not np.isfinite(modes).all():
+        for source in self.modes.reshape((-1,) + self.modes.shape[-2:]):
+            if not np.isfinite(source).all():
                 raise ValueError("source modes must be finite")
-            scale = max(1.0, float(np.abs(modes).max()))
-            if not np.abs(modes[[0, -1]]).max() <= 1e-12 * scale:
+            scale = max(1.0, float(np.abs(source).max()))
+            if not np.abs(source[[0, -1]]).max() <= 1e-12 * scale:
                 raise ValueError("window too small to contain the support of f")
 
 

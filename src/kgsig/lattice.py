@@ -16,31 +16,24 @@ N x N table is never built unless something reads `SpectralBasis.vectors`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class SpatialGrid:
     """Interior points of a Dirichlet lattice on (0, length)."""
 
-    num_points: int
-    length: float
-    spacing: float = field(init=False)
-    points: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("num_points", "length", "spacing", "points")
 
-    def __post_init__(self) -> None:
-        if self.num_points < 1:
+    def __init__(self, num_points: int, length: float) -> None:
+        if num_points < 1:
             raise ValueError("grid needs at least one interior point")
-        if not self.length > 0.0:
+        if not length > 0.0:
             raise ValueError("grid length must be positive")
-        h = self.length / (self.num_points + 1)
-        object.__setattr__(self, "spacing", h)
-        object.__setattr__(
-            self, "points", h * np.arange(1, self.num_points + 1, dtype=float)
-        )
+        self.num_points, self.length = num_points, length
+        self.spacing = h = length / (num_points + 1)
+        self.points = h * np.arange(1, num_points + 1, dtype=float)
 
 
 def build_grid(num_points: int, length: float) -> SpatialGrid:
@@ -66,7 +59,6 @@ def laplacian(grid: SpatialGrid) -> np.ndarray:
 SINE_FFT_MIN_POINTS = 768
 
 
-@dataclass(frozen=True)
 class SpectralBasis:
     """Eigenpairs of the Dirichlet Laplacian on a grid.
 
@@ -80,8 +72,8 @@ class SpectralBasis:
     `vectors`, which is also the reference the FFT path is tested against.
     """
 
-    grid: SpatialGrid
-    eigenvalues: np.ndarray
+    def __init__(self, grid: SpatialGrid, eigenvalues: np.ndarray) -> None:
+        self.grid, self.eigenvalues = grid, eigenvalues
 
     @property
     def size(self) -> int:
@@ -158,7 +150,7 @@ def dirichlet_basis(num_points: int, length: float) -> SpectralBasis:
 def omega(eigenvalue: float | np.ndarray, mass: float) -> float | np.ndarray:
     """Dispersion omega = sqrt(lambda + m^2); rejects the zero mode."""
     lam = np.asarray(eigenvalue, dtype=float)
-    if np.any(lam + mass**2 <= 0.0):
+    if not np.all(lam + mass**2 > 0.0):  # NaN fails
         raise ValueError("omega requires lambda + m^2 > 0")
     out = np.sqrt(lam + mass**2)
     return float(out) if out.ndim == 0 else out

@@ -8,14 +8,16 @@ over mass against the measure m dm, and the physical inner product pairs
 p-images of families on one weight in L^2 over spacetime on [-T, T], with T
 doubled until the increment falls below tolerance. The pairing acts per mode:
 time-integrated kernels of the weight, eigenvalue and stage alone, which a
-Gram contracts once with the (2, N) mode stacks of the families' base data.
+Gram contracts once with the (2, N) mode stacks of the families' base data
+(a family on an (S, 2, N) stack of data takes S rows).
 A stage that ends before every mode has dephased over the window (T times
 its omega spread below 2 pi) cannot stop the doubling: its increment is small
 only because its window is short. T doubles from t_max past such stages
 without building them.
 The Gram converges to the mass-integral side of the decomposition identity,
 `mass_decomposition_gram`: the same contraction of per-mode kernels, taken on
-the weight's own rule with no time window.
+the weight's own rule with no time window. The doubling reports each stage in
+a `StageRecord` and the run in a `ConvergenceReport`, both NamedTuples.
 
 Two quadrature choices matter and are deliberate:
 
@@ -39,7 +41,7 @@ Two quadrature choices matter and are deliberate:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,28 +73,23 @@ class ConvergenceError(RuntimeError):
     a window or rule cap was reached, or an increment was not finite."""
 
 
-@dataclass(frozen=True)
 class MassInterval:
     """Open mass interval I = (m_lo, m_hi) with 0 outside its closure."""
 
-    m_lo: float
-    m_hi: float
+    __slots__ = ("m_lo", "m_hi")
 
-    def __post_init__(self) -> None:
-        if not self.m_lo > 0.0:
+    def __init__(self, m_lo: float, m_hi: float) -> None:
+        if not m_lo > 0.0:
             raise ValueError(
                 "mass interval must satisfy 0 ∉ Ī (need m_lo > 0)"
             )
-        if not self.m_hi > self.m_lo:
+        if not m_hi > m_lo:
             raise ValueError("mass interval needs m_lo < m_hi")
+        self.m_lo, self.m_hi = m_lo, m_hi
         # a weight spanning I is built from the center and half-width; when
         # m_hi dwarfs m_lo, m_lo is lost to rounding there (1 + 1e16 == 1e16)
         lo, hi = self.center - self.half_width, self.center + self.half_width
-        if not (
-            0.0 < lo
-            and self.m_lo - _SUPPORT_SLACK <= lo
-            and hi <= self.m_hi + _SUPPORT_SLACK
-        ):
+        if not (0.0 < lo and m_lo - _SUPPORT_SLACK <= lo and hi <= m_hi + _SUPPORT_SLACK):
             raise ValueError(
                 "mass interval too wide: center +- half-width loses m_lo to rounding"
             )
@@ -106,7 +103,6 @@ class MassInterval:
         return 0.5 * (self.m_hi - self.m_lo)
 
 
-@dataclass(frozen=True)
 class MassWeight:
     """Smooth bump on [center - half_width, center + half_width].
 
@@ -115,12 +111,12 @@ class MassWeight:
     `quad` (a scalar) and the bump samples `values` there.
     """
 
-    center: float
-    half_width: float
+    __slots__ = ("center", "half_width")
 
-    def __post_init__(self) -> None:
-        if not self.half_width > 0.0:
+    def __init__(self, center: float, half_width: float) -> None:
+        if not half_width > 0.0:
             raise ValueError("weight needs positive half_width")
+        self.center, self.half_width = center, half_width
 
     @property
     def nodes(self) -> np.ndarray:
@@ -148,18 +144,19 @@ def interval_weight(interval: MassInterval) -> MassWeight:
     return MassWeight(interval.center, interval.half_width)
 
 
-@dataclass(frozen=True)
 class MassFamily:
-    """Base Cauchy datum smeared over a mass interval by a weight.
+    """Base Cauchy datum, or a stack of them, smeared over a mass interval by
+    a weight.
 
     mass_power counts applications of the mass multiplication operator T, so
     the node scalars w(m_q) * m_q^mass_power can be evaluated exactly on any
     rule of the weight's support.
     """
 
-    base: CauchyDatum
-    weight: MassWeight
-    mass_power: int = 0
+    __slots__ = ("base", "weight", "mass_power")
+
+    def __init__(self, base: CauchyDatum, weight: MassWeight, mass_power: int = 0) -> None:
+        self.base, self.weight, self.mass_power = base, weight, mass_power
 
     @property
     def basis(self) -> SpectralBasis:
@@ -187,7 +184,7 @@ def make_family(
 
 def apply_T(family: MassFamily) -> MassFamily:
     """Multiplication by the mass: (T phi)_m = m phi_m, exact at the nodes."""
-    return replace(family, mass_power=family.mass_power + 1)
+    return MassFamily(family.base, family.weight, family.mass_power + 1)
 
 
 def integrate_p(family: MassFamily, t: float) -> np.ndarray:
@@ -201,8 +198,7 @@ def integrate_p(family: MassFamily, t: float) -> np.ndarray:
     return (np.cos(phase) @ u) * phi - 1j * ((np.sin(phase) / om) @ u) * pi
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     """A doubling stage: its rule's period and widest-mode node count, its
     largest entry and its wall time (rule build included)."""
 
@@ -214,8 +210,7 @@ class StageRecord:
     seconds: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     converged: bool
     final_t: float
     last_increment: float
@@ -361,8 +356,9 @@ def adaptive_kernels(
 
 def _family_stack(families: list[MassFamily]):
     """Eigenvalues, shared weight, distinct mass powers and the Gram contraction
-    of per-mode (2, N, K, K) kernels with the families' (F, 2, N) mode stack;
-    the families must share one spectral basis and one mass weight."""
+    of per-mode (2, N, K, K) kernels with the families' (F, 2, N) mode stack,
+    in which a family on a stacked base takes one row per datum; the
+    families must share one spectral basis and one mass weight."""
     if not families:
         raise ValueError("no families given")
     basis, weight = families[0].basis, families[0].weight
@@ -371,8 +367,9 @@ def _family_stack(families: list[MassFamily]):
             raise ValueError("families must share one spectral basis")
         if fam.weight is not weight:
             raise ValueError("families must share one mass weight")
-    modes = np.stack([f.base.modes for f in families])  # (F, 2, N)
-    powers, row = np.unique([f.mass_power for f in families], return_inverse=True)
+    modes = np.concatenate([f.base.modes.reshape(-1, 2, basis.size) for f in families])
+    powers, index = np.unique([f.mass_power for f in families], return_inverse=True)
+    row = np.repeat(index, [f.base.modes[..., 0, 0].size for f in families])
 
     def contract(g):
         return np.einsum("ixn,jxn,xnij->ij", modes.conj(), modes, g[:, :, row][:, :, :, row])
@@ -386,7 +383,8 @@ def spacetime_gram(
     tol: float = TOL_DEFAULT,
     t_ceiling: float = T_CEILING_DEFAULT,
 ) -> tuple[np.ndarray, ConvergenceReport]:
-    """Matrix of spacetime inner products <p a_i | p a_j> over [-T, T].
+    """Matrix of spacetime inner products <p a_i | p a_j> over [-T, T], one
+    row and column per base datum: a family on an (S, 2, N) stack takes S.
 
     The families share one spectral basis and one mass weight; `tol` and the
     window are those of `adaptive_kernels`, whose per-mode kernels each stage

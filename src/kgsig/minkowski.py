@@ -11,12 +11,11 @@ amplitude/Cauchy transform pair (1/4pi) [[1/omega, -1/omega], [1, 1]] and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class ModeSuperposition:
     """Finite weighted set of mass-shell modes with shell amplitudes.
 
@@ -24,35 +23,37 @@ class ModeSuperposition:
     amplitudes: (2, M) complex, row 0 the upper shell, row 1 the lower.
     """
 
-    dimension: int
-    momenta: np.ndarray
-    amplitudes: np.ndarray
-    weights: np.ndarray
-    mass: float
+    __slots__ = ("dimension", "momenta", "amplitudes", "weights", "mass")
 
-    def __post_init__(self) -> None:
-        if self.dimension not in (1, 3):
+    def __init__(
+        self,
+        dimension: int,
+        momenta: np.ndarray,
+        amplitudes: np.ndarray,
+        weights: np.ndarray,
+        mass: float,
+    ) -> None:
+        if dimension not in (1, 3):
             raise ValueError("dimension must be 1 or 3")
-        momenta = np.asarray(self.momenta, dtype=float)
-        if self.dimension == 1 and momenta.ndim != 1:
+        momenta = np.asarray(momenta, dtype=float)
+        if dimension == 1 and momenta.ndim != 1:
             raise ValueError("dimension-1 momenta are magnitudes, shape (M,)")
-        if self.dimension == 3 and momenta.shape[1:] != (3,):
+        if dimension == 3 and momenta.shape[1:] != (3,):
             raise ValueError("dimension-3 momenta need shape (M, 3)")
-        amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        weights = np.asarray(self.weights, dtype=float)
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        weights = np.asarray(weights, dtype=float)
         count = momenta.shape[0]
         if amplitudes.shape != (2, count):
             raise ValueError("amplitudes need shape (2, num_modes)")
-        if weights.shape != (count,) or np.any(weights <= 0.0):
+        if weights.shape != (count,) or not np.all(weights > 0.0):  # NaN fails
             raise ValueError("weights must be positive, one per mode")
-        if self.mass < 0.0:
+        if not mass >= 0.0:
             raise ValueError("mass must be nonnegative")
         flat = momenta.reshape(count, -1)
         if len({tuple(row) for row in flat}) != count:
             raise ValueError("momenta must be distinct")
-        object.__setattr__(self, "momenta", momenta)
-        object.__setattr__(self, "amplitudes", amplitudes)
-        object.__setattr__(self, "weights", weights)
+        self.dimension, self.momenta, self.amplitudes = dimension, momenta, amplitudes
+        self.weights, self.mass = weights, mass
         if np.any(self.frequencies <= 0.0):
             raise ValueError("massless zero-momentum mode has no frequency")
 
@@ -102,7 +103,7 @@ def mink_scalar_product(a: ModeSuperposition, b: ModeSuperposition) -> complex:
 def mink_signature_action(a: ModeSuperposition) -> ModeSuperposition:
     """Multiply the upper shell by -pi and the lower shell by +pi."""
     scaled = np.array([-np.pi, np.pi])[:, None] * a.amplitudes
-    return replace(a, amplitudes=scaled)
+    return ModeSuperposition(a.dimension, a.momenta, scaled, a.weights, a.mass)
 
 
 def amplitude_to_cauchy(omega: np.ndarray) -> np.ndarray:
@@ -139,7 +140,7 @@ def mink_cauchy_inverse(
     """Amplitudes (a_plus, a_minus) from per-mode Cauchy pairs."""
     pairs = np.asarray(pairs, dtype=complex)
     om = np.asarray(omega, dtype=float)
-    if np.any(om <= 0.0):
+    if not np.all(om > 0.0):  # NaN fails
         raise ValueError("frequencies must be positive")
     mats = cauchy_to_amplitude(om)
     return np.einsum("mij,jm->im", mats, pairs)
@@ -157,8 +158,7 @@ def cauchy_signature_blocks(omega: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,jk,...kl->...il", forward, shell, backward)
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     max_block_deviation: float
     max_eigenvalue_deviation: float
     block_deviations: np.ndarray  # (N,) per-mode max entry deviation

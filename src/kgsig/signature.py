@@ -9,12 +9,14 @@ pi times the identity, and J = i S / pi is a complex structure.
 The same operator is recovered numerically from the spacetime pairing of
 mass families localized by a narrow weight (a Dirac-sequence limit): the
 normalized per-mode kernels of the pairing solve for the blocks, and the
-deviation from the analytic form is O(half_width^2).
+deviation from the analytic form is O(half_width^2). `signature_reconstruct`
+returns the recovered operator with the adaptive window's `ConvergenceReport`;
+the operator and the massless table are NamedTuple records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +38,7 @@ _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 BUMP_SQUARED_INTEGRAL = 0.13308612084499427
 
 
-@dataclass(frozen=True)
-class SignatureOperator:
+class SignatureOperator(NamedTuple):
     """Per-mode 2x2 blocks acting on (phi_n, pi_n) mode coefficients."""
 
     mass: float
@@ -51,7 +52,7 @@ class SignatureOperator:
 
 def signature_analytic(mass: float, basis: SpectralBasis) -> SignatureOperator:
     """Blocks -pi [[0, 1/omega_n], [omega_n, 0]]; needs omega_n > 0."""
-    if mass < 0.0:
+    if not mass >= 0.0:  # NaN fails
         raise ValueError("mass must be nonnegative")
     om = omega(basis.eigenvalues, mass)
     n = basis.size
@@ -158,8 +159,7 @@ def per_mode_distance(a: SignatureOperator, b: SignatureOperator) -> np.ndarray:
     return 0.5 * (np.hypot(p + s, q - r) + np.hypot(p - s, q + r))
 
 
-@dataclass(frozen=True)
-class MasslessTable:
+class MasslessTable(NamedTuple):
     """Convergence table of ||S_m - S_0|| against the per-mode bounds."""
 
     masses: np.ndarray
@@ -188,7 +188,7 @@ def massless_limit(
     sequence of positive masses.
     """
     arr = np.asarray(masses, dtype=float)
-    if arr.size == 0 or np.any(arr <= 0.0) or np.any(np.diff(arr) >= 0.0):
+    if arr.size == 0 or not (np.all(arr > 0.0) and np.all(np.diff(arr) < 0.0)):
         raise ValueError("need a strictly decreasing sequence of positive masses")
     if basis.eigenvalues[0] <= 0.0:
         raise ValueError("zero mode present; massless operator undefined")
@@ -229,12 +229,6 @@ def riesz_consistency(
     return symplectic(a, b) / denom
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
-    normalization: float
-    convergence: ConvergenceReport
-
-
 def signature_reconstruct(
     mass: float,
     basis: SpectralBasis,
@@ -243,8 +237,9 @@ def signature_reconstruct(
     interval: MassInterval | None = None,
     t_max: float = T_MAX_DEFAULT,
     t_ceiling: float = T_CEILING_DEFAULT,
-) -> tuple[SignatureOperator, ReconstructionReport]:
-    """Recover the signature blocks from the spacetime pairing.
+) -> tuple[SignatureOperator, ConvergenceReport]:
+    """Recover the signature blocks from the spacetime pairing, with the
+    adaptive window's report.
 
     Unit data (v_n, 0) and (0, v_n) smeared by a weight of the given
     half_width at the mass pair only within mode n, to the power-0 kernels
@@ -275,11 +270,10 @@ def signature_reconstruct(
         check_support(weight, interval)
     norm2 = mass * half_width * BUMP_SQUARED_INTEGRAL
 
-    g, window = adaptive_kernels(
+    g, report = adaptive_kernels(
         weight, basis.eigenvalues, np.array([0]), lambda g: g,
         t_max=t_max, tol=tol * norm2 * 1e-2, t_ceiling=t_ceiling,
     )
     pairs = g[:, :, 0, 0].T[:, :, None] * np.eye(2) / norm2  # (N, 2, 2) diagonal
     blocks = -_FLIP @ pairs
-    report = ReconstructionReport(normalization=norm2, convergence=window)
     return SignatureOperator(mass=mass, basis=basis, blocks=blocks), report

@@ -13,7 +13,7 @@ solve G f of it, one chi_hol projection and one broadcast `symplectic` per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +30,8 @@ from .signature import complex_structure, projectors, signature_analytic
 from .symplectic import symplectic
 
 
-@dataclass(frozen=True)
-class TwoPointEvaluator:
-    """Immutable bundle of the mass, basis, and holomorphic projector."""
+class TwoPointEvaluator(NamedTuple):
+    """The mass, basis, and holomorphic projector of the state."""
 
     mass: float
     basis: SpectralBasis
@@ -127,8 +126,7 @@ def wick_n_point(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> complex
     return sum(wick_terms(state, fs), 0j)
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     gram: np.ndarray
     eigenvalues: np.ndarray  # ascending, of the Hermitian part of gram
     min_eigenvalue: float

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import kgsig
 from kgsig import massfamily
 from kgsig.cli import _COMMANDS, _render_json, _write_csv, build_parser, cmd_evolve, main
-from kgsig.config import ExperimentConfig
+from kgsig.config import _SCHEMA, ExperimentConfig
 
 SMALL = "[grid]\nn = 4\nl = 6.0\n\n[quadrature]\ntol = 1e-5\n\n[run]\nfamilies = 3\n"
 
@@ -201,8 +202,12 @@ def test_non_finite_value_exits_2(tmp_path, capsys):
     assert not (out / "evolve_summary.json").exists()
 
 
-def test_worst_case_drift_keeps_nan():
-    results, _ = cmd_evolve(ExperimentConfig(n=4, m=float("nan"), samples=3))
+def test_worst_case_drift_keeps_nan(monkeypatch):
+    # the mass guards refuse NaN, so NaN propagated data stand in for it
+    with pytest.raises(ValueError, match="nonnegative"):
+        cmd_evolve(ExperimentConfig(n=4, m=float("nan"), samples=3))
+    monkeypatch.setattr("kgsig.cli.propagate", lambda datum, t, mass: datum * float("nan"))
+    results, _ = cmd_evolve(ExperimentConfig(n=4, samples=3))
     assert np.isnan(results["max_symplectic_drift"])
     assert np.isnan(results["max_norm_drift"])
 
@@ -287,16 +292,18 @@ HUGE_STEP = "[quadrature]\ndt = {0}\n\n[run]\nwindow = {0}\n"
         ("green", HUGE_STEP.format("1e150"), 2, "window / dt = 1 is at most 2"),
         ("state", HUGE_STEP.format("1e150"), 2, "window / dt = 1 is at most 2"),
         ("wick", "[run]\nwindow = 0.1\n", 2, "window / dt = 2 is at most 2"),
+        ("green", "[quadrature]\ndt = 5e-324\n", 2, "window / dt too large"),
     ],
     ids=["green-w1e-160", "green-w1e-155", "green-1e200", "state-1e200", "wick-1e200",
          "wick-1e100", "wick-1e100-w1e101", "green-w1e-100", "green-1e150", "state-1e150",
-         "wick-w0.1"],
+         "wick-w0.1", "green-dt5e-324"],
 )
 def test_extreme_time_steps_exit_2_or_3(tmp_path, capsys, recwarn, command, text, code, message):
     # these ended in tracebacks: a node spacing squared to a subnormal or to
     # inf (NaN residuals, OverflowError, LinAlgError), or Wick products
     # overflowing to NaN; a window of at most 2 dt ran on 3 time nodes
-    # whatever dt said (green ratio 1, state Gram eigenvalue -3.6e283)
+    # whatever dt said (green ratio 1, state Gram eigenvalue -3.6e283); green's
+    # halved dt = 5e-324 rounded to 0 and divided the window
     assert run(tmp_path, [command], text)[0] == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
@@ -375,6 +382,9 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, args, text):
             "[mass]\nm = 1.3e154\nhalf_width = 1e153\nm_lo = 1e154\nm_hi = 1.5e154\n",
             "m_hi too large",
         ),
+        ("green", "[grid]\nn = 7\nl = 1e155\n", "l^2 overflows"),
+        ("state", "[grid]\nn = 7\nl = 1e155\n", "l^2 overflows"),
+        ("wick", "[grid]\nn = 7\nl = 1e155\n", "l^2 overflows"),
     ],
     ids=[
         "spectrum-m1e200",
@@ -387,11 +397,14 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, args, text):
         "crosscheck-l1e-160",
         "massdecomp-m_hi1.5e154",
         "reconstruct-m_hi1.5e154",
+        "green-l1e155",
+        "state-l1e155",
+        "wick-l1e155",
     ],
 )
 def test_extreme_magnitudes_exit_2(tmp_path, capsys, command, text, message):
-    # m^2, m_hi^2, h^2 or 4 / h^2 leaves the float range: these ended in
-    # tracebacks
+    # m^2, m_hi^2, h^2, 4 / h^2 or the sources' l^2 leaves the float range:
+    # these ended in tracebacks
     code, out = run(tmp_path, [command], text)
     assert code == 2
     assert message in capsys.readouterr().err
@@ -417,12 +430,18 @@ def _power_of_ten(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
-# Moderate values only: magnitudes like 1e300 are a separate open problem.
+# a moderate value for every config key
 FUZZ_SECTIONS = {
     "grid": {"n": st.integers(1, 8), "l": st.floats(0.5, 50.0)},
-    "mass": {"m": st.floats(0.0, 4.0), "half_width": _power_of_ten(-2.5, np.log10(0.5))},
+    "mass": {
+        "m": st.floats(0.0, 4.0),
+        "m_lo": st.floats(0.0, 1.5),
+        "m_hi": st.floats(1.5, 4.0),
+        "half_width": _power_of_ten(-2.5, np.log10(0.5)),
+    },
     "quadrature": {
         "dt": st.floats(0.01, 1.0),
+        "t_max": st.floats(1.0, 400.0),
         "tol": _power_of_ten(-8.0, -2.0),
         "t_ceiling": st.floats(0.0, 3200.0),
     },
@@ -430,22 +449,47 @@ FUZZ_SECTIONS = {
         "seed": st.integers(-5, 1000),
         "trials": st.integers(-1, 8),
         "families": st.integers(-1, 6),
+        "time": st.floats(-200.0, 200.0),
         "samples": st.integers(-1, 12),
+        "window": st.floats(0.5, 12.0),
         "wick_order": st.integers(0, 5),
     },
 }
-FUZZ_CONFIGS = st.fixed_dictionaries(
-    {section: st.fixed_dictionaries(keys) for section, keys in FUZZ_SECTIONS.items()}
-)
+# edge magnitudes of either sign, which an example puts into up to two keys
+# (every key but n): most configs with more are rejected at the first check
+FUZZ_EDGES = {
+    float: st.sampled_from(
+        [sign * x for x in (5e-324, 1e-300, 1e-155, 1e-8, 1e8, 1e155, 1e300) for sign in (1, -1)]
+    ),
+    int: st.sampled_from([10**12, -(10**12)]),
+}
+FUZZ_EDGE_KEYS = [(name, key) for name, keys in _SCHEMA.items() for key in keys if key != "n"]
+
+
+@st.composite
+def fuzz_configs(draw):
+    sections = {
+        name: {key: draw(value) for key, value in keys.items()}
+        for name, keys in FUZZ_SECTIONS.items()
+    }
+    for name, key in draw(st.lists(st.sampled_from(FUZZ_EDGE_KEYS), max_size=2, unique=True)):
+        sections[name][key] = draw(FUZZ_EDGES[_SCHEMA[name][key]])
+    return sections
+
+
+def test_fuzz_draws_every_config_key():
+    assert {name: set(keys) for name, keys in FUZZ_SECTIONS.items()} == {
+        name: set(keys) for name, keys in _SCHEMA.items()
+    }
 
 
 # every example overwrites the same config file and output directory
 @settings(
-    max_examples=40,
+    max_examples=80,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(command=st.sampled_from(sorted(_COMMANDS)), sections=FUZZ_CONFIGS)
+@given(command=st.sampled_from(sorted(_COMMANDS)), sections=fuzz_configs())
 def test_cli_fuzz_ends_in_result_message_or_nonconvergence(
     tmp_path, capsys, command, sections
 ):
@@ -453,9 +497,20 @@ def test_cli_fuzz_ends_in_result_message_or_nonconvergence(
         f"[{section}]\n" + "".join(f"{key} = {value!r}\n" for key, value in keys.items())
         for section, keys in sections.items()
     )
-    code, _ = run(tmp_path, [command], text)
+    code, out = run(tmp_path, [command], text)
     assert code in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+    if code == 0:
+        results = read_summary(out, command)["results"]
+        assert all(math.isfinite(value) for value in results.values()), results
+        for table in out.glob(f"{command}_*.csv"):
+            for row in csv.reader(table.read_text().splitlines()[1:]):
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:  # wick's matching labels
+                        continue
+                    assert math.isfinite(value), (table.name, row)
 
 
 @pytest.mark.parametrize("length", ["1e-6", "1e-50", "1e-150"])
@@ -682,9 +737,9 @@ def test_every_package_export_resolves():
 
 def test_no_command_imports_numpy_random(tmp_path):
     """Every command draws from the stdlib stream that numpy already loaded,
-    so none pays the numpy.random import, and massdecomp's mass rule is a
-    uniform grid, so none loads numpy.polynomial; one interpreter runs all
-    ten."""
+    so none pays the numpy.random import, massdecomp's mass rule is a
+    uniform grid, so none loads numpy.polynomial, and no type is a dataclass;
+    one interpreter runs all ten."""
     (tmp_path / "tiny.ini").write_text("[grid]\nn = 4\n")
     script = (
         "import sys\n"
@@ -694,6 +749,7 @@ def test_no_command_imports_numpy_random(tmp_path):
         "assert codes == [0] * len(_COMMANDS), codes\n"
         "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
         "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial was imported'\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
     )
     src = str(Path(kgsig.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")

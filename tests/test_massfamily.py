@@ -197,6 +197,24 @@ def test_integrate_p_of_a_stacked_base_is_the_per_datum_images():
     assert np.array_equal(images, np.stack(each))
 
 
+def test_a_stacked_family_pairs_as_its_single_datum_families():
+    # rows of a stacked base take the family's mass power; the powers are mixed
+    basis8 = dirichlet_basis(8, 10.0)
+    rng = np.random.default_rng(11)
+    data = [random_datum(rng, basis8) for _ in range(3)]
+    stack = CauchyDatum(np.stack([d.modes for d in data]), basis8)  # (3, 2, N)
+    weight = interval_weight(INTERVAL)
+    extra = make_family(random_datum(rng, basis8), weight, INTERVAL)
+    stacked = [extra, apply_T(make_family(stack, weight, INTERVAL)), apply_T(apply_T(extra))]
+    singles = [extra, *(apply_T(make_family(d, weight, INTERVAL)) for d in data), stacked[2]]
+    gram, report = spacetime_gram(stacked, tol=1e-8)
+    ref, ref_report = spacetime_gram(singles, tol=1e-8)
+    assert gram.shape == (5, 5)
+    assert np.array_equal(gram, ref)
+    assert (report.final_t, report.stages) == (ref_report.final_t, ref_report.stages)
+    assert np.array_equal(mass_decomposition_gram(stacked), mass_decomposition_gram(singles))
+
+
 def test_integrate_p_decays(basis):
     rng = np.random.default_rng(7)
     fam = make_family(
