@@ -4,8 +4,8 @@ symplectic pairings, mass families with the spacetime scalar product, the
 signature operator and its massless limit, the projector state, and a
 closed-form Minkowski mode engine used as an independent oracle.
 
-Submodule attributes are re-exported lazily so that importing the package
-stays cheap and the CLI can configure threading before numpy loads.
+Submodule attributes are re-exported lazily, so that importing the package
+loads no submodule, numpy included, until a name is used.
 """
 
 from __future__ import annotations

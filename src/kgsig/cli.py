@@ -7,23 +7,12 @@ so reruns with the same config and seed are byte-identical. Wall-clock
 runtime goes to a separate run_meta.json sidecar, which is the one file
 excluded from that guarantee.
 
-Exit codes: 0 success, 2 configuration error, 3 non-convergence or a
-non-finite result (nothing is written then).
+Exit codes: 0 success, 2 configuration error or an output directory that
+cannot be written, 3 non-convergence or a non-finite result (nothing is
+written then).
 """
 
 from __future__ import annotations
-
-import os
-
-_THREADS = os.environ.get("KGSIG_THREADS")
-if _THREADS:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _THREADS)
 
 import argparse
 import json
@@ -246,12 +235,7 @@ def cmd_massdecomp(config: ExperimentConfig):
         make_family(random_datum(rng, basis), weight, interval)
         for _ in range(config.families)
     ]
-    gram, report = spacetime_gram(
-        families,
-        t_max=config.t_max,
-        tol=config.tol,
-        t_ceiling=config.t_ceiling,
-    )
+    gram, report = spacetime_gram(families, tol=config.tol, t_ceiling=config.t_ceiling)
     i, j = np.triu_indices(config.families)
     lhs, rhs = gram[i, j], mass_decomposition_gram(families)[i, j]
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
@@ -286,7 +270,6 @@ def cmd_reconstruct(config: ExperimentConfig):
             hw,
             tol=config.tol,
             interval=interval,
-            t_max=config.t_max,
             t_ceiling=config.t_ceiling,
         )
         dev = float(np.abs(rec.blocks - analytic.blocks).max())
@@ -449,6 +432,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(args.out)
+    # a file in the way would stop mkdir only after the run: check it first
+    for path in (out_dir, *out_dir.parents):
+        if path.exists() and not path.is_dir():
+            print(f"output error: {path} is not a directory", file=sys.stderr)
+            return 2
     try:
         results, tables = globals()[f"cmd_{args.command}"](config)
     except ConvergenceError as exc:
@@ -457,7 +446,11 @@ def main(argv: list[str] | None = None) -> int:
     if where := _non_finite(results, tables):
         print(f"non-finite result: {where}; nothing was written", file=sys.stderr)
         return 3
-    _emit(args.command, config, results, tables, Path(args.out), args.quiet, started)
+    try:
+        _emit(args.command, config, results, tables, out_dir, args.quiet, started)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

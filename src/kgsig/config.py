@@ -28,8 +28,9 @@ BLOCK_TOL_DEFAULT = 1e-3  # reconstruct's block tolerance unless --tol is given
 SPACETIME_SAMPLES_MAX = 1 << 22
 # trials x (time nodes x grid points + trials) complex values of the state suite
 SUITE_SAMPLES_MAX = 32 * SPACETIME_SAMPLES_MAX
-# rows of a written table: evolve's samples, one Python iteration of about
-# 0.1 ms each (about 6 s in all), or massdecomp's family pairs, read off two Grams
+# rows of a written table: evolve's samples, one Python iteration each (65536
+# samples at n = 1 take 3.7-4.2 s on a 2-core Xeon), the modes of spectrum,
+# signature and crosscheck, or massdecomp's family pairs, read off two Grams
 TABLE_ROWS_MAX = SPACETIME_SAMPLES_MAX >> 6
 # masslimit needs m^2 to survive in omega^2 = lambda + m^2 for every mode; the
 # rounding of the largest lambda may reach this share of the smallest m^2
@@ -41,7 +42,6 @@ _SCHEMA: dict[str, dict[str, type]] = {
     "mass": {"m": float, "m_lo": float, "m_hi": float, "half_width": float},
     "quadrature": {
         "dt": float,
-        "t_max": float,
         "tol": float,
         "t_ceiling": float,
     },
@@ -65,7 +65,6 @@ class ExperimentConfig(NamedTuple):
     m_hi: float = 2.0
     half_width: float = 0.05
     dt: float = 0.05
-    t_max: float = massfamily.T_MAX_DEFAULT
     tol: float = massfamily.TOL_DEFAULT
     t_ceiling: float = massfamily.T_CEILING_DEFAULT
     seed: int = 0
@@ -87,7 +86,10 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -145,6 +147,9 @@ def validate_config(
                 raise ConfigError(f"{key} must be finite")
     if config.n < 1:
         raise ConfigError("grid needs at least one interior point")
+    # every command holds n-vectors; three write one table row per mode
+    rows = config.n if command in ("spectrum", "signature", "crosscheck") else 0
+    _check_size("n", rows, config.n, "grid points")
     if config.l <= 0.0:
         raise ConfigError("grid length must be positive")
     # the lattice frequencies reach sqrt(m^2 + 4 / h^2) (massdecomp and
@@ -160,7 +165,7 @@ def validate_config(
         raise ConfigError("mass too large: m^2 + 4 / h^2 overflows")
     if config.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    for name in ("dt", "tol", "t_max", "t_ceiling", "half_width"):
+    for name in ("dt", "tol", "t_ceiling", "half_width"):
         if getattr(config, name) <= 0.0:
             raise ConfigError(f"{name} must be positive")
     if command in ("massdecomp", "reconstruct"):
@@ -171,9 +176,10 @@ def validate_config(
         # the mass rules' frequencies reach sqrt(m_hi^2 + 4 / h^2)
         if math.isinf(config.m_hi * config.m_hi + 4.0 / (h * h)):
             raise ConfigError("m_hi too large: m_hi^2 + 4 / h^2 overflows")
-        if config.t_ceiling < 2.0 * config.t_max:  # where the first stage ends
+        first_end = 2.0 * massfamily.T_START  # where the first stage ends
+        if config.t_ceiling < first_end:
             raise ConfigError(
-                f"t_ceiling = {config.t_ceiling:g} is below 2 * t_max = {2.0 * config.t_max:g}"
+                f"t_ceiling = {config.t_ceiling:g} is below 2 * T_START = {first_end:g}"
             )
     if command == "masslimit":
         # (4 / h^2) eps > share * m_min^2, multiplied through by h^2

@@ -12,7 +12,7 @@ Gram contracts once with the (2, N) mode stacks of the families' base data
 (a family on an (S, 2, N) stack of data takes S rows).
 A stage that ends before every mode has dephased over the window (T times
 its omega spread below 2 pi) cannot stop the doubling: its increment is small
-only because its window is short. T doubles from t_max past such stages
+only because its window is short. T doubles from T_START past such stages
 without building them.
 The Gram converges to the mass-integral side of the decomposition identity,
 `mass_decomposition_gram`: the same contraction of per-mode kernels, taken on
@@ -49,7 +49,7 @@ from .dynamics import CauchyDatum
 from .lattice import SpectralBasis
 from .random_fields import bump
 
-T_MAX_DEFAULT = 200.0
+T_START = 200.0  # the doubling's windows are T = T_START 2^k
 TOL_DEFAULT = 1e-6
 T_CEILING_DEFAULT = 51200.0
 RULE_PERIOD_RATIO = 4  # period of a Gram mass rule over the longest time it serves
@@ -214,8 +214,8 @@ class ConvergenceReport(NamedTuple):
     converged: bool
     final_t: float
     last_increment: float
-    # windows: the first, at the first T = t_max 2^k whose stage [T, 2T] ends
-    # dephased, and one per doubling
+    # windows: the first, at the first T = T_START 2^k whose stage [T, 2T]
+    # ends dephased, and one per doubling
     stages: int
     records: tuple[StageRecord, ...]  # the doubling stages
 
@@ -291,21 +291,21 @@ def _uniform_rule(
 
 
 def adaptive_kernels(
-    weight: MassWeight, lam: np.ndarray, powers: np.ndarray, contract, t_max, tol, t_ceiling
+    weight: MassWeight, lam: np.ndarray, powers: np.ndarray, contract, tol, t_ceiling
 ) -> tuple[np.ndarray, ConvergenceReport]:
-    """`contract` of the [-T, T] kernels of `_uniform_rule`, T doubled from t_max
-    until the largest entry of a contracted increment is below tol (absolute).
-    Stages [T, 2T] with 2T min_n spread_n < 2 pi are skipped unbuilt, so T
-    stays on the grid t_max 2^k and every built stage ends dephased. A stage
-    ending past t_ceiling or a rule above RULE_NODES_MAX or RULE_SIZE_MAX
-    raises ConvergenceError before its rule is built, a non-finite increment
-    after. Stage [T, 2T] runs on the rule of period RULE_PERIOD_RATIO * 2T;
-    the result is one [-T, T] evaluation on the last rule (shorter periods
-    would fold the slow tail back in). When the skip reaches t_ceiling, the
-    error names the dephasing T."""
+    """`contract` of the [-T, T] kernels of `_uniform_rule`, T doubled from
+    T_START until the largest entry of a contracted increment is below tol
+    (absolute). Stages [T, 2T] with 2T min_n spread_n < 2 pi are skipped
+    unbuilt, so T stays on the grid T_START 2^k and every built stage ends
+    dephased. A stage ending past t_ceiling or a rule above RULE_NODES_MAX
+    or RULE_SIZE_MAX raises ConvergenceError before its rule is built, a
+    non-finite increment after. Stage [T, 2T] runs on the rule of period
+    RULE_PERIOD_RATIO * 2T; the result is one [-T, T] evaluation on the last
+    rule (shorter periods would fold the slow tail back in). When the skip
+    reaches t_ceiling, the error names the dephasing T."""
     records: list[StageRecord] = []
     narrowest = float(_spread(weight, lam).min())
-    t_cur = t_max
+    t_cur = T_START
     while 2 * t_cur <= t_ceiling and not 2 * t_cur * narrowest >= 2 * np.pi:
         t_cur *= 2
     while True:
@@ -379,7 +379,6 @@ def _family_stack(families: list[MassFamily]):
 
 def spacetime_gram(
     families: list[MassFamily],
-    t_max: float = T_MAX_DEFAULT,
     tol: float = TOL_DEFAULT,
     t_ceiling: float = T_CEILING_DEFAULT,
 ) -> tuple[np.ndarray, ConvergenceReport]:
@@ -399,7 +398,7 @@ def spacetime_gram(
     p a(t) is never stationary (the mass oscillation property).
     """
     lam, weight, powers, contract = _family_stack(families)
-    return adaptive_kernels(weight, lam, powers, contract, t_max, tol, t_ceiling)
+    return adaptive_kernels(weight, lam, powers, contract, tol, t_ceiling)
 
 
 def _mass_kernels(weight: MassWeight, lam: np.ndarray, powers: np.ndarray) -> np.ndarray:

@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .signature import signature_analytic
+
 
 class ModeSuperposition:
     """Finite weighted set of mass-shell modes with shell amplitudes.
@@ -171,8 +173,6 @@ def cross_check_lattice(mass: float, basis) -> CrossCheckReport:
     momentum magnitude sqrt(lambda_n); the Minkowski block is produced by the
     transform-conjugation route, independent of the lattice construction.
     """
-    from .signature import signature_analytic
-
     sig = signature_analytic(mass, basis)
     mink_blocks = cauchy_signature_blocks(sig.frequencies)
     block_devs = np.abs(mink_blocks - sig.blocks).max(axis=(1, 2))

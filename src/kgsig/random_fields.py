@@ -29,6 +29,8 @@ import numpy as np
 from .dynamics import CauchyDatum, SpacetimeTestFunction
 from .lattice import SpectralBasis
 
+COMPONENTS = 3  # terms of a random source
+
 
 class Draws:
     """Seeded uniform and standard normal draws from `random.Random(seed)`.
@@ -88,17 +90,16 @@ def random_test_function(
     rng: Draws,
     basis: SpectralBasis,
     times: np.ndarray,
-    components: int = 3,
     real: bool = False,
     size: int | None = None,
 ) -> SpacetimeTestFunction:
     """Random smooth source supported strictly inside the time window, or the
     (size, J, N) stack of the sources that `size` single calls would draw.
 
-    Each is a sum of (time bump x carrier) x (Gaussian space profile) terms
-    with random centers, widths, amplitudes and carrier frequencies, in mode
-    space; per term the draws are center, half-width, carrier, phase, x0,
-    width, amplitude.
+    Each is a sum of COMPONENTS (time bump x carrier) x (Gaussian space
+    profile) terms with random centers, widths, amplitudes and carrier
+    frequencies, in mode space; per term the draws are center, half-width,
+    carrier, phase, x0, width, amplitude.
     """
     t0, t1, length = float(times[0]), float(times[-1]), basis.grid.length
     span = t1 - t0
@@ -106,9 +107,9 @@ def random_test_function(
               (0.0, 2.0), (0.0, 2.0 * np.pi),  # carrier frequency and phase
               (0.25 * length, 0.75 * length), (0.10 * length, 0.20 * length)]  # space
     count = 1 if size is None else size
-    params = np.empty((6, count * components))
-    amps = np.empty(count * components, dtype=float if real else complex)
-    for k in range(count * components):
+    params = np.empty((6, count * COMPONENTS))
+    amps = np.empty(count * COMPONENTS, dtype=float if real else complex)
+    for k in range(count * COMPONENTS):
         drawn = [rng.uniform(lo, hi) for lo, hi in bounds]
         drawn[-1] = 2.0 * drawn[-1] ** 2  # Python's pow: may round unlike numpy's square
         params[:, k] = drawn
@@ -117,6 +118,6 @@ def random_test_function(
     profiles = bump_profile(times, center, half_width) * np.cos(carrier * times + phase)
     shapes = amps[:, None] * np.exp(-((basis.grid.points - x0) ** 2) / spread)
     # per source (J, C) @ (C, N), against one analysis of every term's shape
-    profiles = profiles.reshape(count, components, times.size).swapaxes(-2, -1)
-    modes = profiles @ basis.analyze(shapes).reshape(count, components, basis.size)
+    profiles = profiles.reshape(count, COMPONENTS, times.size).swapaxes(-2, -1)
+    modes = profiles @ basis.analyze(shapes).reshape(count, COMPONENTS, basis.size)
     return SpacetimeTestFunction(times, modes[0] if size is None else modes, basis)

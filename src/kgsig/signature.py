@@ -24,7 +24,6 @@ from .dynamics import CauchyDatum, apply_mode_blocks
 from .lattice import SpectralBasis, omega
 from .massfamily import (
     T_CEILING_DEFAULT,
-    T_MAX_DEFAULT,
     ConvergenceReport,
     MassInterval,
     MassWeight,
@@ -179,17 +178,10 @@ def massless_bound(basis: SpectralBasis, mass: float) -> np.ndarray:
 MASSLESS_MASSES = (1.0, 0.5, 0.25, 0.125)  # the convergence table's masses
 
 
-def massless_limit(
-    basis: SpectralBasis, masses: tuple[float, ...] = MASSLESS_MASSES
-) -> tuple[SignatureOperator, MasslessTable]:
-    """Limit operator at m = 0 plus the norm-convergence table.
-
-    Requires strictly positive spectrum (no zero mode) and a decreasing
-    sequence of positive masses.
-    """
-    arr = np.asarray(masses, dtype=float)
-    if arr.size == 0 or not (np.all(arr > 0.0) and np.all(np.diff(arr) < 0.0)):
-        raise ValueError("need a strictly decreasing sequence of positive masses")
+def massless_limit(basis: SpectralBasis) -> tuple[SignatureOperator, MasslessTable]:
+    """Limit operator at m = 0 plus the norm-convergence table over
+    MASSLESS_MASSES; requires a strictly positive spectrum (no zero mode)."""
+    arr = np.array(MASSLESS_MASSES)
     if basis.eigenvalues[0] <= 0.0:
         raise ValueError("zero mode present; massless operator undefined")
     limit = signature_analytic(0.0, basis)
@@ -235,7 +227,6 @@ def signature_reconstruct(
     half_width: float,
     tol: float = 1e-3,
     interval: MassInterval | None = None,
-    t_max: float = T_MAX_DEFAULT,
     t_ceiling: float = T_CEILING_DEFAULT,
 ) -> tuple[SignatureOperator, ConvergenceReport]:
     """Recover the signature blocks from the spacetime pairing, with the
@@ -272,7 +263,7 @@ def signature_reconstruct(
 
     g, report = adaptive_kernels(
         weight, basis.eigenvalues, np.array([0]), lambda g: g,
-        t_max=t_max, tol=tol * norm2 * 1e-2, t_ceiling=t_ceiling,
+        tol=tol * norm2 * 1e-2, t_ceiling=t_ceiling,
     )
     pairs = g[:, :, 0, 0].T[:, :, None] * np.eye(2) / norm2  # (N, 2, 2) diagonal
     blocks = -_FLIP @ pairs

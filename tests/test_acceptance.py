@@ -48,7 +48,7 @@ def test_a1_mass_decomposition(basis16, criterion):
         make_family(random_datum(rng, basis16), weight, interval)
         for _ in range(5)
     ]
-    gram, report = spacetime_gram(families, t_max=200.0, tol=1e-6)
+    gram, report = spacetime_gram(families, tol=1e-6)
     mass = mass_decomposition_gram(families)
     worst = 0.0
     pairs = 0
@@ -147,7 +147,7 @@ def test_a4_state_properties(criterion):
 
 
 def test_a5_massless_limit(basis16, criterion):
-    _, table = massless_limit(basis16, masses=(1.0, 0.5, 0.25, 0.125))
+    _, table = massless_limit(basis16)
     decreasing = bool(np.all(np.diff(table.norms) < 0.0))
     within = bool(
         np.all(table.norms <= 2.0 * table.bounds)

@@ -94,12 +94,11 @@ def test_stalled_convergence_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["massdecomp", "reconstruct"])
 def test_ceiling_below_first_stage_exits_2(tmp_path, capsys, command):
-    # the first doubling stage [t_max, 2 t_max] would already end past it
-    text = "[quadrature]\nt_max = 1000\nt_ceiling = 500\n"
-    code, out = run(tmp_path, [command], text)
+    # the first doubling stage [T_START, 2 T_START] would already end past it
+    code, out = run(tmp_path, [command], "[quadrature]\nt_ceiling = 300\n")
     assert code == 2
     err = capsys.readouterr().err
-    assert "t_ceiling = 500" in err and "2 * t_max = 2000" in err
+    assert "t_ceiling = 300" in err and "2 * T_START = 400" in err
     assert not (out / f"{command}_summary.json").exists()
 
 
@@ -441,7 +440,6 @@ FUZZ_SECTIONS = {
     },
     "quadrature": {
         "dt": st.floats(0.01, 1.0),
-        "t_max": st.floats(1.0, 400.0),
         "tol": _power_of_ten(-8.0, -2.0),
         "t_ceiling": st.floats(0.0, 3200.0),
     },
@@ -555,10 +553,12 @@ def test_masslimit_controls_still_run(tmp_path, text):
     "command, text, message",
     [
         ("massdecomp", "[mass]\nm_hi = 1e160\n", "too wide"),
-        # the node count is fixed; files that still name it are refused
+        # the node count and the first window are fixed; files that still
+        # name them are refused
         ("massdecomp", "[quadrature]\nmass_nodes = 200\n", "unknown key 'mass_nodes'"),
+        ("massdecomp", "[quadrature]\nt_max = 200\n", "unknown key 't_max'"),
     ],
-    ids=["massdecomp-m_hi1e160", "massdecomp-mass_nodes"],
+    ids=["massdecomp-m_hi1e160", "massdecomp-mass_nodes", "massdecomp-t_max"],
 )
 def test_mass_quadrature_inputs_rejected_before_any_rule(tmp_path, capsys, command, text, message):
     code, _ = run(tmp_path, [command], text)
@@ -566,21 +566,61 @@ def test_mass_quadrature_inputs_rejected_before_any_rule(tmp_path, capsys, comma
     assert message in capsys.readouterr().err
 
 
+HUGE_GRID = "[grid]\nn = 100000000000000000000000\n"
+
+
 @pytest.mark.parametrize(
-    "command, text",
+    "command, text, message",
     [
-        ("green", "[quadrature]\ndt = 1e-300\n"),
-        ("state", "[run]\nwindow = 1e300\n"),
-        ("wick", "[run]\nwindow = 1e300\n"),
+        ("green", "[quadrature]\ndt = 1e-300\n", "window / dt too large"),
+        ("state", "[run]\nwindow = 1e300\n", "window / dt too large"),
+        ("wick", "[run]\nwindow = 1e300\n", "window / dt too large"),
+        *[(command, HUGE_GRID, "n too large") for command in sorted(_COMMANDS)],
     ],
-    ids=["green-dt1e-300", "state-window1e300", "wick-window1e300"],
+    ids=["green-dt1e-300", "state-window1e300", "wick-window1e300",
+         *[f"{command}-n1e23" for command in sorted(_COMMANDS)]],
 )
-def test_spacetime_sample_cap_exits_2(tmp_path, capsys, command, text):
-    # these ended in numpy's "Maximum allowed size exceeded" from time_window
+def test_spacetime_sample_cap_exits_2(tmp_path, capsys, command, text, message):
+    # these ended in numpy's "Maximum allowed size exceeded", from time_window
+    # or (spectrum, signature, crosscheck, reconstruct at n = 1e23) the grid
     code, out = run(tmp_path, [command], text)
     assert code == 2
-    assert "window / dt too large" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (out / f"{command}_summary.json").exists()
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # a UnicodeDecodeError traceback before
+    (tmp_path / "run.ini").write_bytes(b"; \xff\n[grid]\nn = 4\n")
+    code = main(["spectrum", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path)])
+    assert code == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
+def _never_run(config):
+    raise AssertionError("the command ran although its output cannot be written")
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_through_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch, out):
+    # mkdir met the file only after the run, in a FileExistsError (or
+    # NotADirectoryError) traceback
+    (tmp_path / "taken").write_text("kept\n")
+    monkeypatch.setattr(kgsig.cli, "cmd_spectrum", _never_run)
+    code = main(["spectrum", "--out", str(tmp_path / out), "--quiet"])
+    assert code == 2
+    assert f"{tmp_path / 'taken'} is not a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+def test_write_error_exits_2(tmp_path, capsys):
+    # a directory where the summary goes: an IsADirectoryError traceback before
+    (tmp_path / "out" / "spectrum_summary.json").mkdir(parents=True)
+    code, out = run(tmp_path, ["spectrum"], SMALL)
+    assert code == 2
+    assert "output error" in capsys.readouterr().err
 
 
 def _no_fft(*args, **kwargs):
@@ -671,27 +711,6 @@ def test_each_source_is_analyzed_once_and_nothing_synthesized(
     for count, (_, calls) in zip(counts, per_draw):
         assert [(name, np.shape(u)) for name, u in calls] == [("analyze", (3 * count, 4))]
     assert len(transforms) == len(per_draw) == (2 if command != "wick" else 1)
-
-
-@pytest.mark.parametrize("t_max", ["0.01", "1e-9", "1e-300"])
-def test_short_first_window_still_meets_the_identity(tmp_path, t_max):
-    # a stage over a short window has a tiny increment only because it is
-    # short; it must not end the doubling with a near-zero Gram
-    code, out = run(tmp_path, ["massdecomp"], f"[quadrature]\nt_max = {t_max}\n")
-    assert code == 0
-    results = read_summary(out, "massdecomp")["results"]
-    assert results["converged"] is True
-    assert results["max_relative_error"] <= 1e-8
-    assert results["final_t"] >= 100.0
-
-
-@pytest.mark.parametrize("command", ["massdecomp", "reconstruct"])
-def test_smallest_t_max_converges_without_warning(tmp_path, recwarn, command):
-    # doubling from the smallest subnormal builds no rule before every mode
-    # has dephased, so no mass rule's omega step overflows when squared
-    code, out = run(tmp_path, [command], "[quadrature]\nt_max = 5e-324\n")
-    assert code == 0 and (out / f"{command}_summary.json").exists()
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_unknown_command_exits_2(capsys):

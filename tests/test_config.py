@@ -61,6 +61,13 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
+def test_config_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"[grid]\nn = 8 ; \xff\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(path)
+
+
 def test_bad_cast_reports_key_and_type(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[grid]\nn = sixteen\n")
@@ -139,6 +146,22 @@ def test_evolve_and_massdecomp_size_caps_sit_at_their_boundaries():
         validate_config(ExperimentConfig(n=n, families=65), "massdecomp")
     for command in ("spectrum", "state", "reconstruct"):  # read neither count
         validate_config(ExperimentConfig(samples=10**9, families=10**9), command)
+
+
+def test_grid_size_caps_sit_at_their_boundaries():
+    # spectrum, signature and crosscheck write a row per mode; every command
+    # holds n-vectors. Validation builds nothing
+    for command in ("spectrum", "signature", "crosscheck"):
+        validate_config(ExperimentConfig(n=TABLE_ROWS_MAX), command)
+        with pytest.raises(ConfigError, match="n too large.*TABLE_ROWS_MAX"):
+            validate_config(ExperimentConfig(n=TABLE_ROWS_MAX + 1), command)
+    # an l that keeps masslimit's smallest mass above the rounding of lambda
+    n, l = SPACETIME_SAMPLES_MAX, 1e7
+    for command in ("reconstruct", "masslimit", "evolve", "massdecomp"):
+        config = ExperimentConfig(l=l, samples=1, families=1)
+        validate_config(config._replace(n=n), command)
+        with pytest.raises(ConfigError, match="n too large.*SPACETIME_SAMPLES_MAX"):
+            validate_config(config._replace(n=n + 1), command)
 
 
 def test_massdecomp_checks_families_not_trials():

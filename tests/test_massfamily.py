@@ -18,6 +18,7 @@ from kgsig.massfamily import (
     spacetime_gram,
 )
 from kgsig.random_fields import bump, random_datum
+from kgsig.signature import signature_reconstruct
 
 INTERVAL = MassInterval(1.0, 2.0)
 
@@ -293,7 +294,7 @@ def test_gram_matches_mass_decomposition(basis):
     fams = [
         make_family(random_datum(rng, basis), wgt, INTERVAL) for _ in range(3)
     ]
-    gram, report = spacetime_gram(fams, t_max=200.0, tol=1e-6)
+    gram, report = spacetime_gram(fams, tol=1e-6)
     assert report.converged
     assert report.final_t <= 1600.0
     rhs = np.array([[rhs_pairing(a, b) for b in fams] for a in fams])
@@ -337,7 +338,7 @@ def test_mass_kernels_are_the_long_window_limit_per_mode(weight, n):
     powers = np.array([0, 1])
     limit = massfamily._mass_kernels(weight, lam, powers)
     kernels, report = massfamily.adaptive_kernels(
-        weight, lam, powers, lambda g: g, 200.0, 1e-9, massfamily.T_CEILING_DEFAULT
+        weight, lam, powers, lambda g: g, 1e-9, massfamily.T_CEILING_DEFAULT
     )
     assert report.converged and kernels.shape == limit.shape == (2, n, 2, 2)
     assert np.abs(kernels - limit).max() <= 1e-12 * np.abs(limit).max()
@@ -436,11 +437,11 @@ def test_ceiling_raises_convergence_error(basis):
         random_datum(rng, basis), interval_weight(INTERVAL), INTERVAL
     )
     with pytest.raises(ConvergenceError, match="did not converge"):
-        spacetime_gram([fam], t_max=200.0, tol=1e-30, t_ceiling=400.0)
+        spacetime_gram([fam], tol=1e-30, t_ceiling=400.0)
 
 
 def test_first_stage_past_ceiling_raises(basis, monkeypatch):
-    # the first stage [t_max, 2 t_max] would end at 2000, past the ceiling:
+    # the first stage [T_START, 2 T_START] would end at 400, past the ceiling:
     # no rule is built and no result with final_t > t_ceiling comes back
     def no_rule(*args):
         raise AssertionError("a stage past t_ceiling was built")
@@ -450,18 +451,19 @@ def test_first_stage_past_ceiling_raises(basis, monkeypatch):
         random_datum(rng, basis), interval_weight(INTERVAL), INTERVAL
     )
     monkeypatch.setattr(massfamily, "_uniform_rule", no_rule)
-    with pytest.raises(ConvergenceError, match="did not converge by T = 1000"):
-        spacetime_gram([fam], t_max=1000.0, t_ceiling=500.0)
+    with pytest.raises(ConvergenceError, match="did not converge by T = 200"):
+        spacetime_gram([fam], t_ceiling=300.0)
 
 
-@pytest.mark.parametrize("t_max", [0.01, 1e-9, 1e-300])
-def test_short_first_window_does_not_end_the_doubling(basis, t_max):
+@pytest.mark.parametrize("start", [0.01, 1e-9, 1e-300])
+def test_short_first_window_does_not_end_the_doubling(basis, monkeypatch, start):
     # the increment of a short stage is small only because the stage is: the
     # doubling may stop only once every mode has dephased over the window
+    monkeypatch.setattr(massfamily, "T_START", start)
     rng = np.random.default_rng(7)
     wgt = interval_weight(INTERVAL)
     fams = [make_family(random_datum(rng, basis), wgt, INTERVAL) for _ in range(3)]
-    gram, report = spacetime_gram(fams, t_max=t_max, tol=1e-6)
+    gram, report = spacetime_gram(fams, tol=1e-6)
     rhs = np.array([[rhs_pairing(a, b) for b in fams] for a in fams])
     assert report.converged
     assert np.abs(gram - rhs).max() <= 1e-8 * np.abs(rhs).max()
@@ -469,17 +471,19 @@ def test_short_first_window_does_not_end_the_doubling(basis, t_max):
     assert report.final_t * spread.min() >= 2 * np.pi
 
 
-def test_short_first_window_skips_to_its_first_dephased_grid_point(basis):
-    # from t_max = 0.01, the first stage that ends with every mode dephased is
-    # [10.24, 20.48]: the skip builds no rule before it, and the Gram, final_t
-    # and stage records are those of a run seeded at 10.24
+def test_short_first_window_skips_to_its_first_dephased_grid_point(basis, monkeypatch):
+    # from T_START = 0.01, the first stage that ends with every mode dephased
+    # is [10.24, 20.48]: the skip builds no rule before it, and the Gram,
+    # final_t and stage records are those of a run that starts at 10.24
     rng = np.random.default_rng(7)
     wgt = interval_weight(INTERVAL)
     fams = [make_family(random_datum(rng, basis), wgt, INTERVAL) for _ in range(3)]
     narrowest = massfamily._spread(wgt, basis.eigenvalues).min()
     assert 10.24 * narrowest < 2 * np.pi <= 20.48 * narrowest
-    gram, report = spacetime_gram(fams, t_max=0.01)
-    seeded, seeded_report = spacetime_gram(fams, t_max=10.24)
+    monkeypatch.setattr(massfamily, "T_START", 0.01)
+    gram, report = spacetime_gram(fams)
+    monkeypatch.setattr(massfamily, "T_START", 10.24)
+    seeded, seeded_report = spacetime_gram(fams)
     assert gram.tobytes() == seeded.tobytes()
     assert report.final_t == seeded_report.final_t
     assert report.stages == seeded_report.stages
@@ -488,8 +492,11 @@ def test_short_first_window_skips_to_its_first_dephased_grid_point(basis):
     ]
 
 
-def test_no_stage_is_built_before_every_mode_dephases(basis, monkeypatch):
-    # a rule of period P serves the stage that ends at P / RULE_PERIOD_RATIO
+def test_no_stage_is_built_before_every_mode_dephases(monkeypatch):
+    # reconstruct's weights at n = 64 have not dephased by 2 T_START, where
+    # the first stage ends: the doubling skips to the first stage that ends
+    # dephased. A rule of period P serves the stage that ends at
+    # P / RULE_PERIOD_RATIO
     built = []
     rule = massfamily._uniform_rule
 
@@ -498,13 +505,14 @@ def test_no_stage_is_built_before_every_mode_dephases(basis, monkeypatch):
         return rule(weight, lam, powers, period, nodes)
 
     monkeypatch.setattr(massfamily, "_uniform_rule", counted)
-    wgt = interval_weight(INTERVAL)
-    fam = make_family(random_datum(np.random.default_rng(3), basis), wgt, INTERVAL)
-    narrowest = massfamily._spread(wgt, basis.eigenvalues).min()
-    for t_max in (1e-300, 1e-3, 1.0):
+    basis64 = dirichlet_basis(64, 10.0)
+    for half_width, first in ((0.05, 800.0), (0.025, 1600.0)):
+        wgt = MassWeight(1.5, half_width)
+        narrowest = massfamily._spread(wgt, basis64.eigenvalues).min()
+        assert first / 2 * narrowest < 2 * np.pi <= first * narrowest
         built.clear()
-        _, report = spacetime_gram([fam], t_max=t_max)
-        assert built and min(built) * narrowest >= 2 * np.pi
+        _, report = signature_reconstruct(1.5, basis64, half_width)
+        assert min(built) == first == report.records[0].t_hi
         assert len(built) == len(report.records)
 
 
