@@ -9,15 +9,16 @@ it with no lattice transform. Per spectral mode the propagator is the exact
     U_n(t) = [[cos(w t), -i sin(w t)/w], [-i w sin(w t), cos(w t)]],
 
 with w = sqrt(lambda_n + m^2), so the homogeneous evolution has no time-stepping
-error. Spacetime sources and fields live in mode space too: a
-`SpacetimeField` holds the (J, N) sine-mode coefficients of its values at J
-time nodes, real for a real source, so no function here makes a lattice
-transform. Data and sources may be stacks, (..., 2, N) and (..., J, N) on one
-window, indexed on the leading axes; every function here acts on the last
-two. The retarded and advanced Green's operators come from one Duhamel pass,
-`duhamel_modes`: one cos/sin phase table feeds a forward and a backward
-cumulative Simpson quadrature, whose fields `green_residuals` also checks.
-`causal_fundamental` gets the t = 0 data of their difference from moments.
+error. Spacetime sources live in mode space too: a `SpacetimeTestFunction`
+holds the (J, N) sine-mode coefficients of its values at J time nodes, real
+for a real source, so no function here makes a lattice transform. Data and
+sources may be stacks, (..., 2, N) and (..., J, N) on one window, indexed on
+the leading axes; every function here acts on the last two. The retarded and
+advanced fields S_ret f and S_adv f come from one Duhamel pass,
+`duhamel_modes`, as bare (..., J, N) mode arrays on f's window: one cos/sin
+phase table feeds a forward and a backward cumulative Simpson quadrature,
+whose fields `green_residuals` also checks. Their difference is the causal
+field G f; `causal_fundamental` gets its t = 0 data from moments.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import SpectralBasis, omega
-
-DT_DEFAULT = 0.05
 
 
 class CauchyDatum:
@@ -71,14 +70,16 @@ def propagate(datum: CauchyDatum, t: float, mass: float) -> CauchyDatum:
     return CauchyDatum(out, datum.basis)
 
 
-def time_window(t_min: float, t_max: float, dt: float = DT_DEFAULT) -> np.ndarray:
-    """Uniform time nodes covering [t_min, t_max].
+def time_window(t_min: float, t_max: float, dt: float) -> np.ndarray:
+    """Uniform time nodes covering [t_min, t_max] at a step of at most dt.
 
     The node count is forced odd (even interval count) so composite Simpson
     applies cleanly; dt is shrunk slightly if needed to fit.
     """
     if not t_max > t_min:
         raise ValueError("empty time window")
+    if not dt > 0.0:  # NaN fails
+        raise ValueError("time step must be positive")
     steps = int(np.ceil((t_max - t_min) / dt))
     if steps % 2 == 1:
         steps += 1
@@ -100,11 +101,15 @@ def simpson_weights(times: np.ndarray) -> np.ndarray:
     return w * (dt / 3.0)
 
 
-class SpacetimeField:
-    """Scalar field on (time node) x (lattice point) as its (J, N) sine-mode
-    coefficients per time node, or a (..., J, N) stack of fields; real
-    coefficients stay float64. Indexing and scaling rebuild the same class,
-    so a test function's checks run again."""
+class SpacetimeTestFunction:
+    """Smooth source supported strictly inside its time window, as its (J, N)
+    sine-mode coefficients per time node, or a (..., J, N) stack of sources;
+    real coefficients stay float64.
+
+    The first and last time node must carry (numerically) vanishing modes;
+    each source is checked alone, with no temporary the size of the stack.
+    Indexing and scaling build a new source, so the checks run again.
+    """
 
     __slots__ = ("times", "modes", "basis")
 
@@ -114,39 +119,26 @@ class SpacetimeField:
         modes = modes.astype(np.result_type(modes, float), copy=False)  # (..., J, N)
         if modes.shape[-2:] != (times.size, basis.size) or times.ndim != 1:
             raise ValueError("modes must have shape (..., num_times, basis.size)")
-        self.times, self.modes, self.basis = times, modes, basis
-
-    def __getitem__(self, index) -> "SpacetimeField":
-        return type(self)(self.times, self.modes[index], self.basis)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    def __mul__(self, c: complex) -> "SpacetimeField":
-        return type(self)(self.times, self.modes * c, self.basis)
-
-    __rmul__ = __mul__
-
-
-class SpacetimeTestFunction(SpacetimeField):
-    """Smooth source supported strictly inside its time window, or a stack.
-
-    The first and last time node must carry (numerically) vanishing modes;
-    each source is checked alone, with no temporary the size of the stack.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, times: np.ndarray, modes: np.ndarray, basis: SpectralBasis) -> None:
-        super().__init__(times, modes, basis)
-        simpson_weights(self.times)  # validates uniform odd-length node set
-        for source in self.modes.reshape((-1,) + self.modes.shape[-2:]):
+        simpson_weights(times)  # validates uniform odd-length node set
+        for source in modes.reshape((-1,) + modes.shape[-2:]):
             if not np.isfinite(source).all():
                 raise ValueError("source modes must be finite")
             scale = max(1.0, float(np.abs(source).max()))
             if not np.abs(source[[0, -1]]).max() <= 1e-12 * scale:
                 raise ValueError("window too small to contain the support of f")
+        self.times, self.modes, self.basis = times, modes, basis
+
+    def __getitem__(self, index) -> "SpacetimeTestFunction":
+        return SpacetimeTestFunction(self.times, self.modes[index], self.basis)
+
+    @property
+    def dt(self) -> float:
+        return float(self.times[1] - self.times[0])
+
+    def __mul__(self, c: complex) -> "SpacetimeTestFunction":
+        return SpacetimeTestFunction(self.times, self.modes * c, self.basis)
+
+    __rmul__ = __mul__
 
 
 def cumulative_simpson_nodes(y: np.ndarray, dt: float) -> np.ndarray:
@@ -192,20 +184,6 @@ def duhamel_modes(f: SpacetimeTestFunction, mass: float) -> tuple[np.ndarray, np
     return green(1), green(-1)
 
 
-def _field(f: SpacetimeTestFunction, modes: np.ndarray) -> SpacetimeField:
-    return SpacetimeField(times=f.times, modes=modes, basis=f.basis)
-
-
-def retarded_green(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
-    """Solution of (d_t^2 - Lap + m^2) u = f supported toward the future."""
-    return _field(f, duhamel_modes(f, mass)[0])
-
-
-def advanced_green(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
-    """Solution of the same equation supported toward the past."""
-    return _field(f, duhamel_modes(f, mass)[1])
-
-
 def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
     """Cauchy data at t = 0 of (retarded - advanced) applied to f.
 
@@ -224,23 +202,16 @@ def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
     return CauchyDatum(np.stack([-sin_int / w, 1j * cos_int], axis=-2), f.basis)
 
 
-def causal_field(f: SpacetimeTestFunction, mass: float) -> SpacetimeField:
-    """Spacetime field of (retarded - advanced) f over f's window."""
-    ret, adv = duhamel_modes(f, mass)
-    return _field(f, ret - adv)
-
-
-def kg_residual(
-    u: SpacetimeField, f: SpacetimeTestFunction, mass: float
-) -> float | np.ndarray:
-    """Max norm of (D_t^2 - Lap + m^2) u - f over interior time nodes, per field.
+def kg_residual(modes: np.ndarray, f: SpacetimeTestFunction, mass: float) -> float | np.ndarray:
+    """Max norm of (D_t^2 - Lap + m^2) u - f over interior time nodes, per
+    field, for the (..., J, N) modes of u on f's own window and basis.
 
     D_t^2 is the central second difference; the Laplacian acts spectrally
     (lambda_n per mode), which is exact for the lattice operator.
     """
-    c, w2 = np.moveaxis(u.modes, -2, 0), u.basis.eigenvalues + mass**2  # time first
+    c, w2 = np.moveaxis(modes, -2, 0), f.basis.eigenvalues + mass**2  # time first
     src = np.moveaxis(f.modes, -2, 0)[1:-1]
-    res = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / u.dt**2 + w2 * c[1:-1] - src
+    res = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / f.dt**2 + w2 * c[1:-1] - src
     # mode coefficients carry the h-weighted norm already (Parseval)
     return np.sqrt(np.sum(np.abs(res) ** 2, axis=-1)).max(axis=0)
 
@@ -249,4 +220,4 @@ def green_residuals(f: SpacetimeTestFunction, mass: float) -> tuple[float, float
     """`kg_residual` of the retarded and advanced fields of f, both from one
     `duhamel_modes` pass."""
     ret, adv = duhamel_modes(f, mass)
-    return kg_residual(_field(f, ret), f, mass), kg_residual(_field(f, adv), f, mass)
+    return kg_residual(ret, f, mass), kg_residual(adv, f, mass)

@@ -16,6 +16,7 @@ N x N table is never built unless something reads `SpectralBasis.vectors`.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -27,6 +28,7 @@ class SpatialGrid:
     __slots__ = ("num_points", "length", "spacing", "points")
 
     def __init__(self, num_points: int, length: float) -> None:
+        num_points = operator.index(num_points)  # TypeError for 2.5 or "4"
         if num_points < 1:
             raise ValueError("grid needs at least one interior point")
         if not length > 0.0:
@@ -34,10 +36,6 @@ class SpatialGrid:
         self.num_points, self.length = num_points, length
         self.spacing = h = length / (num_points + 1)
         self.points = h * np.arange(1, num_points + 1, dtype=float)
-
-
-def build_grid(num_points: int, length: float) -> SpatialGrid:
-    return SpatialGrid(num_points=num_points, length=length)
 
 
 def laplacian(grid: SpatialGrid) -> np.ndarray:
@@ -144,7 +142,7 @@ def spectral_decompose(grid: SpatialGrid) -> SpectralBasis:
 
 def dirichlet_basis(num_points: int, length: float) -> SpectralBasis:
     """Grid plus its Dirichlet eigenbasis in one step."""
-    return spectral_decompose(build_grid(num_points, length))
+    return spectral_decompose(SpatialGrid(num_points, length))
 
 
 def omega(eigenvalue: float | np.ndarray, mass: float) -> float | np.ndarray:

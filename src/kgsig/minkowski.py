@@ -130,12 +130,6 @@ def cauchy_to_amplitude(omega: np.ndarray) -> np.ndarray:
     return 2.0 * np.pi * out
 
 
-def mink_cauchy_transform(a: ModeSuperposition) -> np.ndarray:
-    """Per-mode Cauchy pairs (phi, pi), shape (2, M)."""
-    mats = amplitude_to_cauchy(a.frequencies)
-    return np.einsum("mij,jm->im", mats, a.amplitudes)
-
-
 def mink_cauchy_inverse(
     pairs: np.ndarray, omega: np.ndarray
 ) -> np.ndarray:

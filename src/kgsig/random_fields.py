@@ -75,10 +75,6 @@ def bump(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump_profile(times: np.ndarray, center, half_width) -> np.ndarray:
-    return bump((times - center) / half_width)
-
-
 def random_datum(rng: Draws, basis: SpectralBasis) -> CauchyDatum:
     """Cauchy datum with standard complex normal mode coefficients."""
     n = basis.size
@@ -115,7 +111,7 @@ def random_test_function(
         params[:, k] = drawn
         amps[k] = rng.normal() if real else rng.normal() + 1j * rng.normal()
     center, half_width, carrier, phase, x0, spread = params[:, :, None]
-    profiles = bump_profile(times, center, half_width) * np.cos(carrier * times + phase)
+    profiles = bump((times - center) / half_width) * np.cos(carrier * times + phase)
     shapes = amps[:, None] * np.exp(-((basis.grid.points - x0) ** 2) / spread)
     # per source (J, C) @ (C, N), against one analysis of every term's shape
     profiles = profiles.reshape(count, COMPONENTS, times.size).swapaxes(-2, -1)

@@ -4,7 +4,11 @@ The scalar product on Cauchy data pairs a with S b through the symplectic
 form, <a|b> = i sigma(a, S b), where S acts per spectral mode by the 2x2
 block -pi [[0, 1/omega], [omega, 0]]. The blocks square to pi^2, so the
 spectrum is {-pi, +pi} with positive/negative frequency eigenspaces, |S| is
-pi times the identity, and J = i S / pi is a complex structure.
+pi times the identity, S^-1 = S / pi^2 (the Riesz identity
+sigma(a, b) = -i <a|S^-1 b> acts with those blocks through
+`apply_mode_blocks`), and J = i S / pi is a complex structure. Operators are
+compared mode by mode in a Sobolev-weighted norm, `per_mode_distance`, whose
+maximum is the operator norm of the difference.
 
 The same operator is recovered numerically from the spacetime pairing of
 mass families localized by a narrow weight (a Dirac-sequence limit): the
@@ -107,12 +111,11 @@ def _check_block_square(blocks: np.ndarray, target: float, message: str) -> None
         raise ValueError(message)
 
 
-_NOT_INVERTIBLE = "blocks do not square to pi^2; operator not invertible"
-
-
 def complex_structure(sig: SignatureOperator) -> np.ndarray:
     """J = i |S|^-1 S as (N, 2, 2) complex blocks; |S| = pi Id, J^2 = -Id."""
-    _check_block_square(sig.blocks, np.pi**2, _NOT_INVERTIBLE)
+    _check_block_square(
+        sig.blocks, np.pi**2, "blocks do not square to pi^2; operator not invertible"
+    )
     return 1j * sig.blocks / np.pi
 
 
@@ -131,11 +134,6 @@ def sobolev_scale(basis: SpectralBasis) -> np.ndarray:
     metric keeps the high-mode tail of operator differences comparable to
     the per-mode decay bounds."""
     return np.sqrt(1.0 + basis.eigenvalues)
-
-
-def operator_distance(a: SignatureOperator, b: SignatureOperator) -> float:
-    """Operator norm of a - b in the Sobolev-weighted mode metric."""
-    return float(per_mode_distance(a, b).max())
 
 
 def per_mode_distance(a: SignatureOperator, b: SignatureOperator) -> np.ndarray:
@@ -197,28 +195,6 @@ def massless_limit(basis: SpectralBasis) -> tuple[SignatureOperator, MasslessTab
         mode_norms=mode_norms,
         mode_bounds=mode_bounds,
     )
-
-
-def riesz_inverse(sig: SignatureOperator) -> SignatureOperator:
-    """Inverse via S^2 = pi^2: S^-1 = S / pi^2."""
-    _check_block_square(sig.blocks, np.pi**2, _NOT_INVERTIBLE)
-    return SignatureOperator(
-        mass=sig.mass, basis=sig.basis, blocks=sig.blocks / np.pi**2
-    )
-
-
-def riesz_consistency(
-    sig: SignatureOperator, a: CauchyDatum, b: CauchyDatum
-) -> complex:
-    """Measured ratio sigma(a, b) / <a | S^-1 b>.
-
-    Chaining the definitions gives <a|S^-1 b> = i sigma(a, b), so the ratio
-    is the constant -i; it is measured rather than assumed so the factor-i
-    bookkeeping between the two pairings stays visible.
-    """
-    inv = riesz_inverse(sig)
-    denom = scalar_product(sig, a, apply_signature(inv, b))
-    return symplectic(a, b) / denom
 
 
 def signature_reconstruct(

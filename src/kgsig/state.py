@@ -102,7 +102,10 @@ def pair_matchings(count: int) -> list[list[tuple[int, int]]]:
 def wick_terms(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> list[complex]:
     """Product of two-point factors of a (K, J, N) stack, K even, for each
     matching in `pair_matchings` order; Python complex products overflow to
-    inf without a warning."""
+    inf without a warning. K > 8 (105 matchings) is rejected before any
+    two-point factor is computed."""
+    if math.prod(fs.modes.shape[:-2]) > 8:
+        raise ValueError("more than 8 arguments; pairing count grows as (2n-1)!!")
     pairs = two_point_matrix(state, fs).tolist()
     return [
         math.prod((pairs[i][j] for i, j in matching), start=1 + 0j)
@@ -112,15 +115,13 @@ def wick_terms(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> list[comp
 
 def wick_n_point(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> complex:
     """Quasi-free n-point function of a (K, J, N) stack: the sum over pairings
-    of two-point factors, exactly 0 for odd K and 1 for K = 0; K > 8 (105
-    pairings) is rejected."""
+    of two-point factors, exactly 0 for odd K and 1 for K = 0; `wick_terms`
+    rejects an even K > 8."""
     if fs.modes.ndim != 3:
         raise ValueError(f"need a stack of K test functions, got {fs.modes.shape}")
     count = len(fs.modes)
     if count % 2:
         return 0j
-    if count > 8:
-        raise ValueError("more than 8 arguments; pairing count grows as (2n-1)!!")
     if not count:
         return 1 + 0j
     return sum(wick_terms(state, fs), 0j)

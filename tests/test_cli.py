@@ -747,13 +747,6 @@ def test_evolve_makes_no_transform(tmp_path, transforms):
     assert transforms == []
 
 
-def test_every_package_export_resolves():
-    # a name left in the lazy export table after its function is gone
-    # would otherwise fail only when a caller reaches for it
-    for name in kgsig.__all__:
-        assert getattr(kgsig, name) is not None, name
-
-
 def test_no_command_imports_numpy_random(tmp_path):
     """Every command draws from the stdlib stream that numpy already loaded,
     so none pays the numpy.random import, massdecomp's mass rule is a

@@ -3,24 +3,22 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+import kgsig.dynamics
 from kgsig import random_fields
 from kgsig.dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
-    advanced_green,
-    causal_field,
     causal_fundamental,
     cumulative_simpson_nodes,
     duhamel_modes,
     green_residuals,
     kg_residual,
     propagate,
-    retarded_green,
     simpson_weights,
     time_window,
 )
 from kgsig.lattice import dirichlet_basis, laplacian, omega
-from kgsig.random_fields import Draws, bump_profile, random_datum, random_test_function
+from kgsig.random_fields import Draws, bump, random_datum, random_test_function
 from kgsig.signature import apply_signature, scalar_product, signature_analytic
 from kgsig.state import build_state, pair_matrix
 from kgsig.symplectic import gm_form, symplectic
@@ -34,7 +32,7 @@ def basis():
 
 
 def single_mode_source(basis, times, mode, center=-1.0, half_width=2.0):
-    profile = bump_profile(times, center, half_width)
+    profile = bump((times - center) / half_width)
     modes = profile[:, None] * np.eye(basis.size)[mode][None, :]
     return SpacetimeTestFunction(times=times, modes=modes, basis=basis)
 
@@ -142,8 +140,15 @@ def test_time_window_and_simpson_weights():
     # Simpson integrates cubics exactly
     assert np.sum(w * times**3) == pytest.approx(0.0, abs=1e-12)
     assert np.sum(w * times**2) == pytest.approx(2 * 5.0**3 / 3, rel=1e-12)
-    with pytest.raises(ValueError):
-        time_window(2.0, 1.0)
+    with pytest.raises(ValueError, match="empty time window"):
+        time_window(2.0, 1.0, 0.05)
+
+
+@pytest.mark.parametrize("dt", [-0.1, 0.0, np.nan])
+def test_time_window_rejects_a_step_that_is_not_positive(dt):
+    # -0.1 gave 3 nodes at spacing 0.5, 0 divided by zero, NaN failed in int()
+    with pytest.raises(ValueError, match="time step must be positive"):
+        time_window(0.0, 1.0, dt)
 
 
 @pytest.mark.parametrize("node", [0.2 + 1e-6, np.nan])
@@ -184,7 +189,7 @@ def test_retarded_green_matches_adaptive_quadrature(basis):
     w = float(omega(basis.eigenvalues[n], MASS))
     times = time_window(-5.0, 5.0, 0.05)
     f = single_mode_source(basis, times, n)
-    u_modes = retarded_green(f, MASS).modes
+    u_modes = duhamel_modes(f, MASS)[0]
 
     def profile(s):
         arg = (s + 1.0) / 2.0
@@ -205,7 +210,7 @@ def test_retarded_green_matches_adaptive_quadrature(basis):
 def test_retarded_supported_in_future_of_source(basis):
     times = time_window(-5.0, 5.0, 0.05)
     f = single_mode_source(basis, times, 2)  # support [-3, 1]
-    u = basis.synthesize(retarded_green(f, MASS).modes)
+    u = basis.synthesize(duhamel_modes(f, MASS)[0])
     assert np.abs(u[times < -3.05]).max() == 0.0
     assert np.abs(u[times > 2.0]).max() > 1e-3
 
@@ -213,18 +218,18 @@ def test_retarded_supported_in_future_of_source(basis):
 def test_advanced_supported_in_past_of_source(basis):
     times = time_window(-5.0, 5.0, 0.05)
     f = single_mode_source(basis, times, 2, center=1.0)  # support [-1, 3]
-    u = basis.synthesize(advanced_green(f, MASS).modes)
+    u = basis.synthesize(duhamel_modes(f, MASS)[1])
     assert np.abs(u[times > 3.05]).max() == 0.0
     assert np.abs(u[times < -2.0]).max() > 1e-3
 
 
-@pytest.mark.parametrize("green", [retarded_green, advanced_green])
-def test_green_residual_is_second_order_in_dt(basis, green):
+@pytest.mark.parametrize("side", [0, 1], ids=["retarded_green", "advanced_green"])
+def test_green_residual_is_second_order_in_dt(basis, side):
     residuals = []
     for dt in (0.05, 0.025):
         times = time_window(-5.0, 5.0, dt)
         f = single_mode_source(basis, times, 5)
-        residuals.append(kg_residual(green(f, MASS), f, MASS))
+        residuals.append(kg_residual(duhamel_modes(f, MASS)[side], f, MASS))
     assert residuals[0] < 5e-3
     assert residuals[0] / residuals[1] > 3.0
 
@@ -235,8 +240,8 @@ def test_advanced_is_time_reflected_retarded(basis):
     rng = np.random.default_rng(5)
     f = random_test_function(rng, basis, times)
     reflected = SpacetimeTestFunction(times=times, modes=f.modes[::-1], basis=basis)
-    adv = basis.synthesize(advanced_green(f, MASS).modes)
-    ret = basis.synthesize(retarded_green(reflected, MASS).modes)[::-1]
+    adv = basis.synthesize(duhamel_modes(f, MASS)[1])
+    ret = basis.synthesize(duhamel_modes(reflected, MASS)[0])[::-1]
     assert np.abs(adv - ret).max() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -249,7 +254,8 @@ def test_causal_data_reproduce_causal_field(basis):
         rng = np.random.default_rng(7)
         f = random_test_function(rng, basis, times)
         data = causal_fundamental(f, MASS)
-        field = basis.synthesize(causal_field(f, MASS).modes)
+        ret, adv = duhamel_modes(f, MASS)
+        field = basis.synthesize(ret - adv)
         worst = 0.0
         for j in range(0, times.size, 7):
             phi = basis.synthesize(propagate(data, times[j], MASS).modes[0])
@@ -262,8 +268,8 @@ def test_causal_data_reproduce_causal_field(basis):
 def test_causal_field_is_retarded_field_for_past_sources(basis):
     times = time_window(-5.0, 5.0, 0.05)
     f = single_mode_source(basis, times, 4, center=-2.5, half_width=1.5)
-    g_field = basis.synthesize(causal_field(f, MASS).modes)
-    r_field = basis.synthesize(retarded_green(f, MASS).modes)
+    ret, adv = duhamel_modes(f, MASS)
+    g_field, r_field = basis.synthesize(np.stack([ret - adv, ret]))
     future = times > -0.9  # strictly after supp f = [-4, -1]
     assert np.abs(g_field[future] - r_field[future]).max() < 1e-12
 
@@ -280,9 +286,7 @@ def reference_test_function(rng, basis, times, components=3, real=False):
         half_width = rng.uniform(0.15 * span, 0.25 * span)
         carrier = rng.uniform(0.0, 2.0)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        profile = bump_profile(times, center, half_width) * np.cos(
-            carrier * times + phase
-        )
+        profile = bump((times - center) / half_width) * np.cos(carrier * times + phase)
         x0 = rng.uniform(0.25 * length, 0.75 * length)
         width = rng.uniform(0.10 * length, 0.20 * length)
         shape = np.exp(-((x - x0) ** 2) / (2.0 * width**2))
@@ -318,19 +322,21 @@ def test_real_sources_stay_real(basis):
 
 
 @pytest.mark.parametrize("dt", [0.05, 0.025])
-def test_shared_duhamel_pass_matches_separate_routes(basis, dt):
+def test_shared_duhamel_pass_matches_separate_routes(basis, dt, monkeypatch):
+    # green_residuals reads both fields off one duhamel_modes pass, bit for
+    # bit the residuals of a separate pass per field
     times = time_window(-5.0, 5.0, dt)
     f = random_test_function(np.random.default_rng(9), basis, times)
-    ret_modes, adv_modes = duhamel_modes(f, MASS)
-    ret, adv = retarded_green(f, MASS), advanced_green(f, MASS)
-    # every route reads the same mode coefficients: no transform between
-    # them, so no rounding either
-    shared = green_residuals(f, MASS)
-    for res, field, modes in zip(shared, (ret, adv), (ret_modes, adv_modes)):
-        np.testing.assert_array_equal(field.modes, modes)
-        assert res == kg_residual(field, f, MASS)
-    diff = ret.modes - adv.modes
-    np.testing.assert_array_equal(causal_field(f, MASS).modes, diff)
+    separate = [kg_residual(duhamel_modes(f, MASS)[side], f, MASS) for side in (0, 1)]
+    passes = []
+
+    def counted(f, mass):
+        passes.append(f)
+        return duhamel_modes(f, mass)
+
+    monkeypatch.setattr(kgsig.dynamics, "duhamel_modes", counted)
+    assert list(green_residuals(f, MASS)) == separate
+    assert passes == [f]
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -375,7 +381,7 @@ def test_functions_of_a_source_act_row_by_row_on_a_stack(basis, real):
     solved = causal_fundamental(fs, MASS)
     ret, adv = duhamel_modes(fs, MASS)
     running = cumulative_simpson_nodes(fs.modes, fs.dt)
-    residual = kg_residual(causal_field(gs, MASS), fs, MASS)
+    residual = kg_residual(ret - adv, fs, MASS)
     pairing = gm_form(fs, gs, MASS)
     assert solved.modes.shape == (2, 2, 2, basis.size) and pairing.shape == residual.shape == (2, 2)
     for a, b in np.ndindex(2, 2):
@@ -384,5 +390,5 @@ def test_functions_of_a_source_act_row_by_row_on_a_stack(basis, real):
         for stacked, alone in zip((ret, adv), duhamel_modes(f, MASS)):
             np.testing.assert_array_equal(stacked[a, b], alone)
         np.testing.assert_array_equal(running[a, b], cumulative_simpson_nodes(f.modes, f.dt))
-        assert residual[a, b] == kg_residual(causal_field(g, MASS), f, MASS)
+        assert residual[a, b] == kg_residual(ret[a, b] - adv[a, b], f, MASS)
         assert pairing[a, b] == gm_form(f, g, MASS)

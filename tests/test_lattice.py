@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from kgsig.lattice import (
     SINE_FFT_MIN_POINTS,
-    build_grid,
+    SpatialGrid,
     dirichlet_basis,
     laplacian,
     omega,
@@ -13,23 +13,28 @@ from kgsig.lattice import (
 
 
 def test_grid_spacing_and_points():
-    grid = build_grid(4, 5.0)
+    grid = SpatialGrid(4, 5.0)
     assert grid.spacing == pytest.approx(1.0)
-    grid2 = build_grid(2, 3.0)
+    grid2 = SpatialGrid(2, 3.0)
     assert grid2.points == pytest.approx([1.0, 2.0])
-    grid3 = build_grid(64, 10.0)
+    grid3 = SpatialGrid(64, 10.0)
     assert grid3.spacing == pytest.approx(10.0 / 65.0)
+    assert SpatialGrid(np.int64(2), 3.0).points == pytest.approx([1.0, 2.0])
 
 
 def test_grid_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        build_grid(0, 1.0)
+        SpatialGrid(0, 1.0)
     with pytest.raises(ValueError):
-        build_grid(4, -2.0)
+        SpatialGrid(4, -2.0)
+    # 2.5 points gave 3 modes whose eigenvalues belong to no lattice on (0, 1)
+    for count in (2.5, 2.0, "4"):
+        with pytest.raises(TypeError):
+            dirichlet_basis(count, 1.0)
 
 
 def test_laplacian_stencil_n2():
-    grid = build_grid(2, 3.0)  # h = 1
+    grid = SpatialGrid(2, 3.0)  # h = 1
     expected = np.array([[2.0, -1.0], [-1.0, 2.0]])
     assert laplacian(grid) == pytest.approx(expected)
 

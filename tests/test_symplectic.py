@@ -4,15 +4,14 @@ import pytest
 from kgsig.dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
-    causal_field,
     causal_fundamental,
+    duhamel_modes,
     propagate,
-    retarded_green,
     simpson_weights,
     time_window,
 )
 from kgsig.lattice import SINE_FFT_MIN_POINTS, dirichlet_basis, omega
-from kgsig.random_fields import random_datum, random_test_function
+from kgsig.random_fields import bump, random_datum, random_test_function
 from kgsig.symplectic import gm_form, symplectic
 
 MASS = 1.0
@@ -113,7 +112,8 @@ def test_causal_form_in_mode_space_equals_the_lattice_sum(basis):
     times = time_window(-5.0, 5.0, 0.05)
     rng = np.random.default_rng(12)
     f, g = random_test_function(rng, basis, times), random_test_function(rng, basis, times)
-    f_lattice, u = basis.synthesize(np.stack([f.modes, causal_field(g, MASS).modes]))
+    ret, adv = duhamel_modes(g, MASS)
+    f_lattice, u = basis.synthesize(np.stack([f.modes, ret - adv]))
     per_node = basis.grid.spacing * np.sum(np.conj(f_lattice) * u, axis=1)
     lattice = np.sum(simpson_weights(times) * per_node)
     assert abs(gm_form(f, g, MASS) - lattice) <= 1e-13 * abs(lattice)
@@ -146,10 +146,7 @@ def test_disjoint_supports_reduce_to_advanced_part(basis):
     rng = np.random.default_rng(9)
 
     def shifted(center):
-        from kgsig.dynamics import SpacetimeTestFunction
-        from kgsig.random_fields import bump_profile
-
-        profile = bump_profile(times, center, 1.5)
+        profile = bump((times - center) / 1.5)
         spatial = basis.analyze(np.exp(-((basis.grid.points - 5.0) ** 2) / 4.0))
         return SpacetimeTestFunction(
             times=times, modes=profile[:, None] * spatial[None, :], basis=basis
@@ -157,12 +154,8 @@ def test_disjoint_supports_reduce_to_advanced_part(basis):
 
     f = shifted(-3.5)  # support [-5, -2]
     g = shifted(3.5)  # support [2, 5]
-    from kgsig.dynamics import advanced_green, simpson_weights
-
     total = gm_form(f, g, MASS)
-    f_lattice, adv, ret = basis.synthesize(
-        np.stack([f.modes, advanced_green(g, MASS).modes, retarded_green(g, MASS).modes])
-    )
+    f_lattice, ret, adv = basis.synthesize(np.stack([f.modes, *duhamel_modes(g, MASS)]))
     quad = simpson_weights(times)
     h = basis.grid.spacing
     adv_part = -np.sum(quad * (h * np.sum(np.conj(f_lattice) * adv, axis=1)))
