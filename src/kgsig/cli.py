@@ -7,18 +7,19 @@ so reruns with the same config and seed are byte-identical. Wall-clock
 runtime goes to a separate run_meta.json sidecar, which is the one file
 excluded from that guarantee.
 
-Exit codes: 0 success, 2 configuration error or an output directory that
-cannot be written, 3 non-convergence or a non-finite result (nothing is
-written then).
+Exit codes: 0 success, 2 usage error, configuration error or an output
+directory that cannot be written, 3 non-convergence or a non-finite result
+(nothing is written then).
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -400,46 +401,97 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One flat parser: the command is a positional, options go before or
-    after it."""
-    parser = argparse.ArgumentParser(
-        prog="kgsig",
-        description="signature-operator experiments on lattice Klein-Gordon fields",
-        epilog="commands:\n" + "\n".join(f"  {k:<12} {v}" for k, v in _COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
-    )
-    parser.add_argument("--config", metavar="PATH", help="key = value config file")
-    parser.add_argument("--out", metavar="DIR", default="results", help="output directory")
-    parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--tol", type=float, help="override the tolerance")
-    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    return parser
+_USAGE = "kgsig <command> [--config PATH] [--out DIR] [--seed INT] [--tol FLOAT] [--quiet]"
+_HELP = f"""usage: {_USAGE}
+
+signature-operator experiments on lattice Klein-Gordon fields
+
+options (before or after the command):
+  -h, --help     show this help and exit
+  --config PATH  key = value config file
+  --out DIR      output directory (default: results)
+  --seed INT     override the run seed
+  --tol FLOAT    override the tolerance
+  --quiet        suppress progress output
+
+commands:
+""" + "\n".join(f"  {k:<12} {v}" for k, v in _COMMANDS.items())
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"usage: {_USAGE}\nkgsig: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _convert(option: str, value: str, kind):
+    try:
+        return kind(value)
+    except ValueError:
+        _usage_error(f"argument {option}: invalid {kind.__name__} value: {value!r}")
+
+
+def parse_args(argv: list[str]) -> dict:
+    """The command line as a dict: one positional command, options before or
+    after it, `--opt value` or `--opt=value`, long options by unique prefix.
+
+    A usage error prints the usage line and a message to stderr and raises
+    SystemExit(2); -h/--help prints the help to stdout and raises SystemExit(0).
+    """
+    try:
+        options, positionals = getopt.gnu_getopt(
+            argv, "h", ["help", "quiet", "config=", "out=", "seed=", "tol="]
+        )
+    except getopt.GetoptError as exc:
+        _usage_error(str(exc))
+    args = {"config": None, "out": "results", "seed": None, "tol": None, "quiet": False}
+    for option, value in options:
+        if option in ("-h", "--help"):
+            print(_HELP)
+            raise SystemExit(0)
+        if option == "--seed":
+            args["seed"] = _convert(option, value, int)
+        elif option == "--tol":
+            args["tol"] = _convert(option, value, float)
+        elif option == "--quiet":
+            args["quiet"] = True
+        else:  # --config, --out
+            args[option[2:]] = value
+    if not positionals:
+        _usage_error("the following arguments are required: command")
+    command, *extra = positionals
+    if command not in _COMMANDS:
+        _usage_error(
+            f"argument command: invalid choice: {command!r} "
+            f"(choose from {', '.join(map(repr, _COMMANDS))})"
+        )
+    if extra:
+        _usage_error(f"unrecognized arguments: {' '.join(extra)}")
+    if not args["out"]:
+        _usage_error("argument --out: expected a directory name, got ''")
+    args["command"] = command
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     started = time.monotonic()
-    block_tol = args.tol if args.tol is not None else BLOCK_TOL_DEFAULT
+    block_tol = args["tol"] if args["tol"] is not None else BLOCK_TOL_DEFAULT
     # reconstruct runs at its block tolerance; the file's tol does not apply
-    tol = block_tol if args.command == "reconstruct" else args.tol
+    tol = block_tol if args["command"] == "reconstruct" else args["tol"]
     try:
-        config = apply_overrides(load_config(args.config), seed=args.seed, tol=tol)
-        validate_config(config, args.command, block_tol)
+        config = apply_overrides(load_config(args["config"]), seed=args["seed"], tol=tol)
+        validate_config(config, args["command"], block_tol)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
+    out_dir = Path(args["out"])
     # a file in the way would stop mkdir only after the run: check it first
     for path in (out_dir, *out_dir.parents):
         if path.exists() and not path.is_dir():
             print(f"output error: {path} is not a directory", file=sys.stderr)
             return 2
     try:
-        results, tables = globals()[f"cmd_{args.command}"](config)
+        results, tables = globals()[f"cmd_{args['command']}"](config)
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
@@ -447,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"non-finite result: {where}; nothing was written", file=sys.stderr)
         return 3
     try:
-        _emit(args.command, config, results, tables, out_dir, args.quiet, started)
+        _emit(args["command"], config, results, tables, out_dir, args["quiet"], started)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 import kgsig
 from kgsig import massfamily
-from kgsig.cli import _COMMANDS, _render_json, _write_csv, build_parser, cmd_evolve, main
+from kgsig.cli import (
+    _COMMANDS,
+    _USAGE,
+    _render_json,
+    _write_csv,
+    cmd_evolve,
+    main,
+    parse_args,
+)
 from kgsig.config import _SCHEMA, ExperimentConfig
 
 SMALL = "[grid]\nn = 4\nl = 6.0\n\n[quadrature]\ntol = 1e-5\n\n[run]\nfamilies = 3\n"
@@ -713,18 +721,48 @@ def test_each_source_is_analyzed_once_and_nothing_synthesized(
     assert len(transforms) == len(per_draw) == (2 if command != "wick" else 1)
 
 
-def test_unknown_command_exits_2(capsys):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus"], "invalid choice: 'bogus'"),
+        ([], "required: command"),
+        (["spectrum", "wick"], "unrecognized arguments: wick"),
+        (["spectrum", "--bogus"], "--bogus not recognized"),
+        (["spectrum", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["spectrum", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+        (["spectrum", "--seed"], "--seed requires argument"),
+        # Path('') is '.': an empty --out wrote into the working directory
+        (["spectrum", "--out", ""], "argument --out"),
+        (["spectrum", "--out="], "argument --out"),
+    ],
+    ids=["bogus", "no-command", "two-commands", "unknown-option", "seed-x", "tol-abc",
+         "seed-no-value", "empty-out", "empty-out-equals"],
+)
+def test_unknown_command_exits_2(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(kgsig.cli, "cmd_spectrum", _never_run)
     with pytest.raises(SystemExit) as exc:
-        main(["bogus"])
+        main(argv)
     assert exc.value.code == 2
-    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {_USAGE}\nkgsig: error: ") and message in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_usage_line_is_the_readme_line():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert f"\n{_USAGE}\n" in readme.read_text()
 
 
 def test_options_parse_the_same_before_and_after_the_command():
     options = ["--config", "run.ini", "--out", "o", "--seed", "3", "--tol", "1e-4", "--quiet"]
-    after = vars(build_parser().parse_args(["wick", *options]))
-    assert after == vars(build_parser().parse_args([*options, "wick"]))
-    assert after == vars(build_parser().parse_args([*options[:4], "wick", *options[4:]]))
+    after = parse_args(["wick", *options])
+    assert after == parse_args([*options, "wick"])
+    assert after == parse_args([*options[:4], "wick", *options[4:]])
+    # --opt=value and a unique prefix of a long option
+    assert after == parse_args(["--conf", "run.ini", "wick", "--seed=3", "--out=o", "--to",
+                                "1e-4", "--q"])
     assert after == {
         "command": "wick", "config": "run.ini", "out": "o", "seed": 3, "tol": 1e-4,
         "quiet": True,
@@ -732,12 +770,14 @@ def test_options_parse_the_same_before_and_after_the_command():
 
 
 def test_help_names_every_command(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
-    text = capsys.readouterr().out
-    for name, summary in _COMMANDS.items():
-        assert f"{name} " in text and summary in text
+    for flag in ("--help", "-h"):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: {_USAGE}\n")
+        for name, summary in _COMMANDS.items():
+            assert f"{name} " in text and summary in text
 
 
 def test_evolve_makes_no_transform(tmp_path, transforms):
@@ -750,8 +790,9 @@ def test_evolve_makes_no_transform(tmp_path, transforms):
 def test_no_command_imports_numpy_random(tmp_path):
     """Every command draws from the stdlib stream that numpy already loaded,
     so none pays the numpy.random import, massdecomp's mass rule is a
-    uniform grid, so none loads numpy.polynomial, and no type is a dataclass;
-    one interpreter runs all ten."""
+    uniform grid, so none loads numpy.polynomial, no type is a dataclass, and
+    the command line is read without argparse, whose gettext calls import
+    locale; one interpreter runs all ten."""
     (tmp_path / "tiny.ini").write_text("[grid]\nn = 4\n")
     script = (
         "import sys\n"
@@ -762,6 +803,8 @@ def test_no_command_imports_numpy_random(tmp_path):
         "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
         "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial was imported'\n"
         "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
+        "assert 'argparse' not in sys.modules, 'argparse was imported'\n"
+        "assert 'locale' not in sys.modules, 'locale was imported'\n"
     )
     src = str(Path(kgsig.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
