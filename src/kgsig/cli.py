@@ -23,16 +23,9 @@ from typing import NoReturn
 
 import numpy as np
 
-from .config import (
-    BLOCK_TOL_DEFAULT,
-    ConfigError,
-    ExperimentConfig,
-    apply_overrides,
-    load_config,
-    validate_config,
-)
+from .config import ConfigError, ExperimentConfig, load_config, validate_config
 from .dynamics import causal_fundamental, green_residuals, propagate, time_window
-from .lattice import dirichlet_basis, omega
+from .lattice import SpectralBasis, dirichlet_basis, omega
 from .massfamily import (
     ConvergenceError,
     MassInterval,
@@ -44,6 +37,7 @@ from .massfamily import (
 from .minkowski import cross_check_lattice
 from .random_fields import Draws, random_datum, random_test_function
 from .signature import (
+    BLOCK_TOL_DEFAULT,
     scalar_product,
     signature_analytic,
     signature_reconstruct,
@@ -143,8 +137,7 @@ def _emit(
             print(f"wrote {path}")
 
 
-def cmd_spectrum(config: ExperimentConfig):
-    basis = dirichlet_basis(config.n, config.l)
+def cmd_spectrum(config: ExperimentConfig, basis: SpectralBasis):
     om = omega(basis.eigenvalues, config.m)
     rows = list(zip(range(basis.size), basis.eigenvalues.tolist(), om.tolist()))
     results = {
@@ -156,8 +149,7 @@ def cmd_spectrum(config: ExperimentConfig):
     return results, {"modes": (["mode", "eigenvalue", "frequency"], rows)}
 
 
-def cmd_evolve(config: ExperimentConfig):
-    basis = dirichlet_basis(config.n, config.l)
+def cmd_evolve(config: ExperimentConfig, basis: SpectralBasis):
     sig = signature_analytic(config.m, basis)
     rng = Draws(config.seed)
     a, b = random_datum(rng, basis), random_datum(rng, basis)
@@ -181,8 +173,7 @@ def cmd_evolve(config: ExperimentConfig):
     return results, {"drift": (["t", "symplectic_drift", "norm_drift"], rows)}
 
 
-def cmd_green(config: ExperimentConfig):
-    basis = dirichlet_basis(config.n, config.l)
+def cmd_green(config: ExperimentConfig, basis: SpectralBasis):
     rows = []
     for refine in (1, 2):
         dt = config.dt / refine
@@ -199,8 +190,7 @@ def cmd_green(config: ExperimentConfig):
     }
 
 
-def cmd_signature(config: ExperimentConfig):
-    basis = dirichlet_basis(config.n, config.l)
+def cmd_signature(config: ExperimentConfig, basis: SpectralBasis):
     sig = signature_analytic(config.m, basis)
     vals, _ = signature_spectrum(sig)
     lo, hi = np.sort(vals.reshape(-1, 2), axis=1).T
@@ -227,8 +217,7 @@ def cmd_signature(config: ExperimentConfig):
     }
 
 
-def cmd_massdecomp(config: ExperimentConfig):
-    basis = dirichlet_basis(config.n, config.l)
+def cmd_massdecomp(config: ExperimentConfig, basis: SpectralBasis):
     interval = MassInterval(config.m_lo, config.m_hi)
     weight = interval_weight(interval)
     rng = Draws(config.seed)
@@ -258,8 +247,7 @@ def cmd_massdecomp(config: ExperimentConfig):
     }
 
 
-def cmd_reconstruct(config: ExperimentConfig):
-    basis = dirichlet_basis(config.n, config.l)
+def cmd_reconstruct(config: ExperimentConfig, basis: SpectralBasis):
     interval = MassInterval(config.m_lo, config.m_hi)
     analytic = signature_analytic(config.m, basis)
     rows = []
@@ -291,8 +279,7 @@ def cmd_reconstruct(config: ExperimentConfig):
     }
 
 
-def cmd_state(config: ExperimentConfig):
-    basis = dirichlet_basis(config.n, config.l)
+def cmd_state(config: ExperimentConfig, basis: SpectralBasis):
     state = build_state(config.m, basis)
     suite = state_positivity_suite(
         state,
@@ -322,8 +309,7 @@ def cmd_state(config: ExperimentConfig):
     return results, {"gram": (["index", "eigenvalue"], rows)}
 
 
-def cmd_masslimit(config: ExperimentConfig):
-    basis = dirichlet_basis(config.n, config.l)
+def cmd_masslimit(config: ExperimentConfig, basis: SpectralBasis):
     _, table = massless_limit(basis)
     rows = [
         [float(m), float(nrm), float(bnd), float(nrm / bnd)]
@@ -338,8 +324,7 @@ def cmd_masslimit(config: ExperimentConfig):
     }
 
 
-def cmd_crosscheck(config: ExperimentConfig):
-    basis = dirichlet_basis(config.n, config.l)
+def cmd_crosscheck(config: ExperimentConfig, basis: SpectralBasis):
     report = cross_check_lattice(config.m, basis)
     om = omega(basis.eigenvalues, config.m)
     rows = list(
@@ -359,8 +344,7 @@ def cmd_crosscheck(config: ExperimentConfig):
     }
 
 
-def cmd_wick(config: ExperimentConfig):
-    basis = dirichlet_basis(config.n, config.l)
+def cmd_wick(config: ExperimentConfig, basis: SpectralBasis):
     state = build_state(config.m, basis)
     rng = Draws(config.seed)
     times = time_window(-config.window / 2, config.window / 2, config.dt)
@@ -466,8 +450,9 @@ def parse_args(argv: list[str]) -> dict:
         )
     if extra:
         _usage_error(f"unrecognized arguments: {' '.join(extra)}")
-    if not args["out"]:
-        _usage_error("argument --out: expected a directory name, got ''")
+    for option in ("config", "out"):  # Path('') is '.'
+        if args[option] == "":
+            _usage_error(f"argument --{option}: expected a path, got ''")
     args["command"] = command
     return args
 
@@ -475,12 +460,13 @@ def parse_args(argv: list[str]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     started = time.monotonic()
-    block_tol = args["tol"] if args["tol"] is not None else BLOCK_TOL_DEFAULT
-    # reconstruct runs at its block tolerance; the file's tol does not apply
-    tol = block_tol if args["command"] == "reconstruct" else args["tol"]
+    command = args["command"]
+    overrides = {key: args[key] for key in ("seed", "tol") if args[key] is not None}
+    if command == "reconstruct":  # runs at its block tolerance, not the file's tol
+        overrides.setdefault("tol", BLOCK_TOL_DEFAULT)
     try:
-        config = apply_overrides(load_config(args["config"]), seed=args["seed"], tol=tol)
-        validate_config(config, args["command"], block_tol)
+        config = load_config(args["config"])._replace(**overrides)
+        validate_config(config, command)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -490,8 +476,9 @@ def main(argv: list[str] | None = None) -> int:
         if path.exists() and not path.is_dir():
             print(f"output error: {path} is not a directory", file=sys.stderr)
             return 2
+    basis = dirichlet_basis(config.n, config.l)
     try:
-        results, tables = globals()[f"cmd_{args['command']}"](config)
+        results, tables = globals()[f"cmd_{command}"](config, basis)
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
@@ -499,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"non-finite result: {where}; nothing was written", file=sys.stderr)
         return 3
     try:
-        _emit(args["command"], config, results, tables, out_dir, args["quiet"], started)
+        _emit(command, config, results, tables, out_dir, args["quiet"], started)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

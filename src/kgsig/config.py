@@ -1,10 +1,12 @@
-"""Experiment configuration: declarative key = value sections plus overrides.
+"""Experiment configuration: declarative key = value sections.
 
 The file format is INI-style (configparser): sections [grid], [mass],
 [quadrature], [run]. Every value has a default, so an empty or missing file
 is valid; unknown sections or keys are rejected rather than ignored so that
 typos surface as configuration errors (exit code 2 at the CLI).
-`ExperimentConfig` is a NamedTuple, so an override returns a changed copy.
+`ExperimentConfig` is the schema: `SECTIONS` lays its fields out in sections,
+and each key is cast to the type of its default. It is a NamedTuple, so an
+override is one `_replace`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ class ConfigError(ValueError):
     """Invalid configuration file or parameter combination."""
 
 
-BLOCK_TOL_DEFAULT = 1e-3  # reconstruct's block tolerance unless --tol is given
 # time nodes x grid points of one spacetime array: 64 MiB of complex values
 SPACETIME_SAMPLES_MAX = 1 << 22
 # trials x (time nodes x grid points + trials) complex values of the state suite
@@ -37,23 +38,12 @@ TABLE_ROWS_MAX = SPACETIME_SAMPLES_MAX >> 6
 MASSLIMIT_ROUNDING_SHARE = 1e-3
 
 
-_SCHEMA: dict[str, dict[str, type]] = {
-    "grid": {"n": int, "l": float},
-    "mass": {"m": float, "m_lo": float, "m_hi": float, "half_width": float},
-    "quadrature": {
-        "dt": float,
-        "tol": float,
-        "t_ceiling": float,
-    },
-    "run": {
-        "seed": int,
-        "trials": int,
-        "families": int,
-        "time": float,
-        "samples": int,
-        "window": float,
-        "wick_order": int,
-    },
+# section -> keys, in `ExperimentConfig`'s field order; a key's type is its default's
+SECTIONS = {
+    "grid": ("n", "l"),
+    "mass": ("m", "m_lo", "m_hi", "half_width"),
+    "quadrature": ("dt", "tol", "t_ceiling"),
+    "run": ("seed", "trials", "families", "time", "samples", "window", "wick_order"),
 }
 
 
@@ -78,30 +68,34 @@ class ExperimentConfig(NamedTuple):
     def as_dict(self) -> dict[str, object]:
         return {
             section: {key: getattr(self, key) for key in keys}
-            for section, keys in _SCHEMA.items()
+            for section, keys in SECTIONS.items()
         }
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # values are read as written (no % interpolation), and [DEFAULT] is a
+    # section like any other: no file header names the default section ""
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None, default_section=""
+    )
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     values: dict[str, object] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in SECTIONS[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            caster = _SCHEMA[section][key]
+            caster = type(ExperimentConfig._field_defaults[key])
             try:
                 values[key] = caster(raw)
             except ValueError as exc:
@@ -109,19 +103,6 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
                     f"key '{key}' in [{section}] expects {caster.__name__}: {raw!r}"
                 ) from exc
     return ExperimentConfig(**values)
-
-
-def apply_overrides(
-    config: ExperimentConfig,
-    seed: int | None = None,
-    tol: float | None = None,
-) -> ExperimentConfig:
-    out = config
-    if seed is not None:
-        out = out._replace(seed=seed)
-    if tol is not None:
-        out = out._replace(tol=tol)
-    return out
 
 
 def _check_size(key: str, rows: int, samples: int, what: str) -> None:
@@ -136,15 +117,12 @@ def _check_size(key: str, rows: int, samples: int, what: str) -> None:
         )
 
 
-def validate_config(
-    config: ExperimentConfig, command: str, block_tol: float = BLOCK_TOL_DEFAULT
-) -> None:
-    """Reject values the command cannot run with; `block_tol` is the block
-    tolerance of `reconstruct`."""
-    for keys in _SCHEMA.values():
-        for key, caster in keys.items():
-            if caster is float and not math.isfinite(getattr(config, key)):
-                raise ConfigError(f"{key} must be finite")
+def validate_config(config: ExperimentConfig, command: str) -> None:
+    """Reject values the command cannot run with; `reconstruct` reads `tol` as
+    its block tolerance."""
+    for key, default in ExperimentConfig._field_defaults.items():
+        if isinstance(default, float) and not math.isfinite(getattr(config, key)):
+            raise ConfigError(f"{key} must be finite")
     if config.n < 1:
         raise ConfigError("grid needs at least one interior point")
     # every command holds n-vectors; three write one table row per mode
@@ -199,10 +177,10 @@ def validate_config(
                 "weight window [m - half_width, m + half_width] must lie "
                 "inside the open mass interval"
             )
-        if (config.half_width / config.m) ** 2 > 25.0 * block_tol:
+        if (config.half_width / config.m) ** 2 > 25.0 * config.tol:
             raise ConfigError(
                 "half-width too large for the requested tolerance "
-                f"(need (half_width / m)^2 <= 25 * {block_tol:g})"
+                f"(need (half_width / m)^2 <= 25 * {config.tol:g})"
             )
     if command == "wick" and not 1 <= config.wick_order <= 4:
         raise ConfigError("wick_order must be between 1 and 4")

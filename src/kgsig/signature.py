@@ -39,6 +39,7 @@ from .symplectic import symplectic
 _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 # int_{-1}^{1} bump(x)^2 dx = 2 e^-1 (K_1(1) - K_0(1)); see signature_reconstruct
 BUMP_SQUARED_INTEGRAL = 0.13308612084499427
+BLOCK_TOL_DEFAULT = 1e-3  # signature_reconstruct's block tolerance (kgsig reconstruct's)
 
 
 class SignatureOperator(NamedTuple):
@@ -201,7 +202,7 @@ def signature_reconstruct(
     mass: float,
     basis: SpectralBasis,
     half_width: float,
-    tol: float = 1e-3,
+    tol: float = BLOCK_TOL_DEFAULT,
     interval: MassInterval | None = None,
     t_ceiling: float = T_CEILING_DEFAULT,
 ) -> tuple[SignatureOperator, ConvergenceReport]:

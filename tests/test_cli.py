@@ -22,7 +22,8 @@ from kgsig.cli import (
     main,
     parse_args,
 )
-from kgsig.config import _SCHEMA, ExperimentConfig
+from kgsig.config import SECTIONS, ExperimentConfig
+from kgsig.lattice import dirichlet_basis
 
 SMALL = "[grid]\nn = 4\nl = 6.0\n\n[quadrature]\ntol = 1e-5\n\n[run]\nfamilies = 3\n"
 
@@ -212,9 +213,9 @@ def test_non_finite_value_exits_2(tmp_path, capsys):
 def test_worst_case_drift_keeps_nan(monkeypatch):
     # the mass guards refuse NaN, so NaN propagated data stand in for it
     with pytest.raises(ValueError, match="nonnegative"):
-        cmd_evolve(ExperimentConfig(n=4, m=float("nan"), samples=3))
+        cmd_evolve(ExperimentConfig(n=4, m=float("nan"), samples=3), dirichlet_basis(4, 10.0))
     monkeypatch.setattr("kgsig.cli.propagate", lambda datum, t, mass: datum * float("nan"))
-    results, _ = cmd_evolve(ExperimentConfig(n=4, samples=3))
+    results, _ = cmd_evolve(ExperimentConfig(n=4, samples=3), dirichlet_basis(4, 10.0))
     assert np.isnan(results["max_symplectic_drift"])
     assert np.isnan(results["max_norm_drift"])
 
@@ -327,7 +328,7 @@ def test_tiny_windows_whose_step_squares_still_run(tmp_path, command, window):
 
 
 def test_non_finite_table_cell_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
-    def nan_row(config):
+    def nan_row(config, basis):
         return {"x": 1.0}, {"t": (["k", "label", "value"], [[0, "a", 1.0], [1, "b", np.nan]])}
 
     monkeypatch.setattr(kgsig.cli, "cmd_spectrum", nan_row)
@@ -348,6 +349,29 @@ def test_write_csv_matches_the_per_cell_rule(tmp_path):
     cell = lambda c: format(c, ".17g") if isinstance(c, float) else str(c)  # noqa: E731
     lines = ["i,x,s,b,mixed"] + [",".join(cell(c) for c in row) for row in rows]
     assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_seed_and_tol_flags_override_the_file(tmp_path):
+    text = "[quadrature]\ntol = 1e-7\n\n[run]\nseed = 5\n"
+    code, out = run(tmp_path, ["spectrum"], text)
+    assert code == 0
+    config = read_summary(out, "spectrum")["config"]
+    assert (config["run"]["seed"], config["quadrature"]["tol"]) == (5, 1e-7)
+    code, out = run(tmp_path, ["spectrum", "--seed", "3", "--tol", "1e-9"], text)
+    assert code == 0
+    config = read_summary(out, "spectrum")["config"]
+    assert (config["run"]["seed"], config["quadrature"]["tol"]) == (3, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "text", ["n = 8\n", "[grid]\nn = 8\nn = 9\n"], ids=["no-section", "repeated-key"]
+)
+def test_unparsable_config_is_named_by_its_path(tmp_path, capsys, text):
+    code, out = run(tmp_path, ["spectrum"], text)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot parse config" in err and repr(str(tmp_path / "run.ini")) in err
+    assert not out.exists()
 
 
 def test_reconstruct_echoes_the_tolerance_it_used(tmp_path):
@@ -469,7 +493,7 @@ FUZZ_EDGES = {
     ),
     int: st.sampled_from([10**12, -(10**12)]),
 }
-FUZZ_EDGE_KEYS = [(name, key) for name, keys in _SCHEMA.items() for key in keys if key != "n"]
+FUZZ_EDGE_KEYS = [(name, key) for name, keys in SECTIONS.items() for key in keys if key != "n"]
 
 
 @st.composite
@@ -479,13 +503,13 @@ def fuzz_configs(draw):
         for name, keys in FUZZ_SECTIONS.items()
     }
     for name, key in draw(st.lists(st.sampled_from(FUZZ_EDGE_KEYS), max_size=2, unique=True)):
-        sections[name][key] = draw(FUZZ_EDGES[_SCHEMA[name][key]])
+        sections[name][key] = draw(FUZZ_EDGES[type(ExperimentConfig._field_defaults[key])])
     return sections
 
 
 def test_fuzz_draws_every_config_key():
     assert {name: set(keys) for name, keys in FUZZ_SECTIONS.items()} == {
-        name: set(keys) for name, keys in _SCHEMA.items()
+        name: set(keys) for name, keys in SECTIONS.items()
     }
 
 
@@ -606,7 +630,7 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
 
 
-def _never_run(config):
+def _never_run(config, basis):
     raise AssertionError("the command ran although its output cannot be written")
 
 
@@ -734,9 +758,13 @@ def test_each_source_is_analyzed_once_and_nothing_synthesized(
         # Path('') is '.': an empty --out wrote into the working directory
         (["spectrum", "--out", ""], "argument --out"),
         (["spectrum", "--out="], "argument --out"),
+        # Path('') is '.' too: an empty --config read the directory
+        (["spectrum", "--config", ""], "argument --config"),
+        (["spectrum", "--config="], "argument --config"),
     ],
     ids=["bogus", "no-command", "two-commands", "unknown-option", "seed-x", "tol-abc",
-         "seed-no-value", "empty-out", "empty-out-equals"],
+         "seed-no-value", "empty-out", "empty-out-equals", "empty-config",
+         "empty-config-equals"],
 )
 def test_unknown_command_exits_2(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

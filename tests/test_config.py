@@ -3,15 +3,19 @@ import pytest
 from kgsig.config import (
     SPACETIME_SAMPLES_MAX,
     SUITE_SAMPLES_MAX,
+    SECTIONS,
     TABLE_ROWS_MAX,
     ConfigError,
     ExperimentConfig,
-    apply_overrides,
     load_config,
     validate_config,
 )
 from kgsig.dynamics import time_window
 from kgsig.massfamily import MassInterval, interval_weight
+from kgsig.signature import BLOCK_TOL_DEFAULT
+
+# reconstruct reads tol as its block tolerance: the CLI's default for it
+RECONSTRUCT_TOL = {"tol": BLOCK_TOL_DEFAULT}
 
 
 def test_defaults_load_without_file():
@@ -36,7 +40,11 @@ def test_defaults_validate_for_every_command():
         "crosscheck",
         "wick",
     ):
-        validate_config(config, command)
+        tol = BLOCK_TOL_DEFAULT if command == "reconstruct" else config.tol
+        validate_config(config._replace(tol=tol), command)
+    # the file default tol = 1e-6 is too tight a block tolerance for half_width 0.05
+    with pytest.raises(ConfigError, match="half-width too large"):
+        validate_config(config, "reconstruct")
 
 
 def test_file_overrides_defaults(tmp_path):
@@ -49,9 +57,11 @@ def test_file_overrides_defaults(tmp_path):
 
 def test_unknown_section_rejected(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text("[grids]\nn = 8\n")
-    with pytest.raises(ConfigError, match="unknown config section"):
-        load_config(path)
+    # configparser's [DEFAULT] was ignored alone and copied into every section
+    for text in ("[grids]\nn = 8\n", "[DEFAULT]\nn = 8\n", "[DEFAULT]\nn = 8\n[grid]\nl = 5\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="unknown config section"):
+            load_config(path)
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -73,13 +83,11 @@ def test_bad_cast_reports_key_and_type(tmp_path):
     path.write_text("[grid]\nn = sixteen\n")
     with pytest.raises(ConfigError, match="'n' in \\[grid\\] expects int"):
         load_config(path)
-
-
-def test_overrides_replace_seed_and_tol():
-    config = apply_overrides(ExperimentConfig(), seed=3, tol=1e-9)
-    assert (config.seed, config.tol) == (3, 1e-9)
-    same = apply_overrides(config, seed=None, tol=None)
-    assert same == config
+    # a % is part of the value, not an interpolation (which raised outside ConfigError)
+    for value in ("%(l)s", "1%"):
+        path.write_text(f"[grid]\nl = 5\n\n[mass]\nm = {value}\n")
+        with pytest.raises(ConfigError, match="'m' in \\[mass\\] expects float"):
+            load_config(path)
 
 
 def test_interval_must_avoid_zero():
@@ -145,7 +153,7 @@ def test_evolve_and_massdecomp_size_caps_sit_at_their_boundaries():
     with pytest.raises(ConfigError, match="SPACETIME_SAMPLES_MAX"):
         validate_config(ExperimentConfig(n=n, families=65), "massdecomp")
     for command in ("spectrum", "state", "reconstruct"):  # read neither count
-        validate_config(ExperimentConfig(samples=10**9, families=10**9), command)
+        validate_config(ExperimentConfig(samples=10**9, families=10**9, **RECONSTRUCT_TOL), command)
 
 
 def test_grid_size_caps_sit_at_their_boundaries():
@@ -158,7 +166,7 @@ def test_grid_size_caps_sit_at_their_boundaries():
     # an l that keeps masslimit's smallest mass above the rounding of lambda
     n, l = SPACETIME_SAMPLES_MAX, 1e7
     for command in ("reconstruct", "masslimit", "evolve", "massdecomp"):
-        config = ExperimentConfig(l=l, samples=1, families=1)
+        config = ExperimentConfig(l=l, samples=1, families=1, **RECONSTRUCT_TOL)
         validate_config(config._replace(n=n), command)
         with pytest.raises(ConfigError, match="n too large.*SPACETIME_SAMPLES_MAX"):
             validate_config(config._replace(n=n + 1), command)
@@ -180,6 +188,7 @@ def test_non_finite_floats_rejected(key, value):
 def test_as_dict_round_trips_sections():
     d = ExperimentConfig().as_dict()
     assert set(d) == {"grid", "mass", "quadrature", "run"}
+    assert [key for keys in SECTIONS.values() for key in keys] == list(ExperimentConfig._fields)
     assert d["grid"]["n"] == 16
     assert d["quadrature"]["t_ceiling"] == 51200.0
 
@@ -205,7 +214,7 @@ def test_widest_exact_interval_still_builds_its_weight():
 def test_m_hi_whose_square_overflows_rejected(command):
     # the mass rules square the weight's upper edge: 1.34e154 squares to
     # 1.796e308, 1.5e154 overflows (an OverflowError in the Gram before)
-    edge = dict(m=1.2e154, half_width=1e153, m_lo=1e154)
+    edge = dict(m=1.2e154, half_width=1e153, m_lo=1e154, **RECONSTRUCT_TOL)
     validate_config(ExperimentConfig(m_hi=1.34e154, **edge), command)
     for m_hi in (1.5e154, 2e154):
         with pytest.raises(ConfigError, match="m_hi too large"):

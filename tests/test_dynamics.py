@@ -91,6 +91,12 @@ def test_datum_shape_and_basis_checks(basis):
     twin = CauchyDatum(datum.modes, dirichlet_basis(16, 10.0))
     with pytest.raises(ValueError, match="different bases"):
         datum + twin
+    # a source's last two axes must be (time nodes, N), on 1-D times
+    times = time_window(-1.0, 1.0, 0.5)
+    for t, shape in ((times, (times.size, basis.size + 1)), (times, (times.size + 2, basis.size)),
+                     (times[None], (times.size, basis.size))):
+        with pytest.raises(ValueError, match="shape"):
+            SpacetimeTestFunction(t, np.zeros(shape), basis)
 
 
 def test_batched_data_act_entry_by_entry(basis):
@@ -142,6 +148,8 @@ def test_time_window_and_simpson_weights():
     assert np.sum(w * times**2) == pytest.approx(2 * 5.0**3 / 3, rel=1e-12)
     with pytest.raises(ValueError, match="empty time window"):
         time_window(2.0, 1.0, 0.05)
+    with pytest.raises(ValueError, match="odd number of nodes"):
+        simpson_weights(times[:-1])
 
 
 @pytest.mark.parametrize("dt", [-0.1, 0.0, np.nan])
@@ -164,6 +172,8 @@ def test_cumulative_simpson_exact_on_quadratics():
     exact = times**3 - times**2 / 2 + 0.5 * times
     got = cumulative_simpson_nodes(y[:, None], 0.1)[:, 0]
     assert got == pytest.approx(exact, abs=1e-13)
+    with pytest.raises(ValueError, match="odd number of nodes"):
+        cumulative_simpson_nodes(y[:-1, None], 0.1)
 
 
 def test_source_validation_rejects_touching_window_edge(basis):

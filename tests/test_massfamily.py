@@ -159,6 +159,9 @@ def test_make_family_validates_support(basis):
 def test_nan_weight_fails_the_support_check():
     with pytest.raises(ValueError, match="support outside I"):
         massfamily.check_support(MassWeight(np.nan, 0.1), INTERVAL)
+    for half_width in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="positive half_width"):
+            MassWeight(1.5, half_width)
 
 
 def test_apply_T_scales_nodes(basis):

@@ -147,6 +147,17 @@ def test_validation_errors():
             weights=np.ones(1),
             mass=0.0,
         )
+    valid = dict(momenta=np.ones(1), amplitudes=np.zeros((2, 1)), weights=np.ones(1), mass=1.0)
+    for dimension, changes, message in (
+        (2, {}, "dimension must be 1 or 3"),
+        (1, {"momenta": np.ones((1, 3))}, "dimension-1 momenta"),
+        (3, {}, "dimension-3 momenta"),
+        (3, {"momenta": np.ones((1, 2))}, "dimension-3 momenta"),
+        (1, {"amplitudes": np.zeros((2, 2))}, "amplitudes need shape"),
+        (1, {"amplitudes": np.zeros(2)}, "amplitudes need shape"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ModeSuperposition(dimension=dimension, **{**valid, **changes})
     rng = np.random.default_rng(4)
     a = random_superposition(rng)
     b = random_superposition(rng, mass=2.0)

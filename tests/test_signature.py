@@ -99,6 +99,8 @@ def test_scalar_product_rejects_grid_mismatch(sig):
     for other in (dirichlet_basis(8, 10.0), dirichlet_basis(16, 10.0)):
         with pytest.raises(ValueError, match="different basis"):
             scalar_product(sig, random_datum(rng, other), random_datum(rng, other))
+        with pytest.raises(ValueError, match="different bases"):
+            per_mode_distance(sig, signature_analytic(sig.mass, other))
 
 
 def test_signature_commutes_with_propagation(sig):
