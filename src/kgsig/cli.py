@@ -1,9 +1,11 @@
 """Command-line front end: runs experiments, writes JSON + CSV results.
 
 Every command writes <command>_summary.json (config echo plus scalar
-results) and one <command>_*.csv table into the output directory, with all
-floating-point values serialized to 17 significant digits in a fixed order,
-so reruns with the same config and seed are byte-identical. Wall-clock
+results) and one <command>_*.csv table into the output directory, keys and
+rows in a fixed order. Summary floats take Python's shortest round-trip form
+(what `json` writes); CSV floats take 17 significant digits, which formats
+faster. Both read back to the same double, and reruns with the same config
+and seed are byte-identical. Wall-clock
 runtime goes to a separate run_meta.json sidecar, which is the one file
 excluded from that guarantee.
 
@@ -55,45 +57,17 @@ from .state import (
 from .symplectic import gm_form, symplectic
 
 
-def _render_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_render_json(v, indent + 1)}"
-            for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite value {value!r} has no JSON form")
-        return format(float(value), ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(_render_json(payload) + "\n")
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
-    """One line per row: floats (numpy float64 is one) to 17 significant
-    digits, every other cell through str, by one `%` template per run of rows
-    with the same cell types. No cell holds a comma, quote or newline, so
-    none needs quoting."""
-    lines = [",".join(header)]
-    types = None
-    for row in map(tuple, rows):
-        row_types = tuple(map(type, row))
-        if row_types != types:
-            types = row_types
-            template = ",".join(["%.17g" if issubclass(t, float) else "%s" for t in types])
-        lines.append(template % row)
+    """One line per row through one `%` template per table, built from the
+    first row: floats (numpy float64 is one) to 17 significant digits, every
+    other cell through str. Each column holds one type, and no cell holds a
+    comma, quote or newline, so none needs quoting."""
+    template = ",".join("%.17g" if isinstance(c, float) else "%s" for c in rows[0])
+    lines = [",".join(header)] + [template % tuple(row) for row in rows]
     path.write_text("\n".join(lines) + "\n", newline="")
 
 

@@ -148,7 +148,7 @@ def validate_config(config: ExperimentConfig, command: str) -> None:
             raise ConfigError(f"{name} must be positive")
     if command in ("massdecomp", "reconstruct"):
         try:
-            massfamily.MassInterval(config.m_lo, config.m_hi)
+            interval = massfamily.MassInterval(config.m_lo, config.m_hi)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # the mass rules' frequencies reach sqrt(m_hi^2 + 4 / h^2)
@@ -169,14 +169,14 @@ def validate_config(config: ExperimentConfig, command: str) -> None:
                 f"m = {m_min:g} is lost to rounding in lambda + m^2"
             )
     if command == "reconstruct":
-        if not (
-            config.m_lo < config.m - config.half_width
-            and config.m + config.half_width < config.m_hi
-        ):
+        window = massfamily.MassWeight(config.m, config.half_width)
+        try:
+            massfamily.check_support(window, interval)
+        except ValueError as exc:
             raise ConfigError(
                 "weight window [m - half_width, m + half_width] must lie "
-                "inside the open mass interval"
-            )
+                "in the closed mass interval [m_lo, m_hi]"
+            ) from exc
         if (config.half_width / config.m) ** 2 > 25.0 * config.tol:
             raise ConfigError(
                 "half-width too large for the requested tolerance "

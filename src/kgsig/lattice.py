@@ -54,6 +54,10 @@ def laplacian(grid: SpatialGrid) -> np.ndarray:
 # algorithm where N + 1 has a large prime factor. Only the FFT is batch-
 # invariant: one (18, N) table product and six (3, N) ones differ by up to
 # 1.5e-15 of the largest entry at n = 300, 500 and 767 (first seen at n = 236).
+# The table stays below this size: with the FFT everywhere the outputs of
+# state, green and wick move only at rounding, but each of them then imports
+# numpy.fft, which costs 1.1-1.3 ms and raised the causal benchmark's peak
+# RSS from 35.7-35.8 to 36.3-36.5 MiB (3 runs each).
 SINE_FFT_MIN_POINTS = 768
 
 

@@ -57,7 +57,7 @@ RULE_NODES_MAX = 1 << 16  # per mode and rule; (1, 2) needs 31.8k at the default
 # mode-nodes (modes x powers^2 x nodes) of one rule: massdecomp's peak RSS grows by
 # ~200 B each (n = 64 to 256), so 1.6 GiB here, within config's 2 GiB suite cap
 RULE_SIZE_MAX = 1 << 23
-_SUPPORT_SLACK = 1e-12  # rounding allowed where a weight's support meets I
+_SUPPORT_SLACK = 1e-12  # rounding, relative to m_hi, allowed where a weight's support meets I
 # intervals of a weight's trapezoid rule: the bump vanishes to all orders at
 # both ends of its support, so the rule converges faster than any power, and
 # the mass pairing sits on its rounding plateau here (doubling moves it by ulps)
@@ -88,11 +88,12 @@ class MassInterval:
         self.m_lo, self.m_hi = m_lo, m_hi
         # a weight spanning I is built from the center and half-width; when
         # m_hi dwarfs m_lo, m_lo is lost to rounding there (1 + 1e16 == 1e16)
-        lo, hi = self.center - self.half_width, self.center + self.half_width
-        if not (0.0 < lo and m_lo - _SUPPORT_SLACK <= lo and hi <= m_hi + _SUPPORT_SLACK):
+        try:
+            check_support(interval_weight(self), self)
+        except ValueError:
             raise ValueError(
                 "mass interval too wide: center +- half-width loses m_lo to rounding"
-            )
+            ) from None
 
     @property
     def center(self) -> float:
@@ -169,9 +170,11 @@ class MassFamily:
 
 
 def check_support(weight: MassWeight, interval: MassInterval) -> None:
-    """Raise ValueError unless the weight's support lies in the closure of I."""
+    """Raise ValueError unless the weight's support lies at positive mass and,
+    up to rounding, in the closure of I."""
     lo, hi = weight.center - weight.half_width, weight.center + weight.half_width
-    if not (interval.m_lo - _SUPPORT_SLACK <= lo and hi <= interval.m_hi + _SUPPORT_SLACK):
+    slack = _SUPPORT_SLACK * interval.m_hi
+    if not (0.0 < lo and interval.m_lo - slack <= lo and hi <= interval.m_hi + slack):
         raise ValueError("weight support outside I")
 
 
@@ -221,9 +224,11 @@ class ConvergenceReport(NamedTuple):
 
 
 def _spread(weight: MassWeight, lam: np.ndarray) -> np.ndarray:
-    """Per-mode omega range sqrt(lam + hi^2) - sqrt(lam + lo^2) of the support."""
+    """Per-mode omega range sqrt(lam + hi^2) - sqrt(lam + lo^2) of the support,
+    taken as (hi - lo)(hi + lo) / (sqrt(lam + hi^2) + sqrt(lam + lo^2)): the
+    difference cancels when lam dwarfs hi^2."""
     lo, hi = weight.center - weight.half_width, weight.center + weight.half_width
-    return np.sqrt(lam + hi**2) - np.sqrt(lam + lo**2)
+    return (hi - lo) * (hi + lo) / (np.sqrt(lam + hi**2) + np.sqrt(lam + lo**2))
 
 
 def _rule_nodes(weight: MassWeight, lam: np.ndarray, period: float) -> float:

@@ -16,8 +16,8 @@ from kgsig import massfamily
 from kgsig.cli import (
     _COMMANDS,
     _USAGE,
-    _render_json,
     _write_csv,
+    _write_json,
     cmd_evolve,
     main,
     parse_args,
@@ -54,6 +54,8 @@ def test_spectrum_writes_summary_and_table(tmp_path):
     # serialized floats round-trip exactly
     lam0 = float(rows[1][1])
     assert lam0 == summary["results"]["min_eigenvalue"]
+    text = (out / "spectrum_summary.json").read_text()
+    assert text == json.dumps(summary, indent=2) + "\n"
 
 
 def test_signature_two_mode_example(tmp_path):
@@ -82,12 +84,38 @@ def test_bad_interval_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, ["massdecomp"], "[mass]\nm_lo = 0.0\n")
     assert code == 2
     assert "0 ∉" in capsys.readouterr().err
+    # a half-width that rounds to 0 built no weight: this ended in a traceback
+    code, _ = run(tmp_path, ["massdecomp"], "[mass]\nm_lo = 5e-324\nm_hi = 1e-323\n")
+    assert code == 2
+    assert "too wide" in capsys.readouterr().err
 
 
 def test_malformed_value_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, ["spectrum"], "[grid]\nn = sixteen\n")
     assert code == 2
     assert "expects int" in capsys.readouterr().err
+
+
+def test_dephasing_stall_on_a_short_grid_names_its_t(tmp_path, capsys):
+    # at l = 1e-7 lambda ~ 1e17 dwarfs m^2: sqrt(lam + hi^2) - sqrt(lam + lo^2)
+    # cancelled to 0 and named no T, though T = 1.4e9 dephases every mode
+    code, out = run(tmp_path, ["massdecomp"], "[grid]\nl = 1e-7\n")
+    assert code == 3
+    assert "it needs T = 2 pi / min spread = 1.41811e+09" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_window_may_fill_the_interval(tmp_path):
+    # [m - half_width, m + half_width] = [1.45, 1.55] is the interval's
+    # closure; the deviations do not depend on the interval (A6)
+    results = []
+    for text in ("[mass]\nm_lo = 1.45\nm_hi = 1.55\n", ""):
+        code, out = run(tmp_path, ["reconstruct"], text)
+        assert code == 0
+        results.append(read_summary(out, "reconstruct")["results"])
+    assert results[0] == results[1]
+    assert results[0]["deviation_at_half_width"] == 6.0135549762829754e-4
+    assert results[0]["deviation_at_halved"] == 1.5033890794757809e-4
 
 
 def test_stalled_convergence_exits_3(tmp_path, capsys):
@@ -221,9 +249,10 @@ def test_worst_case_drift_keeps_nan(monkeypatch):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf")])
-def test_render_json_refuses_non_finite(value):
-    with pytest.raises(ValueError, match="non-finite"):
-        _render_json({"results": {"x": value}})
+def test_render_json_refuses_non_finite(tmp_path, value):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        _write_json(tmp_path / "s.json", {"results": {"x": value}})
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_zero_families_exits_2(tmp_path, capsys):
@@ -339,16 +368,19 @@ def test_non_finite_table_cell_exits_3_and_writes_nothing(tmp_path, capsys, monk
 
 def test_write_csv_matches_the_per_cell_rule(tmp_path):
     rows = [
-        (0, 1.5, "a", True, 2),
-        [np.int64(1), np.float64(1e300), "b", np.bool_(False), 3.25],
-        (2, -0.0, "c", False, np.float64(-1e-300)),
-        (np.int64(3), np.float64(-0.0), "d", np.True_, 7),
-        (4, 0.1, "e", True, 2.0 / 3.0),
+        (0, 1.5, "a", True),
+        [np.int64(1), np.float64(1e300), "b", np.bool_(False)],
+        (2, -0.0, "c", False),
+        (np.int64(3), np.float64(-0.0), "d", np.True_),
+        (4, 0.1, "e", True),
     ]
-    _write_csv(tmp_path / "t.csv", ["i", "x", "s", "b", "mixed"], rows)
-    cell = lambda c: format(c, ".17g") if isinstance(c, float) else str(c)  # noqa: E731
-    lines = ["i,x,s,b,mixed"] + [",".join(cell(c) for c in row) for row in rows]
+    _write_csv(tmp_path / "t.csv", ["i", "x", "s", "b"], rows)
+    lines = ["i,x,s,b"] + [f"{i},{format(x, '.17g')},{s},{b}" for i, x, s, b in rows]
     assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    # the first row's cell types set the template: an int cell under a float
+    # column is formatted as a float, a float cell under an int column by str
+    _write_csv(tmp_path / "u.csv", ["i", "x"], [(0, 0.1), (0.1, 2)])
+    assert (tmp_path / "u.csv").read_text() == "i,x\n0,0.10000000000000001\n0.1,2\n"
 
 
 def test_seed_and_tol_flags_override_the_file(tmp_path):

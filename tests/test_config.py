@@ -108,6 +108,8 @@ def test_reconstruction_window_must_sit_inside_interval():
     with pytest.raises(ConfigError, match="weight window"):
         validate_config(config, "reconstruct")
     validate_config(config, "massdecomp")
+    # the window may fill the closed interval: [1.45, 1.55] around m = 1.5
+    validate_config(ExperimentConfig(m_lo=1.45, m_hi=1.55, **RECONSTRUCT_TOL), "reconstruct")
 
 
 def test_scalar_bounds():
@@ -119,6 +121,8 @@ def test_scalar_bounds():
         validate_config(ExperimentConfig(wick_order=5), "wick")
     with pytest.raises(ConfigError, match="trials"):
         validate_config(ExperimentConfig(trials=0), "state")
+    with pytest.raises(ConfigError, match="mass must be nonnegative"):
+        validate_config(ExperimentConfig(m=-1.0), "spectrum")
 
 
 def test_state_trials_capped_by_the_suite_size():

@@ -151,6 +151,13 @@ def test_make_family_validates_support(basis):
     datum = random_datum(rng, basis)
     with pytest.raises(ValueError, match="support outside I"):
         make_family(datum, MassWeight(1.9, 0.3), INTERVAL)
+    # the rounding slack scales with m_hi: at masses near 1e-15 a fixed 1e-12
+    # let a weight reach through m = 0 or start below m_lo
+    tiny = MassInterval(1e-15, 2e-15)
+    for weight in (MassWeight(1.5e-15, 1e-12), MassWeight(1.5e-15, 6e-16)):
+        with pytest.raises(ValueError, match="support outside I"):
+            make_family(datum, weight, tiny)
+    make_family(datum, interval_weight(tiny), tiny)
     fam = make_family(datum, interval_weight(INTERVAL), INTERVAL)
     assert fam.mass_power == 0
     assert np.array_equal(fam.node_scale, fam.weight.values)
@@ -539,6 +546,12 @@ def test_dephasing_stall_names_the_t_it_needs():
     with pytest.raises(ConvergenceError, match="did not converge by T = 400") as err:
         spacetime_gram([fam], tol=0.0, t_ceiling=400.0)
     assert "dephased" not in str(err.value)
+    # masses whose squares underflow have no spread at all
+    tiny = MassInterval(1e-170, 2e-170)
+    fam = make_family(random_datum(np.random.default_rng(5), basis), interval_weight(tiny), tiny)
+    assert not massfamily._spread(fam.weight, basis.eigenvalues).any()
+    with pytest.raises(ConvergenceError, match="min spread rounds to 0, so no T dephases"):
+        spacetime_gram([fam])
 
 
 def test_non_finite_increment_raises_naming_the_stage(basis, monkeypatch):

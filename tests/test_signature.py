@@ -6,7 +6,7 @@ import pytest
 
 from kgsig.config import ExperimentConfig
 from kgsig.dynamics import CauchyDatum, apply_mode_blocks, propagate
-from kgsig.lattice import dirichlet_basis, omega
+from kgsig.lattice import SpectralBasis, dirichlet_basis, omega
 from kgsig.massfamily import MassInterval, MassWeight, make_family, spacetime_gram
 from kgsig.minkowski import ModeSuperposition, mink_cauchy_inverse
 from kgsig.random_fields import random_datum
@@ -191,6 +191,9 @@ def test_massless_limit_table(basis):
     sig_m = signature_analytic(0.5, basis)
     assert per_mode_distance(sig_m, limit).max() == pytest.approx(table.norms[1])
     assert per_mode_distance(sig_m, limit) == pytest.approx(table.mode_norms[1])
+    zero_mode = SpectralBasis(basis.grid, np.concatenate([[0.0], basis.eigenvalues[1:]]))
+    with pytest.raises(ValueError, match="zero mode present"):
+        massless_limit(zero_mode)
 
 
 def _operator(basis, blocks):
