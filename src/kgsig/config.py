@@ -25,7 +25,10 @@ class ConfigError(ValueError):
     """Invalid configuration file or parameter combination."""
 
 
-# time nodes x grid points of one spacetime array: 64 MiB of complex values
+# time nodes x grid points of one spacetime array: 64 MiB of complex values.
+# `green` near the cap (n = 64, dt = 1.84e-4) peaks at 415 MiB RSS and runs
+# 2.2-2.4 s as a process (669 MiB, 2.5-3.3 s while its Duhamel pass made
+# temporaries; 2-core Xeon, numpy 2.4.6)
 SPACETIME_SAMPLES_MAX = 1 << 22
 # trials x (time nodes x grid points + trials) complex values of the state suite
 SUITE_SAMPLES_MAX = 32 * SPACETIME_SAMPLES_MAX

@@ -18,10 +18,15 @@ advanced fields S_ret f and S_adv f come from one Duhamel pass,
 `duhamel_modes`, as bare (..., J, N) mode arrays on f's window: one cos/sin
 phase table feeds a forward and a backward cumulative Simpson quadrature,
 whose fields `green_residuals` also checks. Their difference is the causal
-field G f; `causal_fundamental` gets its t = 0 data from moments.
+field G f; `causal_fundamental` gets its t = 0 data from moments. The
+Duhamel pass and its residuals write into their own buffers (ufuncs with
+`out=`) in the operations and order of the plain expressions, so results
+keep their bits while a command, one process each, touches less new memory.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -76,11 +81,16 @@ def time_window(t_min: float, t_max: float, dt: float) -> np.ndarray:
     The node count is forced odd (even interval count) so composite Simpson
     applies cleanly; dt is shrunk slightly if needed to fit.
     """
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise ValueError("time window bounds must be finite")
     if not t_max > t_min:
         raise ValueError("empty time window")
     if not dt > 0.0:  # NaN fails
         raise ValueError("time step must be positive")
-    steps = int(np.ceil((t_max - t_min) / dt))
+    steps = np.ceil((float(t_max) - float(t_min)) / float(dt))  # Python floats: inf, no warning
+    if not steps < np.iinfo(np.intp).max:
+        raise ValueError("time window holds more nodes than an array index can count")
+    steps = int(steps)
     if steps % 2 == 1:
         steps += 1
     steps = max(steps, 2)
@@ -121,9 +131,13 @@ class SpacetimeTestFunction:
             raise ValueError("modes must have shape (..., num_times, basis.size)")
         simpson_weights(times)  # validates uniform odd-length node set
         for source in modes.reshape((-1,) + modes.shape[-2:]):
-            if not np.isfinite(source).all():
+            if np.iscomplexobj(source):
+                peak = np.abs(source).max() if np.isfinite(source).all() else np.inf
+            else:  # NaN reaches both max and min, +inf max and -inf min
+                peak = max(source.max(), -source.min())
+            if not np.isfinite(peak):
                 raise ValueError("source modes must be finite")
-            scale = max(1.0, float(np.abs(source).max()))
+            scale = max(1.0, float(peak))
             if not np.abs(source[[0, -1]]).max() <= 1e-12 * scale:
                 raise ValueError("window too small to contain the support of f")
         self.times, self.modes, self.basis = times, modes, basis
@@ -141,26 +155,42 @@ class SpacetimeTestFunction:
     __rmul__ = __mul__
 
 
-def cumulative_simpson_nodes(y: np.ndarray, dt: float) -> np.ndarray:
+def cumulative_simpson_nodes(y: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
     """Running composite Simpson integral along axis -2 (odd node count).
 
     Even-indexed nodes accumulate full Simpson pairs; odd-indexed nodes add
     the exact integral of the local interpolating parabola over the trailing
-    subinterval. Complex-safe (scipy's cumulative_simpson is not).
+    subinterval. Complex-safe (scipy's cumulative_simpson is not). The
+    result goes into `out` (new if None), which must not overlap y, with no
+    temporary the size of y: the even nodes serve as scratch for the odd
+    ones until the pair sums fill them.
     """
     j = y.shape[-2]
     if j < 3 or j % 2 == 0:
         raise ValueError("cumulative Simpson needs an odd number of nodes (>= 3)")
-    y = np.moveaxis(y, -2, 0)  # a view
-    out = np.zeros_like(y)
-    pairs = (dt / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
-    out[2::2] = np.cumsum(pairs, axis=0)
-    out[1] = (dt / 12.0) * (5.0 * y[0] + 8.0 * y[1] - y[2])
-    if j > 3:
-        out[3::2] = out[2:-1:2] + (dt / 12.0) * (
-            -y[1:-2:2] + 8.0 * y[2:-1:2] + 5.0 * y[3::2]
-        )
-    return np.moveaxis(out, 0, -2)
+    result = np.empty_like(y) if out is None else out
+    y, out = np.moveaxis(y, -2, 0), np.moveaxis(result, -2, 0)  # views, time first
+    # odd nodes 3, 5, ...: (dt / 12) (-y1 + 8 y2 + 5 y3) over the trailing subinterval
+    parabolas, fives = out[3::2], out[4::2]
+    np.multiply(8.0, y[2:-1:2], out=parabolas)
+    np.subtract(parabolas, y[1:-2:2], out=parabolas)
+    np.add(parabolas, np.multiply(5.0, y[3::2], out=fives), out=parabolas)
+    np.multiply(dt / 12.0, parabolas, out=parabolas)
+    # node 1: (dt / 12) (5 y0 + 8 y1 - y2)
+    np.multiply(5.0, y[0], out=out[1])
+    np.add(out[1], np.multiply(8.0, y[1], out=out[2]), out=out[1])
+    np.subtract(out[1], y[2], out=out[1])
+    np.multiply(dt / 12.0, out[1], out=out[1])
+    # even nodes: running sum of the pairs (dt / 3) (y0 + 4 y1 + y2)
+    pairs = out[2::2]
+    np.multiply(4.0, y[1:-1:2], out=pairs)
+    np.add(y[0:-2:2], pairs, out=pairs)
+    np.add(pairs, y[2::2], out=pairs)
+    np.multiply(dt / 3.0, pairs, out=pairs)
+    np.cumsum(pairs, axis=0, out=pairs)
+    np.add(out[2:-1:2], parabolas, out=parabolas)
+    out[0] = 0.0
+    return result
 
 
 def duhamel_modes(f: SpacetimeTestFunction, mass: float) -> tuple[np.ndarray, np.ndarray]:
@@ -169,19 +199,28 @@ def duhamel_modes(f: SpacetimeTestFunction, mass: float) -> tuple[np.ndarray, np
     sin(w(t - t')) = sin(wt)cos(wt') - cos(wt)sin(wt'), so both running
     Duhamel integrals are cumulative Simpson of the same cos/sin-weighted
     coefficients; the advanced one, over t' >= t, is the pass run backward
-    from the future end of the window, negated.
+    from the future end of the window, negated. The fields are built in
+    their own two arrays, each direction's sin part in a spent one: the
+    advanced field's array for the forward pass, the cos-weighted source
+    for the backward pass once its cos part is in.
     """
     w = omega(f.basis.eigenvalues, mass)
     phase = w[None, :] * f.times[:, None]
-    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    cos_p = np.cos(phase)
+    sin_p = np.sin(phase, out=phase)
     cos_src, sin_src = cos_p * f.modes, sin_p * f.modes
+    ret, adv = np.empty_like(cos_src), np.empty_like(cos_src)
 
-    def green(step: int) -> np.ndarray:
-        ccum = cumulative_simpson_nodes(cos_src[..., ::step, :], f.dt)[..., ::step, :]
-        scum = cumulative_simpson_nodes(sin_src[..., ::step, :], f.dt)[..., ::step, :]
-        return step * (sin_p * ccum - cos_p * scum) / w[None, :]
+    def green(step: int, field: np.ndarray, sin_part: np.ndarray) -> np.ndarray:
+        cumulative_simpson_nodes(cos_src[..., ::step, :], f.dt, out=field[..., ::step, :])
+        cumulative_simpson_nodes(sin_src[..., ::step, :], f.dt, out=sin_part[..., ::step, :])
+        # step * (sin_p * ccum - cos_p * scum) / w, in place
+        np.multiply(sin_p, field, out=field)
+        np.subtract(field, np.multiply(cos_p, sin_part, out=sin_part), out=field)
+        np.multiply(step, field, out=field)
+        return np.divide(field, w, out=field)
 
-    return green(1), green(-1)
+    return green(1, ret, adv), green(-1, adv, cos_src)
 
 
 def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
@@ -192,13 +231,16 @@ def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
         phi_n(0) = -S_n / w_n,   pi_n(0) = i C_n,
     with C_n, S_n the full-window cos/sin moments of f. This route shares no
     quadrature with the cumulative Duhamel fields. One Simpson-weighted phase
-    table serves the whole stack, contracted with no stack-sized temporary.
+    table serves the whole stack, contracted with no stack-sized temporary;
+    the cos table is built in the phase buffer.
     """
     w = omega(f.basis.eigenvalues, mass)
     phase = w[None, :] * f.times[:, None]
     quad = simpson_weights(f.times)[:, None]
-    sin_int = np.einsum("jn,...jn->...n", quad * np.sin(phase), f.modes)
-    cos_int = np.einsum("jn,...jn->...n", quad * np.cos(phase), f.modes)
+    sin_table = np.sin(phase)
+    sin_int = np.einsum("jn,...jn->...n", np.multiply(quad, sin_table, out=sin_table), f.modes)
+    cos_table = np.cos(phase, out=phase)
+    cos_int = np.einsum("jn,...jn->...n", np.multiply(quad, cos_table, out=cos_table), f.modes)
     return CauchyDatum(np.stack([-sin_int / w, 1j * cos_int], axis=-2), f.basis)
 
 
@@ -211,9 +253,17 @@ def kg_residual(modes: np.ndarray, f: SpacetimeTestFunction, mass: float) -> flo
     """
     c, w2 = np.moveaxis(modes, -2, 0), f.basis.eigenvalues + mass**2  # time first
     src = np.moveaxis(f.modes, -2, 0)[1:-1]
-    res = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / f.dt**2 + w2 * c[1:-1] - src
+    # (c2 - 2 c1 + c0) / dt^2 + w2 c1 - src in one buffer; w2 c1 in the
+    # magnitude buffer, whose first N floats per C-order row then take |res|
+    res, mag = np.multiply(2.0, c[1:-1]), np.multiply(w2, c[1:-1], order="C")
+    np.subtract(c[2:], res, out=res)
+    np.add(res, c[:-2], out=res)
+    np.divide(res, f.dt**2, out=res)
+    np.add(res, mag, out=res)
+    res = np.subtract(res, src, out=res if np.can_cast(src.dtype, res.dtype) else None)
+    mag = np.abs(res, out=mag.view(float)[..., : w2.size])
     # mode coefficients carry the h-weighted norm already (Parseval)
-    return np.sqrt(np.sum(np.abs(res) ** 2, axis=-1)).max(axis=0)
+    return np.sqrt(np.sum(np.square(mag, out=mag), axis=-1)).max(axis=0)
 
 
 def green_residuals(f: SpacetimeTestFunction, mass: float) -> tuple[float, float]:

@@ -117,7 +117,8 @@ def random_test_function(
     center, half_width, carrier, phase, x0, spread = params[:, :, None]
     profiles = bump((times - center) / half_width) * np.cos(carrier * times + phase)
     shapes = amps[:, None] * np.exp(-((basis.grid.points - x0) ** 2) / spread)
-    # per source (J, C) @ (C, N), against one analysis of every term's shape
-    profiles = profiles.reshape(count, COMPONENTS, times.size).swapaxes(-2, -1)
+    # per source (J, C) @ (C, N), against one analysis of every term's shape;
+    # a C-contiguous (count, J, C) stack takes numpy's fast batched product
+    profiles = np.ascontiguousarray(profiles.reshape(count, COMPONENTS, times.size).swapaxes(-2, -1))
     modes = profiles @ basis.analyze(shapes).reshape(count, COMPONENTS, basis.size)
     return SpacetimeTestFunction(times, modes[0] if size is None else modes, basis)

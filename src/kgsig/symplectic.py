@@ -52,5 +52,10 @@ def gm_form(
     if not np.array_equal(f.times, g.times):
         raise ValueError("sources must share a time window")
     ret, adv = duhamel_modes(g, mass)
-    per_node = np.sum(np.conj(f.modes) * (ret - adv), axis=-1)
+    causal = np.subtract(ret, adv, out=ret)
+    # conj(f) * causal in causal's buffer, unless the product is wider in
+    # shape (f's stack axes) or dtype (complex f, real g)
+    fits = (causal.shape == np.broadcast_shapes(f.modes.shape, causal.shape)
+            and causal.dtype == np.result_type(f.modes, g.modes))
+    per_node = np.sum(np.multiply(np.conj(f.modes), causal, out=causal if fits else None), axis=-1)
     return np.sum(simpson_weights(f.times) * per_node, axis=-1)

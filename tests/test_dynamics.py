@@ -159,6 +159,19 @@ def test_time_window_rejects_a_step_that_is_not_positive(dt):
         time_window(0.0, 1.0, dt)
 
 
+@pytest.mark.parametrize(
+    "t_min, t_max, dt, message",
+    [(0.0, np.inf, 1.0, "bounds must be finite"),
+     (-1e308, 1e308, 1.0, "more nodes than an array index"),
+     (0.0, 1.0, 1e-320, "more nodes than an array index")],
+    ids=["infinite-bound", "span-overflows", "step-underflows"],
+)
+def test_time_window_rejects_bounds_and_node_counts_that_do_not_fit(t_min, t_max, dt, message):
+    # each ended in OverflowError: the node count was inf when made an int
+    with pytest.raises(ValueError, match=message):
+        time_window(t_min, t_max, dt)
+
+
 @pytest.mark.parametrize("node", [0.2 + 1e-6, np.nan])
 def test_simpson_weights_reject_nonuniform_and_nan_nodes(node):
     times = np.array([0.0, 0.1, node, 0.3, 0.4])
@@ -183,14 +196,24 @@ def test_source_validation_rejects_touching_window_edge(basis):
         SpacetimeTestFunction(times=times, modes=modes, basis=basis)
 
 
-@pytest.mark.parametrize("node, value", [(0, np.nan), (20, np.inf)], ids=["nan-edge", "inf"])
+@pytest.mark.parametrize(
+    "node, value", [(0, np.nan), (20, np.inf), (20, -np.inf)], ids=["nan-edge", "inf", "minus-inf"]
+)
 def test_source_validation_rejects_non_finite_modes(basis, node, value):
-    # a NaN at the edge fails no > comparison; an inf elsewhere made the scale inf
+    # a NaN at the edge fails no > comparison; an inf elsewhere made the scale
+    # inf. Real sources are checked through their max and min, complex ones
+    # entry by entry; in a (3, J, N) stack only the last source is bad.
     times = time_window(-3.0, 3.0, 0.1)
-    modes = single_mode_source(basis, times, 2).modes.copy()
-    modes[node, 5] = value
-    with pytest.raises(ValueError, match="must be finite"):
-        SpacetimeTestFunction(times=times, modes=modes, basis=basis)
+    good = single_mode_source(basis, times, 2).modes
+    for dtype in (float, complex):
+        for stacked in (False, True):
+            modes = np.stack([good] * 3) if stacked else good.copy()
+            modes = modes.astype(dtype)
+            modes[..., node, 5] = value
+            if stacked:
+                modes[:-1] = good
+            with pytest.raises(ValueError, match="must be finite"):
+                SpacetimeTestFunction(times=times, modes=modes, basis=basis)
 
 
 def test_retarded_green_matches_adaptive_quadrature(basis):
@@ -402,3 +425,118 @@ def test_functions_of_a_source_act_row_by_row_on_a_stack(basis, real):
         np.testing.assert_array_equal(running[a, b], cumulative_simpson_nodes(f.modes, f.dt))
         assert residual[a, b] == kg_residual(ret[a, b] - adv[a, b], f, MASS)
         assert pairing[a, b] == gm_form(f, g, MASS)
+
+
+# The expressions that cumulative_simpson_nodes, duhamel_modes and kg_residual
+# evaluated before they wrote into their own buffers; the buffered versions
+# keep every operation and its order, so they must agree bit for bit.
+
+
+def reference_cumulative_simpson(y, dt):
+    j = y.shape[-2]
+    y = np.moveaxis(y, -2, 0)
+    out = np.zeros_like(y)
+    pairs = (dt / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
+    out[2::2] = np.cumsum(pairs, axis=0)
+    out[1] = (dt / 12.0) * (5.0 * y[0] + 8.0 * y[1] - y[2])
+    if j > 3:
+        out[3::2] = out[2:-1:2] + (dt / 12.0) * (-y[1:-2:2] + 8.0 * y[2:-1:2] + 5.0 * y[3::2])
+    return np.moveaxis(out, 0, -2)
+
+
+def reference_duhamel_modes(f, mass):
+    w = omega(f.basis.eigenvalues, mass)
+    phase = w[None, :] * f.times[:, None]
+    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    cos_src, sin_src = cos_p * f.modes, sin_p * f.modes
+
+    def green(step):
+        ccum = reference_cumulative_simpson(cos_src[..., ::step, :], f.dt)[..., ::step, :]
+        scum = reference_cumulative_simpson(sin_src[..., ::step, :], f.dt)[..., ::step, :]
+        return step * (sin_p * ccum - cos_p * scum) / w[None, :]
+
+    return green(1), green(-1)
+
+
+def reference_kg_residual(modes, f, mass):
+    c, w2 = np.moveaxis(modes, -2, 0), f.basis.eigenvalues + mass**2
+    src = np.moveaxis(f.modes, -2, 0)[1:-1]
+    res = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / f.dt**2 + w2 * c[1:-1] - src
+    return np.sqrt(np.sum(np.abs(res) ** 2, axis=-1)).max(axis=0)
+
+
+def reference_gm_form(f, g, mass):
+    ret, adv = duhamel_modes(g, mass)
+    return np.sum(simpson_weights(f.times) * np.sum(np.conj(f.modes) * (ret - adv), axis=-1), axis=-1)
+
+
+def window_of(nodes):
+    # J = nodes on [-3, 3]; the sources vanish at both ends for any J
+    times = time_window(-3.0, 3.0, 6.0 / (nodes - 1))
+    assert times.size == nodes
+    return times
+
+
+@pytest.mark.parametrize("nodes", [3, 5, 241])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_buffered_layer_matches_the_reference_expressions(basis, nodes, real):
+    times = window_of(nodes)
+    fs = random_test_function(Draws(10), basis, times, real=real, size=4)
+    stack = SpacetimeTestFunction(times, fs.modes.reshape(2, 2, nodes, basis.size), basis)
+    for f in (fs[0], stack):
+        np.testing.assert_array_equal(
+            cumulative_simpson_nodes(f.modes, f.dt), reference_cumulative_simpson(f.modes, f.dt)
+        )
+        fields, reference = duhamel_modes(f, MASS), reference_duhamel_modes(f, MASS)
+        for got, ref in zip(fields, reference):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+        # a real field against a complex source upcasts at the last subtraction
+        for modes in (*reference, reference[0] - reference[1], reference[0].real.copy()):
+            np.testing.assert_array_equal(
+                kg_residual(modes, f, MASS), reference_kg_residual(modes, f, MASS)
+            )
+
+
+def test_cumulative_simpson_writes_into_out_and_returns_it(basis):
+    times = window_of(241)
+    f = random_test_function(Draws(11), basis, times)
+    out = np.full_like(f.modes, np.nan)
+    assert cumulative_simpson_nodes(f.modes, f.dt, out=out) is out
+    np.testing.assert_array_equal(out, reference_cumulative_simpson(f.modes, f.dt))
+    backward = np.full_like(f.modes, np.nan)  # a reversed view, as the advanced pass uses
+    cumulative_simpson_nodes(f.modes[::-1], f.dt, out=backward[::-1])
+    np.testing.assert_array_equal(backward[::-1], reference_cumulative_simpson(f.modes[::-1], f.dt))
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_no_function_of_the_layer_writes_into_its_inputs(basis, real):
+    times = time_window(-3.0, 3.0, 0.05)
+    draws = random_test_function(Draws(12), basis, times, real=real, size=8).modes
+    single = SpacetimeTestFunction(times, draws[0], basis)
+    stack = SpacetimeTestFunction(times, draws[:4].reshape(2, 2, *draws.shape[1:]), basis)
+    partner = SpacetimeTestFunction(times, draws[4:].reshape(2, 2, *draws.shape[1:]), basis)
+    for f, g in ((single, SpacetimeTestFunction(times, draws[1], basis)), (stack, partner)):
+        modes = duhamel_modes(f, MASS)[0]
+        inputs = (f.modes, f.times, g.modes, modes)
+        before = [a.copy() for a in inputs]
+        green_residuals(f, MASS)
+        kg_residual(modes, f, MASS)
+        causal_fundamental(f, MASS)
+        gm_form(f, g, MASS)
+        gm_form(f, f, MASS)  # one source on both sides
+        for a, b in zip(inputs, before):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_gm_form_pairs_real_and_complex_sources_bit_for_bit(basis):
+    # a complex f against a real g makes the product wider than g's causal
+    # field; so does a stack f against a single g
+    times = time_window(-3.0, 3.0, 0.05)
+    real = random_test_function(Draws(13), basis, times, real=True, size=2)
+    cplx = random_test_function(Draws(14), basis, times, size=2)
+    for f, g in ((real, cplx), (cplx, real), (cplx, real[0]), (real, cplx[0]), (real[0], cplx)):
+        got = gm_form(f, g, MASS)
+        ref = reference_gm_form(f, g, MASS)
+        assert np.result_type(got) == np.result_type(f.modes, g.modes)
+        np.testing.assert_array_equal(got, ref)
