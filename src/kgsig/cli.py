@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import getopt
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -393,7 +394,8 @@ def parse_args(argv: list[str]) -> dict:
     after it, `--opt value` or `--opt=value`, long options by unique prefix.
 
     A usage error prints the usage line and a message to stderr and raises
-    SystemExit(2); -h/--help prints the help to stdout and raises SystemExit(0).
+    SystemExit(2); -h/--help prints the help to stdout and raises SystemExit(0),
+    or SystemExit(2) with an output error on stderr if stdout cannot take it.
     """
     try:
         options, positionals = getopt.gnu_getopt(
@@ -404,7 +406,13 @@ def parse_args(argv: list[str]) -> dict:
     args = {"config": None, "out": "results", "seed": None, "tol": None, "quiet": False}
     for option, value in options:
         if option in ("-h", "--help"):
-            print(_HELP)
+            try:
+                print(_HELP, flush=True)
+            except OSError as exc:  # a full disk, a reader that closed the pipe
+                # anything the failed flush kept goes to devnull, not to the exit flush
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                print(f"output error: {exc}", file=sys.stderr)
+                raise SystemExit(2)
             raise SystemExit(0)
         if option == "--seed":
             args["seed"] = _convert(option, value, int)

@@ -30,7 +30,9 @@ class ConfigError(ValueError):
 # 2.2-2.4 s as a process (669 MiB, 2.5-3.3 s while its Duhamel pass made
 # temporaries; 2-core Xeon, numpy 2.4.6)
 SPACETIME_SAMPLES_MAX = 1 << 22
-# trials x (time nodes x grid points + trials) complex values of the state suite
+# trials x (time nodes x grid points + trials) complex values: the cap on the
+# state suite, which holds far less, as it builds no such source stack (3 trials
+# profiles and shapes, two time nodes x grid points phase tables, the Gram)
 SUITE_SAMPLES_MAX = 32 * SPACETIME_SAMPLES_MAX
 # rows of a written table: evolve's samples, one Python iteration each (65536
 # samples at n = 1 take 3.7-4.2 s on a 2-core Xeon), the modes of spectrum,

@@ -21,7 +21,8 @@ whose fields `green_residuals` also checks. Their difference is the causal
 field G f; `causal_fundamental` gets its t = 0 data from moments. The
 Duhamel pass and its residuals write into their own buffers (ufuncs with
 `out=`) in the operations and order of the plain expressions, so results
-keep their bits while a command, one process each, touches less new memory.
+keep their values bit for bit (an exact zero may differ in sign) while a
+command, one process each, touches less new memory.
 """
 
 from __future__ import annotations
@@ -111,6 +112,16 @@ def simpson_weights(times: np.ndarray) -> np.ndarray:
     return w * (dt / 3.0)
 
 
+def _check_support(peak, ends) -> None:
+    """Reject a source whose peak |modes| is not finite, or whose largest
+    |modes| at the window's end nodes, `ends`, exceeds 1e-12 max(1, peak);
+    elementwise over arrays of sources."""
+    if not np.isfinite(peak).all():
+        raise ValueError("source modes must be finite")
+    if not (ends <= 1e-12 * np.maximum(1.0, peak)).all():
+        raise ValueError("window too small to contain the support of f")
+
+
 class SpacetimeTestFunction:
     """Smooth source supported strictly inside its time window, as its (J, N)
     sine-mode coefficients per time node, or a (..., J, N) stack of sources;
@@ -135,11 +146,7 @@ class SpacetimeTestFunction:
                 peak = np.abs(source).max() if np.isfinite(source).all() else np.inf
             else:  # NaN reaches both max and min, +inf max and -inf min
                 peak = max(source.max(), -source.min())
-            if not np.isfinite(peak):
-                raise ValueError("source modes must be finite")
-            scale = max(1.0, float(peak))
-            if not np.abs(source[[0, -1]]).max() <= 1e-12 * scale:
-                raise ValueError("window too small to contain the support of f")
+            _check_support(peak, np.abs(source[[0, -1]]).max())
         self.times, self.modes, self.basis = times, modes, basis
 
     def __getitem__(self, index) -> "SpacetimeTestFunction":
@@ -214,13 +221,30 @@ def duhamel_modes(f: SpacetimeTestFunction, mass: float) -> tuple[np.ndarray, np
     def green(step: int, field: np.ndarray, sin_part: np.ndarray) -> np.ndarray:
         cumulative_simpson_nodes(cos_src[..., ::step, :], f.dt, out=field[..., ::step, :])
         cumulative_simpson_nodes(sin_src[..., ::step, :], f.dt, out=sin_part[..., ::step, :])
-        # step * (sin_p * ccum - cos_p * scum) / w, in place
+        # step * (sin_p * ccum - cos_p * scum) / w, in place; rounding is
+        # sign-symmetric, so for step -1 the difference taken the other way
+        # is the negated one (an exact zero may differ in sign)
         np.multiply(sin_p, field, out=field)
-        np.subtract(field, np.multiply(cos_p, sin_part, out=sin_part), out=field)
-        np.multiply(step, field, out=field)
+        np.multiply(cos_p, sin_part, out=sin_part)
+        first, second = (field, sin_part) if step == 1 else (sin_part, field)
+        np.subtract(first, second, out=field)
         return np.divide(field, w, out=field)
 
     return green(1, ret, adv), green(-1, adv, cos_src)
+
+
+def _causal_data(basis: SpectralBasis, times: np.ndarray, mass: float, moments) -> CauchyDatum:
+    """Cauchy data at t = 0 of G f from f's full-window moments: `moments`
+    contracts f with a Simpson-weighted (J, N) phase table, first the sin
+    table, then the cos table built in the phase buffer, into (..., N)."""
+    w = omega(basis.eigenvalues, mass)
+    phase = w[None, :] * times[:, None]
+    quad = simpson_weights(times)[:, None]
+    sin_table = np.sin(phase)
+    sin_int = moments(np.multiply(quad, sin_table, out=sin_table))
+    cos_table = np.cos(phase, out=phase)
+    cos_int = moments(np.multiply(quad, cos_table, out=cos_table))
+    return CauchyDatum(np.stack([-sin_int / w, 1j * cos_int], axis=-2), basis)
 
 
 def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
@@ -231,17 +255,11 @@ def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
         phi_n(0) = -S_n / w_n,   pi_n(0) = i C_n,
     with C_n, S_n the full-window cos/sin moments of f. This route shares no
     quadrature with the cumulative Duhamel fields. One Simpson-weighted phase
-    table serves the whole stack, contracted with no stack-sized temporary;
-    the cos table is built in the phase buffer.
+    table serves the whole stack, contracted with no stack-sized temporary.
     """
-    w = omega(f.basis.eigenvalues, mass)
-    phase = w[None, :] * f.times[:, None]
-    quad = simpson_weights(f.times)[:, None]
-    sin_table = np.sin(phase)
-    sin_int = np.einsum("jn,...jn->...n", np.multiply(quad, sin_table, out=sin_table), f.modes)
-    cos_table = np.cos(phase, out=phase)
-    cos_int = np.einsum("jn,...jn->...n", np.multiply(quad, cos_table, out=cos_table), f.modes)
-    return CauchyDatum(np.stack([-sin_int / w, 1j * cos_int], axis=-2), f.basis)
+    return _causal_data(
+        f.basis, f.times, mass, lambda table: np.einsum("jn,...jn->...n", table, f.modes)
+    )
 
 
 def kg_residual(modes: np.ndarray, f: SpacetimeTestFunction, mass: float) -> float | np.ndarray:

@@ -5,8 +5,10 @@ space. Spatial smoothness matters quantitatively: the Duhamel quadrature error
 per mode scales like (omega_n * dt)^4, so sources need decaying high-mode
 content for the stated dual-route tolerances to be meaningful. One call draws
 a source or a stack of them and analyzes all their spatial profiles at once,
-a real stack by a real transform, so real sources stay float64. Random Cauchy
-data are drawn directly as mode coefficients, with no transform.
+a real stack by a real transform, so real sources stay float64; or it draws
+the same sources and returns only their causal t = 0 data, computed from the
+terms' time profiles and spatial shapes without building the sources. Random
+Cauchy data are drawn directly as mode coefficients, with no transform.
 
 The draws are probes, so the exact random stream does not matter; what
 matters is that a seed reproduces them. `Draws` takes them from the stdlib
@@ -26,7 +28,7 @@ import random
 
 import numpy as np
 
-from .dynamics import CauchyDatum, SpacetimeTestFunction
+from .dynamics import CauchyDatum, SpacetimeTestFunction, _causal_data, _check_support
 from .lattice import SpectralBasis
 
 COMPONENTS = 3  # terms of a random source
@@ -82,6 +84,31 @@ def random_datum(rng: Draws, basis: SpectralBasis) -> CauchyDatum:
     return CauchyDatum(coeffs, basis)
 
 
+def _source_factors(
+    rng: Draws, basis: SpectralBasis, times: np.ndarray, real: bool, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (C count, J) time profiles and the (C count, N) analyzed spatial
+    shapes of `count` random sources, term c of source k in row C k + c;
+    per term the draws are center, half-width, carrier, phase, x0, width,
+    amplitude."""
+    t0, t1, length = float(times[0]), float(times[-1]), basis.grid.length
+    span = t1 - t0
+    bounds = [(t0 + 0.30 * span, t1 - 0.30 * span), (0.15 * span, 0.25 * span),  # time bump
+              (0.0, 2.0), (0.0, 2.0 * np.pi),  # carrier frequency and phase
+              (0.25 * length, 0.75 * length), (0.10 * length, 0.20 * length)]  # space
+    params = np.empty((6, count * COMPONENTS))
+    amps = np.empty(count * COMPONENTS, dtype=float if real else complex)
+    for k in range(count * COMPONENTS):
+        drawn = [rng.uniform(lo, hi) for lo, hi in bounds]
+        drawn[-1] = 2.0 * drawn[-1] ** 2  # Python's pow: may round unlike numpy's square
+        params[:, k] = drawn
+        amps[k] = rng.normal() if real else rng.normal() + 1j * rng.normal()
+    center, half_width, carrier, phase, x0, spread = params[:, :, None]
+    profiles = bump((times - center) / half_width) * np.cos(carrier * times + phase)
+    shapes = amps[:, None] * np.exp(-((basis.grid.points - x0) ** 2) / spread)
+    return profiles, basis.analyze(shapes)
+
+
 def random_test_function(
     rng: Draws,
     basis: SpectralBasis,
@@ -98,27 +125,41 @@ def random_test_function(
 
     Each is a sum of COMPONENTS (time bump x carrier) x (Gaussian space
     profile) terms with random centers, widths, amplitudes and carrier
-    frequencies, in mode space; per term the draws are center, half-width,
-    carrier, phase, x0, width, amplitude.
+    frequencies, in mode space.
     """
-    t0, t1, length = float(times[0]), float(times[-1]), basis.grid.length
-    span = t1 - t0
-    bounds = [(t0 + 0.30 * span, t1 - 0.30 * span), (0.15 * span, 0.25 * span),  # time bump
-              (0.0, 2.0), (0.0, 2.0 * np.pi),  # carrier frequency and phase
-              (0.25 * length, 0.75 * length), (0.10 * length, 0.20 * length)]  # space
     count = 1 if size is None else size
-    params = np.empty((6, count * COMPONENTS))
-    amps = np.empty(count * COMPONENTS, dtype=float if real else complex)
-    for k in range(count * COMPONENTS):
-        drawn = [rng.uniform(lo, hi) for lo, hi in bounds]
-        drawn[-1] = 2.0 * drawn[-1] ** 2  # Python's pow: may round unlike numpy's square
-        params[:, k] = drawn
-        amps[k] = rng.normal() if real else rng.normal() + 1j * rng.normal()
-    center, half_width, carrier, phase, x0, spread = params[:, :, None]
-    profiles = bump((times - center) / half_width) * np.cos(carrier * times + phase)
-    shapes = amps[:, None] * np.exp(-((basis.grid.points - x0) ** 2) / spread)
+    profiles, shapes = _source_factors(rng, basis, times, real, count)
     # per source (J, C) @ (C, N), against one analysis of every term's shape;
     # a C-contiguous (count, J, C) stack takes numpy's fast batched product
     profiles = np.ascontiguousarray(profiles.reshape(count, COMPONENTS, times.size).swapaxes(-2, -1))
-    modes = profiles @ basis.analyze(shapes).reshape(count, COMPONENTS, basis.size)
+    modes = profiles @ shapes.reshape(count, COMPONENTS, basis.size)
     return SpacetimeTestFunction(times, modes[0] if size is None else modes, basis)
+
+
+def random_causal_data(
+    rng: Draws,
+    basis: SpectralBasis,
+    times: np.ndarray,
+    mass: float,
+    real: bool = False,
+    size: int | None = None,
+) -> CauchyDatum:
+    """`causal_fundamental(random_test_function(rng, basis, times, real,
+    size), mass)` up to rounding, from the same draws, with no (size, J, N)
+    source stack: a source's moments against a phase table are, per term,
+    its shape times the moment of its time profile, so each table takes one
+    (C size, J) @ (J, N) product. Each term, a rank-one source, passes the
+    checks of `SpacetimeTestFunction` on its two factors.
+    """
+    count = 1 if size is None else size
+    profiles, shapes = _source_factors(rng, basis, times, real, count)
+    scale = np.abs(shapes).max(axis=1)
+    peak = np.maximum(profiles.max(axis=1), -profiles.min(axis=1)) * scale
+    _check_support(peak, np.abs(profiles[:, [0, -1]]).max(axis=1) * scale)
+
+    def moments(table: np.ndarray) -> np.ndarray:
+        terms = (profiles @ table) * shapes
+        return terms.reshape(count, COMPONENTS, basis.size).sum(axis=1)
+
+    solved = _causal_data(basis, times, mass, moments)
+    return solved[0] if size is None else solved

@@ -8,6 +8,9 @@ canonical commutation relations. Higher correlation functions follow from
 the quasi-free (Wick) combinatorics: a sum over perfect matchings. Test
 functions come as a (K, J, N) stack; `two_point_matrix` makes one causal
 solve G f of it, one chi_hol projection and one broadcast `symplectic` per row.
+The positivity suite builds no such stack: `random_causal_data` solves its
+random sources from their factors, time profiles and spatial shapes, and
+`pair_matrix` pairs the solved data.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .dynamics import (
     time_window,
 )
 from .lattice import SpectralBasis
-from .random_fields import Draws, random_test_function
+from .random_fields import Draws, random_causal_data
 from .signature import complex_structure, projectors, signature_analytic
 from .symplectic import symplectic
 
@@ -142,7 +145,8 @@ def state_positivity_suite(
     t_span: float = 6.0,
     dt: float = 0.05,
 ) -> PositivityReport:
-    """Gram matrix of omega2 over random real test functions.
+    """Gram matrix of omega2 over random real test functions, solved from
+    their factors (no (trials, J, N) source stack).
 
     Positive semi-definiteness of the Gram is the one-particle content of
     state positivity: for a = sum c_i f_i the expectation of a* a is
@@ -150,8 +154,8 @@ def state_positivity_suite(
     """
     rng = Draws(seed)
     times = time_window(-t_span / 2, t_span / 2, dt)
-    funcs = random_test_function(rng, state.basis, times, real=True, size=trials)
-    gram = two_point_matrix(state, funcs)
+    solved = random_causal_data(rng, state.basis, times, state.mass, real=True, size=trials)
+    gram = pair_matrix(state, solved)
     defect = float(np.abs(gram - gram.conj().T).max())
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     return PositivityReport(

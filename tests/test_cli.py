@@ -729,23 +729,30 @@ def test_rule_size_cap_exits_3_before_building_an_over_cap_rule(tmp_path, capsys
 
 
 def test_state_solves_each_identity_function_once(tmp_path, monkeypatch):
-    # one causal solve per stack: the suite's 5 sources, then the identity
-    # pairs' 6, whose solve the imaginary-part identity reuses
+    # one causal solve per stack: the suite's 5 sources from their factors,
+    # then the identity pairs' 6 as a source stack, whose solve the
+    # imaginary-part identity reuses
     import kgsig.dynamics
+    import kgsig.state
 
     calls = []
-    original = kgsig.dynamics.causal_fundamental
+    dense, factored = kgsig.dynamics.causal_fundamental, kgsig.state.random_causal_data
 
     def counted(f, mass):
-        calls.append(f)
-        return original(f, mass)
+        calls.append(("stack", f.modes.shape[0]))
+        return dense(f, mass)
+
+    def drawn(*args, **kwargs):
+        solved = factored(*args, **kwargs)
+        calls.append(("factors", solved.modes.shape[0]))
+        return solved
 
     for name in ("cli", "state", "symplectic"):
         monkeypatch.setattr(f"kgsig.{name}.causal_fundamental", counted, raising=False)
+    monkeypatch.setattr(kgsig.state, "random_causal_data", drawn)
     code, _ = run(tmp_path, ["state"], SMALL + "trials = 5\n")
     assert code == 0
-    assert [f.modes.shape[0] for f in calls] == [5, 6]
-    assert len({id(f) for f in calls}) == len(calls)
+    assert calls == [("factors", 5), ("stack", 6)]
 
 
 @pytest.mark.parametrize("command, sources", [("green", 2), ("state", 5 + 6), ("wick", 4)])
@@ -753,26 +760,24 @@ def test_each_source_is_analyzed_once_and_nothing_synthesized(
     tmp_path, monkeypatch, transforms, command, sources
 ):
     # each draw analyzes the (3 S, N) stack of its S sources' spatial shapes
-    # once; the Duhamel, causal and two-point layers read its modes
+    # once, whether it builds the sources or, in state's suite, only their
+    # causal data; the Duhamel, causal and two-point layers read its modes
     import kgsig.random_fields
-    import kgsig.state
 
     per_draw = []
-    draw = kgsig.random_fields.random_test_function
+    factors = kgsig.random_fields._source_factors
 
-    def drawn(*args, **kwargs):
+    def drawn(rng, basis, times, real, count):
         before = len(transforms)
-        f = draw(*args, **kwargs)
-        per_draw.append((f.modes.shape[:-2], transforms[before:]))
-        return f
+        result = factors(rng, basis, times, real, count)
+        per_draw.append((count, transforms[before:]))
+        return result
 
-    for module in (kgsig.cli, kgsig.state):
-        monkeypatch.setattr(module, "random_test_function", drawn)
+    monkeypatch.setattr(kgsig.random_fields, "_source_factors", drawn)
     code, _ = run(tmp_path, [command], SMALL + "trials = 5\n")
     assert code == 0
-    counts = [stack[0] if stack else 1 for stack, _ in per_draw]
-    assert sum(counts) == sources
-    for count, (_, calls) in zip(counts, per_draw):
+    assert sum(count for count, _ in per_draw) == sources
+    for count, calls in per_draw:
         assert [(name, np.shape(u)) for name, u in calls] == [("analyze", (3 * count, 4))]
     assert len(transforms) == len(per_draw) == (2 if command != "wick" else 1)
 
@@ -838,6 +843,38 @@ def test_help_names_every_command(capsys):
         assert text.startswith(f"usage: {_USAGE}\n")
         for name, summary in _COMMANDS.items():
             assert f"{name} " in text and summary in text
+
+
+def _help_to(stdout) -> subprocess.CompletedProcess:
+    """`python -m kgsig.cli --help` in a child writing to `stdout`."""
+    src = str(Path(kgsig.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-m", "kgsig.cli", "--help"],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_to_a_full_device_is_an_output_error():
+    with open("/dev/full", "w") as full:
+        done = _help_to(full)
+    assert done.returncode == 2
+    assert "output error" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_help_to_a_closed_pipe_is_an_output_error():
+    # the read end is closed before the child writes: EPIPE, BrokenPipeError
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _help_to(write)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert "output error" in done.stderr and "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
 
 
 def test_evolve_makes_no_transform(tmp_path, transforms):

@@ -17,8 +17,14 @@ from kgsig.dynamics import (
     simpson_weights,
     time_window,
 )
-from kgsig.lattice import dirichlet_basis, laplacian, omega
-from kgsig.random_fields import Draws, bump, random_datum, random_test_function
+from kgsig.lattice import SINE_FFT_MIN_POINTS, dirichlet_basis, laplacian, omega
+from kgsig.random_fields import (
+    Draws,
+    bump,
+    random_causal_data,
+    random_datum,
+    random_test_function,
+)
 from kgsig.signature import apply_signature, scalar_product, signature_analytic
 from kgsig.state import build_state, pair_matrix
 from kgsig.symplectic import gm_form, symplectic
@@ -399,6 +405,50 @@ def test_a_stack_draw_holds_the_single_draws(n, real):
         assert np.abs(stack.modes - single).max() <= 1e-15 * np.abs(single).max()
     else:
         np.testing.assert_array_equal(stack.modes, single)
+
+
+@pytest.mark.parametrize("size", [None, 5])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("n", [64, 768])
+def test_causal_data_from_source_factors_match_the_source_route(n, real, size):
+    # the same draws, solved from the (3 K, J) profiles and (3 K, N) shapes
+    # instead of the (K, J, N) stack; n = 64 runs the sine table, 768 the FFT
+    assert (n >= SINE_FFT_MIN_POINTS) == (n == 768)
+    basis = dirichlet_basis(n, 10.0)
+    times = time_window(-3.0, 3.0, 0.05)
+    dense, factored = Draws(11), Draws(11)
+    ref = causal_fundamental(random_test_function(dense, basis, times, real=real, size=size), MASS)
+    got = random_causal_data(factored, basis, times, MASS, real=real, size=size)
+    assert got.modes.shape == ref.modes.shape and got.basis is basis
+    assert np.abs(got.modes - ref.modes).max() <= 1e-14 * np.abs(ref.modes).max()
+    assert factored.normal(4).tolist() == dense.normal(4).tolist()  # same stream position
+
+
+@pytest.mark.parametrize("size", [None, 3])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize(
+    "value, message",
+    [(np.nan, "must be finite"), (np.inf, "must be finite"), (1.0, "window too small")],
+    ids=["nan", "inf", "edge"],
+)
+def test_causal_data_from_factors_reject_what_the_source_rejects(
+    basis, monkeypatch, value, message, real, size
+):
+    # the last term of the last source gets a profile value at the window's
+    # last node that is not finite or does not vanish: both routes raise the
+    # same error
+    def bad_bump(s):
+        out = bump(s)
+        out[-1, -1] = value
+        return out
+
+    monkeypatch.setattr(random_fields, "bump", bad_bump)
+    times = time_window(-3.0, 3.0, 0.1)
+    # the stack's product of an inf profile with complex shapes warns first
+    with pytest.raises(ValueError, match=message), np.errstate(invalid="ignore"):
+        random_test_function(Draws(2), basis, times, real=real, size=size)
+    with pytest.raises(ValueError, match=message):
+        random_causal_data(Draws(2), basis, times, MASS, real=real, size=size)
 
 
 @pytest.mark.parametrize("real", [True, False])

@@ -192,6 +192,23 @@ def test_two_point_matrix_memory_stays_near_one_source():
     assert peak < 8 * source_bytes
 
 
+def test_positivity_suite_memory_stays_near_one_source():
+    # the bench state config, 40 sources of (241, 64) float64: the suite
+    # solves them from their factors and builds no (40, 241, 64) stack
+    basis = dirichlet_basis(64, 10.0)
+    state = build_state(MASS, basis)
+    source_bytes = 241 * basis.size * np.dtype(float).itemsize
+    state_positivity_suite(state, trials=2, dt=0.025)  # builds the cached mode table
+    tracemalloc.start()
+    try:
+        report = state_positivity_suite(state, trials=40, dt=0.025)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.gram.shape == (40, 40)
+    assert peak < 8 * source_bytes
+
+
 def test_matching_counts():
     assert [len(pair_matchings(2 * n)) for n in range(5)] == [1, 1, 3, 15, 105]
     for matching in pair_matchings(6):
