@@ -1,17 +1,19 @@
 """Command-line front end: runs experiments, writes JSON + CSV results.
 
-Every command writes <command>_summary.json (config echo plus scalar
-results) and one <command>_*.csv table into the output directory, keys and
-rows in a fixed order. Summary floats take Python's shortest round-trip form
-(what `json` writes); CSV floats take 17 significant digits, which formats
-faster. Both read back to the same double, and reruns with the same config
-and seed are byte-identical. Wall-clock
-runtime goes to a separate run_meta.json sidecar, which is the one file
-excluded from that guarantee.
+Each `cmd_<command>` returns its scalar results and one table of named
+columns, `{table name: {column name: sequence}}` in CSV order. Every command
+writes <command>_summary.json (config echo plus scalar results) and one
+<command>_<table>.csv into the output directory, keys and rows in a fixed
+order. Summary floats take Python's shortest round-trip form (what `json`
+writes); CSV floats take 17 significant digits, which formats faster. Both
+read back to the same double, and reruns with the same config and seed are
+byte-identical. Wall-clock runtime goes to a separate run_meta.json sidecar,
+which is the one file excluded from that guarantee.
 
-Exit codes: 0 success, 2 usage error, configuration error or an output
-directory that cannot be written, 3 non-convergence or a non-finite result
-(nothing is written then).
+Exit codes: 0 success, 2 usage error, configuration error or output that
+cannot be written (also when stdout cannot take what a run prints), 3
+non-convergence or a non-finite result (nothing is written then). A stderr
+that cannot take a message loses the message, not the exit code.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Sequence
 from pathlib import Path
 from typing import NoReturn
 
@@ -62,23 +65,24 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list) -> None:
+def _write_csv(path: Path, columns: dict[str, Sequence]) -> None:
     """One line per row through one `%` template per table, built from the
-    first row: floats (numpy float64 is one) to 17 significant digits, every
-    other cell through str. Each column holds one type, and no cell holds a
-    comma, quote or newline, so none needs quoting."""
+    first row: floats (numpy float64 is one) to 17 significant digits, other
+    cells through str. Each column holds one type and no comma, quote or
+    newline, so no cell needs quoting. Unequal columns raise ValueError."""
+    rows = list(zip(*columns.values(), strict=True))
     template = ",".join("%.17g" if isinstance(c, float) else "%s" for c in rows[0])
-    lines = [",".join(header)] + [template % tuple(row) for row in rows]
+    lines = [",".join(columns)] + [template % row for row in rows]
     path.write_text("\n".join(lines) + "\n", newline="")
 
 
-def _non_finite(results: dict, tables: dict[str, tuple[list[str], list]]) -> str | None:
+def _non_finite(results: dict, tables: dict[str, dict[str, Sequence]]) -> str | None:
     """The first result or table column holding NaN or inf, or None."""
     columns = [(f"result {key}", [value]) for key, value in results.items()]
-    for name, (header, rows) in tables.items():
-        columns += [(f"{name} column {c}", cells) for c, cells in zip(header, zip(*rows))]
+    for name, table in tables.items():
+        columns += [(f"{name} column {c}", cells) for c, cells in table.items()]
     for where, cells in columns:
-        values = np.array(cells)  # str, int and bool columns hold no NaN
+        values = np.asarray(cells)  # str, int and bool columns hold no NaN
         if values.dtype.kind == "f" and not np.isfinite(values).all():
             return where
 
@@ -87,20 +91,17 @@ def _emit(
     command: str,
     config: ExperimentConfig,
     results: dict,
-    tables: dict[str, tuple[list[str], list]],
+    tables: dict[str, dict[str, Sequence]],
     out_dir: Path,
     quiet: bool,
     started: float,
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {"command": command, "config": config.as_dict(), "results": results}
-    summary_path = out_dir / f"{command}_summary.json"
-    _write_json(summary_path, summary)
-    paths = [summary_path]
-    for name, (header, rows) in tables.items():
-        table_path = out_dir / f"{command}_{name}.csv"
-        _write_csv(table_path, header, rows)
-        paths.append(table_path)
+    paths = [out_dir / f"{command}_summary.json"]
+    _write_json(paths[0], {"command": command, "config": config.as_dict(), "results": results})
+    for name, columns in tables.items():
+        paths.append(out_dir / f"{command}_{name}.csv")
+        _write_csv(paths[-1], columns)
     _write_json(
         out_dir / "run_meta.json",
         {"command": command, "runtime_seconds": time.monotonic() - started},
@@ -112,16 +113,20 @@ def _emit(
             print(f"wrote {path}")
 
 
+def _mode_columns(basis: SpectralBasis, mass: float) -> dict[str, Sequence]:
+    """The mode, eigenvalue and frequency columns of the per-mode tables."""
+    frequencies = omega(basis.eigenvalues, mass)
+    return {"mode": range(basis.size), "eigenvalue": basis.eigenvalues, "frequency": frequencies}
+
+
 def cmd_spectrum(config: ExperimentConfig, basis: SpectralBasis):
-    om = omega(basis.eigenvalues, config.m)
-    rows = list(zip(range(basis.size), basis.eigenvalues.tolist(), om.tolist()))
     results = {
         "num_modes": basis.size,
         "min_eigenvalue": float(basis.eigenvalues[0]),
         "max_eigenvalue": float(basis.eigenvalues[-1]),
         "all_positive": bool(basis.eigenvalues[0] > 0.0),
     }
-    return results, {"modes": (["mode", "eigenvalue", "frequency"], rows)}
+    return results, {"modes": _mode_columns(basis, config.m)}
 
 
 def cmd_evolve(config: ExperimentConfig, basis: SpectralBasis):
@@ -130,66 +135,46 @@ def cmd_evolve(config: ExperimentConfig, basis: SpectralBasis):
     a, b = random_datum(rng, basis), random_datum(rng, basis)
     ref_sym = symplectic(a, b)
     ref_norm = scalar_product(sig, a, a)
-    rows = []
-    worst_sym = worst_norm = 0.0
-    for t in np.linspace(0.0, config.time, config.samples):
-        at = propagate(a, float(t), config.m)
-        bt = propagate(b, float(t), config.m)
-        sym_drift = abs(symplectic(at, bt) - ref_sym) / abs(ref_sym)
-        norm_drift = abs(scalar_product(sig, at, at) - ref_norm) / abs(ref_norm)
-        worst_sym = np.maximum(worst_sym, sym_drift)
-        worst_norm = np.maximum(worst_norm, norm_drift)
-        rows.append([float(t), sym_drift, norm_drift])
+    times = np.linspace(0.0, config.time, config.samples)
+    sym_drift, norm_drift = [], []
+    for t in times:
+        at, bt = propagate(a, t, config.m), propagate(b, t, config.m)
+        sym_drift.append(abs(symplectic(at, bt) - ref_sym) / abs(ref_sym))
+        norm_drift.append(abs(scalar_product(sig, at, at) - ref_norm) / abs(ref_norm))
     results = {
         "time_span": config.time,
-        "max_symplectic_drift": worst_sym,
-        "max_norm_drift": worst_norm,
+        "max_symplectic_drift": np.max(sym_drift),  # np.max keeps a NaN drift
+        "max_norm_drift": np.max(norm_drift),
     }
-    return results, {"drift": (["t", "symplectic_drift", "norm_drift"], rows)}
+    columns = {"t": times, "symplectic_drift": sym_drift, "norm_drift": norm_drift}
+    return results, {"drift": columns}
 
 
 def cmd_green(config: ExperimentConfig, basis: SpectralBasis):
-    rows = []
-    for refine in (1, 2):
-        dt = config.dt / refine
-        rng = Draws(config.seed)
-        times = time_window(-config.window / 2, config.window / 2, dt)
-        f = random_test_function(rng, basis, times)
-        rows.append([dt, *green_residuals(f, config.m)])
+    steps = [config.dt, config.dt / 2]
+    windows = [time_window(-config.window / 2, config.window / 2, dt) for dt in steps]
+    retarded, advanced = zip(*(
+        green_residuals(random_test_function(Draws(config.seed), basis, times), config.m)
+        for times in windows
+    ))
     results = {
-        "retarded_refinement_ratio": rows[0][1] / rows[1][1],
-        "advanced_refinement_ratio": rows[0][2] / rows[1][2],
+        "retarded_refinement_ratio": retarded[0] / retarded[1],
+        "advanced_refinement_ratio": advanced[0] / advanced[1],
     }
-    return results, {
-        "residuals": (["dt", "retarded_residual", "advanced_residual"], rows)
-    }
+    columns = {"dt": steps, "retarded_residual": retarded, "advanced_residual": advanced}
+    return results, {"residuals": columns}
 
 
 def cmd_signature(config: ExperimentConfig, basis: SpectralBasis):
-    sig = signature_analytic(config.m, basis)
-    vals, _ = signature_spectrum(sig)
+    vals, _ = signature_spectrum(signature_analytic(config.m, basis))
     lo, hi = np.sort(vals.reshape(-1, 2), axis=1).T
-    rows = list(
-        zip(
-            range(basis.size),
-            basis.eigenvalues.tolist(),
-            sig.frequencies.tolist(),
-            lo.tolist(),
-            hi.tolist(),
-        )
-    )
     results = {
         "mass": config.m,
         "max_deviation_from_pi": float(np.abs(np.abs(vals) - np.pi).max()),
         "negative_count": int((vals < 0).sum()),
         "positive_count": int((vals > 0).sum()),
     }
-    return results, {
-        "spectrum": (
-            ["mode", "eigenvalue", "frequency", "eig_minus", "eig_plus"],
-            rows,
-        )
-    }
+    return results, {"spectrum": _mode_columns(basis, config.m) | {"eig_minus": lo, "eig_plus": hi}}
 
 
 def cmd_massdecomp(config: ExperimentConfig, basis: SpectralBasis):
@@ -204,7 +189,6 @@ def cmd_massdecomp(config: ExperimentConfig, basis: SpectralBasis):
     i, j = np.triu_indices(config.families)
     lhs, rhs = gram[i, j], mass_decomposition_gram(families)[i, j]
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
-    rows = list(zip(i.tolist(), j.tolist(), lhs.real, lhs.imag, rhs.real, rhs.imag, rel))
     results = {
         "family_count": config.families,
         "pair_count": config.families * (config.families - 1) // 2,
@@ -214,31 +198,24 @@ def cmd_massdecomp(config: ExperimentConfig, basis: SpectralBasis):
         "stages": report.stages,
         "last_increment": report.last_increment,
     }
-    return results, {
-        "pairs": (
-            ["i", "j", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "relative_error"],
-            rows,
-        )
+    columns = {
+        "i": i, "j": j, "lhs_re": lhs.real, "lhs_im": lhs.imag,
+        "rhs_re": rhs.real, "rhs_im": rhs.imag, "relative_error": rel,
     }
+    return results, {"pairs": columns}
 
 
 def cmd_reconstruct(config: ExperimentConfig, basis: SpectralBasis):
     interval = MassInterval(config.m_lo, config.m_hi)
     analytic = signature_analytic(config.m, basis)
-    rows = []
-    deviations = []
-    for hw in (config.half_width, config.half_width / 2):
-        rec, report = signature_reconstruct(
-            config.m,
-            basis,
-            hw,
-            tol=config.tol,
-            interval=interval,
-            t_ceiling=config.t_ceiling,
+    widths = [config.half_width, config.half_width / 2]
+    runs = [
+        signature_reconstruct(
+            config.m, basis, hw, tol=config.tol, interval=interval, t_ceiling=config.t_ceiling
         )
-        dev = float(np.abs(rec.blocks - analytic.blocks).max())
-        deviations.append(dev)
-        rows.append([hw, dev, report.final_t, report.stages])
+        for hw in widths
+    ]
+    deviations = [float(np.abs(rec.blocks - analytic.blocks).max()) for rec, _ in runs]
     results = {
         "block_tolerance": config.tol,
         "deviation_at_half_width": deviations[0],
@@ -246,12 +223,13 @@ def cmd_reconstruct(config: ExperimentConfig, basis: SpectralBasis):
         "improvement_ratio": deviations[0] / deviations[1],
         "within_tolerance": bool(deviations[0] <= config.tol),
     }
-    return results, {
-        "convergence": (
-            ["half_width", "max_deviation", "final_t", "stages"],
-            rows,
-        )
+    columns = {
+        "half_width": widths,
+        "max_deviation": deviations,
+        "final_t": [report.final_t for _, report in runs],
+        "stages": [report.stages for _, report in runs],
     }
+    return results, {"convergence": columns}
 
 
 def cmd_state(config: ExperimentConfig, basis: SpectralBasis):
@@ -263,10 +241,8 @@ def cmd_state(config: ExperimentConfig, basis: SpectralBasis):
         t_span=config.window,
         dt=config.dt,
     )
-    rows = [[k, float(val)] for k, val in enumerate(suite.eigenvalues)]
-    rng = Draws(config.seed + 1)
     times = time_window(-config.window / 2, config.window / 2, config.dt)
-    fs = random_test_function(rng, basis, times, real=True, size=6)
+    fs = random_test_function(Draws(config.seed + 1), basis, times, real=True, size=6)
     solved = causal_fundamental(fs, config.m)  # pairs (f, g): entries k, k + 1
     pair = pair_matrix(state, solved)
     w_fg, w_gf = pair[0::2, 1::2].diagonal(), pair[1::2, 0::2].diagonal()
@@ -281,58 +257,42 @@ def cmd_state(config: ExperimentConfig, basis: SpectralBasis):
         "im_identity_worst": im_worst,
         "ccr_identity_worst": ccr_worst,
     }
-    return results, {"gram": (["index", "eigenvalue"], rows)}
+    columns = {"index": range(len(suite.eigenvalues)), "eigenvalue": suite.eigenvalues}
+    return results, {"gram": columns}
 
 
 def cmd_masslimit(config: ExperimentConfig, basis: SpectralBasis):
     _, table = massless_limit(basis)
-    rows = [
-        [float(m), float(nrm), float(bnd), float(nrm / bnd)]
-        for m, nrm, bnd in zip(table.masses, table.norms, table.bounds)
-    ]
     results = {
         "monotone_decrease": bool(np.all(np.diff(table.norms) < 0)),
         "max_mode_ratio": float((table.mode_norms / table.mode_bounds).max()),
     }
-    return results, {
-        "norms": (["mass", "norm_difference", "bound", "ratio"], rows)
+    columns = {
+        "mass": table.masses, "norm_difference": table.norms, "bound": table.bounds,
+        "ratio": table.norms / table.bounds,
     }
+    return results, {"norms": columns}
 
 
 def cmd_crosscheck(config: ExperimentConfig, basis: SpectralBasis):
     report = cross_check_lattice(config.m, basis)
-    om = omega(basis.eigenvalues, config.m)
-    rows = list(
-        zip(
-            range(basis.size),
-            basis.eigenvalues.tolist(),
-            om.tolist(),
-            report.block_deviations.tolist(),
-        )
-    )
     results = {
         "max_block_deviation": report.max_block_deviation,
         "max_eigenvalue_deviation": report.max_eigenvalue_deviation,
     }
-    return results, {
-        "blocks": (["mode", "eigenvalue", "frequency", "block_deviation"], rows)
-    }
+    columns = _mode_columns(basis, config.m) | {"block_deviation": report.block_deviations}
+    return results, {"blocks": columns}
 
 
 def cmd_wick(config: ExperimentConfig, basis: SpectralBasis):
     state = build_state(config.m, basis)
-    rng = Draws(config.seed)
     times = time_window(-config.window / 2, config.window / 2, config.dt)
     count = 2 * config.wick_order
-    fs = random_test_function(rng, basis, times, size=count)
+    fs = random_test_function(Draws(config.seed), basis, times, size=count)
     terms = wick_terms(state, fs)
     value = sum(terms, 0j)
     odd_value = wick_n_point(state, fs[: count - 1])
     matchings = pair_matchings(count)
-    rows = [
-        [idx, "|".join(f"{i}-{j}" for i, j in matching), term.real, term.imag]
-        for idx, (matching, term) in enumerate(zip(matchings, terms))
-    ]
     results = {
         "order": config.wick_order,
         "pairing_count": len(matchings),
@@ -341,9 +301,13 @@ def cmd_wick(config: ExperimentConfig, basis: SpectralBasis):
         "odd_case_re": odd_value.real,
         "odd_case_im": odd_value.imag,
     }
-    return results, {
-        "matchings": (["index", "pairs", "product_re", "product_im"], rows)
+    columns = {
+        "index": range(len(matchings)),
+        "pairs": ["|".join(f"{i}-{j}" for i, j in matching) for matching in matchings],
+        "product_re": [term.real for term in terms],
+        "product_im": [term.imag for term in terms],
     }
+    return results, {"matchings": columns}
 
 
 _COMMANDS = {
@@ -377,9 +341,18 @@ commands:
 """ + "\n".join(f"  {k:<12} {v}" for k, v in _COMMANDS.items())
 
 
+def _fail(code: int, message: str) -> int:
+    """Print `message` to stderr and return `code`; a stderr that cannot take
+    it (closed, full, a reader that closed the pipe) loses the message only."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
+    return code
+
+
 def _usage_error(message: str) -> NoReturn:
-    print(f"usage: {_USAGE}\nkgsig: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
+    raise SystemExit(_fail(2, f"usage: {_USAGE}\nkgsig: error: {message}"))
 
 
 def _convert(option: str, value: str, kind):
@@ -411,8 +384,7 @@ def parse_args(argv: list[str]) -> dict:
             except OSError as exc:  # a full disk, a reader that closed the pipe
                 # anything the failed flush kept goes to devnull, not to the exit flush
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-                print(f"output error: {exc}", file=sys.stderr)
-                raise SystemExit(2)
+                raise SystemExit(_fail(2, f"output error: {exc}"))
             raise SystemExit(0)
         if option == "--seed":
             args["seed"] = _convert(option, value, int)
@@ -450,28 +422,23 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args["config"])._replace(**overrides)
         validate_config(config, command)
     except (ConfigError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"configuration error: {exc}")
     out_dir = Path(args["out"])
     # a file in the way would stop mkdir only after the run: check it first
     for path in (out_dir, *out_dir.parents):
         if path.exists() and not path.is_dir():
-            print(f"output error: {path} is not a directory", file=sys.stderr)
-            return 2
+            return _fail(2, f"output error: {path} is not a directory")
     basis = dirichlet_basis(config.n, config.l)
     try:
         results, tables = globals()[f"cmd_{command}"](config, basis)
     except ConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"non-convergence: {exc}")
     if where := _non_finite(results, tables):
-        print(f"non-finite result: {where}; nothing was written", file=sys.stderr)
-        return 3
+        return _fail(3, f"non-finite result: {where}; nothing was written")
     try:
         _emit(command, config, results, tables, out_dir, args["quiet"], started)
     except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"output error: {exc}")
     return 0
 
 

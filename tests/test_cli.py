@@ -358,7 +358,7 @@ def test_tiny_windows_whose_step_squares_still_run(tmp_path, command, window):
 
 def test_non_finite_table_cell_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
     def nan_row(config, basis):
-        return {"x": 1.0}, {"t": (["k", "label", "value"], [[0, "a", 1.0], [1, "b", np.nan]])}
+        return {"x": 1.0}, {"t": {"k": range(2), "label": ["a", "b"], "value": [1.0, np.nan]}}
 
     monkeypatch.setattr(kgsig.cli, "cmd_spectrum", nan_row)
     assert run(tmp_path, ["spectrum"])[0] == 3
@@ -367,20 +367,32 @@ def test_non_finite_table_cell_exits_3_and_writes_nothing(tmp_path, capsys, monk
 
 
 def test_write_csv_matches_the_per_cell_rule(tmp_path):
-    rows = [
-        (0, 1.5, "a", True),
-        [np.int64(1), np.float64(1e300), "b", np.bool_(False)],
-        (2, -0.0, "c", False),
-        (np.int64(3), np.float64(-0.0), "d", np.True_),
-        (4, 0.1, "e", True),
-    ]
-    _write_csv(tmp_path / "t.csv", ["i", "x", "s", "b"], rows)
+    columns = {
+        "i": [0, np.int64(1), 2, np.int64(3), 4],
+        "x": (1.5, np.float64(1e300), -0.0, np.float64(-0.0), 0.1),
+        "s": ["a", "b", "c", "d", "e"],
+        "b": [True, np.bool_(False), False, np.True_, True],
+    }
+    _write_csv(tmp_path / "t.csv", columns)
+    rows = zip(*columns.values())
     lines = ["i,x,s,b"] + [f"{i},{format(x, '.17g')},{s},{b}" for i, x, s, b in rows]
     assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    # numpy columns format as their cells would
+    _write_csv(tmp_path / "n.csv", {"i": np.arange(2), "x": np.array([0.1, -0.0])})
+    assert (tmp_path / "n.csv").read_text() == "i,x\n0,0.10000000000000001\n1,-0\n"
     # the first row's cell types set the template: an int cell under a float
     # column is formatted as a float, a float cell under an int column by str
-    _write_csv(tmp_path / "u.csv", ["i", "x"], [(0, 0.1), (0.1, 2)])
+    _write_csv(tmp_path / "u.csv", {"i": [0, 0.1], "x": [0.1, 2]})
     assert (tmp_path / "u.csv").read_text() == "i,x\n0,0.10000000000000001\n0.1,2\n"
+
+
+@pytest.mark.parametrize("short", ["i", "x"])
+def test_write_csv_refuses_a_ragged_table_before_writing(tmp_path, short):
+    columns = {"i": range(3), "x": [0.5, 1.5, 2.5]}
+    columns[short] = columns[short][:2]
+    with pytest.raises(ValueError, match="zip"):
+        _write_csv(tmp_path / "r.csv", columns)
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_seed_and_tol_flags_override_the_file(tmp_path):
@@ -845,21 +857,18 @@ def test_help_names_every_command(capsys):
             assert f"{name} " in text and summary in text
 
 
-def _help_to(stdout) -> subprocess.CompletedProcess:
-    """`python -m kgsig.cli --help` in a child writing to `stdout`."""
+def _child(args: list[str], **streams) -> subprocess.CompletedProcess:
+    """`python -m kgsig.cli *args` in a child process with the given streams."""
     src = str(Path(kgsig.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    return subprocess.run(
-        [sys.executable, "-m", "kgsig.cli", "--help"],
-        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
-    )
+    return subprocess.run([sys.executable, "-m", "kgsig.cli", *args], env=env, text=True, **streams)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_help_to_a_full_device_is_an_output_error():
     with open("/dev/full", "w") as full:
-        done = _help_to(full)
+        done = _child(["--help"], stdout=full, stderr=subprocess.PIPE)
     assert done.returncode == 2
     assert "output error" in done.stderr and "Traceback" not in done.stderr
 
@@ -869,12 +878,47 @@ def test_help_to_a_closed_pipe_is_an_output_error():
     read, write = os.pipe()
     os.close(read)
     try:
-        done = _help_to(write)
+        done = _child(["--help"], stdout=write, stderr=subprocess.PIPE)
     finally:
         os.close(write)
     assert done.returncode == 2
     assert "output error" in done.stderr and "Traceback" not in done.stderr
     assert "Exception ignored" not in done.stderr
+
+
+# a usage error, a configuration error and a non-convergence (no window up to
+# t_ceiling dephases every mode at this l), each with its documented code
+_FAILING_RUNS = [
+    pytest.param(["bogus"], "", 2, id="usage-error"),
+    pytest.param(["spectrum"], "[grid]\nn = 0\n", 2, id="configuration-error"),
+    pytest.param(["massdecomp"], "[grid]\nl = 1e-7\n", 3, id="non-convergence"),
+]
+
+
+def _failing_run(tmp_path, args, text, stderr) -> int:
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    done = _child([*args, "--config", str(config), "--out", str(out)], stderr=stderr)
+    assert not out.exists()
+    return done.returncode
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(("args", "text", "code"), _FAILING_RUNS)
+def test_a_full_stderr_keeps_the_exit_code(tmp_path, args, text, code):
+    with open("/dev/full", "w") as full:
+        assert _failing_run(tmp_path, args, text, full) == code
+
+
+@pytest.mark.parametrize(("args", "text", "code"), _FAILING_RUNS)
+def test_a_stderr_pipe_with_no_reader_keeps_the_exit_code(tmp_path, args, text, code):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        assert _failing_run(tmp_path, args, text, write) == code
+    finally:
+        os.close(write)
 
 
 def test_evolve_makes_no_transform(tmp_path, transforms):
