@@ -11,13 +11,15 @@ byte-identical. Wall-clock runtime goes to a separate run_meta.json sidecar,
 which is the one file excluded from that guarantee.
 
 Exit codes: 0 success, 2 usage error, configuration error or output that
-cannot be written (also when stdout cannot take what a run prints), 3
-non-convergence or a non-finite result (nothing is written then). A stderr
-that cannot take a message loses the message, not the exit code.
+cannot be written (also when stdout, full or closed, cannot take what a
+run prints), 3 non-convergence or a non-finite result (nothing is written
+then). A stderr that cannot take a message loses the message, not the exit
+code.
 """
 
 from __future__ import annotations
 
+import errno
 import getopt
 import json
 import os
@@ -107,10 +109,8 @@ def _emit(
         {"command": command, "runtime_seconds": time.monotonic() - started},
     )
     if not quiet:
-        for key, value in results.items():
-            print(f"{key}: {value}")
-        for path in paths:
-            print(f"wrote {path}")
+        _print("\n".join([*(f"{key}: {value}" for key, value in results.items()),
+                          *(f"wrote {path}" for path in paths)]))
 
 
 def _mode_columns(basis: SpectralBasis, mass: float) -> dict[str, Sequence]:
@@ -341,6 +341,15 @@ commands:
 """ + "\n".join(f"  {k:<12} {v}" for k, v in _COMMANDS.items())
 
 
+def _print(text: str, flush: bool = False) -> None:
+    """Print `text` to stdout. With file descriptor 1 closed Python sets
+    sys.stdout to None, and print() would drop the text without an error;
+    here that raises OSError, as a full stdout does."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    print(text, flush=flush)
+
+
 def _fail(code: int, message: str) -> int:
     """Print `message` to stderr and return `code`; a stderr that cannot take
     it (closed, full, a reader that closed the pipe) loses the message only."""
@@ -380,10 +389,11 @@ def parse_args(argv: list[str]) -> dict:
     for option, value in options:
         if option in ("-h", "--help"):
             try:
-                print(_HELP, flush=True)
-            except OSError as exc:  # a full disk, a reader that closed the pipe
-                # anything the failed flush kept goes to devnull, not to the exit flush
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                _print(_HELP, flush=True)
+            except OSError as exc:  # a full disk, a reader that closed the pipe, a closed stdout
+                if sys.stdout is not None:
+                    # anything the failed flush kept goes to devnull, not to the exit flush
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
                 raise SystemExit(_fail(2, f"output error: {exc}"))
             raise SystemExit(0)
         if option == "--seed":

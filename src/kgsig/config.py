@@ -26,9 +26,10 @@ class ConfigError(ValueError):
 
 
 # time nodes x grid points of one spacetime array: 64 MiB of complex values.
-# `green` near the cap (n = 64, dt = 1.84e-4) peaks at 415 MiB RSS and runs
-# 2.2-2.4 s as a process (669 MiB, 2.5-3.3 s while its Duhamel pass made
-# temporaries; 2-core Xeon, numpy 2.4.6)
+# `green` near the cap (n = 64, dt = 1.84e-4) peaks at 128 MiB RSS, the source
+# and its support check, with 1.5-2.0 s of process time, since its Duhamel
+# passes hold blocks of time rows (415 MiB and 2.7-3.0 s while they held whole
+# fields, 669 MiB before those were built in place; 2-core Xeon, numpy 2.4.6)
 SPACETIME_SAMPLES_MAX = 1 << 22
 # trials x (time nodes x grid points + trials) complex values: the cap on the
 # state suite, which holds far less, as it builds no such source stack (3 trials

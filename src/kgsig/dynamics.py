@@ -14,15 +14,18 @@ holds the (J, N) sine-mode coefficients of its values at J time nodes, real
 for a real source, so no function here makes a lattice transform. Data and
 sources may be stacks, (..., 2, N) and (..., J, N) on one window, indexed on
 the leading axes; every function here acts on the last two. The retarded and
-advanced fields S_ret f and S_adv f come from one Duhamel pass,
-`duhamel_modes`, as bare (..., J, N) mode arrays on f's window: one cos/sin
-phase table feeds a forward and a backward cumulative Simpson quadrature,
-whose fields `green_residuals` also checks. Their difference is the causal
-field G f; `causal_fundamental` gets its t = 0 data from moments. The
-Duhamel pass and its residuals write into their own buffers (ufuncs with
-`out=`) in the operations and order of the plain expressions, so results
-keep their values bit for bit (an exact zero may differ in sign) while a
-command, one process each, touches less new memory.
+advanced fields S_ret f and S_adv f come from one kernel, `_green_blocks`: a
+cumulative Simpson quadrature of the cos- and sin-weighted source, run
+forward or backward in time and yielding the field in blocks of time rows,
+each built from its own rows of the phase table and source. A pass holds
+a few blocks of `_BLOCK_VALUES` values whatever the window's length, and
+keeps each block's nodes in an odd and an even lane, so every Simpson step
+reads contiguous rows. `green_residuals` reduces the blocks to Klein-Gordon
+residuals as they arrive; `duhamel_modes` gathers both fields whole. Their
+difference is the causal field G f; `causal_fundamental` gets its t = 0
+data from moments. The blocked values take the operations, in the order,
+of the plain whole-window expressions, so results keep their values bit
+for bit (an exact zero may differ in sign).
 """
 
 from __future__ import annotations
@@ -168,69 +171,152 @@ def cumulative_simpson_nodes(y: np.ndarray, dt: float, out: np.ndarray | None = 
     Even-indexed nodes accumulate full Simpson pairs; odd-indexed nodes add
     the exact integral of the local interpolating parabola over the trailing
     subinterval. Complex-safe (scipy's cumulative_simpson is not). The
-    result goes into `out` (new if None), which must not overlap y, with no
-    temporary the size of y: the even nodes serve as scratch for the odd
-    ones until the pair sums fill them.
+    result goes into `out` (new if None), which must not overlap y; the
+    nodes are copied into the odd and even lanes of `_simpson_lanes` and
+    back.
     """
     j = y.shape[-2]
     if j < 3 or j % 2 == 0:
         raise ValueError("cumulative Simpson needs an odd number of nodes (>= 3)")
     result = np.empty_like(y) if out is None else out
-    y, out = np.moveaxis(y, -2, 0), np.moveaxis(result, -2, 0)  # views, time first
-    # odd nodes 3, 5, ...: (dt / 12) (-y1 + 8 y2 + 5 y3) over the trailing subinterval
-    parabolas, fives = out[3::2], out[4::2]
-    np.multiply(8.0, y[2:-1:2], out=parabolas)
-    np.subtract(parabolas, y[1:-2:2], out=parabolas)
-    np.add(parabolas, np.multiply(5.0, y[3::2], out=fives), out=parabolas)
-    np.multiply(dt / 12.0, parabolas, out=parabolas)
-    # node 1: (dt / 12) (5 y0 + 8 y1 - y2)
-    np.multiply(5.0, y[0], out=out[1])
-    np.add(out[1], np.multiply(8.0, y[1], out=out[2]), out=out[1])
-    np.subtract(out[1], y[2], out=out[1])
-    np.multiply(dt / 12.0, out[1], out=out[1])
-    # even nodes: running sum of the pairs (dt / 3) (y0 + 4 y1 + y2)
-    pairs = out[2::2]
-    np.multiply(4.0, y[1:-1:2], out=pairs)
-    np.add(y[0:-2:2], pairs, out=pairs)
-    np.add(pairs, y[2::2], out=pairs)
-    np.multiply(dt / 3.0, pairs, out=pairs)
-    np.cumsum(pairs, axis=0, out=pairs)
-    np.add(out[2:-1:2], parabolas, out=parabolas)
-    out[0] = 0.0
+    rows, run = np.moveaxis(y, -2, 0), np.moveaxis(result, -2, 0)  # views, time first
+    lanes = np.empty((2, 1, (j + 1) // 2, *rows.shape[1:]), y.dtype)
+    lanes[0, 0, 1:], lanes[1, 0] = rows[1::2], rows[0::2]  # lane row 0 of the odd nodes is node -1
+    integral = np.empty_like(lanes)
+    _simpson_lanes(lanes, integral, dt, carried=False)
+    run[1::2], run[0::2] = integral[0, 0, 1:], integral[1, 0]
     return result
 
 
-def duhamel_modes(f: SpacetimeTestFunction, mass: float) -> tuple[np.ndarray, np.ndarray]:
-    """(..., J, N) mode coefficients of the retarded and advanced fields of f.
+def _simpson_lanes(y: np.ndarray, out: np.ndarray, dt: float, carried: bool) -> None:
+    """The running Simpson integral of `cumulative_simpson_nodes` on node
+    lanes: y[0] holds the odd nodes and y[1] the even ones, rows on axis 1,
+    row i holding nodes 2 i - 1 and 2 i of the run, so every step reads and
+    writes contiguous rows. The result goes into `out`, in the same layout,
+    which must not overlap y; the even lane serves as scratch for the odd
+    one until the pair sums fill it. Without `carried`, node 0 is the
+    window's first and node -1 is not read; with it, out[1][:, 0] already
+    holds the running integral at node 0, and node 1 takes the trailing
+    parabola through node -1.
+    """
+    (odd, even), (odd_out, even_out) = y, out
+    pairs = even.shape[1] - 1
+    first = 1 if carried else 2  # the first odd row that takes the trailing parabola
+    # odd nodes: (dt / 12) (-y1 + 8 y2 + 5 y3) over the trailing subinterval
+    parabolas, fives = odd_out[:, first:], even_out[:, first:]
+    np.multiply(8.0, even[:, first - 1:pairs], out=parabolas)
+    np.subtract(parabolas, odd[:, first - 1:pairs], out=parabolas)
+    np.add(parabolas, np.multiply(5.0, odd[:, first:], out=fives), out=parabolas)
+    np.multiply(dt / 12.0, parabolas, out=parabolas)
+    if not carried:  # node 1: (dt / 12) (5 y0 + 8 y1 - y2)
+        node = odd_out[:, 1]
+        np.multiply(5.0, even[:, 0], out=node)
+        np.add(node, np.multiply(8.0, odd[:, 1], out=even_out[:, 1]), out=node)
+        np.subtract(node, even[:, 1], out=node)
+        np.multiply(dt / 12.0, node, out=node)
+        even_out[:, 0] = 0.0
+    # even nodes: running sum of the pairs (dt / 3) (y0 + 4 y1 + y2)
+    sums = even_out[:, 1:]
+    np.multiply(4.0, odd[:, 1:], out=sums)
+    np.add(even[:, :pairs], sums, out=sums)
+    np.add(sums, even[:, 1:], out=sums)
+    np.multiply(dt / 3.0, sums, out=sums)
+    running = even_out if carried else sums  # from row 0 when it carries a running value
+    np.cumsum(running, axis=1, out=running)
+    np.add(even_out[:, first - 1:pairs], parabolas, out=parabolas)
 
-    sin(w(t - t')) = sin(wt)cos(wt') - cos(wt)sin(wt'), so both running
-    Duhamel integrals are cumulative Simpson of the same cos/sin-weighted
-    coefficients; the advanced one, over t' >= t, is the pass run backward
-    from the future end of the window, negated. The fields are built in
-    their own two arrays, each direction's sin part in a spent one: the
-    advanced field's array for the forward pass, the cos-weighted source
-    for the backward pass once its cos part is in.
+
+# values of the weighted source in one block (time rows x stack x modes); a
+# Duhamel pass holds four such blocks, whatever the window's length
+_BLOCK_VALUES = 1 << 13
+
+
+def _green_blocks(f: SpacetimeTestFunction, mass: float, step: int):
+    """The retarded (step 1) or advanced (step -1) field of f in blocks of
+    time rows, in the order the pass runs (backward in time for step -1).
+
+    Yields (start, lanes): the field at the pass nodes start - 1 + q + 2 i
+    as lanes[q][i], a (2, rows, ..., N) array of odd (q = 0) and even
+    (q = 1) nodes, time first. lanes[:, 0] repeat the last two nodes of the
+    block before; the first block, start = 0, has no node -1 and holds 0 in
+    its place. The next block overwrites the lanes.
+
+    sin(w(t - t')) = sin(wt)cos(wt') - cos(wt)sin(wt'), so the running
+    Duhamel integral is cumulative Simpson of the cos- and sin-weighted
+    source; the advanced one, over t' >= t, is the pass run backward from
+    the future end of the window, negated. Each block builds its own rows
+    of the phase table and weighted source, and continues both running
+    integrals from the last two weighted rows and running values of the
+    block before, so every value takes the operations, in the order, of one
+    pass over the whole window.
     """
     w = omega(f.basis.eigenvalues, mass)
-    phase = w[None, :] * f.times[:, None]
-    cos_p = np.cos(phase)
-    sin_p = np.sin(phase, out=phase)
-    cos_src, sin_src = cos_p * f.modes, sin_p * f.modes
-    ret, adv = np.empty_like(cos_src), np.empty_like(cos_src)
-
-    def green(step: int, field: np.ndarray, sin_part: np.ndarray) -> np.ndarray:
-        cumulative_simpson_nodes(cos_src[..., ::step, :], f.dt, out=field[..., ::step, :])
-        cumulative_simpson_nodes(sin_src[..., ::step, :], f.dt, out=sin_part[..., ::step, :])
+    times, modes = f.times[::step], np.moveaxis(f.modes, -2, 0)[::step]  # time first
+    nodes, stack = len(times), modes.shape[1:-1]
+    unit = (1,) * len(stack)
+    pairs = max(1, _BLOCK_VALUES // max(1, 2 * w.size * math.prod(stack)))
+    pairs = min(pairs, (nodes - 1) // 2)
+    # lanes of odd and even nodes x cos and sin parts x rows; zeros keep the
+    # first block's missing node -1 finite
+    shape = (2, 2, pairs + 1, *stack, w.size)
+    weighted, running = np.empty(shape, modes.dtype), np.zeros(shape, modes.dtype)
+    phases = np.zeros((2, 2, pairs + 1, *unit, w.size))
+    carried = np.empty_like(running[:, :, 0])
+    start = 0
+    while True:
+        rows = min(pairs, (nodes - 1 - start) // 2) + 1
+        end = start + 2 * rows - 2  # the block's last node, an even one
+        for q in (0, 1):
+            held = 1 if start == 0 and q == 0 else 0  # the first lane row with a node
+            new = 0 if start == 0 and q == 1 else 1  # the first lane row not carried over
+            phase, at = phases[q, 1, held:rows], times[start - 1 + q + 2 * held:end + 1:2]
+            np.multiply(w, at.reshape(-1, *unit, 1), out=phase)
+            np.cos(phase, out=phases[q, 0, held:rows])
+            np.sin(phase, out=phase)
+            np.multiply(
+                phases[q, :, new:rows], modes[start - 1 + q + 2 * new:end + 1:2],
+                out=weighted[q, :, new:rows],
+            )
+        _simpson_lanes(weighted[:, :, :rows], running[:, :, :rows], f.dt, carried=start > 0)
+        if end < nodes - 1:
+            np.copyto(carried, running[:, :, rows - 1])
+            weighted[:, :, 0] = weighted[:, :, rows - 1]
         # step * (sin_p * ccum - cos_p * scum) / w, in place; rounding is
         # sign-symmetric, so for step -1 the difference taken the other way
         # is the negated one (an exact zero may differ in sign)
-        np.multiply(sin_p, field, out=field)
-        np.multiply(cos_p, sin_part, out=sin_part)
-        first, second = (field, sin_part) if step == 1 else (sin_part, field)
-        np.subtract(first, second, out=field)
-        return np.divide(field, w, out=field)
+        field = running[:, :, :rows]
+        np.multiply(phases[:, ::-1, :rows], field, out=field)
+        first, second = field[:, 0], field[:, 1]
+        np.subtract(*((first, second) if step == 1 else (second, first)), out=first)
+        yield start, np.divide(first, w, out=first)
+        if end == nodes - 1:
+            return
+        start = end
+        running[:, :, 0] = carried
 
-    return green(1, ret, adv), green(-1, adv, cos_src)
+
+def _lane_nodes(start: int, lanes: np.ndarray):
+    """(pass nodes, field rows) of each lane of a `_green_blocks` block."""
+    rows = lanes.shape[1]
+    held = 1 if start == 0 else 0
+    return ((slice(start - 1 + 2 * held, start + 2 * rows - 2, 2), lanes[0, held:]),
+            (slice(start, start + 2 * rows - 1, 2), lanes[1]))
+
+
+def _green_field(f: SpacetimeTestFunction, mass: float, step: int) -> np.ndarray:
+    """The whole (..., J, N) retarded (step 1) or advanced (step -1) field."""
+    field = np.empty_like(f.modes)
+    run = np.moveaxis(field, -2, 0)[::step]
+    for start, lanes in _green_blocks(f, mass, step):
+        for nodes, rows in _lane_nodes(start, lanes):
+            run[nodes] = rows
+    return field
+
+
+def duhamel_modes(f: SpacetimeTestFunction, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """(..., J, N) mode coefficients of the retarded and advanced fields of
+    f, each gathered whole from its blocked pass (`_green_blocks`)."""
+    return _green_field(f, mass, 1), _green_field(f, mass, -1)
 
 
 def _causal_data(basis: SpectralBasis, times: np.ndarray, mass: float, moments) -> CauchyDatum:
@@ -262,6 +348,23 @@ def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
     )
 
 
+def _residual_norms(before, at, after, src, w2, dt) -> np.ndarray:
+    """Per node, the norm of (D_t^2 - Lap + m^2) u - f, from time-first
+    (rows, ..., N) modes of u at the nodes (`at`) and at the nodes just
+    before and after them in time, and of f at the nodes; w2 = lambda_n + m^2."""
+    # (c2 - 2 c1 + c0) / dt^2 + w2 c1 - src in one buffer; w2 c1 in the
+    # magnitude buffer, whose first N floats per C-order row then take |res|
+    res, mag = np.multiply(2.0, at), np.multiply(w2, at, order="C")
+    np.subtract(after, res, out=res)
+    np.add(res, before, out=res)
+    np.divide(res, dt**2, out=res)
+    np.add(res, mag, out=res)
+    res = np.subtract(res, src, out=res if np.can_cast(src.dtype, res.dtype) else None)
+    mag = np.abs(res, out=mag.view(float)[..., : w2.size])
+    # mode coefficients carry the h-weighted norm already (Parseval)
+    return np.sqrt(np.sum(np.square(mag, out=mag), axis=-1))
+
+
 def kg_residual(modes: np.ndarray, f: SpacetimeTestFunction, mass: float) -> float | np.ndarray:
     """Max norm of (D_t^2 - Lap + m^2) u - f over interior time nodes, per
     field, for the (..., J, N) modes of u on f's own window and basis.
@@ -269,23 +372,35 @@ def kg_residual(modes: np.ndarray, f: SpacetimeTestFunction, mass: float) -> flo
     D_t^2 is the central second difference; the Laplacian acts spectrally
     (lambda_n per mode), which is exact for the lattice operator.
     """
-    c, w2 = np.moveaxis(modes, -2, 0), f.basis.eigenvalues + mass**2  # time first
-    src = np.moveaxis(f.modes, -2, 0)[1:-1]
-    # (c2 - 2 c1 + c0) / dt^2 + w2 c1 - src in one buffer; w2 c1 in the
-    # magnitude buffer, whose first N floats per C-order row then take |res|
-    res, mag = np.multiply(2.0, c[1:-1]), np.multiply(w2, c[1:-1], order="C")
-    np.subtract(c[2:], res, out=res)
-    np.add(res, c[:-2], out=res)
-    np.divide(res, f.dt**2, out=res)
-    np.add(res, mag, out=res)
-    res = np.subtract(res, src, out=res if np.can_cast(src.dtype, res.dtype) else None)
-    mag = np.abs(res, out=mag.view(float)[..., : w2.size])
-    # mode coefficients carry the h-weighted norm already (Parseval)
-    return np.sqrt(np.sum(np.square(mag, out=mag), axis=-1)).max(axis=0)
+    c, src = np.moveaxis(modes, -2, 0), np.moveaxis(f.modes, -2, 0)  # time first
+    w2 = f.basis.eigenvalues + mass**2
+    return _residual_norms(c[:-2], c[1:-1], c[2:], src[1:-1], w2, f.dt).max(axis=0)
 
 
 def green_residuals(f: SpacetimeTestFunction, mass: float) -> tuple[float, float]:
-    """`kg_residual` of the retarded and advanced fields of f, both from one
-    `duhamel_modes` pass."""
-    ret, adv = duhamel_modes(f, mass)
-    return kg_residual(ret, f, mass), kg_residual(adv, f, mass)
+    """`kg_residual` of the retarded and advanced fields of f, each reduced
+    block by block as its pass yields it. A block's interior nodes take
+    their neighbours from the other lane; its first odd and even node,
+    repeated from the block before, make the halo of the second difference."""
+    w2 = f.basis.eigenvalues + mass**2
+    worst = []
+    for step in (1, -1):
+        src, peak = np.moveaxis(f.modes, -2, 0)[::step], None
+        for start, (odd, even) in _green_blocks(f, mass, step):
+            last = len(even) - 1
+            end = start + 2 * last  # the block's last node
+            skip = 1 if start == 0 else 0  # node 0 has no node before it
+            # interior nodes: the even ones start + 2 i between odd ones, the
+            # odd ones start - 1 + 2 i between even ones
+            for before, at, after, nodes in (
+                (odd[skip:last], even[skip:last], odd[skip + 1:], slice(start + 2 * skip, end, 2)),
+                (even[:last], odd[1:], even[1:], slice(start + 1, end, 2)),
+            ):
+                if not len(at):  # a first block of one pair has no interior even node
+                    continue
+                if step == -1:  # the pass runs backward in time
+                    before, after = after, before
+                norms = _residual_norms(before, at, after, src[nodes], w2, f.dt).max(axis=0)
+                peak = norms if peak is None else np.maximum(peak, norms)
+        worst.append(peak)
+    return worst[0], worst[1]

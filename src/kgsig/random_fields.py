@@ -68,13 +68,19 @@ class Draws:
 
 
 def bump(s: np.ndarray) -> np.ndarray:
-    """exp(-1/(1-s^2)) on |s| < 1, zero outside; smooth on the whole line."""
+    """exp(-1/(1-s^2)) on |s| < 1, zero outside; smooth on the whole line.
+
+    Evaluated in the output array, on the entries inside only; the mask is
+    the one other array the size of s."""
     s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
-    return out
+    out = np.empty_like(s)
+    inside = np.abs(s, out=out) < 1.0
+    out[...] = 0.0
+    np.square(s, out=out, where=inside)
+    np.subtract(1.0, out, out=out, where=inside)
+    with np.errstate(divide="ignore", over="ignore"):  # s^2 may round to 1
+        np.divide(-1.0, out, out=out, where=inside)
+    return np.exp(out, out=out, where=inside)
 
 
 def random_datum(rng: Draws, basis: SpectralBasis) -> CauchyDatum:
@@ -104,7 +110,11 @@ def _source_factors(
         params[:, k] = drawn
         amps[k] = rng.normal() if real else rng.normal() + 1j * rng.normal()
     center, half_width, carrier, phase, x0, spread = params[:, :, None]
-    profiles = bump((times - center) / half_width) * np.cos(carrier * times + phase)
+    # bump((t - center) / half_width) cos(carrier t + phase), one scratch array for both arguments
+    scratch = np.subtract(times, center)
+    profiles = bump(np.divide(scratch, half_width, out=scratch))
+    wave = np.add(np.multiply(carrier, times, out=scratch), phase, out=scratch)
+    profiles *= np.cos(wave, out=wave)
     shapes = amps[:, None] * np.exp(-((basis.grid.points - x0) ** 2) / spread)
     return profiles, basis.analyze(shapes)
 

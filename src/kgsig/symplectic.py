@@ -19,7 +19,9 @@ import numpy as np
 from .dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
-    duhamel_modes,
+    _green_blocks,
+    _green_field,
+    _lane_nodes,
     simpson_weights,
 )
 
@@ -41,21 +43,38 @@ def gm_form(
 
     The lattice sum is taken in mode space by Parseval (h sum_x conj(u) v =
     sum_n conj(u_n) v_n for the h-orthonormal sine modes), on f's mode
-    coefficients against the cumulative-Duhamel field of `duhamel_modes`,
-    so it shares no quadrature route with `causal_fundamental`; comparing
-    against symplectic(causal_fundamental(f), causal_fundamental(g)) is a
-    genuine two-sided consistency check.
+    coefficients against the cumulative-Duhamel fields of g, so it shares no
+    quadrature route with `causal_fundamental`; comparing against
+    symplectic(causal_fundamental(f), causal_fundamental(g)) is a genuine
+    two-sided consistency check. The retarded field is held whole; the
+    advanced one arrives in blocks of time rows, each reduced at once to the
+    per-node mode sums of conj(f) * (ret - adv), and the Simpson-weighted
+    sum over all nodes is taken last.
     """
     fg, gg = f.basis.grid, g.basis.grid
     if fg.num_points != gg.num_points or fg.spacing != gg.spacing:
         raise ValueError("sources must share a grid")
     if not np.array_equal(f.times, g.times):
         raise ValueError("sources must share a time window")
-    ret, adv = duhamel_modes(g, mass)
-    causal = np.subtract(ret, adv, out=ret)
-    # conj(f) * causal in causal's buffer, unless the product is wider in
-    # shape (f's stack axes) or dtype (complex f, real g)
-    fits = (causal.shape == np.broadcast_shapes(f.modes.shape, causal.shape)
-            and causal.dtype == np.result_type(f.modes, g.modes))
-    per_node = np.sum(np.multiply(np.conj(f.modes), causal, out=causal if fits else None), axis=-1)
+    # the retarded field, f and the per-node sums, time first in the advanced
+    # pass's order, with unit stack axes up to the common rank
+    rank = max(f.modes.ndim, g.modes.ndim)
+    lift_f, lift_g = (1,) * (rank - f.modes.ndim), (1,) * (rank - g.modes.ndim)
+    ret = np.moveaxis(_green_field(g, mass, 1).reshape(lift_g + g.modes.shape), -2, 0)[::-1]
+    f_run = np.moveaxis(f.modes.reshape(lift_f + f.modes.shape), -2, 0)[::-1]
+    dtype = np.result_type(f.modes, g.modes)
+    per_node = np.empty(np.broadcast_shapes(f.modes.shape, g.modes.shape)[:-1], dtype)
+    node_run = np.moveaxis(per_node, -1, 0)[::-1]
+    for start, lanes in _green_blocks(g, mass, -1):
+        for nodes, adv in _lane_nodes(start, lanes):
+            adv = adv.reshape(adv.shape[:1] + lift_g + adv.shape[1:])
+            causal = np.subtract(ret[nodes], adv, out=adv)
+            f_rows = f_run[nodes]
+            # conj(f) * causal in causal's buffer, unless the product is wider in
+            # shape (f's stack axes) or dtype (complex f, real g)
+            fits = (causal.shape == np.broadcast_shapes(f_rows.shape, causal.shape)
+                    and causal.dtype == dtype)
+            conj = np.conj(f_rows) if np.iscomplexobj(f_rows) else f_rows  # no copy of a real f
+            product = np.multiply(conj, causal, out=causal if fits else None)
+            np.sum(product, axis=-1, out=node_run[nodes])
     return np.sum(simpson_weights(f.times) * per_node, axis=-1)

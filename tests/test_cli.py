@@ -886,6 +886,26 @@ def test_help_to_a_closed_pipe_is_an_output_error():
     assert "Exception ignored" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    ("args", "code"),
+    [(["--help"], 2), (["spectrum", "--out", "out"], 2),
+     (["spectrum", "--out", "out", "--quiet"], 0)],
+    ids=["help", "run", "quiet-run"],
+)
+def test_a_closed_stdout_is_an_output_error_when_there_is_output(tmp_path, args, code):
+    # file descriptor 1 closed, as by `>&-`: Python sets sys.stdout to None,
+    # and print() would drop the text and exit 0; a quiet run prints nothing
+    done = _child(args, stderr=subprocess.PIPE, cwd=tmp_path, preexec_fn=lambda: os.close(1))
+    assert done.returncode == code
+    if code:
+        assert "output error" in done.stderr and "Traceback" not in done.stderr
+    else:
+        assert done.stderr == ""
+    if "--out" in args:  # the files are written before anything is printed
+        written = sorted(path.name for path in (tmp_path / "out").iterdir())
+        assert written == ["run_meta.json", "spectrum_modes.csv", "spectrum_summary.json"]
+
+
 # a usage error, a configuration error and a non-convergence (no window up to
 # t_ceiling dephases every mode at this l), each with its documented code
 _FAILING_RUNS = [

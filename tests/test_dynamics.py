@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -362,20 +364,20 @@ def test_real_sources_stay_real(basis):
 
 @pytest.mark.parametrize("dt", [0.05, 0.025])
 def test_shared_duhamel_pass_matches_separate_routes(basis, dt, monkeypatch):
-    # green_residuals reads both fields off one duhamel_modes pass, bit for
-    # bit the residuals of a separate pass per field
+    # green_residuals runs one blocked pass per field and reduces each block
+    # as it arrives, bit for bit the residuals of the whole fields
     times = time_window(-5.0, 5.0, dt)
     f = random_test_function(np.random.default_rng(9), basis, times)
-    separate = [kg_residual(duhamel_modes(f, MASS)[side], f, MASS) for side in (0, 1)]
-    passes = []
+    separate = [kg_residual(field, f, MASS) for field in duhamel_modes(f, MASS)]
+    passes, blocks = [], kgsig.dynamics._green_blocks
 
-    def counted(f, mass):
-        passes.append(f)
-        return duhamel_modes(f, mass)
+    def counted(f, mass, step):
+        passes.append((f, step))
+        return blocks(f, mass, step)
 
-    monkeypatch.setattr(kgsig.dynamics, "duhamel_modes", counted)
+    monkeypatch.setattr(kgsig.dynamics, "_green_blocks", counted)
     assert list(green_residuals(f, MASS)) == separate
-    assert passes == [f]
+    assert passes == [(f, 1), (f, -1)]
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -477,9 +479,10 @@ def test_functions_of_a_source_act_row_by_row_on_a_stack(basis, real):
         assert pairing[a, b] == gm_form(f, g, MASS)
 
 
-# The expressions that cumulative_simpson_nodes, duhamel_modes and kg_residual
-# evaluated before they wrote into their own buffers; the buffered versions
-# keep every operation and its order, so they must agree bit for bit.
+# The expressions that cumulative_simpson_nodes, duhamel_modes, kg_residual
+# and gm_form evaluated before they wrote into their own buffers and ran in
+# blocks of time rows; the blocked versions keep every operation and its
+# order, so they must agree bit for bit.
 
 
 def reference_cumulative_simpson(y, dt):
@@ -516,7 +519,7 @@ def reference_kg_residual(modes, f, mass):
 
 
 def reference_gm_form(f, g, mass):
-    ret, adv = duhamel_modes(g, mass)
+    ret, adv = reference_duhamel_modes(g, mass)
     return np.sum(simpson_weights(f.times) * np.sum(np.conj(f.modes) * (ret - adv), axis=-1), axis=-1)
 
 
@@ -590,3 +593,75 @@ def test_gm_form_pairs_real_and_complex_sources_bit_for_bit(basis):
         ref = reference_gm_form(f, g, MASS)
         assert np.result_type(got) == np.result_type(f.modes, g.modes)
         np.testing.assert_array_equal(got, ref)
+
+
+def pairs_per_block(count, modes):
+    # the node pairs each block after the first adds, for a stack of `count`
+    # sources of `modes` modes; the first block holds one node more
+    return max(1, kgsig.dynamics._BLOCK_VALUES // (2 * modes * count))
+
+
+_BLOCK_CASES = {  # nodes in units of pairs per block, and the blocks they take
+    "three-nodes": (lambda pairs: 3, 1),
+    "one-block": (lambda pairs: 2 * pairs + 1, 1),
+    "one-block-and-a-pair": (lambda pairs: 2 * pairs + 3, 2),
+    "several-blocks": (lambda pairs: 6 * pairs + 1, 3),
+}
+
+
+@pytest.mark.parametrize("block_values", [None, 1], ids=["module-blocks", "one-pair-blocks"])
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "2x2-stack"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_blocked_pass_matches_the_reference_expressions(
+    basis, monkeypatch, block_values, case, stacked, real
+):
+    # both passes, both residuals and gm_form, at windows that fit one block,
+    # spill one pair into a second, and take several, bit for bit
+    if block_values is not None:
+        monkeypatch.setattr(kgsig.dynamics, "_BLOCK_VALUES", block_values)
+    count, shape = (4, (2, 2)) if stacked else (1, ())
+    nodes_of, blocks = _BLOCK_CASES[case]
+    nodes = nodes_of(pairs_per_block(count, basis.size))
+    times = window_of(nodes)
+    same = random_test_function(Draws(16), basis, times, real=real, size=2 * count).modes
+    other = random_test_function(Draws(17), basis, times, real=not real, size=count).modes
+    f, g, h = (
+        SpacetimeTestFunction(times, m.reshape(*shape, nodes, basis.size), basis)
+        for m in (same[:count], same[count:], other)
+    )
+    for step in (1, -1):
+        assert sum(1 for _ in kgsig.dynamics._green_blocks(f, MASS, step)) == blocks
+    reference = reference_duhamel_modes(f, MASS)
+    for got, ref in zip(duhamel_modes(f, MASS), reference):
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+    for got, ref in zip(green_residuals(f, MASS), reference):
+        np.testing.assert_array_equal(got, reference_kg_residual(ref, f, MASS))
+    # a partner of the other dtype, or a single one against a stack, makes the
+    # product wider than the causal field
+    for partner in (g, h, *((g[0, 0],) if stacked else ())):
+        got = gm_form(f, partner, MASS)
+        assert np.result_type(got) == np.result_type(f.modes, partner.modes)
+        np.testing.assert_array_equal(got, reference_gm_form(f, partner, MASS))
+
+
+@pytest.mark.parametrize("nodes", [1001, 4001])
+def test_duhamel_pass_memory_does_not_grow_with_the_window(nodes):
+    # green_residuals holds a few blocks of the pass, gm_form those and the
+    # retarded field of g: past the source, and gm_form's per-node sums, the
+    # peak is bounded by the block size, whatever the window's length
+    basis = dirichlet_basis(64, 10.0)
+    fs = random_test_function(Draws(18), basis, window_of(nodes), size=2)
+    f, g = fs[0], fs[1]
+    bound = 200 * kgsig.dynamics._BLOCK_VALUES  # bytes: 1.6 MB at the module block size
+    for run, extra in ((lambda: green_residuals(f, MASS), 0),
+                       (lambda: gm_form(f, g, MASS), g.modes.nbytes + 16 * nodes)):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < extra + bound

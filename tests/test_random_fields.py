@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kgsig.random_fields import Draws
+from kgsig.random_fields import Draws, bump
 
 # random.Random(7).random() is the same on every Python, so these pin the
 # seed -> data mapping; the normals allow for libm rounding in log1p and cos.
@@ -74,3 +75,35 @@ def test_bulk_normals_consume_the_single_draw_stream(seed, k):
     u = np.array([stream.random() for _ in range(2 * k)])
     assert np.array_equal(bulk, np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2]))
     assert after == stream.random()
+
+
+def reference_bump(s):
+    # the masked expression bump evaluated before it worked in its output array
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    with np.errstate(divide="ignore", over="ignore"):
+        out[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
+    return out
+
+
+def test_bump_matches_the_masked_expression():
+    # the edges, a node whose square rounds to 1, signed zeros and non-finite
+    # values; the (120, 241) argument of the positivity suite, a strided view
+    # of it and a scalar
+    below = np.nextafter(1.0, 0.0)
+    edges = np.array([-np.inf, -1.5, -1.0, -below, -0.0, 0.0, 1e-300, below, 1.0, np.inf, np.nan])
+    grid = np.random.default_rng(17).uniform(-1.5, 1.5, (120, 241))
+    for s in (edges, grid, grid[::2, ::3], 0.5):
+        got = bump(s)
+        assert got.shape == np.shape(s) and got.dtype == float
+        assert np.array_equal(got, reference_bump(s))
+    # evaluated in its output array: the mask is the one other array of the argument's size
+    bump(grid)
+    tracemalloc.start()
+    try:
+        bump(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * grid.nbytes
