@@ -16,16 +16,18 @@ sources may be stacks, (..., 2, N) and (..., J, N) on one window, indexed on
 the leading axes; every function here acts on the last two. The retarded and
 advanced fields S_ret f and S_adv f come from one kernel, `_green_blocks`: a
 cumulative Simpson quadrature of the cos- and sin-weighted source, run
-forward or backward in time and yielding the field in blocks of time rows,
-each built from its own rows of the phase table and source. A pass holds
-a few blocks of `_BLOCK_VALUES` values whatever the window's length, and
-keeps each block's nodes in an odd and an even lane, so every Simpson step
-reads contiguous rows. `green_residuals` reduces the blocks to Klein-Gordon
-residuals as they arrive; `duhamel_modes` gathers both fields whole. Their
-difference is the causal field G f; `causal_fundamental` gets its t = 0
-data from moments. The blocked values take the operations, in the order,
-of the plain whole-window expressions, so results keep their values bit
-for bit (an exact zero may differ in sign).
+forward or backward in time and yielding the field in blocks of time rows
+in node order, each built from its own rows of the phase table and source;
+consecutive blocks share two nodes. A pass holds a few blocks of
+`_BLOCK_VALUES` values whatever the window's length. Inside the kernel a
+block's nodes sit in an odd and an even lane, so every Simpson step reads
+contiguous rows, and the last step writes them back in node order.
+`green_residuals` reduces the blocks to Klein-Gordon residuals as they
+arrive; `duhamel_modes` gathers both fields whole. Their difference is the
+causal field G f; `causal_fundamental` gets its t = 0 data from moments.
+The blocked values take the operations, in the order, of the plain
+whole-window expressions, so results keep their values bit for bit (an
+exact zero may differ in sign).
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ import math
 import numpy as np
 
 from .lattice import SpectralBasis, omega
+
+
+# values in one block of time rows (rows x stack x modes): a Duhamel pass
+# holds four blocks of weighted source, and a complex source is checked a
+# block at a time, whatever the window's length
+_BLOCK_VALUES = 1 << 13
 
 
 class CauchyDatum:
@@ -131,7 +139,8 @@ class SpacetimeTestFunction:
     real coefficients stay float64.
 
     The first and last time node must carry (numerically) vanishing modes;
-    each source is checked alone, with no temporary the size of the stack.
+    each source is checked alone, a complex one in blocks of time rows, with
+    no temporary the size of the stack or of a source.
     Indexing and scaling build a new source, so the checks run again.
     """
 
@@ -144,9 +153,11 @@ class SpacetimeTestFunction:
         if modes.shape[-2:] != (times.size, basis.size) or times.ndim != 1:
             raise ValueError("modes must have shape (..., num_times, basis.size)")
         simpson_weights(times)  # validates uniform odd-length node set
+        rows = max(1, _BLOCK_VALUES // basis.size)
         for source in modes.reshape((-1,) + modes.shape[-2:]):
             if np.iscomplexobj(source):
-                peak = np.abs(source).max() if np.isfinite(source).all() else np.inf
+                blocks = (source[i:i + rows] for i in range(0, len(source), rows))
+                peak = max(np.abs(b).max() if np.isfinite(b).all() else np.inf for b in blocks)
             else:  # NaN reaches both max and min, +inf max and -inf min
                 peak = max(source.max(), -source.min())
             _check_support(peak, np.abs(source[[0, -1]]).max())
@@ -165,20 +176,19 @@ class SpacetimeTestFunction:
     __rmul__ = __mul__
 
 
-def cumulative_simpson_nodes(y: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
+def cumulative_simpson_nodes(y: np.ndarray, dt: float) -> np.ndarray:
     """Running composite Simpson integral along axis -2 (odd node count).
 
     Even-indexed nodes accumulate full Simpson pairs; odd-indexed nodes add
     the exact integral of the local interpolating parabola over the trailing
     subinterval. Complex-safe (scipy's cumulative_simpson is not). The
-    result goes into `out` (new if None), which must not overlap y; the
     nodes are copied into the odd and even lanes of `_simpson_lanes` and
     back.
     """
     j = y.shape[-2]
     if j < 3 or j % 2 == 0:
         raise ValueError("cumulative Simpson needs an odd number of nodes (>= 3)")
-    result = np.empty_like(y) if out is None else out
+    result = np.empty_like(y)
     rows, run = np.moveaxis(y, -2, 0), np.moveaxis(result, -2, 0)  # views, time first
     lanes = np.empty((2, 1, (j + 1) // 2, *rows.shape[1:]), y.dtype)
     lanes[0, 0, 1:], lanes[1, 0] = rows[1::2], rows[0::2]  # lane row 0 of the odd nodes is node -1
@@ -226,29 +236,25 @@ def _simpson_lanes(y: np.ndarray, out: np.ndarray, dt: float, carried: bool) -> 
     np.add(even_out[:, first - 1:pairs], parabolas, out=parabolas)
 
 
-# values of the weighted source in one block (time rows x stack x modes); a
-# Duhamel pass holds four such blocks, whatever the window's length
-_BLOCK_VALUES = 1 << 13
-
-
 def _green_blocks(f: SpacetimeTestFunction, mass: float, step: int):
     """The retarded (step 1) or advanced (step -1) field of f in blocks of
     time rows, in the order the pass runs (backward in time for step -1).
 
-    Yields (start, lanes): the field at the pass nodes start - 1 + q + 2 i
-    as lanes[q][i], a (2, rows, ..., N) array of odd (q = 0) and even
-    (q = 1) nodes, time first. lanes[:, 0] repeat the last two nodes of the
-    block before; the first block, start = 0, has no node -1 and holds 0 in
-    its place. The next block overwrites the lanes.
+    Yields (first, block): block[k], shape (..., N), is the field at pass
+    node first + k. The first block starts at node 0; each later one repeats
+    the last two nodes of the block before, and the last ends at node J - 1.
+    The next block overwrites the buffer.
 
     sin(w(t - t')) = sin(wt)cos(wt') - cos(wt)sin(wt'), so the running
     Duhamel integral is cumulative Simpson of the cos- and sin-weighted
     source; the advanced one, over t' >= t, is the pass run backward from
     the future end of the window, negated. Each block builds its own rows
-    of the phase table and weighted source, and continues both running
-    integrals from the last two weighted rows and running values of the
-    block before, so every value takes the operations, in the order, of one
-    pass over the whole window.
+    of the phase table and weighted source, in an odd and an even lane of
+    nodes (`_simpson_lanes`), and continues both running integrals from the
+    last two weighted rows and running values of the block before, so every
+    value takes the operations, in the order, of one pass over the whole
+    window. The last step, the division by w, interleaves the lanes into
+    node order.
     """
     w = omega(f.basis.eigenvalues, mass)
     times, modes = f.times[::step], np.moveaxis(f.modes, -2, 0)[::step]  # time first
@@ -261,7 +267,7 @@ def _green_blocks(f: SpacetimeTestFunction, mass: float, step: int):
     shape = (2, 2, pairs + 1, *stack, w.size)
     weighted, running = np.empty(shape, modes.dtype), np.zeros(shape, modes.dtype)
     phases = np.zeros((2, 2, pairs + 1, *unit, w.size))
-    carried = np.empty_like(running[:, :, 0])
+    carried = np.empty((2, 2, 2, *stack, w.size), modes.dtype)  # the last weighted and running rows
     start = 0
     while True:
         rows = min(pairs, (nodes - 1 - start) // 2) + 1
@@ -279,37 +285,31 @@ def _green_blocks(f: SpacetimeTestFunction, mass: float, step: int):
             )
         _simpson_lanes(weighted[:, :, :rows], running[:, :, :rows], f.dt, carried=start > 0)
         if end < nodes - 1:
-            np.copyto(carried, running[:, :, rows - 1])
-            weighted[:, :, 0] = weighted[:, :, rows - 1]
-        # step * (sin_p * ccum - cos_p * scum) / w, in place; rounding is
-        # sign-symmetric, so for step -1 the difference taken the other way
-        # is the negated one (an exact zero may differ in sign)
-        field = running[:, :, :rows]
-        np.multiply(phases[:, ::-1, :rows], field, out=field)
-        first, second = field[:, 0], field[:, 1]
-        np.subtract(*((first, second) if step == 1 else (second, first)), out=first)
-        yield start, np.divide(first, w, out=first)
+            carried[0], carried[1] = weighted[:, :, rows - 1], running[:, :, rows - 1]
+        # step * (sin_p * ccum - cos_p * scum) / w, in place up to the
+        # division, which writes node order; rounding is sign-symmetric, so
+        # for step -1 the difference taken the other way is the negated one
+        # (an exact zero may differ in sign)
+        lanes = running[:, :, :rows]
+        np.multiply(phases[:, ::-1, :rows], lanes, out=lanes)
+        sin_part, cos_part = lanes[:, 0], lanes[:, 1]
+        np.subtract(*((sin_part, cos_part) if step == 1 else (cos_part, sin_part)), out=sin_part)
+        # the weighted rows are carried, so their buffer takes the field in node order
+        block = weighted.reshape(-1)[:sin_part.size].reshape(2 * rows, *stack, w.size)
+        np.divide(sin_part, w, out=np.moveaxis(block.reshape(rows, 2, *stack, w.size), 1, 0))
+        yield (0, block[1:]) if start == 0 else (start - 1, block)
         if end == nodes - 1:
             return
         start = end
-        running[:, :, 0] = carried
-
-
-def _lane_nodes(start: int, lanes: np.ndarray):
-    """(pass nodes, field rows) of each lane of a `_green_blocks` block."""
-    rows = lanes.shape[1]
-    held = 1 if start == 0 else 0
-    return ((slice(start - 1 + 2 * held, start + 2 * rows - 2, 2), lanes[0, held:]),
-            (slice(start, start + 2 * rows - 1, 2), lanes[1]))
+        weighted[:, :, 0], running[:, :, 0] = carried
 
 
 def _green_field(f: SpacetimeTestFunction, mass: float, step: int) -> np.ndarray:
     """The whole (..., J, N) retarded (step 1) or advanced (step -1) field."""
     field = np.empty_like(f.modes)
     run = np.moveaxis(field, -2, 0)[::step]
-    for start, lanes in _green_blocks(f, mass, step):
-        for nodes, rows in _lane_nodes(start, lanes):
-            run[nodes] = rows
+    for first, block in _green_blocks(f, mass, step):
+        run[first:first + len(block)] = block
     return field
 
 
@@ -379,28 +379,19 @@ def kg_residual(modes: np.ndarray, f: SpacetimeTestFunction, mass: float) -> flo
 
 def green_residuals(f: SpacetimeTestFunction, mass: float) -> tuple[float, float]:
     """`kg_residual` of the retarded and advanced fields of f, each reduced
-    block by block as its pass yields it. A block's interior nodes take
-    their neighbours from the other lane; its first odd and even node,
-    repeated from the block before, make the halo of the second difference."""
+    block by block as its pass yields it. The second difference takes a
+    block's interior nodes; the two nodes each block repeats from the one
+    before make its halo, so every interior node of the window is taken."""
     w2 = f.basis.eigenvalues + mass**2
     worst = []
     for step in (1, -1):
         src, peak = np.moveaxis(f.modes, -2, 0)[::step], None
-        for start, (odd, even) in _green_blocks(f, mass, step):
-            last = len(even) - 1
-            end = start + 2 * last  # the block's last node
-            skip = 1 if start == 0 else 0  # node 0 has no node before it
-            # interior nodes: the even ones start + 2 i between odd ones, the
-            # odd ones start - 1 + 2 i between even ones
-            for before, at, after, nodes in (
-                (odd[skip:last], even[skip:last], odd[skip + 1:], slice(start + 2 * skip, end, 2)),
-                (even[:last], odd[1:], even[1:], slice(start + 1, end, 2)),
-            ):
-                if not len(at):  # a first block of one pair has no interior even node
-                    continue
-                if step == -1:  # the pass runs backward in time
-                    before, after = after, before
-                norms = _residual_norms(before, at, after, src[nodes], w2, f.dt).max(axis=0)
-                peak = norms if peak is None else np.maximum(peak, norms)
+        for first, block in _green_blocks(f, mass, step):
+            before, after = block[:-2], block[2:]
+            if step == -1:  # the pass runs backward in time
+                before, after = after, before
+            interior = slice(first + 1, first + len(block) - 1)
+            norms = _residual_norms(before, block[1:-1], after, src[interior], w2, f.dt).max(axis=0)
+            peak = norms if peak is None else np.maximum(peak, norms)
         worst.append(peak)
     return worst[0], worst[1]

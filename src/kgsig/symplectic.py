@@ -16,14 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import (
-    CauchyDatum,
-    SpacetimeTestFunction,
-    _green_blocks,
-    _green_field,
-    _lane_nodes,
-    simpson_weights,
-)
+from .dynamics import CauchyDatum, SpacetimeTestFunction, _green_blocks, _green_field, simpson_weights
 
 
 def symplectic(a: CauchyDatum, b: CauchyDatum) -> complex | np.ndarray:
@@ -47,34 +40,25 @@ def gm_form(
     quadrature route with `causal_fundamental`; comparing against
     symplectic(causal_fundamental(f), causal_fundamental(g)) is a genuine
     two-sided consistency check. The retarded field is held whole; the
-    advanced one arrives in blocks of time rows, each reduced at once to the
-    per-node mode sums of conj(f) * (ret - adv), and the Simpson-weighted
-    sum over all nodes is taken last.
+    advanced one arrives in blocks of time rows in node order, each reduced
+    at once to the per-node mode sums of conj(f) * (ret - adv), and the
+    Simpson-weighted sum over all nodes is taken last. Time sits on axis -2
+    of every operand, so the stack axes of f and g broadcast as they stand.
     """
     fg, gg = f.basis.grid, g.basis.grid
     if fg.num_points != gg.num_points or fg.spacing != gg.spacing:
         raise ValueError("sources must share a grid")
     if not np.array_equal(f.times, g.times):
         raise ValueError("sources must share a time window")
-    # the retarded field, f and the per-node sums, time first in the advanced
-    # pass's order, with unit stack axes up to the common rank
-    rank = max(f.modes.ndim, g.modes.ndim)
-    lift_f, lift_g = (1,) * (rank - f.modes.ndim), (1,) * (rank - g.modes.ndim)
-    ret = np.moveaxis(_green_field(g, mass, 1).reshape(lift_g + g.modes.shape), -2, 0)[::-1]
-    f_run = np.moveaxis(f.modes.reshape(lift_f + f.modes.shape), -2, 0)[::-1]
+    # the retarded field, f and the per-node sums in the advanced pass's order
+    ret, f_run = _green_field(g, mass, 1)[..., ::-1, :], f.modes[..., ::-1, :]
     dtype = np.result_type(f.modes, g.modes)
     per_node = np.empty(np.broadcast_shapes(f.modes.shape, g.modes.shape)[:-1], dtype)
-    node_run = np.moveaxis(per_node, -1, 0)[::-1]
-    for start, lanes in _green_blocks(g, mass, -1):
-        for nodes, adv in _lane_nodes(start, lanes):
-            adv = adv.reshape(adv.shape[:1] + lift_g + adv.shape[1:])
-            causal = np.subtract(ret[nodes], adv, out=adv)
-            f_rows = f_run[nodes]
-            # conj(f) * causal in causal's buffer, unless the product is wider in
-            # shape (f's stack axes) or dtype (complex f, real g)
-            fits = (causal.shape == np.broadcast_shapes(f_rows.shape, causal.shape)
-                    and causal.dtype == dtype)
-            conj = np.conj(f_rows) if np.iscomplexobj(f_rows) else f_rows  # no copy of a real f
-            product = np.multiply(conj, causal, out=causal if fits else None)
-            np.sum(product, axis=-1, out=node_run[nodes])
+    node_run = per_node[..., ::-1]
+    for first, block in _green_blocks(g, mass, -1):
+        nodes, adv = slice(first, first + len(block)), np.moveaxis(block, 0, -2)
+        causal = np.subtract(ret[..., nodes, :], adv, out=adv)
+        f_rows = f_run[..., nodes, :]
+        conj = np.conj(f_rows) if np.iscomplexobj(f_rows) else f_rows  # no copy of a real f
+        np.sum(conj * causal, axis=-1, out=node_run[..., nodes])
     return np.sum(simpson_weights(f.times) * per_node, axis=-1)

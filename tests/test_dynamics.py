@@ -551,15 +551,13 @@ def test_buffered_layer_matches_the_reference_expressions(basis, nodes, real):
             )
 
 
-def test_cumulative_simpson_writes_into_out_and_returns_it(basis):
+def test_cumulative_simpson_of_a_reversed_view(basis):
     times = window_of(241)
     f = random_test_function(Draws(11), basis, times)
-    out = np.full_like(f.modes, np.nan)
-    assert cumulative_simpson_nodes(f.modes, f.dt, out=out) is out
-    np.testing.assert_array_equal(out, reference_cumulative_simpson(f.modes, f.dt))
-    backward = np.full_like(f.modes, np.nan)  # a reversed view, as the advanced pass uses
-    cumulative_simpson_nodes(f.modes[::-1], f.dt, out=backward[::-1])
-    np.testing.assert_array_equal(backward[::-1], reference_cumulative_simpson(f.modes[::-1], f.dt))
+    backward = f.modes[::-1]  # a reversed view, as the advanced pass reads its source
+    np.testing.assert_array_equal(
+        cumulative_simpson_nodes(backward, f.dt), reference_cumulative_simpson(backward, f.dt)
+    )
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -616,8 +614,8 @@ _BLOCK_CASES = {  # nodes in units of pairs per block, and the blocks they take
 def test_blocked_pass_matches_the_reference_expressions(
     basis, monkeypatch, block_values, case, stacked, real
 ):
-    # both passes, both residuals and gm_form, at windows that fit one block,
-    # spill one pair into a second, and take several, bit for bit
+    # both passes block by block, both residuals and gm_form, at windows that
+    # fit one block, spill one pair into a second, and take several, bit for bit
     if block_values is not None:
         monkeypatch.setattr(kgsig.dynamics, "_BLOCK_VALUES", block_values)
     count, shape = (4, (2, 2)) if stacked else (1, ())
@@ -630,9 +628,16 @@ def test_blocked_pass_matches_the_reference_expressions(
         SpacetimeTestFunction(times, m.reshape(*shape, nodes, basis.size), basis)
         for m in (same[:count], same[count:], other)
     )
-    for step in (1, -1):
-        assert sum(1 for _ in kgsig.dynamics._green_blocks(f, MASS, step)) == blocks
     reference = reference_duhamel_modes(f, MASS)
+    for step, ref in zip((1, -1), reference):
+        run, spans = np.moveaxis(ref, -2, 0)[::step], []  # the field at the pass nodes
+        for first, block in kgsig.dynamics._green_blocks(f, MASS, step):
+            assert block.dtype == ref.dtype
+            np.testing.assert_array_equal(block, run[first:first + len(block)])
+            spans.append((first, first + len(block)))
+        # from node 0 to J - 1, each later block repeating the last two nodes
+        assert len(spans) == blocks and spans[0][0] == 0 and spans[-1][1] == nodes
+        assert all(later[0] == earlier[1] - 2 for earlier, later in zip(spans, spans[1:]))
     for got, ref in zip(duhamel_modes(f, MASS), reference):
         assert got.dtype == ref.dtype
         np.testing.assert_array_equal(got, ref)
@@ -649,14 +654,17 @@ def test_blocked_pass_matches_the_reference_expressions(
 @pytest.mark.parametrize("nodes", [1001, 4001])
 def test_duhamel_pass_memory_does_not_grow_with_the_window(nodes):
     # green_residuals holds a few blocks of the pass, gm_form those and the
-    # retarded field of g: past the source, and gm_form's per-node sums, the
-    # peak is bounded by the block size, whatever the window's length
+    # retarded field of g, and a complex source's check one block of rows:
+    # past the source, and gm_form's per-node sums, the peak is bounded by
+    # the block size, whatever the window's length
     basis = dirichlet_basis(64, 10.0)
     fs = random_test_function(Draws(18), basis, window_of(nodes), size=2)
     f, g = fs[0], fs[1]
+    assert np.iscomplexobj(f.modes)
     bound = 200 * kgsig.dynamics._BLOCK_VALUES  # bytes: 1.6 MB at the module block size
     for run, extra in ((lambda: green_residuals(f, MASS), 0),
-                       (lambda: gm_form(f, g, MASS), g.modes.nbytes + 16 * nodes)):
+                       (lambda: gm_form(f, g, MASS), g.modes.nbytes + 16 * nodes),
+                       (lambda: SpacetimeTestFunction(f.times, f.modes, basis), 0)):
         run()
         tracemalloc.start()
         try:
