@@ -26,14 +26,18 @@ class ConfigError(ValueError):
 
 
 # time nodes x grid points of one spacetime array: 64 MiB of complex values.
-# `green` near the cap (n = 64, dt = 1.84e-4) peaks at 128 MiB RSS, the source
-# and its support check, with 1.5-2.0 s of process time, since its Duhamel
-# passes hold blocks of time rows (415 MiB and 2.7-3.0 s while they held whole
-# fields, 669 MiB before those were built in place; 2-core Xeon, numpy 2.4.6)
+# No command holds such an array whole: sources are kept as their terms' time
+# profiles and shapes, and the Duhamel passes hold blocks of time rows, so the
+# cap bounds time more than memory. Near it (n = 64), `green` at dt = 1.84e-4
+# peaks at 35 MiB RSS in 1.1 s, and `state` at dt = 9.2e-5 at 155 MiB in
+# 1.6-1.8 s, set by the positivity suite below (100 and 383 MiB while sources
+# were held as their time nodes x grid points modes; 2-core Xeon, numpy 2.4.6,
+# one BLAS thread)
 SPACETIME_SAMPLES_MAX = 1 << 22
 # trials x (time nodes x grid points + trials) complex values: the cap on the
-# state suite, which holds far less, as it builds no such source stack (3 trials
-# profiles and shapes, two time nodes x grid points phase tables, the Gram)
+# state suite, which holds far less: 3 trials time profiles and shapes, two
+# time nodes x grid points phase tables and the Gram (a 95 MiB tracemalloc peak
+# at 20 trials near the spacetime cap above, most of it the profiles' draw)
 SUITE_SAMPLES_MAX = 32 * SPACETIME_SAMPLES_MAX
 # rows of a written table: evolve's samples, one Python iteration each (65536
 # samples at n = 1 take 3.7-4.2 s on a 2-core Xeon), the modes of spectrum,

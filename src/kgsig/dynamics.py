@@ -9,25 +9,28 @@ it with no lattice transform. Per spectral mode the propagator is the exact
     U_n(t) = [[cos(w t), -i sin(w t)/w], [-i w sin(w t), cos(w t)]],
 
 with w = sqrt(lambda_n + m^2), so the homogeneous evolution has no time-stepping
-error. Spacetime sources live in mode space too: a `SpacetimeTestFunction`
-holds the (J, N) sine-mode coefficients of its values at J time nodes, real
-for a real source, so no function here makes a lattice transform. Data and
-sources may be stacks, (..., 2, N) and (..., J, N) on one window, indexed on
-the leading axes; every function here acts on the last two. The retarded and
-advanced fields S_ret f and S_adv f come from one kernel, `_green_blocks`: a
-cumulative Simpson quadrature of the cos- and sin-weighted source, run
-forward or backward in time and yielding the field in blocks of time rows
-in node order, each built from its own rows of the phase table and source;
-consecutive blocks share two nodes. A pass holds a few blocks of
+error. Spacetime sources live in mode space too, as sums of terms: a
+`SpacetimeTestFunction` holds each term's time profile at the J time nodes
+and its spatial shape as N sine-mode coefficients, (C, J) and (C, N), and no
+function here holds its (J, N) array of modes. Data and sources may be
+stacks, (..., 2, N) and (..., C, J) with (..., C, N), indexed on the leading
+axes; every function here acts per datum or source. The causal t = 0 data
+take each term's full-window moments, one (C, J) @ (J, N) product per source
+and phase table. The retarded and advanced fields S_ret f and S_adv f come
+from one kernel, `_green_blocks`: a cumulative Simpson quadrature of the
+cos- and sin-weighted source, run forward or backward in time and yielding
+the field in blocks of time rows in node order, each built from its own
+rows of the phase table and of the source (`_source_rows`, which forms a
+row the same way whatever block it falls in); consecutive blocks share two
+nodes. A pass holds a few blocks of
 `_BLOCK_VALUES` values whatever the window's length. Inside the kernel a
 block's nodes sit in an odd and an even lane, so every Simpson step reads
 contiguous rows, and the last step writes them back in node order.
 `green_residuals` reduces the blocks to Klein-Gordon residuals as they
 arrive; `duhamel_modes` gathers both fields whole. Their difference is the
-causal field G f; `causal_fundamental` gets its t = 0 data from moments.
-The blocked values take the operations, in the order, of the plain
-whole-window expressions, so results keep their values bit for bit (an
-exact zero may differ in sign).
+causal field G f. The blocked values take the operations, in the order, of
+the plain whole-window expressions on the source's rows, so results keep
+their values bit for bit (an exact zero may differ in sign).
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ from .lattice import SpectralBasis, omega
 
 
 # values in one block of time rows (rows x stack x modes): a Duhamel pass
-# holds four blocks of weighted source, and a complex source is checked a
-# block at a time, whatever the window's length
+# holds four blocks of weighted source, whatever the window's length
 _BLOCK_VALUES = 1 << 13
 
 
@@ -123,57 +125,80 @@ def simpson_weights(times: np.ndarray) -> np.ndarray:
     return w * (dt / 3.0)
 
 
-def _check_support(peak, ends) -> None:
-    """Reject a source whose peak |modes| is not finite, or whose largest
-    |modes| at the window's end nodes, `ends`, exceeds 1e-12 max(1, peak);
-    elementwise over arrays of sources."""
-    if not np.isfinite(peak).all():
-        raise ValueError("source modes must be finite")
-    if not (ends <= 1e-12 * np.maximum(1.0, peak)).all():
-        raise ValueError("window too small to contain the support of f")
-
-
 class SpacetimeTestFunction:
-    """Smooth source supported strictly inside its time window, as its (J, N)
-    sine-mode coefficients per time node, or a (..., J, N) stack of sources;
-    real coefficients stay float64.
+    """Smooth source supported strictly inside its time window, as a sum of
+    C terms profile_c(t) shape_c: the (C, J) real time profiles at the
+    window's nodes and the (C, N) sine-mode coefficients of the spatial
+    shapes, or (..., C, J) and (..., C, N) for a stack of sources; real
+    shapes stay float64, and a complex source has complex shapes.
 
-    The first and last time node must carry (numerically) vanishing modes;
-    each source is checked alone, a complex one in blocks of time rows, with
-    no temporary the size of the stack or of a source.
-    Indexing and scaling build a new source, so the checks run again.
+    Each term is checked alone, through its two factors: its peak |modes|
+    must be finite, and its largest |modes| at the first and last node at
+    most 1e-12 max(1, peak). Indexing (on the stack axes) and scaling build a
+    new source, so the checks run again.
     """
 
-    __slots__ = ("times", "modes", "basis")
+    __slots__ = ("times", "profiles", "shapes", "basis")
 
-    def __init__(self, times: np.ndarray, modes: np.ndarray, basis: SpectralBasis) -> None:
-        times = np.asarray(times, dtype=float)
-        modes = np.asarray(modes)
-        modes = modes.astype(np.result_type(modes, float), copy=False)  # (..., J, N)
-        if modes.shape[-2:] != (times.size, basis.size) or times.ndim != 1:
-            raise ValueError("modes must have shape (..., num_times, basis.size)")
+    def __init__(
+        self, times: np.ndarray, profiles: np.ndarray, shapes: np.ndarray, basis: SpectralBasis
+    ) -> None:
+        times, profiles = np.asarray(times, dtype=float), np.asarray(profiles)
+        if np.iscomplexobj(profiles):
+            raise ValueError("time profiles must be real")
+        profiles, shapes = profiles.astype(float, copy=False), np.asarray(shapes)
+        # contiguous, so that `_source_rows` may view complex shapes as floats
+        shapes = np.ascontiguousarray(shapes, dtype=np.result_type(shapes, float))
+        if (times.ndim != 1 or profiles.ndim < 2 or profiles.shape[-1] != times.size
+                or shapes.shape != profiles.shape[:-1] + (basis.size,)):
+            raise ValueError(
+                "profiles and shapes must have shapes (..., C, num_times) and (..., C, basis.size)"
+            )
         simpson_weights(times)  # validates uniform odd-length node set
-        rows = max(1, _BLOCK_VALUES // basis.size)
-        for source in modes.reshape((-1,) + modes.shape[-2:]):
-            if np.iscomplexobj(source):
-                blocks = (source[i:i + rows] for i in range(0, len(source), rows))
-                peak = max(np.abs(b).max() if np.isfinite(b).all() else np.inf for b in blocks)
-            else:  # NaN reaches both max and min, +inf max and -inf min
-                peak = max(source.max(), -source.min())
-            _check_support(peak, np.abs(source[[0, -1]]).max())
-        self.times, self.modes, self.basis = times, modes, basis
+        # per term: peak |modes|, then the largest |modes| at the end nodes
+        scale = np.abs(shapes).max(axis=-1)
+        with np.errstate(invalid="ignore", over="ignore"):  # 0 x inf, or an overflow: rejected
+            peak = np.abs(profiles).max(axis=-1) * scale
+        if not np.isfinite(peak).all():
+            raise ValueError("source modes must be finite")
+        ends = np.abs(profiles[..., [0, -1]]).max(axis=-1) * scale
+        if not (ends <= 1e-12 * np.maximum(1.0, peak)).all():
+            raise ValueError("window too small to contain the support of f")
+        self.times, self.profiles, self.shapes, self.basis = times, profiles, shapes, basis
 
     def __getitem__(self, index) -> "SpacetimeTestFunction":
-        return SpacetimeTestFunction(self.times, self.modes[index], self.basis)
+        key = (index if isinstance(index, tuple) else (index,)) + (slice(None),) * 2
+        return SpacetimeTestFunction(self.times, self.profiles[key], self.shapes[key], self.basis)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The stack's shape, () for one source."""
+        return self.profiles.shape[:-2]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the source's modes, that of its shapes."""
+        return self.shapes.dtype
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
     def __mul__(self, c: complex) -> "SpacetimeTestFunction":
-        return SpacetimeTestFunction(self.times, self.modes * c, self.basis)
+        return SpacetimeTestFunction(self.times, self.profiles, self.shapes * c, self.basis)
 
     __rmul__ = __mul__
+
+
+def _source_rows(profiles: np.ndarray, shapes: np.ndarray, nodes) -> np.ndarray:
+    """The (..., rows, N) modes of the sources with these factors at the time
+    nodes `nodes` of `profiles` (a slice): profile_c shape_c summed over the
+    terms. einsum's loop runs over the terms for each row alike, so a row's
+    values do not depend on which other rows are formed. A complex shape is
+    taken as its real and imaginary parts side by side, so every product is
+    real by real."""
+    parts = shapes.view(float)  # (..., C, N or 2N)
+    return np.einsum("...cj,...cn->...jn", profiles[..., nodes], parts).view(shapes.dtype)
 
 
 def cumulative_simpson_nodes(y: np.ndarray, dt: float) -> np.ndarray:
@@ -249,25 +274,25 @@ def _green_blocks(f: SpacetimeTestFunction, mass: float, step: int):
     Duhamel integral is cumulative Simpson of the cos- and sin-weighted
     source; the advanced one, over t' >= t, is the pass run backward from
     the future end of the window, negated. Each block builds its own rows
-    of the phase table and weighted source, in an odd and an even lane of
-    nodes (`_simpson_lanes`), and continues both running integrals from the
-    last two weighted rows and running values of the block before, so every
-    value takes the operations, in the order, of one pass over the whole
-    window. The last step, the division by w, interleaves the lanes into
+    of the phase table, source (`_source_rows`) and weighted source, in an
+    odd and an even lane of nodes (`_simpson_lanes`), and continues both
+    running integrals from the last two weighted rows and running values of
+    the block before, so every value takes the operations, in the order, of
+    one pass over the whole window. The last step, the division by w, interleaves the lanes into
     node order.
     """
     w = omega(f.basis.eigenvalues, mass)
-    times, modes = f.times[::step], np.moveaxis(f.modes, -2, 0)[::step]  # time first
-    nodes, stack = len(times), modes.shape[1:-1]
+    times, profiles = f.times[::step], f.profiles[..., ::step]  # in pass order
+    nodes, stack = len(times), f.shape
     unit = (1,) * len(stack)
     pairs = max(1, _BLOCK_VALUES // max(1, 2 * w.size * math.prod(stack)))
     pairs = min(pairs, (nodes - 1) // 2)
     # lanes of odd and even nodes x cos and sin parts x rows; zeros keep the
     # first block's missing node -1 finite
     shape = (2, 2, pairs + 1, *stack, w.size)
-    weighted, running = np.empty(shape, modes.dtype), np.zeros(shape, modes.dtype)
+    weighted, running = np.empty(shape, f.dtype), np.zeros(shape, f.dtype)
     phases = np.zeros((2, 2, pairs + 1, *unit, w.size))
-    carried = np.empty((2, 2, 2, *stack, w.size), modes.dtype)  # the last weighted and running rows
+    carried = np.empty((2, 2, 2, *stack, w.size), f.dtype)  # the last weighted and running rows
     start = 0
     while True:
         rows = min(pairs, (nodes - 1 - start) // 2) + 1
@@ -279,10 +304,9 @@ def _green_blocks(f: SpacetimeTestFunction, mass: float, step: int):
             np.multiply(w, at.reshape(-1, *unit, 1), out=phase)
             np.cos(phase, out=phases[q, 0, held:rows])
             np.sin(phase, out=phase)
-            np.multiply(
-                phases[q, :, new:rows], modes[start - 1 + q + 2 * new:end + 1:2],
-                out=weighted[q, :, new:rows],
-            )
+            src = _source_rows(profiles, f.shapes, slice(start - 1 + q + 2 * new, end + 1, 2))
+            src = np.moveaxis(src, -2, 0)  # time first
+            np.multiply(phases[q, :, new:rows], src, out=weighted[q, :, new:rows])
         _simpson_lanes(weighted[:, :, :rows], running[:, :, :rows], f.dt, carried=start > 0)
         if end < nodes - 1:
             carried[0], carried[1] = weighted[:, :, rows - 1], running[:, :, rows - 1]
@@ -306,7 +330,7 @@ def _green_blocks(f: SpacetimeTestFunction, mass: float, step: int):
 
 def _green_field(f: SpacetimeTestFunction, mass: float, step: int) -> np.ndarray:
     """The whole (..., J, N) retarded (step 1) or advanced (step -1) field."""
-    field = np.empty_like(f.modes)
+    field = np.empty((*f.shape, f.times.size, f.basis.size), f.dtype)
     run = np.moveaxis(field, -2, 0)[::step]
     for first, block in _green_blocks(f, mass, step):
         run[first:first + len(block)] = block
@@ -319,33 +343,32 @@ def duhamel_modes(f: SpacetimeTestFunction, mass: float) -> tuple[np.ndarray, np
     return _green_field(f, mass, 1), _green_field(f, mass, -1)
 
 
-def _causal_data(basis: SpectralBasis, times: np.ndarray, mass: float, moments) -> CauchyDatum:
-    """Cauchy data at t = 0 of G f from f's full-window moments: `moments`
-    contracts f with a Simpson-weighted (J, N) phase table, first the sin
-    table, then the cos table built in the phase buffer, into (..., N)."""
-    w = omega(basis.eigenvalues, mass)
-    phase = w[None, :] * times[:, None]
-    quad = simpson_weights(times)[:, None]
-    sin_table = np.sin(phase)
-    sin_int = moments(np.multiply(quad, sin_table, out=sin_table))
-    cos_table = np.cos(phase, out=phase)
-    cos_int = moments(np.multiply(quad, cos_table, out=cos_table))
-    return CauchyDatum(np.stack([-sin_int / w, 1j * cos_int], axis=-2), basis)
-
-
 def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
     """Cauchy data at t = 0 of (retarded - advanced) applied to f.
 
     The difference is a homogeneous solution, so it is fixed by its t = 0
     data; those data have the closed mode-wise form
         phi_n(0) = -S_n / w_n,   pi_n(0) = i C_n,
-    with C_n, S_n the full-window cos/sin moments of f. This route shares no
-    quadrature with the cumulative Duhamel fields. One Simpson-weighted phase
-    table serves the whole stack, contracted with no stack-sized temporary.
+    with C_n, S_n the full-window cos/sin moments of f. Per term these are
+    its shape times the moments of its time profile, so each Simpson-weighted
+    (J, N) phase table, the sin table and then the cos table in the phase
+    buffer, takes one (C, J) @ (J, N) product per source: numpy's stacked
+    product runs one such product per source, so a source's data do not
+    depend on the stack it is solved in. This route shares no cumulative
+    quadrature with the Duhamel fields.
     """
-    return _causal_data(
-        f.basis, f.times, mass, lambda table: np.einsum("jn,...jn->...n", table, f.modes)
-    )
+    w = omega(f.basis.eigenvalues, mass)
+    phase = w[None, :] * f.times[:, None]
+    quad = simpson_weights(f.times)[:, None]
+
+    def moments(table: np.ndarray) -> np.ndarray:
+        return ((f.profiles @ table) * f.shapes).sum(axis=-2)
+
+    sin_table = np.sin(phase)
+    sin_int = moments(np.multiply(quad, sin_table, out=sin_table))
+    cos_table = np.cos(phase, out=phase)
+    cos_int = moments(np.multiply(quad, cos_table, out=cos_table))
+    return CauchyDatum(np.stack([-sin_int / w, 1j * cos_int], axis=-2), f.basis)
 
 
 def _residual_norms(before, at, after, src, w2, dt) -> np.ndarray:
@@ -372,9 +395,10 @@ def kg_residual(modes: np.ndarray, f: SpacetimeTestFunction, mass: float) -> flo
     D_t^2 is the central second difference; the Laplacian acts spectrally
     (lambda_n per mode), which is exact for the lattice operator.
     """
-    c, src = np.moveaxis(modes, -2, 0), np.moveaxis(f.modes, -2, 0)  # time first
+    src = _source_rows(f.profiles, f.shapes, slice(1, -1))
+    c, src = np.moveaxis(modes, -2, 0), np.moveaxis(src, -2, 0)  # time first
     w2 = f.basis.eigenvalues + mass**2
-    return _residual_norms(c[:-2], c[1:-1], c[2:], src[1:-1], w2, f.dt).max(axis=0)
+    return _residual_norms(c[:-2], c[1:-1], c[2:], src, w2, f.dt).max(axis=0)
 
 
 def green_residuals(f: SpacetimeTestFunction, mass: float) -> tuple[float, float]:
@@ -385,13 +409,14 @@ def green_residuals(f: SpacetimeTestFunction, mass: float) -> tuple[float, float
     w2 = f.basis.eigenvalues + mass**2
     worst = []
     for step in (1, -1):
-        src, peak = np.moveaxis(f.modes, -2, 0)[::step], None
+        profiles, peak = f.profiles[..., ::step], None  # in pass order
         for first, block in _green_blocks(f, mass, step):
             before, after = block[:-2], block[2:]
             if step == -1:  # the pass runs backward in time
                 before, after = after, before
-            interior = slice(first + 1, first + len(block) - 1)
-            norms = _residual_norms(before, block[1:-1], after, src[interior], w2, f.dt).max(axis=0)
+            src = _source_rows(profiles, f.shapes, slice(first + 1, first + len(block) - 1))
+            src = np.moveaxis(src, -2, 0)  # time first
+            norms = _residual_norms(before, block[1:-1], after, src, w2, f.dt).max(axis=0)
             peak = norms if peak is None else np.maximum(peak, norms)
         worst.append(peak)
     return worst[0], worst[1]

@@ -5,10 +5,10 @@ space. Spatial smoothness matters quantitatively: the Duhamel quadrature error
 per mode scales like (omega_n * dt)^4, so sources need decaying high-mode
 content for the stated dual-route tolerances to be meaningful. One call draws
 a source or a stack of them and analyzes all their spatial profiles at once,
-a real stack by a real transform, so real sources stay float64; or it draws
-the same sources and returns only their causal t = 0 data, computed from the
-terms' time profiles and spatial shapes without building the sources. Random
-Cauchy data are drawn directly as mode coefficients, with no transform.
+a real stack by a real transform, so real sources stay float64. A source is
+returned as its terms' factors, time profiles and analyzed spatial shapes,
+and never as its (J, N) modes. Random Cauchy data are drawn directly as mode
+coefficients, with no transform.
 
 The draws are probes, so the exact random stream does not matter; what
 matters is that a seed reproduces them. `Draws` takes them from the stdlib
@@ -28,7 +28,7 @@ import random
 
 import numpy as np
 
-from .dynamics import CauchyDatum, SpacetimeTestFunction, _causal_data, _check_support
+from .dynamics import CauchyDatum, SpacetimeTestFunction
 from .lattice import SpectralBasis
 
 COMPONENTS = 3  # terms of a random source
@@ -127,49 +127,22 @@ def random_test_function(
     size: int | None = None,
 ) -> SpacetimeTestFunction:
     """Random smooth source supported strictly inside the time window, or the
-    (size, J, N) stack of the sources that `size` single calls would draw.
+    (size,) stack of the sources that `size` single calls would draw.
     The stack equals those draws exactly on the FFT path of the sine transform
-    and on small grids; for real sources on the table path it matches only up
-    to rounding (seed 7, six sources: 9.4e-17 of the largest entry at n = 300,
-    8.1e-16 at n = 500), because the table product is not batch-invariant.
+    and on small grids; for real sources on the table path its shapes match
+    only up to rounding (seed 7, six sources: 9.4e-17 of the largest entry at
+    n = 300, 8.1e-16 at n = 500), because the table product is not
+    batch-invariant.
 
     Each is a sum of COMPONENTS (time bump x carrier) x (Gaussian space
     profile) terms with random centers, widths, amplitudes and carrier
-    frequencies, in mode space.
+    frequencies, held as its terms' time profiles and analyzed shapes; no
+    (J, N) array of modes is built.
     """
     count = 1 if size is None else size
     profiles, shapes = _source_factors(rng, basis, times, real, count)
-    # per source (J, C) @ (C, N), against one analysis of every term's shape;
-    # a C-contiguous (count, J, C) stack takes numpy's fast batched product
-    profiles = np.ascontiguousarray(profiles.reshape(count, COMPONENTS, times.size).swapaxes(-2, -1))
-    modes = profiles @ shapes.reshape(count, COMPONENTS, basis.size)
-    return SpacetimeTestFunction(times, modes[0] if size is None else modes, basis)
-
-
-def random_causal_data(
-    rng: Draws,
-    basis: SpectralBasis,
-    times: np.ndarray,
-    mass: float,
-    real: bool = False,
-    size: int | None = None,
-) -> CauchyDatum:
-    """`causal_fundamental(random_test_function(rng, basis, times, real,
-    size), mass)` up to rounding, from the same draws, with no (size, J, N)
-    source stack: a source's moments against a phase table are, per term,
-    its shape times the moment of its time profile, so each table takes one
-    (C size, J) @ (J, N) product. Each term, a rank-one source, passes the
-    checks of `SpacetimeTestFunction` on its two factors.
-    """
-    count = 1 if size is None else size
-    profiles, shapes = _source_factors(rng, basis, times, real, count)
-    scale = np.abs(shapes).max(axis=1)
-    peak = np.maximum(profiles.max(axis=1), -profiles.min(axis=1)) * scale
-    _check_support(peak, np.abs(profiles[:, [0, -1]]).max(axis=1) * scale)
-
-    def moments(table: np.ndarray) -> np.ndarray:
-        terms = (profiles @ table) * shapes
-        return terms.reshape(count, COMPONENTS, basis.size).sum(axis=1)
-
-    solved = _causal_data(basis, times, mass, moments)
-    return solved[0] if size is None else solved
+    profiles = profiles.reshape(count, COMPONENTS, times.size)
+    shapes = shapes.reshape(count, COMPONENTS, basis.size)
+    if size is None:
+        profiles, shapes = profiles[0], shapes[0]
+    return SpacetimeTestFunction(times, profiles, shapes, basis)

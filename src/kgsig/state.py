@@ -6,11 +6,10 @@ positive semi-definite Gram form on test functions; the imaginary part is
 half the symplectic pairing of the causal solutions, which encodes the
 canonical commutation relations. Higher correlation functions follow from
 the quasi-free (Wick) combinatorics: a sum over perfect matchings. Test
-functions come as a (K, J, N) stack; `two_point_matrix` makes one causal
-solve G f of it, one chi_hol projection and one broadcast `symplectic` per row.
-The positivity suite builds no such stack: `random_causal_data` solves its
-random sources from their factors, time profiles and spatial shapes, and
-`pair_matrix` pairs the solved data.
+functions come as a (K,) stack of sources, each held as its terms' time
+profiles and spatial shapes; `two_point_matrix` makes one causal solve G f of
+it, one chi_hol projection and one broadcast `symplectic` per row, and
+`pair_matrix` pairs causal data solved before.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .dynamics import (
     time_window,
 )
 from .lattice import SpectralBasis
-from .random_fields import Draws, random_causal_data
+from .random_fields import Draws, random_test_function
 from .signature import complex_structure, projectors, signature_analytic
 from .symplectic import symplectic
 
@@ -55,7 +54,7 @@ def _solve(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> CauchyDatum:
 
 
 def two_point_matrix(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> np.ndarray:
-    """(K, K) matrix of omega2(f_i, f_j) of a (K, J, N) stack; both triangles
+    """(K, K) matrix of omega2(f_i, f_j) of a (K,) stack; both triangles
     are evaluated, so it is Hermitian only up to rounding."""
     return pair_matrix(state, _solve(state, fs))
 
@@ -103,11 +102,11 @@ def pair_matchings(count: int) -> list[list[tuple[int, int]]]:
 
 
 def wick_terms(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> list[complex]:
-    """Product of two-point factors of a (K, J, N) stack, K even, for each
+    """Product of two-point factors of a (K,) stack, K even, for each
     matching in `pair_matchings` order; Python complex products overflow to
     inf without a warning. K > 8 (105 matchings) is rejected before any
     two-point factor is computed."""
-    if math.prod(fs.modes.shape[:-2]) > 8:
+    if math.prod(fs.shape) > 8:
         raise ValueError("more than 8 arguments; pairing count grows as (2n-1)!!")
     pairs = two_point_matrix(state, fs).tolist()
     return [
@@ -117,12 +116,12 @@ def wick_terms(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> list[comp
 
 
 def wick_n_point(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> complex:
-    """Quasi-free n-point function of a (K, J, N) stack: the sum over pairings
+    """Quasi-free n-point function of a (K,) stack: the sum over pairings
     of two-point factors, exactly 0 for odd K and 1 for K = 0; `wick_terms`
     rejects an even K > 8."""
-    if fs.modes.ndim != 3:
-        raise ValueError(f"need a stack of K test functions, got {fs.modes.shape}")
-    count = len(fs.modes)
+    if len(fs.shape) != 1:
+        raise ValueError(f"need a stack of K test functions, got stack shape {fs.shape}")
+    count = fs.shape[0]
     if count % 2:
         return 0j
     if not count:
@@ -146,7 +145,7 @@ def state_positivity_suite(
     dt: float = 0.05,
 ) -> PositivityReport:
     """Gram matrix of omega2 over random real test functions, solved from
-    their factors (no (trials, J, N) source stack).
+    their factors like every source (no (trials, J, N) array).
 
     Positive semi-definiteness of the Gram is the one-particle content of
     state positivity: for a = sum c_i f_i the expectation of a* a is
@@ -154,8 +153,8 @@ def state_positivity_suite(
     """
     rng = Draws(seed)
     times = time_window(-t_span / 2, t_span / 2, dt)
-    solved = random_causal_data(rng, state.basis, times, state.mass, real=True, size=trials)
-    gram = pair_matrix(state, solved)
+    fs = random_test_function(rng, state.basis, times, real=True, size=trials)
+    gram = two_point_matrix(state, fs)
     defect = float(np.abs(gram - gram.conj().T).max())
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     return PositivityReport(

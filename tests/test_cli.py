@@ -741,30 +741,23 @@ def test_rule_size_cap_exits_3_before_building_an_over_cap_rule(tmp_path, capsys
 
 
 def test_state_solves_each_identity_function_once(tmp_path, monkeypatch):
-    # one causal solve per stack: the suite's 5 sources from their factors,
-    # then the identity pairs' 6 as a source stack, whose solve the
-    # imaginary-part identity reuses
+    # one causal solve per stack, each from its sources' factors: the suite's
+    # 5 sources, then the identity pairs' 6, whose solve the imaginary-part
+    # identity reuses
     import kgsig.dynamics
-    import kgsig.state
 
     calls = []
-    dense, factored = kgsig.dynamics.causal_fundamental, kgsig.state.random_causal_data
+    solve = kgsig.dynamics.causal_fundamental
 
     def counted(f, mass):
-        calls.append(("stack", f.modes.shape[0]))
-        return dense(f, mass)
-
-    def drawn(*args, **kwargs):
-        solved = factored(*args, **kwargs)
-        calls.append(("factors", solved.modes.shape[0]))
-        return solved
+        calls.append(f.shape)
+        return solve(f, mass)
 
     for name in ("cli", "state", "symplectic"):
         monkeypatch.setattr(f"kgsig.{name}.causal_fundamental", counted, raising=False)
-    monkeypatch.setattr(kgsig.state, "random_causal_data", drawn)
     code, _ = run(tmp_path, ["state"], SMALL + "trials = 5\n")
     assert code == 0
-    assert calls == [("factors", 5), ("stack", 6)]
+    assert calls == [(5,), (6,)]
 
 
 @pytest.mark.parametrize("command, sources", [("green", 2), ("state", 5 + 6), ("wick", 4)])
@@ -772,8 +765,7 @@ def test_each_source_is_analyzed_once_and_nothing_synthesized(
     tmp_path, monkeypatch, transforms, command, sources
 ):
     # each draw analyzes the (3 S, N) stack of its S sources' spatial shapes
-    # once, whether it builds the sources or, in state's suite, only their
-    # causal data; the Duhamel, causal and two-point layers read its modes
+    # once; the Duhamel, causal and two-point layers read the analyzed shapes
     import kgsig.random_fields
 
     per_draw = []

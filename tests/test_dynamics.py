@@ -20,13 +20,7 @@ from kgsig.dynamics import (
     time_window,
 )
 from kgsig.lattice import SINE_FFT_MIN_POINTS, dirichlet_basis, laplacian, omega
-from kgsig.random_fields import (
-    Draws,
-    bump,
-    random_causal_data,
-    random_datum,
-    random_test_function,
-)
+from kgsig.random_fields import Draws, bump, random_datum, random_test_function
 from kgsig.signature import apply_signature, scalar_product, signature_analytic
 from kgsig.state import build_state, pair_matrix
 from kgsig.symplectic import gm_form, symplectic
@@ -41,8 +35,20 @@ def basis():
 
 def single_mode_source(basis, times, mode, center=-1.0, half_width=2.0):
     profile = bump((times - center) / half_width)
-    modes = profile[:, None] * np.eye(basis.size)[mode][None, :]
-    return SpacetimeTestFunction(times=times, modes=modes, basis=basis)
+    return SpacetimeTestFunction(times, profile[None], np.eye(basis.size)[mode][None], basis)
+
+
+def modes_of(f):
+    # the (..., J, N) modes of a source, from the rows its Duhamel passes form
+    return kgsig.dynamics._source_rows(f.profiles, f.shapes, slice(None))
+
+
+def as_stack(f, *shape):
+    # the sources of a (K,) stack as a stack of the given shape
+    return SpacetimeTestFunction(
+        f.times, f.profiles.reshape(*shape, *f.profiles.shape[-2:]),
+        f.shapes.reshape(*shape, *f.shapes.shape[-2:]), f.basis,
+    )
 
 
 def test_positive_frequency_mode_rotates(basis):
@@ -99,12 +105,23 @@ def test_datum_shape_and_basis_checks(basis):
     twin = CauchyDatum(datum.modes, dirichlet_basis(16, 10.0))
     with pytest.raises(ValueError, match="different bases"):
         datum + twin
-    # a source's last two axes must be (time nodes, N), on 1-D times
+    # a source's factors must be (..., C, time nodes) and (..., C, N) with the
+    # same leading axes, on 1-D times
     times = time_window(-1.0, 1.0, 0.5)
-    for t, shape in ((times, (times.size, basis.size + 1)), (times, (times.size + 2, basis.size)),
-                     (times[None], (times.size, basis.size))):
+    nodes, n = times.size, basis.size
+    for t, profiles, shapes in ((times, (1, nodes), (1, n + 1)), (times, (1, nodes + 2), (1, n)),
+                                (times[None], (1, nodes), (1, n)), (times, (2, nodes), (3, n)),
+                                (times, (2, 1, nodes), (1, 2, n)), (times, (nodes,), (n,))):
         with pytest.raises(ValueError, match="shape"):
-            SpacetimeTestFunction(t, np.zeros(shape), basis)
+            SpacetimeTestFunction(t, np.zeros(profiles), np.zeros(shapes), basis)
+    # indexing reaches the stack axes only, never a source's terms; a complex
+    # source has complex shapes, never complex time profiles
+    f = single_mode_source(basis, time_window(-5.0, 5.0, 0.5), 2)
+    with pytest.raises(IndexError):
+        f[0]
+    with pytest.raises(ValueError, match="time profiles must be real"):
+        SpacetimeTestFunction(f.times, f.profiles + 0j, f.shapes, basis)
+    assert as_stack(f[None], 1, 1)[0, ...].shape == (1,)
 
 
 def test_batched_data_act_entry_by_entry(basis):
@@ -198,30 +215,38 @@ def test_cumulative_simpson_exact_on_quadratics():
 
 
 def test_source_validation_rejects_touching_window_edge(basis):
+    # one term of three reaches the last node
     times = time_window(-2.0, 2.0, 0.1)
-    modes = np.ones((times.size, basis.size), dtype=complex)
+    profiles = np.stack([bump(times), bump(times / 4.0), bump(times)])
+    shapes = np.ones((3, basis.size), dtype=complex)
+    SpacetimeTestFunction(times, profiles[[0, 0, 2]], shapes, basis)
     with pytest.raises(ValueError, match="window too small"):
-        SpacetimeTestFunction(times=times, modes=modes, basis=basis)
+        SpacetimeTestFunction(times, profiles, shapes, basis)
 
 
 @pytest.mark.parametrize(
     "node, value", [(0, np.nan), (20, np.inf), (20, -np.inf)], ids=["nan-edge", "inf", "minus-inf"]
 )
-def test_source_validation_rejects_non_finite_modes(basis, node, value):
+@pytest.mark.parametrize("factor", ["profiles", "shapes"])
+def test_source_validation_rejects_non_finite_modes(basis, node, value, factor):
     # a NaN at the edge fails no > comparison; an inf elsewhere made the scale
-    # inf. Real sources are checked through their max and min, complex ones
-    # entry by entry; in a (3, J, N) stack only the last source is bad.
+    # inf. Each term is checked through its two factors, real or complex;
+    # in a (3,) stack only the last source is bad.
     times = time_window(-3.0, 3.0, 0.1)
-    good = single_mode_source(basis, times, 2).modes
+    good = single_mode_source(basis, times, 2)
     for dtype in (float, complex):
-        for stacked in (False, True):
-            modes = np.stack([good] * 3) if stacked else good.copy()
-            modes = modes.astype(dtype)
-            modes[..., node, 5] = value
-            if stacked:
-                modes[:-1] = good
+        for stack in (False, True):
+            profiles, shapes = (
+                np.stack([a] * 3) if stack else a.copy() for a in (good.profiles, good.shapes)
+            )
+            shapes = shapes.astype(dtype)
+            bad = (-1,) if stack else ()
+            if factor == "profiles":
+                profiles[bad + (0, node)] = value
+            else:
+                shapes[bad + (0, 5)] = value
             with pytest.raises(ValueError, match="must be finite"):
-                SpacetimeTestFunction(times=times, modes=modes, basis=basis)
+                SpacetimeTestFunction(times, profiles, shapes, basis)
 
 
 def test_retarded_green_matches_adaptive_quadrature(basis):
@@ -280,7 +305,7 @@ def test_advanced_is_time_reflected_retarded(basis):
     times = time_window(-4.0, 4.0, 0.05)
     rng = np.random.default_rng(5)
     f = random_test_function(rng, basis, times)
-    reflected = SpacetimeTestFunction(times=times, modes=f.modes[::-1], basis=basis)
+    reflected = SpacetimeTestFunction(times, f.profiles[:, ::-1], f.shapes, basis)
     adv = basis.synthesize(duhamel_modes(f, MASS)[1])
     ret = basis.synthesize(duhamel_modes(reflected, MASS)[0])[::-1]
     assert np.abs(adv - ret).max() == pytest.approx(0.0, abs=1e-12)
@@ -344,19 +369,20 @@ def test_random_sources_match_the_accumulated_reference(basis, monkeypatch, real
     times = time_window(-3.0, 3.0, 0.05)
     got = random_test_function(np.random.default_rng(4), basis, times, real=real)
     ref = reference_test_function(np.random.default_rng(4), basis, times, components, real)
-    assert got.modes.dtype == ref.dtype
+    assert got.dtype == ref.dtype and got.profiles.shape == (components, times.size)
     # three products summed in another order: a few ulp of the largest value
-    assert np.abs(got.modes - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert np.abs(modes_of(got) - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_real_sources_stay_real(basis):
     times = time_window(-3.0, 3.0, 0.05)
     rng = np.random.default_rng(8)
     f = random_test_function(rng, basis, times, real=True)
-    assert f.modes.dtype == np.float64
-    assert random_test_function(rng, basis, times).modes.dtype == np.complex128
-    assert (f * 1j).modes.dtype == np.complex128
-    as_complex = SpacetimeTestFunction(times=times, modes=f.modes.astype(complex), basis=basis)
+    assert f.dtype == f.profiles.dtype == f.shapes.dtype == np.float64
+    assert random_test_function(rng, basis, times).dtype == np.complex128
+    assert (f * 1j).dtype == np.complex128
+    assert modes_of(f).dtype == np.float64
+    as_complex = SpacetimeTestFunction(times, f.profiles, f.shapes.astype(complex), basis)
     got, ref = causal_fundamental(f, MASS), causal_fundamental(as_complex, MASS)
     for a, b in zip(basis.synthesize(got.modes), basis.synthesize(ref.modes)):
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
@@ -396,34 +422,48 @@ def test_a_stack_draw_leaves_the_stream_where_single_draws_do(basis, real):
 def test_a_stack_draw_holds_the_single_draws(n, real):
     # one analysis of the (12, N) shapes against four of (3, N): the FFT path
     # and the table up to a few hundred points do not depend on the batch,
-    # the table product at n = 300 may round differently
+    # the table product at n = 300 may round differently; the time profiles
+    # are elementwise, so they match exactly
     basis = dirichlet_basis(n, 10.0)
     times = time_window(-3.0, 3.0, 0.05)
     stack = random_test_function(Draws(5), basis, times, real=real, size=4)
     rng = Draws(5)
-    single = np.stack([random_test_function(rng, basis, times, real=real).modes for _ in range(4)])
-    assert stack.modes.dtype == single.dtype
+    singles = [random_test_function(rng, basis, times, real=real) for _ in range(4)]
+    profiles = np.stack([f.profiles for f in singles])
+    shapes = np.stack([f.shapes for f in singles])
+    assert stack.dtype == shapes.dtype and stack.shape == (4,)
+    np.testing.assert_array_equal(stack.profiles, profiles)
     if n == 300:
-        assert np.abs(stack.modes - single).max() <= 1e-15 * np.abs(single).max()
+        assert np.abs(stack.shapes - shapes).max() <= 1e-15 * np.abs(shapes).max()
     else:
-        np.testing.assert_array_equal(stack.modes, single)
+        np.testing.assert_array_equal(stack.shapes, shapes)
+
+
+def reference_causal_fundamental(f, mass):
+    # the moments of the (..., J, N) modes against each Simpson-weighted
+    # phase table, the contraction causal_fundamental made before it took
+    # them per term from the factors
+    w = omega(f.basis.eigenvalues, mass)
+    phase, quad = w[None, :] * f.times[:, None], simpson_weights(f.times)[:, None]
+    sin_int, cos_int = (
+        np.einsum("jn,...jn->...n", quad * table(phase), modes_of(f)) for table in (np.sin, np.cos)
+    )
+    return np.stack([-sin_int / w, 1j * cos_int], axis=-2)
 
 
 @pytest.mark.parametrize("size", [None, 5])
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("n", [64, 768])
-def test_causal_data_from_source_factors_match_the_source_route(n, real, size):
-    # the same draws, solved from the (3 K, J) profiles and (3 K, N) shapes
-    # instead of the (K, J, N) stack; n = 64 runs the sine table, 768 the FFT
+def test_causal_data_from_source_factors_match_the_dense_route(n, real, size):
+    # the moments per term, (3, J) @ (J, N) per source, against those of the
+    # (K, J, N) modes; n = 64 runs the sine table, 768 the FFT
     assert (n >= SINE_FFT_MIN_POINTS) == (n == 768)
     basis = dirichlet_basis(n, 10.0)
     times = time_window(-3.0, 3.0, 0.05)
-    dense, factored = Draws(11), Draws(11)
-    ref = causal_fundamental(random_test_function(dense, basis, times, real=real, size=size), MASS)
-    got = random_causal_data(factored, basis, times, MASS, real=real, size=size)
-    assert got.modes.shape == ref.modes.shape and got.basis is basis
-    assert np.abs(got.modes - ref.modes).max() <= 1e-14 * np.abs(ref.modes).max()
-    assert factored.normal(4).tolist() == dense.normal(4).tolist()  # same stream position
+    f = random_test_function(Draws(11), basis, times, real=real, size=size)
+    got, ref = causal_fundamental(f, MASS), reference_causal_fundamental(f, MASS)
+    assert got.modes.shape == ref.shape and got.basis is basis
+    assert np.abs(got.modes - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("size", [None, 3])
@@ -433,12 +473,9 @@ def test_causal_data_from_source_factors_match_the_source_route(n, real, size):
     [(np.nan, "must be finite"), (np.inf, "must be finite"), (1.0, "window too small")],
     ids=["nan", "inf", "edge"],
 )
-def test_causal_data_from_factors_reject_what_the_source_rejects(
-    basis, monkeypatch, value, message, real, size
-):
+def test_random_sources_reject_a_bad_term(basis, monkeypatch, value, message, real, size):
     # the last term of the last source gets a profile value at the window's
-    # last node that is not finite or does not vanish: both routes raise the
-    # same error
+    # last node that is not finite or does not vanish
     def bad_bump(s):
         out = bump(s)
         out[-1, -1] = value
@@ -446,11 +483,17 @@ def test_causal_data_from_factors_reject_what_the_source_rejects(
 
     monkeypatch.setattr(random_fields, "bump", bad_bump)
     times = time_window(-3.0, 3.0, 0.1)
-    # the stack's product of an inf profile with complex shapes warns first
-    with pytest.raises(ValueError, match=message), np.errstate(invalid="ignore"):
-        random_test_function(Draws(2), basis, times, real=real, size=size)
     with pytest.raises(ValueError, match=message):
-        random_causal_data(Draws(2), basis, times, MASS, real=real, size=size)
+        random_test_function(Draws(2), basis, times, real=real, size=size)
+
+
+def test_a_term_that_vanishes_against_an_infinite_shape_is_not_finite(basis):
+    # 0 x inf: the term's modes are NaN, rejected with no warning on the way
+    times = time_window(-3.0, 3.0, 0.1)
+    shapes = np.zeros((2, basis.size))
+    shapes[1, 3] = np.inf
+    with pytest.raises(ValueError, match="must be finite"):
+        SpacetimeTestFunction(times, np.stack([bump(times), 0.0 * times]), shapes, basis)
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -458,14 +501,11 @@ def test_functions_of_a_source_act_row_by_row_on_a_stack(basis, real):
     # a (2, 2, J, N) stack: every row of every result equals the function of
     # that row alone, bit for bit, so no function mixes rows or reads axis 0
     times = time_window(-3.0, 3.0, 0.05)
-    draws = random_test_function(Draws(6), basis, times, real=real, size=8).modes
-    fs, gs = (
-        SpacetimeTestFunction(times=times, modes=m.reshape(2, 2, *m.shape[1:]), basis=basis)
-        for m in (draws[:4], draws[4:])
-    )
+    draws = random_test_function(Draws(6), basis, times, real=real, size=8)
+    fs, gs = as_stack(draws[:4], 2, 2), as_stack(draws[4:], 2, 2)
     solved = causal_fundamental(fs, MASS)
     ret, adv = duhamel_modes(fs, MASS)
-    running = cumulative_simpson_nodes(fs.modes, fs.dt)
+    running = cumulative_simpson_nodes(modes_of(fs), fs.dt)
     residual = kg_residual(ret - adv, fs, MASS)
     pairing = gm_form(fs, gs, MASS)
     assert solved.modes.shape == (2, 2, 2, basis.size) and pairing.shape == residual.shape == (2, 2)
@@ -474,15 +514,16 @@ def test_functions_of_a_source_act_row_by_row_on_a_stack(basis, real):
         np.testing.assert_array_equal(solved[a, b].modes, causal_fundamental(f, MASS).modes)
         for stacked, alone in zip((ret, adv), duhamel_modes(f, MASS)):
             np.testing.assert_array_equal(stacked[a, b], alone)
-        np.testing.assert_array_equal(running[a, b], cumulative_simpson_nodes(f.modes, f.dt))
+        np.testing.assert_array_equal(running[a, b], cumulative_simpson_nodes(modes_of(f), f.dt))
         assert residual[a, b] == kg_residual(ret[a, b] - adv[a, b], f, MASS)
         assert pairing[a, b] == gm_form(f, g, MASS)
 
 
 # The expressions that cumulative_simpson_nodes, duhamel_modes, kg_residual
 # and gm_form evaluated before they wrote into their own buffers and ran in
-# blocks of time rows; the blocked versions keep every operation and its
-# order, so they must agree bit for bit.
+# blocks of time rows, on the source's modes as the passes form their rows;
+# the blocked versions keep every operation and its order, so they must
+# agree bit for bit.
 
 
 def reference_cumulative_simpson(y, dt):
@@ -501,7 +542,7 @@ def reference_duhamel_modes(f, mass):
     w = omega(f.basis.eigenvalues, mass)
     phase = w[None, :] * f.times[:, None]
     cos_p, sin_p = np.cos(phase), np.sin(phase)
-    cos_src, sin_src = cos_p * f.modes, sin_p * f.modes
+    cos_src, sin_src = cos_p * modes_of(f), sin_p * modes_of(f)
 
     def green(step):
         ccum = reference_cumulative_simpson(cos_src[..., ::step, :], f.dt)[..., ::step, :]
@@ -513,14 +554,27 @@ def reference_duhamel_modes(f, mass):
 
 def reference_kg_residual(modes, f, mass):
     c, w2 = np.moveaxis(modes, -2, 0), f.basis.eigenvalues + mass**2
-    src = np.moveaxis(f.modes, -2, 0)[1:-1]
+    src = np.moveaxis(modes_of(f), -2, 0)[1:-1]
     res = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / f.dt**2 + w2 * c[1:-1] - src
     return np.sqrt(np.sum(np.abs(res) ** 2, axis=-1)).max(axis=0)
 
 
+def reference_pairing(f, field):
+    # the Simpson-weighted spacetime sum of conj(f) * field, per-node mode sums first
+    per_node = np.sum(np.conj(modes_of(f)) * field, axis=-1)
+    return np.sum(simpson_weights(f.times) * per_node, axis=-1)
+
+
 def reference_gm_form(f, g, mass):
+    # <f, S_ret g> - conj(<g, S_ret f>) from the whole retarded fields
+    ret_f, ret_g = reference_duhamel_modes(f, mass)[0], reference_duhamel_modes(g, mass)[0]
+    return reference_pairing(f, ret_g) - np.conj(reference_pairing(g, ret_f))
+
+
+def ret_minus_adv_gm_form(f, g, mass):
+    # <f, (S_ret - S_adv) g>, the form before it took S_adv as the adjoint of S_ret
     ret, adv = reference_duhamel_modes(g, mass)
-    return np.sum(simpson_weights(f.times) * np.sum(np.conj(f.modes) * (ret - adv), axis=-1), axis=-1)
+    return reference_pairing(f, ret - adv)
 
 
 def window_of(nodes):
@@ -535,10 +589,10 @@ def window_of(nodes):
 def test_buffered_layer_matches_the_reference_expressions(basis, nodes, real):
     times = window_of(nodes)
     fs = random_test_function(Draws(10), basis, times, real=real, size=4)
-    stack = SpacetimeTestFunction(times, fs.modes.reshape(2, 2, nodes, basis.size), basis)
-    for f in (fs[0], stack):
+    for f in (fs[0], as_stack(fs, 2, 2)):
+        modes = modes_of(f)
         np.testing.assert_array_equal(
-            cumulative_simpson_nodes(f.modes, f.dt), reference_cumulative_simpson(f.modes, f.dt)
+            cumulative_simpson_nodes(modes, f.dt), reference_cumulative_simpson(modes, f.dt)
         )
         fields, reference = duhamel_modes(f, MASS), reference_duhamel_modes(f, MASS)
         for got, ref in zip(fields, reference):
@@ -554,7 +608,7 @@ def test_buffered_layer_matches_the_reference_expressions(basis, nodes, real):
 def test_cumulative_simpson_of_a_reversed_view(basis):
     times = window_of(241)
     f = random_test_function(Draws(11), basis, times)
-    backward = f.modes[::-1]  # a reversed view, as the advanced pass reads its source
+    backward = modes_of(f)[::-1]  # a reversed view, as the advanced pass reads its source
     np.testing.assert_array_equal(
         cumulative_simpson_nodes(backward, f.dt), reference_cumulative_simpson(backward, f.dt)
     )
@@ -563,13 +617,10 @@ def test_cumulative_simpson_of_a_reversed_view(basis):
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_no_function_of_the_layer_writes_into_its_inputs(basis, real):
     times = time_window(-3.0, 3.0, 0.05)
-    draws = random_test_function(Draws(12), basis, times, real=real, size=8).modes
-    single = SpacetimeTestFunction(times, draws[0], basis)
-    stack = SpacetimeTestFunction(times, draws[:4].reshape(2, 2, *draws.shape[1:]), basis)
-    partner = SpacetimeTestFunction(times, draws[4:].reshape(2, 2, *draws.shape[1:]), basis)
-    for f, g in ((single, SpacetimeTestFunction(times, draws[1], basis)), (stack, partner)):
+    draws = random_test_function(Draws(12), basis, times, real=real, size=8)
+    for f, g in ((draws[0], draws[1]), (as_stack(draws[:4], 2, 2), as_stack(draws[4:], 2, 2))):
         modes = duhamel_modes(f, MASS)[0]
-        inputs = (f.modes, f.times, g.modes, modes)
+        inputs = (f.profiles, f.shapes, f.times, g.profiles, g.shapes, modes)
         before = [a.copy() for a in inputs]
         green_residuals(f, MASS)
         kg_residual(modes, f, MASS)
@@ -589,8 +640,24 @@ def test_gm_form_pairs_real_and_complex_sources_bit_for_bit(basis):
     for f, g in ((real, cplx), (cplx, real), (cplx, real[0]), (real, cplx[0]), (real[0], cplx)):
         got = gm_form(f, g, MASS)
         ref = reference_gm_form(f, g, MASS)
-        assert np.result_type(got) == np.result_type(f.modes, g.modes)
+        assert np.result_type(got) == np.result_type(f.dtype, g.dtype)
         np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_gm_form_agrees_with_the_ret_minus_adv_form_at_quadrature_order(basis, real):
+    # S_adv as the adjoint of S_ret against S_adv from the backward pass: the
+    # two differ only by quadrature error. Measured over seeds 0-7, real and
+    # complex (3,) stacks, as a share of the largest entry: 4.2e-7 at dt 0.05,
+    # 2.2e-9 at dt 0.025 (n = 16 and 64), 4.9e-12 at dt 0.0125
+    worst = []
+    for dt in (0.05, 0.025):
+        times = time_window(-3.0, 3.0, dt)
+        fs = random_test_function(Draws(20), basis, times, real=real, size=6)
+        f, g = fs[0::2], fs[1::2]
+        old = ret_minus_adv_gm_form(f, g, MASS)
+        worst.append(np.abs(gm_form(f, g, MASS) - old).max() / np.abs(old).max())
+    assert worst[0] <= 1e-6 and worst[0] >= 16.0 * worst[1]
 
 
 def pairs_per_block(count, modes):
@@ -622,12 +689,9 @@ def test_blocked_pass_matches_the_reference_expressions(
     nodes_of, blocks = _BLOCK_CASES[case]
     nodes = nodes_of(pairs_per_block(count, basis.size))
     times = window_of(nodes)
-    same = random_test_function(Draws(16), basis, times, real=real, size=2 * count).modes
-    other = random_test_function(Draws(17), basis, times, real=not real, size=count).modes
-    f, g, h = (
-        SpacetimeTestFunction(times, m.reshape(*shape, nodes, basis.size), basis)
-        for m in (same[:count], same[count:], other)
-    )
+    same = random_test_function(Draws(16), basis, times, real=real, size=2 * count)
+    other = random_test_function(Draws(17), basis, times, real=not real, size=count)
+    f, g, h = (as_stack(s, *shape) for s in (same[:count], same[count:], other))
     reference = reference_duhamel_modes(f, MASS)
     for step, ref in zip((1, -1), reference):
         run, spans = np.moveaxis(ref, -2, 0)[::step], []  # the field at the pass nodes
@@ -647,24 +711,24 @@ def test_blocked_pass_matches_the_reference_expressions(
     # product wider than the causal field
     for partner in (g, h, *((g[0, 0],) if stacked else ())):
         got = gm_form(f, partner, MASS)
-        assert np.result_type(got) == np.result_type(f.modes, partner.modes)
+        assert np.result_type(got) == np.result_type(f.dtype, partner.dtype)
         np.testing.assert_array_equal(got, reference_gm_form(f, partner, MASS))
+        np.testing.assert_array_equal(gm_form(partner, f, MASS), -np.conj(got))
 
 
 @pytest.mark.parametrize("nodes", [1001, 4001])
 def test_duhamel_pass_memory_does_not_grow_with_the_window(nodes):
-    # green_residuals holds a few blocks of the pass, gm_form those and the
-    # retarded field of g, and a complex source's check one block of rows:
-    # past the source, and gm_form's per-node sums, the peak is bounded by
-    # the block size, whatever the window's length
+    # green_residuals and gm_form hold a few blocks of a pass, gm_form also
+    # its per-node sums, and a source's check its factors: past those, the
+    # peak is bounded by the block size, whatever the window's length
     basis = dirichlet_basis(64, 10.0)
     fs = random_test_function(Draws(18), basis, window_of(nodes), size=2)
     f, g = fs[0], fs[1]
-    assert np.iscomplexobj(f.modes)
+    assert f.dtype == np.complex128
     bound = 200 * kgsig.dynamics._BLOCK_VALUES  # bytes: 1.6 MB at the module block size
     for run, extra in ((lambda: green_residuals(f, MASS), 0),
-                       (lambda: gm_form(f, g, MASS), g.modes.nbytes + 16 * nodes),
-                       (lambda: SpacetimeTestFunction(f.times, f.modes, basis), 0)):
+                       (lambda: gm_form(f, g, MASS), 16 * nodes),
+                       (lambda: SpacetimeTestFunction(f.times, f.profiles, f.shapes, basis), 0)):
         run()
         tracemalloc.start()
         try:

@@ -113,8 +113,8 @@ def mixed_stack(rng, basis, times, count=5):
     """`count` real sources, then `count` complex ones, as one stack."""
     real = random_test_function(rng, basis, times, real=True, size=count)
     cplx = random_test_function(rng, basis, times, size=count)
-    modes = np.concatenate([real.modes, cplx.modes])
-    return SpacetimeTestFunction(times=times, modes=modes, basis=basis)
+    profiles = np.concatenate([real.profiles, cplx.profiles])
+    return SpacetimeTestFunction(times, profiles, np.concatenate([real.shapes, cplx.shapes]), basis)
 
 
 def test_two_point_matrix_matches_pairwise_reference(state, basis, times):
@@ -173,14 +173,15 @@ def test_two_point_matrix_rejects_an_empty_stack_and_a_single_source(state, basi
 
 
 def test_two_point_matrix_memory_stays_near_one_source():
-    # a (40, 241, 64) stack, as in the bench state config: the solve
-    # contracts the stack with a (J, N) table and makes no temporary of its size
+    # a stack of 40 sources on 241 nodes and 64 modes, as in the bench state
+    # config: the solve contracts each source's (3, J) profiles with a (J, N)
+    # table and makes no temporary of the stack's (40, J, N) size
     basis = dirichlet_basis(64, 10.0)
     state = build_state(MASS, basis)
     rng = np.random.default_rng(13)
     times = time_window(-3.0, 3.0, 0.025)
     fs = random_test_function(rng, basis, times, real=True, size=40)
-    source_bytes = fs[0].modes.nbytes
+    source_bytes = times.size * basis.size * np.dtype(float).itemsize
     two_point_matrix(state, fs[:2])  # builds the cached mode table
     tracemalloc.start()
     try:
@@ -188,7 +189,7 @@ def test_two_point_matrix_memory_stays_near_one_source():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert fs.modes.shape == (40, 241, 64)
+    assert fs.shape == (40,) and times.size == 241
     assert peak < 8 * source_bytes
 
 

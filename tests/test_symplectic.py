@@ -22,6 +22,11 @@ def basis():
     return dirichlet_basis(16, 10.0)
 
 
+def modes_of(f):
+    # the (J, N) modes of one source: its terms' profiles times their shapes
+    return f.profiles.T @ f.shapes
+
+
 def test_positive_frequency_diagonal_value(basis):
     # sigma((1, w)v_n, (1, w)v_n) = 2 i w for an h-normalized mode.
     n = 4
@@ -102,20 +107,24 @@ def test_both_causal_sides_take_sources_on_equal_but_distinct_objects(basis):
     f = random_test_function(rng, basis, times)
     g = random_test_function(rng, basis, times)
     twin_basis = dirichlet_basis(16, 10.0)
-    twin = SpacetimeTestFunction(times=times.copy(), modes=g.modes, basis=twin_basis)
+    twin = SpacetimeTestFunction(times.copy(), g.profiles, g.shapes, twin_basis)
     assert twin.basis is not g.basis and twin.times is not g.times
     assert gm_form(f, twin, MASS) == gm_form(f, g, MASS)
 
 
 def test_causal_form_in_mode_space_equals_the_lattice_sum(basis):
-    # Parseval: h sum_x conj(u) v = sum_n conj(u_n) v_n for h-orthonormal modes
+    # Parseval: h sum_x conj(u) v = sum_n conj(u_n) v_n for h-orthonormal
+    # modes, in both terms of <f, S_ret g> - conj(<g, S_ret f>)
     times = time_window(-5.0, 5.0, 0.05)
     rng = np.random.default_rng(12)
     f, g = random_test_function(rng, basis, times), random_test_function(rng, basis, times)
-    ret, adv = duhamel_modes(g, MASS)
-    f_lattice, u = basis.synthesize(np.stack([f.modes, ret - adv]))
-    per_node = basis.grid.spacing * np.sum(np.conj(f_lattice) * u, axis=1)
-    lattice = np.sum(simpson_weights(times) * per_node)
+
+    def retarded_pairing(a, b):
+        a_lattice, u = basis.synthesize(np.stack([modes_of(a), duhamel_modes(b, MASS)[0]]))
+        per_node = basis.grid.spacing * np.sum(np.conj(a_lattice) * u, axis=1)
+        return np.sum(simpson_weights(times) * per_node)
+
+    lattice = retarded_pairing(f, g) - np.conj(retarded_pairing(g, f))
     assert abs(gm_form(f, g, MASS) - lattice) <= 1e-13 * abs(lattice)
 
 
@@ -134,7 +143,7 @@ def test_causal_form_needs_the_same_time_nodes(basis, move):
     times = time_window(-3.0, 3.0, 0.05)
     rng = np.random.default_rng(5)
     f, g = random_test_function(rng, basis, times), random_test_function(rng, basis, times)
-    moved = SpacetimeTestFunction(times=move(times), modes=g.modes, basis=basis)
+    moved = SpacetimeTestFunction(move(times), g.profiles, g.shapes, basis)
     assert np.allclose(moved.times, times)
     with pytest.raises(ValueError, match="sources must share a time window"):
         gm_form(f, moved, MASS)
@@ -148,14 +157,12 @@ def test_disjoint_supports_reduce_to_advanced_part(basis):
     def shifted(center):
         profile = bump((times - center) / 1.5)
         spatial = basis.analyze(np.exp(-((basis.grid.points - 5.0) ** 2) / 4.0))
-        return SpacetimeTestFunction(
-            times=times, modes=profile[:, None] * spatial[None, :], basis=basis
-        )
+        return SpacetimeTestFunction(times, profile[None], spatial[None], basis)
 
     f = shifted(-3.5)  # support [-5, -2]
     g = shifted(3.5)  # support [2, 5]
     total = gm_form(f, g, MASS)
-    f_lattice, ret, adv = basis.synthesize(np.stack([f.modes, *duhamel_modes(g, MASS)]))
+    f_lattice, ret, adv = basis.synthesize(np.stack([modes_of(f), *duhamel_modes(g, MASS)]))
     quad = simpson_weights(times)
     h = basis.grid.spacing
     adv_part = -np.sum(quad * (h * np.sum(np.conj(f_lattice) * adv, axis=1)))
