@@ -8,7 +8,11 @@ order. Summary floats take Python's shortest round-trip form (what `json`
 writes); CSV floats take 17 significant digits, which formats faster. Both
 read back to the same double, and reruns with the same config and seed are
 byte-identical. Wall-clock runtime goes to a separate run_meta.json sidecar,
-which is the one file excluded from that guarantee.
+which is the one file excluded from that guarantee. Each output replaces
+what its path held: a file or link there is unlinked and a new file created,
+so nothing is truncated in place or written through a link. run_meta.json
+has no command in its name, so in a shared directory it holds the last
+command's runtime.
 
 Exit codes: 0 success, 2 usage error, configuration error or output that
 cannot be written (also when stdout, full or closed, cannot take what a
@@ -27,7 +31,7 @@ import sys
 import time
 from collections.abc import Sequence
 from pathlib import Path
-from typing import NoReturn
+from typing import NoReturn, TextIO
 
 import numpy as np
 
@@ -63,19 +67,35 @@ from .state import (
 from .symplectic import gm_form, symplectic
 
 
+def _create(path: Path) -> TextIO:
+    """Open `path` as a new file for writing. A file or link already there is
+    unlinked first, so an earlier output is replaced, not truncated in place,
+    and a link is replaced, not written through; "x" fails, not follows, if
+    another file appears there in between."""
+    path.unlink(missing_ok=True)
+    return path.open("x", newline="")
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    with _create(path) as handle:
+        handle.write(text)
 
 
 def _write_csv(path: Path, columns: dict[str, Sequence]) -> None:
-    """One line per row through one `%` template per table, built from the
-    first row: floats (numpy float64 is one) to 17 significant digits, other
-    cells through str. Each column holds one type and no comma, quote or
-    newline, so no cell needs quoting. Unequal columns raise ValueError."""
-    rows = list(zip(*columns.values(), strict=True))
-    template = ",".join("%.17g" if isinstance(c, float) else "%s" for c in rows[0])
-    lines = [",".join(columns)] + [template % row for row in rows]
-    path.write_text("\n".join(lines) + "\n", newline="")
+    """The header, then one line per row through one `%` template per table,
+    built from the first row: floats (numpy float64 is one) to 17 significant
+    digits, other cells through str. Each column holds one type and no comma,
+    quote or newline, so no cell needs quoting. Rows stream into the file as
+    they are formatted; unequal columns raise ValueError before it is
+    opened."""
+    if len({len(cells) for cells in columns.values()}) > 1:
+        raise ValueError("table columns differ in length")
+    first = [cells[0] for cells in columns.values()]
+    template = ",".join("%.17g" if isinstance(c, float) else "%s" for c in first) + "\n"
+    with _create(path) as handle:
+        handle.write(",".join(columns) + "\n")
+        handle.writelines(template % row for row in zip(*columns.values()))
 
 
 def _non_finite(results: dict, tables: dict[str, dict[str, Sequence]]) -> str | None:
@@ -167,7 +187,7 @@ def cmd_green(config: ExperimentConfig, basis: SpectralBasis):
 
 def cmd_signature(config: ExperimentConfig, basis: SpectralBasis):
     vals, _ = signature_spectrum(signature_analytic(config.m, basis))
-    lo, hi = np.sort(vals.reshape(-1, 2), axis=1).T
+    lo, hi = vals.reshape(-1, 2).T  # each mode's pair ascending
     results = {
         "mass": config.m,
         "max_deviation_from_pi": float(np.abs(np.abs(vals) - np.pi).max()),

@@ -91,18 +91,35 @@ def assemble(sig: SignatureOperator) -> np.ndarray:
 def signature_spectrum(sig: SignatureOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition in the scalar-product geometry.
 
-    The metric diag(omega, 1/omega) per mode symmetrizes the blocks, so a
-    symmetric solver applies; eigenvectors are mapped back to plain mode
-    coordinates. Returns (eigenvalues (2N,), vectors (N, 2, 2)): vectors[k]
-    holds mode k's two unit eigenvectors as columns, for eigenvalues
-    2k and 2k+1, in the per-mode block layout of `apply_mode_blocks`.
+    The metric diag(omega, 1/omega) per mode symmetrizes the blocks, so each
+    one is a real symmetric [[a, b], [b, d]] (the symmetric part is taken, so
+    any real block gives one). Its eigenvalues are closed forms: with
+    mean = (a + d) / 2 and r = hypot((a - d) / 2, b), the characteristic
+    polynomial (x - mean)^2 - r^2 gives mean - r <= mean + r, ascending as
+    `np.linalg.eigh` returns them. The rotation by
+    theta = atan2(2b, a - d) / 2 diagonalizes the block: (cos theta, sin theta)
+    has Rayleigh quotient mean + (a - d) / 2 cos 2 theta + b sin 2 theta
+    = mean + r, and (-sin theta, cos theta), orthogonal to it, belongs to
+    mean - r. For the analytic blocks a = d = 0 and b = -pi, so the values
+    are -+pi and the vectors, mapped back, are proportional to (1, +-omega).
+
+    The eigenvectors are mapped back to plain mode coordinates. Returns
+    (eigenvalues (2N,), vectors (N, 2, 2)): vectors[k] holds mode k's two
+    unit eigenvectors as columns, for eigenvalues 2k and 2k+1, in the
+    per-mode block layout of `apply_mode_blocks`.
     """
     root = np.sqrt(sig.frequencies)
     scale = np.stack([root, 1.0 / root], axis=1)  # (N, 2)
     sym = scale[:, :, None] * sig.blocks * (1.0 / scale)[:, None, :]
-    w, v = np.linalg.eigh(0.5 * (sym + sym.transpose(0, 2, 1)))
+    a, d = sym[:, 0, 0], sym[:, 1, 1]
+    b = 0.5 * (sym[:, 0, 1] + sym[:, 1, 0])
+    mean, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+    theta = 0.5 * np.arctan2(2.0 * b, a - d)
+    cos, sin = np.cos(theta), np.sin(theta)
+    v = np.stack([-sin, cos, cos, sin], axis=1).reshape(-1, 2, 2)  # columns: the two vectors
     back = v / scale[:, :, None]
-    return w.reshape(-1), back / np.linalg.norm(back, axis=1, keepdims=True)
+    w = np.stack([mean - r, mean + r], axis=1)
+    return w.reshape(-1), back / np.hypot(back[:, 0], back[:, 1])[:, None, :]
 
 
 def _check_block_square(blocks: np.ndarray, target: float, message: str) -> None:

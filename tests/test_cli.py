@@ -18,7 +18,11 @@ from kgsig.cli import (
     _USAGE,
     _write_csv,
     _write_json,
+    cmd_crosscheck,
     cmd_evolve,
+    cmd_masslimit,
+    cmd_signature,
+    cmd_spectrum,
     main,
     parse_args,
 )
@@ -390,9 +394,54 @@ def test_write_csv_matches_the_per_cell_rule(tmp_path):
 def test_write_csv_refuses_a_ragged_table_before_writing(tmp_path, short):
     columns = {"i": range(3), "x": [0.5, 1.5, 2.5]}
     columns[short] = columns[short][:2]
-    with pytest.raises(ValueError, match="zip"):
+    with pytest.raises(ValueError, match="columns differ in length"):
         _write_csv(tmp_path / "r.csv", columns)
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_a_shared_directory_ends_as_fresh_ones(tmp_path):
+    # each output replaces the one before it: two commands run twice into one
+    # directory leave the bytes that each writes into a directory of its own
+    config = tmp_path / "run.ini"
+    config.write_text(SMALL)
+    commands = ("spectrum", "signature")
+    for out, sequence in [("shared", commands * 2), *((c, (c,)) for c in commands)]:
+        for command in sequence:
+            argv = [command, "--config", str(config), "--out", str(tmp_path / out), "--quiet"]
+            assert main(argv) == 0
+    fresh = {p.name: p.read_bytes() for c in commands for p in (tmp_path / c).iterdir()}
+    shared = {p.name: p.read_bytes() for p in (tmp_path / "shared").iterdir()}
+    assert shared.keys() == fresh.keys()
+    for name, text in shared.items():
+        assert name == "run_meta.json" or text == fresh[name], name
+    assert json.loads(shared["run_meta.json"])["command"] == "signature"
+
+
+@pytest.mark.parametrize("name", ["spectrum_summary.json", "spectrum_modes.csv", "run_meta.json"])
+def test_an_output_that_is_a_link_is_replaced_not_written_through(tmp_path, name):
+    target = tmp_path / "elsewhere.txt"
+    target.write_text("kept\n")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / name).symlink_to(target)
+    code, out = run(tmp_path, ["spectrum"], SMALL)
+    assert code == 0
+    assert (out / name).is_file() and not (out / name).is_symlink()
+    assert target.read_text() == "kept\n"
+    assert read_summary(out, "spectrum")["results"]["num_modes"] == 4
+
+
+def test_spectral_commands_call_no_lapack(monkeypatch):
+    # the signature blocks' eigenvalues and vectors are closed forms, so the
+    # five commands of the spectral benchmark never load LAPACK's code
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spectral command called numpy.linalg")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    config = ExperimentConfig(n=1024)
+    basis = dirichlet_basis(config.n, config.l)
+    for command in (cmd_spectrum, cmd_evolve, cmd_signature, cmd_masslimit, cmd_crosscheck):
+        command(config, basis)
 
 
 def test_seed_and_tol_flags_override_the_file(tmp_path):

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgsig.lattice import dirichlet_basis
+from kgsig.lattice import dirichlet_basis, omega
+from kgsig.signature import signature_reconstruct
 from kgsig.minkowski import (
     ModeSuperposition,
     amplitude_to_cauchy,
+    block_eigenvalues,
     cauchy_signature_blocks,
     cauchy_to_amplitude,
     cross_check_lattice,
@@ -172,3 +176,65 @@ def test_cross_check_against_lattice():
         report = cross_check_lattice(mass, dirichlet_basis(16, 10.0))
         assert report.max_block_deviation <= 1e-14
         assert report.max_eigenvalue_deviation <= 1e-13
+
+
+def check_against_eigvals(blocks):
+    """block_eigenvalues against LAPACK's eigvals, ascending real parts. A
+    pair near a double root is ill-conditioned, so the bound widens as the
+    oracle's pair closes, to sqrt(eps) of the block's size at a double root."""
+    vals = block_eigenvalues(blocks)
+    ref = np.sort(np.linalg.eigvals(blocks).real, axis=1)
+    size = np.abs(blocks).max(axis=(1, 2))
+    gap = ref[:, 1] - ref[:, 0]
+    tol = 1e-14 * size + np.minimum(1e-7 * size, 1e-14 * size**2 / np.maximum(gap, 1e-300))
+    assert np.all(vals[:, 0] <= vals[:, 1])
+    assert np.all(np.abs(vals - ref) <= tol[:, None])
+    return vals
+
+
+_ENTRY = st.floats(-1e3, 1e3, allow_subnormal=False)
+_BLOCK = st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_BLOCK, min_size=1, max_size=8), st.booleans())
+def test_block_eigenvalues_match_eigvals_on_random_blocks(entries, symmetric):
+    blocks = np.array(entries).reshape(-1, 2, 2)
+    if symmetric:
+        blocks[:, 1, 0] = blocks[:, 0, 1]
+    vals = check_against_eigvals(blocks)
+    a, b, c, d = blocks.reshape(-1, 4).T
+    pair = (0.5 * (a - d)) ** 2 + b * c < 0.0  # a complex pair: its half-trace, twice
+    assert np.array_equal(vals[pair], np.repeat(0.5 * (a + d)[pair, None], 2, axis=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_ENTRY, _ENTRY), min_size=1, max_size=8), st.booleans())
+def test_block_eigenvalues_on_diagonal_and_scalar_blocks(diagonals, scalar):
+    blocks = np.zeros((len(diagonals), 2, 2))
+    blocks[:, 0, 0], blocks[:, 1, 1] = np.array(diagonals).T
+    if scalar:
+        blocks[:, 1, 1] = blocks[:, 0, 0]
+    check_against_eigvals(blocks)
+
+
+def test_block_eigenvalues_of_rotations_are_their_half_trace():
+    angle = np.linspace(0.1, 3.0, 7)
+    blocks = np.stack([np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)], axis=1)
+    vals = check_against_eigvals(blocks.reshape(-1, 2, 2))
+    assert np.array_equal(vals, np.repeat(np.cos(angle)[:, None], 2, axis=1))
+
+
+@pytest.mark.parametrize("mass", [0.0, 1e-3, 1.5, 30.0])
+def test_block_eigenvalues_on_analytic_blocks_at_n_1024(mass):
+    # from the lowest mode to the highest, omega spans four decades
+    frequencies = omega(dirichlet_basis(1024, 10.0).eigenvalues, mass)
+    vals = check_against_eigvals(cauchy_signature_blocks(frequencies))
+    assert np.abs(vals - [-np.pi, np.pi]).max() <= 9e-16  # two ulps of pi
+
+
+def test_block_eigenvalues_on_reconstructed_blocks():
+    # the recovered blocks are not analytic: their products differ from pi^2
+    sig, _ = signature_reconstruct(1.5, dirichlet_basis(4, 10.0), 0.2)
+    assert np.abs(sig.blocks[:, 0, 1] * sig.blocks[:, 1, 0] - np.pi**2).max() > 1e-4
+    check_against_eigvals(sig.blocks)
