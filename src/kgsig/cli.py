@@ -7,12 +7,10 @@ writes <command>_summary.json (config echo plus scalar results) and one
 order. Summary floats take Python's shortest round-trip form (what `json`
 writes); CSV floats take 17 significant digits, which formats faster. Both
 read back to the same double, and reruns with the same config and seed are
-byte-identical. Wall-clock runtime goes to a separate run_meta.json sidecar,
-which is the one file excluded from that guarantee. Each output replaces
+byte-identical. Wall-clock runtime goes to a separate <command>_meta.json
+sidecar, the one file excluded from that guarantee. Each output replaces
 what its path held: a file or link there is unlinked and a new file created,
-so nothing is truncated in place or written through a link. run_meta.json
-has no command in its name, so in a shared directory it holds the last
-command's runtime.
+so nothing is truncated in place or written through a link.
 
 Exit codes: 0 success, 2 usage error, configuration error or output that
 cannot be written (also when stdout, full or closed, cannot take what a
@@ -125,7 +123,7 @@ def _emit(
         paths.append(out_dir / f"{command}_{name}.csv")
         _write_csv(paths[-1], columns)
     _write_json(
-        out_dir / "run_meta.json",
+        out_dir / f"{command}_meta.json",
         {"command": command, "runtime_seconds": time.monotonic() - started},
     )
     if not quiet:

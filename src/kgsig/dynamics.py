@@ -22,15 +22,15 @@ cos- and sin-weighted source, run forward or backward in time and yielding
 the field in blocks of time rows in node order, each built from its own
 rows of the phase table and of the source (`_source_rows`, which forms a
 row the same way whatever block it falls in); consecutive blocks share two
-nodes. A pass holds a few blocks of
-`_BLOCK_VALUES` values whatever the window's length. Inside the kernel a
-block's nodes sit in an odd and an even lane, so every Simpson step reads
-contiguous rows, and the last step writes them back in node order.
-`green_residuals` reduces the blocks to Klein-Gordon residuals as they
-arrive; `duhamel_modes` gathers both fields whole. Their difference is the
-causal field G f. The blocked values take the operations, in the order, of
-the plain whole-window expressions on the source's rows, so results keep
-their values bit for bit (an exact zero may differ in sign).
+nodes. A pass holds a few blocks of `_BLOCK_VALUES` values whatever the
+window's length. Inside the kernel a block's nodes sit in an odd and an even
+lane, so every Simpson step reads contiguous rows, and the last step writes
+them back in node order. `green_residuals` and `symplectic.gm_form` reduce
+the blocks as they arrive, so no function holds a whole field; ret - adv is
+the causal field G f. The blocked values take the operations, in the order,
+of the plain whole-window expressions on the source's rows (the tests keep
+them as references), so results keep their values bit for bit (an exact
+zero may differ in sign).
 """
 
 from __future__ import annotations
@@ -201,38 +201,16 @@ def _source_rows(profiles: np.ndarray, shapes: np.ndarray, nodes) -> np.ndarray:
     return np.einsum("...cj,...cn->...jn", profiles[..., nodes], parts).view(shapes.dtype)
 
 
-def cumulative_simpson_nodes(y: np.ndarray, dt: float) -> np.ndarray:
-    """Running composite Simpson integral along axis -2 (odd node count).
-
-    Even-indexed nodes accumulate full Simpson pairs; odd-indexed nodes add
-    the exact integral of the local interpolating parabola over the trailing
-    subinterval. Complex-safe (scipy's cumulative_simpson is not). The
-    nodes are copied into the odd and even lanes of `_simpson_lanes` and
-    back.
-    """
-    j = y.shape[-2]
-    if j < 3 or j % 2 == 0:
-        raise ValueError("cumulative Simpson needs an odd number of nodes (>= 3)")
-    result = np.empty_like(y)
-    rows, run = np.moveaxis(y, -2, 0), np.moveaxis(result, -2, 0)  # views, time first
-    lanes = np.empty((2, 1, (j + 1) // 2, *rows.shape[1:]), y.dtype)
-    lanes[0, 0, 1:], lanes[1, 0] = rows[1::2], rows[0::2]  # lane row 0 of the odd nodes is node -1
-    integral = np.empty_like(lanes)
-    _simpson_lanes(lanes, integral, dt, carried=False)
-    run[1::2], run[0::2] = integral[0, 0, 1:], integral[1, 0]
-    return result
-
-
 def _simpson_lanes(y: np.ndarray, out: np.ndarray, dt: float, carried: bool) -> None:
-    """The running Simpson integral of `cumulative_simpson_nodes` on node
-    lanes: y[0] holds the odd nodes and y[1] the even ones, rows on axis 1,
-    row i holding nodes 2 i - 1 and 2 i of the run, so every step reads and
-    writes contiguous rows. The result goes into `out`, in the same layout,
-    which must not overlap y; the even lane serves as scratch for the odd
-    one until the pair sums fill it. Without `carried`, node 0 is the
-    window's first and node -1 is not read; with it, out[1][:, 0] already
-    holds the running integral at node 0, and node 1 takes the trailing
-    parabola through node -1.
+    """The running composite Simpson integral on node lanes, complex-safe
+    (scipy's cumulative_simpson is not): y[0] holds the odd nodes and y[1]
+    the even ones, rows on axis 1, row i holding nodes 2 i - 1 and 2 i of
+    the run, so every step reads and writes contiguous rows. The result goes
+    into `out`, in the same layout, which must not overlap y; the even lane
+    serves as scratch for the odd one until the pair sums fill it. Without
+    `carried`, node 0 is the window's first and node -1 is not read; with
+    it, out[1][:, 0] already holds the running integral at node 0, and node
+    1 takes the trailing parabola through node -1.
     """
     (odd, even), (odd_out, even_out) = y, out
     pairs = even.shape[1] - 1
@@ -328,21 +306,6 @@ def _green_blocks(f: SpacetimeTestFunction, mass: float, step: int):
         weighted[:, :, 0], running[:, :, 0] = carried
 
 
-def _green_field(f: SpacetimeTestFunction, mass: float, step: int) -> np.ndarray:
-    """The whole (..., J, N) retarded (step 1) or advanced (step -1) field."""
-    field = np.empty((*f.shape, f.times.size, f.basis.size), f.dtype)
-    run = np.moveaxis(field, -2, 0)[::step]
-    for first, block in _green_blocks(f, mass, step):
-        run[first:first + len(block)] = block
-    return field
-
-
-def duhamel_modes(f: SpacetimeTestFunction, mass: float) -> tuple[np.ndarray, np.ndarray]:
-    """(..., J, N) mode coefficients of the retarded and advanced fields of
-    f, each gathered whole from its blocked pass (`_green_blocks`)."""
-    return _green_field(f, mass, 1), _green_field(f, mass, -1)
-
-
 def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
     """Cauchy data at t = 0 of (retarded - advanced) applied to f.
 
@@ -373,7 +336,7 @@ def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
 
 def _residual_norms(before, at, after, src, w2, dt) -> np.ndarray:
     """Per node, the norm of (D_t^2 - Lap + m^2) u - f, from time-first
-    (rows, ..., N) modes of u at the nodes (`at`) and at the nodes just
+    (rows, ..., N) modes, all of one dtype, of u at the nodes (`at`) and just
     before and after them in time, and of f at the nodes; w2 = lambda_n + m^2."""
     # (c2 - 2 c1 + c0) / dt^2 + w2 c1 - src in one buffer; w2 c1 in the
     # magnitude buffer, whose first N floats per C-order row then take |res|
@@ -382,30 +345,19 @@ def _residual_norms(before, at, after, src, w2, dt) -> np.ndarray:
     np.add(res, before, out=res)
     np.divide(res, dt**2, out=res)
     np.add(res, mag, out=res)
-    res = np.subtract(res, src, out=res if np.can_cast(src.dtype, res.dtype) else None)
+    np.subtract(res, src, out=res)
     mag = np.abs(res, out=mag.view(float)[..., : w2.size])
     # mode coefficients carry the h-weighted norm already (Parseval)
     return np.sqrt(np.sum(np.square(mag, out=mag), axis=-1))
 
 
-def kg_residual(modes: np.ndarray, f: SpacetimeTestFunction, mass: float) -> float | np.ndarray:
-    """Max norm of (D_t^2 - Lap + m^2) u - f over interior time nodes, per
-    field, for the (..., J, N) modes of u on f's own window and basis.
-
-    D_t^2 is the central second difference; the Laplacian acts spectrally
-    (lambda_n per mode), which is exact for the lattice operator.
-    """
-    src = _source_rows(f.profiles, f.shapes, slice(1, -1))
-    c, src = np.moveaxis(modes, -2, 0), np.moveaxis(src, -2, 0)  # time first
-    w2 = f.basis.eigenvalues + mass**2
-    return _residual_norms(c[:-2], c[1:-1], c[2:], src, w2, f.dt).max(axis=0)
-
-
 def green_residuals(f: SpacetimeTestFunction, mass: float) -> tuple[float, float]:
-    """`kg_residual` of the retarded and advanced fields of f, each reduced
-    block by block as its pass yields it. The second difference takes a
-    block's interior nodes; the two nodes each block repeats from the one
-    before make its halo, so every interior node of the window is taken."""
+    """Max norm of (D_t^2 - Lap + m^2) u - f over interior time nodes, per
+    source, for the retarded and advanced fields u of f, each reduced block
+    by block as its pass yields it. D_t^2 is the central second difference
+    over a block's interior nodes, whose halo is the two nodes each block
+    repeats from the one before, so every interior node of the window is
+    taken; the Laplacian acts spectrally, exact for the lattice operator."""
     w2 = f.basis.eigenvalues + mass**2
     worst = []
     for step in (1, -1):

@@ -100,6 +100,14 @@ def test_malformed_value_exits_2(tmp_path, capsys):
     assert "expects int" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("length", ["0", "-1"])
+def test_grid_length_that_is_not_positive_exits_2(tmp_path, capsys, length):
+    code, out = run(tmp_path, ["spectrum"], f"[grid]\nl = {length}\n")
+    assert code == 2
+    assert "grid length must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dephasing_stall_on_a_short_grid_names_its_t(tmp_path, capsys):
     # at l = 1e-7 lambda ~ 1e17 dwarfs m^2: sqrt(lam + hi^2) - sqrt(lam + lo^2)
     # cancelled to 0 and named no T, though T = 1.4e9 dephases every mode
@@ -153,9 +161,9 @@ def test_rerun_is_byte_identical_except_meta(tmp_path):
         assert code == 0
     names_a = sorted(p.name for p in (tmp_path / "a").iterdir())
     names_b = sorted(p.name for p in (tmp_path / "b").iterdir())
-    assert names_a == names_b and "run_meta.json" in names_a
+    assert names_a == names_b and "massdecomp_meta.json" in names_a
     for name in names_a:
-        if name == "run_meta.json":
+        if name == "massdecomp_meta.json":
             continue
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
@@ -221,7 +229,7 @@ def test_quiet_flag_silences_stdout(tmp_path, capsys):
 
 def test_meta_carries_runtime_only(tmp_path):
     _, out = run(tmp_path, ["spectrum"], SMALL)
-    meta = json.loads((out / "run_meta.json").read_text())
+    meta = json.loads((out / "spectrum_meta.json").read_text())
     assert set(meta) == {"command", "runtime_seconds"}
     assert meta["runtime_seconds"] >= 0.0
 
@@ -401,7 +409,8 @@ def test_write_csv_refuses_a_ragged_table_before_writing(tmp_path, short):
 
 def test_a_shared_directory_ends_as_fresh_ones(tmp_path):
     # each output replaces the one before it: two commands run twice into one
-    # directory leave the bytes that each writes into a directory of its own
+    # directory leave the files that each writes into a directory of its own,
+    # the same bytes but for each command's runtime
     config = tmp_path / "run.ini"
     config.write_text(SMALL)
     commands = ("spectrum", "signature")
@@ -413,11 +422,14 @@ def test_a_shared_directory_ends_as_fresh_ones(tmp_path):
     shared = {p.name: p.read_bytes() for p in (tmp_path / "shared").iterdir()}
     assert shared.keys() == fresh.keys()
     for name, text in shared.items():
-        assert name == "run_meta.json" or text == fresh[name], name
-    assert json.loads(shared["run_meta.json"])["command"] == "signature"
+        assert name.endswith("_meta.json") or text == fresh[name], name
+    for command in commands:
+        assert json.loads(shared[f"{command}_meta.json"])["command"] == command
 
 
-@pytest.mark.parametrize("name", ["spectrum_summary.json", "spectrum_modes.csv", "run_meta.json"])
+@pytest.mark.parametrize(
+    "name", ["spectrum_summary.json", "spectrum_modes.csv", "spectrum_meta.json"]
+)
 def test_an_output_that_is_a_link_is_replaced_not_written_through(tmp_path, name):
     target = tmp_path / "elsewhere.txt"
     target.write_text("kept\n")
@@ -944,7 +956,7 @@ def test_a_closed_stdout_is_an_output_error_when_there_is_output(tmp_path, args,
         assert done.stderr == ""
     if "--out" in args:  # the files are written before anything is printed
         written = sorted(path.name for path in (tmp_path / "out").iterdir())
-        assert written == ["run_meta.json", "spectrum_modes.csv", "spectrum_summary.json"]
+        assert written == ["spectrum_meta.json", "spectrum_modes.csv", "spectrum_summary.json"]
 
 
 # a usage error, a configuration error and a non-convergence (no window up to

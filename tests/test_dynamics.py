@@ -11,10 +11,7 @@ from kgsig.dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
     causal_fundamental,
-    cumulative_simpson_nodes,
-    duhamel_modes,
     green_residuals,
-    kg_residual,
     propagate,
     simpson_weights,
     time_window,
@@ -24,6 +21,13 @@ from kgsig.random_fields import Draws, bump, random_datum, random_test_function
 from kgsig.signature import apply_signature, scalar_product, signature_analytic
 from kgsig.state import build_state, pair_matrix
 from kgsig.symplectic import gm_form, symplectic
+
+from duhamel_reference import (
+    modes_of,
+    reference_cumulative_simpson,
+    reference_duhamel_modes,
+    reference_kg_residual,
+)
 
 MASS = 1.0
 
@@ -36,11 +40,6 @@ def basis():
 def single_mode_source(basis, times, mode, center=-1.0, half_width=2.0):
     profile = bump((times - center) / half_width)
     return SpacetimeTestFunction(times, profile[None], np.eye(basis.size)[mode][None], basis)
-
-
-def modes_of(f):
-    # the (..., J, N) modes of a source, from the rows its Duhamel passes form
-    return kgsig.dynamics._source_rows(f.profiles, f.shapes, slice(None))
 
 
 def as_stack(f, *shape):
@@ -208,10 +207,8 @@ def test_cumulative_simpson_exact_on_quadratics():
     times = time_window(0.0, 2.0, 0.1)
     y = 3.0 * times**2 - times + 0.5
     exact = times**3 - times**2 / 2 + 0.5 * times
-    got = cumulative_simpson_nodes(y[:, None], 0.1)[:, 0]
+    got = reference_cumulative_simpson(y[:, None], 0.1)[:, 0]
     assert got == pytest.approx(exact, abs=1e-13)
-    with pytest.raises(ValueError, match="odd number of nodes"):
-        cumulative_simpson_nodes(y[:-1, None], 0.1)
 
 
 def test_source_validation_rejects_touching_window_edge(basis):
@@ -255,7 +252,7 @@ def test_retarded_green_matches_adaptive_quadrature(basis):
     w = float(omega(basis.eigenvalues[n], MASS))
     times = time_window(-5.0, 5.0, 0.05)
     f = single_mode_source(basis, times, n)
-    u_modes = duhamel_modes(f, MASS)[0]
+    u_modes = reference_duhamel_modes(f, MASS)[0]
 
     def profile(s):
         arg = (s + 1.0) / 2.0
@@ -276,7 +273,7 @@ def test_retarded_green_matches_adaptive_quadrature(basis):
 def test_retarded_supported_in_future_of_source(basis):
     times = time_window(-5.0, 5.0, 0.05)
     f = single_mode_source(basis, times, 2)  # support [-3, 1]
-    u = basis.synthesize(duhamel_modes(f, MASS)[0])
+    u = basis.synthesize(reference_duhamel_modes(f, MASS)[0])
     assert np.abs(u[times < -3.05]).max() == 0.0
     assert np.abs(u[times > 2.0]).max() > 1e-3
 
@@ -284,7 +281,7 @@ def test_retarded_supported_in_future_of_source(basis):
 def test_advanced_supported_in_past_of_source(basis):
     times = time_window(-5.0, 5.0, 0.05)
     f = single_mode_source(basis, times, 2, center=1.0)  # support [-1, 3]
-    u = basis.synthesize(duhamel_modes(f, MASS)[1])
+    u = basis.synthesize(reference_duhamel_modes(f, MASS)[1])
     assert np.abs(u[times > 3.05]).max() == 0.0
     assert np.abs(u[times < -2.0]).max() > 1e-3
 
@@ -295,7 +292,7 @@ def test_green_residual_is_second_order_in_dt(basis, side):
     for dt in (0.05, 0.025):
         times = time_window(-5.0, 5.0, dt)
         f = single_mode_source(basis, times, 5)
-        residuals.append(kg_residual(duhamel_modes(f, MASS)[side], f, MASS))
+        residuals.append(reference_kg_residual(reference_duhamel_modes(f, MASS)[side], f, MASS))
     assert residuals[0] < 5e-3
     assert residuals[0] / residuals[1] > 3.0
 
@@ -306,8 +303,8 @@ def test_advanced_is_time_reflected_retarded(basis):
     rng = np.random.default_rng(5)
     f = random_test_function(rng, basis, times)
     reflected = SpacetimeTestFunction(times, f.profiles[:, ::-1], f.shapes, basis)
-    adv = basis.synthesize(duhamel_modes(f, MASS)[1])
-    ret = basis.synthesize(duhamel_modes(reflected, MASS)[0])[::-1]
+    adv = basis.synthesize(reference_duhamel_modes(f, MASS)[1])
+    ret = basis.synthesize(reference_duhamel_modes(reflected, MASS)[0])[::-1]
     assert np.abs(adv - ret).max() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -320,7 +317,7 @@ def test_causal_data_reproduce_causal_field(basis):
         rng = np.random.default_rng(7)
         f = random_test_function(rng, basis, times)
         data = causal_fundamental(f, MASS)
-        ret, adv = duhamel_modes(f, MASS)
+        ret, adv = reference_duhamel_modes(f, MASS)
         field = basis.synthesize(ret - adv)
         worst = 0.0
         for j in range(0, times.size, 7):
@@ -334,7 +331,7 @@ def test_causal_data_reproduce_causal_field(basis):
 def test_causal_field_is_retarded_field_for_past_sources(basis):
     times = time_window(-5.0, 5.0, 0.05)
     f = single_mode_source(basis, times, 4, center=-2.5, half_width=1.5)
-    ret, adv = duhamel_modes(f, MASS)
+    ret, adv = reference_duhamel_modes(f, MASS)
     g_field, r_field = basis.synthesize(np.stack([ret - adv, ret]))
     future = times > -0.9  # strictly after supp f = [-4, -1]
     assert np.abs(g_field[future] - r_field[future]).max() < 1e-12
@@ -394,7 +391,7 @@ def test_shared_duhamel_pass_matches_separate_routes(basis, dt, monkeypatch):
     # as it arrives, bit for bit the residuals of the whole fields
     times = time_window(-5.0, 5.0, dt)
     f = random_test_function(np.random.default_rng(9), basis, times)
-    separate = [kg_residual(field, f, MASS) for field in duhamel_modes(f, MASS)]
+    separate = [reference_kg_residual(u, f, MASS) for u in reference_duhamel_modes(f, MASS)]
     passes, blocks = [], kgsig.dynamics._green_blocks
 
     def counted(f, mass, step):
@@ -496,6 +493,16 @@ def test_a_term_that_vanishes_against_an_infinite_shape_is_not_finite(basis):
         SpacetimeTestFunction(times, np.stack([bump(times), 0.0 * times]), shapes, basis)
 
 
+def gathered_field(f, step):
+    # the whole (..., J, N) field of the retarded (step 1) or advanced
+    # (step -1) blocked pass, each block put at its nodes
+    field = np.empty((*f.shape, f.times.size, f.basis.size), f.dtype)
+    run = np.moveaxis(field, -2, 0)[::step]  # in pass order
+    for first, block in kgsig.dynamics._green_blocks(f, MASS, step):
+        run[first:first + len(block)] = block
+    return field
+
+
 @pytest.mark.parametrize("real", [True, False])
 def test_functions_of_a_source_act_row_by_row_on_a_stack(basis, real):
     # a (2, 2, J, N) stack: every row of every result equals the function of
@@ -504,59 +511,23 @@ def test_functions_of_a_source_act_row_by_row_on_a_stack(basis, real):
     draws = random_test_function(Draws(6), basis, times, real=real, size=8)
     fs, gs = as_stack(draws[:4], 2, 2), as_stack(draws[4:], 2, 2)
     solved = causal_fundamental(fs, MASS)
-    ret, adv = duhamel_modes(fs, MASS)
-    running = cumulative_simpson_nodes(modes_of(fs), fs.dt)
-    residual = kg_residual(ret - adv, fs, MASS)
+    fields = [gathered_field(fs, step) for step in (1, -1)]
+    residuals = green_residuals(fs, MASS)
     pairing = gm_form(fs, gs, MASS)
-    assert solved.modes.shape == (2, 2, 2, basis.size) and pairing.shape == residual.shape == (2, 2)
+    assert solved.modes.shape == (2, 2, 2, basis.size) and pairing.shape == (2, 2)
+    assert residuals[0].shape == residuals[1].shape == (2, 2)
     for a, b in np.ndindex(2, 2):
         f, g = fs[a, b], gs[a, b]
         np.testing.assert_array_equal(solved[a, b].modes, causal_fundamental(f, MASS).modes)
-        for stacked, alone in zip((ret, adv), duhamel_modes(f, MASS)):
-            np.testing.assert_array_equal(stacked[a, b], alone)
-        np.testing.assert_array_equal(running[a, b], cumulative_simpson_nodes(modes_of(f), f.dt))
-        assert residual[a, b] == kg_residual(ret[a, b] - adv[a, b], f, MASS)
+        for stacked, step in zip(fields, (1, -1)):
+            np.testing.assert_array_equal(stacked[a, b], gathered_field(f, step))
+        assert [r[a, b] for r in residuals] == list(green_residuals(f, MASS))
         assert pairing[a, b] == gm_form(f, g, MASS)
 
 
-# The expressions that cumulative_simpson_nodes, duhamel_modes, kg_residual
-# and gm_form evaluated before they wrote into their own buffers and ran in
-# blocks of time rows, on the source's modes as the passes form their rows;
-# the blocked versions keep every operation and its order, so they must
-# agree bit for bit.
-
-
-def reference_cumulative_simpson(y, dt):
-    j = y.shape[-2]
-    y = np.moveaxis(y, -2, 0)
-    out = np.zeros_like(y)
-    pairs = (dt / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
-    out[2::2] = np.cumsum(pairs, axis=0)
-    out[1] = (dt / 12.0) * (5.0 * y[0] + 8.0 * y[1] - y[2])
-    if j > 3:
-        out[3::2] = out[2:-1:2] + (dt / 12.0) * (-y[1:-2:2] + 8.0 * y[2:-1:2] + 5.0 * y[3::2])
-    return np.moveaxis(out, 0, -2)
-
-
-def reference_duhamel_modes(f, mass):
-    w = omega(f.basis.eigenvalues, mass)
-    phase = w[None, :] * f.times[:, None]
-    cos_p, sin_p = np.cos(phase), np.sin(phase)
-    cos_src, sin_src = cos_p * modes_of(f), sin_p * modes_of(f)
-
-    def green(step):
-        ccum = reference_cumulative_simpson(cos_src[..., ::step, :], f.dt)[..., ::step, :]
-        scum = reference_cumulative_simpson(sin_src[..., ::step, :], f.dt)[..., ::step, :]
-        return step * (sin_p * ccum - cos_p * scum) / w[None, :]
-
-    return green(1), green(-1)
-
-
-def reference_kg_residual(modes, f, mass):
-    c, w2 = np.moveaxis(modes, -2, 0), f.basis.eigenvalues + mass**2
-    src = np.moveaxis(modes_of(f), -2, 0)[1:-1]
-    res = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / f.dt**2 + w2 * c[1:-1] - src
-    return np.sqrt(np.sum(np.abs(res) ** 2, axis=-1)).max(axis=0)
+# The expressions that gm_form evaluated before it ran in blocks of time
+# rows, on the source's modes as the passes form their rows; the blocked
+# version keeps every operation and its order, so they must agree bit for bit.
 
 
 def reference_pairing(f, field):
@@ -590,28 +561,12 @@ def test_buffered_layer_matches_the_reference_expressions(basis, nodes, real):
     times = window_of(nodes)
     fs = random_test_function(Draws(10), basis, times, real=real, size=4)
     for f in (fs[0], as_stack(fs, 2, 2)):
-        modes = modes_of(f)
-        np.testing.assert_array_equal(
-            cumulative_simpson_nodes(modes, f.dt), reference_cumulative_simpson(modes, f.dt)
-        )
-        fields, reference = duhamel_modes(f, MASS), reference_duhamel_modes(f, MASS)
-        for got, ref in zip(fields, reference):
+        reference = reference_duhamel_modes(f, MASS)
+        for step, ref, residual in zip((1, -1), reference, green_residuals(f, MASS)):
+            got = gathered_field(f, step)
             assert got.dtype == ref.dtype
             np.testing.assert_array_equal(got, ref)
-        # a real field against a complex source upcasts at the last subtraction
-        for modes in (*reference, reference[0] - reference[1], reference[0].real.copy()):
-            np.testing.assert_array_equal(
-                kg_residual(modes, f, MASS), reference_kg_residual(modes, f, MASS)
-            )
-
-
-def test_cumulative_simpson_of_a_reversed_view(basis):
-    times = window_of(241)
-    f = random_test_function(Draws(11), basis, times)
-    backward = modes_of(f)[::-1]  # a reversed view, as the advanced pass reads its source
-    np.testing.assert_array_equal(
-        cumulative_simpson_nodes(backward, f.dt), reference_cumulative_simpson(backward, f.dt)
-    )
+            np.testing.assert_array_equal(residual, reference_kg_residual(ref, f, MASS))
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -619,11 +574,11 @@ def test_no_function_of_the_layer_writes_into_its_inputs(basis, real):
     times = time_window(-3.0, 3.0, 0.05)
     draws = random_test_function(Draws(12), basis, times, real=real, size=8)
     for f, g in ((draws[0], draws[1]), (as_stack(draws[:4], 2, 2), as_stack(draws[4:], 2, 2))):
-        modes = duhamel_modes(f, MASS)[0]
-        inputs = (f.profiles, f.shapes, f.times, g.profiles, g.shapes, modes)
+        inputs = (f.profiles, f.shapes, f.times, g.profiles, g.shapes)
         before = [a.copy() for a in inputs]
+        gathered_field(f, 1)
+        gathered_field(f, -1)
         green_residuals(f, MASS)
-        kg_residual(modes, f, MASS)
         causal_fundamental(f, MASS)
         gm_form(f, g, MASS)
         gm_form(f, f, MASS)  # one source on both sides
@@ -702,9 +657,6 @@ def test_blocked_pass_matches_the_reference_expressions(
         # from node 0 to J - 1, each later block repeating the last two nodes
         assert len(spans) == blocks and spans[0][0] == 0 and spans[-1][1] == nodes
         assert all(later[0] == earlier[1] - 2 for earlier, later in zip(spans, spans[1:]))
-    for got, ref in zip(duhamel_modes(f, MASS), reference):
-        assert got.dtype == ref.dtype
-        np.testing.assert_array_equal(got, ref)
     for got, ref in zip(green_residuals(f, MASS), reference):
         np.testing.assert_array_equal(got, reference_kg_residual(ref, f, MASS))
     # a partner of the other dtype, or a single one against a stack, makes the

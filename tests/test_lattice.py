@@ -25,8 +25,10 @@ def test_grid_spacing_and_points():
 def test_grid_rejects_bad_sizes():
     with pytest.raises(ValueError):
         SpatialGrid(0, 1.0)
-    with pytest.raises(ValueError):
-        SpatialGrid(4, -2.0)
+    # NaN fails the > comparison too
+    for length in (0.0, -1.0, -2.0, np.nan):
+        with pytest.raises(ValueError, match="grid length must be positive"):
+            SpatialGrid(4, length)
     # 2.5 points gave 3 modes whose eigenvalues belong to no lattice on (0, 1)
     for count in (2.5, 2.0, "4"):
         with pytest.raises(TypeError):

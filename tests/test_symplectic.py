@@ -5,7 +5,6 @@ from kgsig.dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
     causal_fundamental,
-    duhamel_modes,
     propagate,
     simpson_weights,
     time_window,
@@ -14,17 +13,14 @@ from kgsig.lattice import SINE_FFT_MIN_POINTS, dirichlet_basis, omega
 from kgsig.random_fields import bump, random_datum, random_test_function
 from kgsig.symplectic import gm_form, symplectic
 
+from duhamel_reference import modes_of, reference_duhamel_modes
+
 MASS = 1.0
 
 
 @pytest.fixture(scope="module")
 def basis():
     return dirichlet_basis(16, 10.0)
-
-
-def modes_of(f):
-    # the (J, N) modes of one source: its terms' profiles times their shapes
-    return f.profiles.T @ f.shapes
 
 
 def test_positive_frequency_diagonal_value(basis):
@@ -120,7 +116,8 @@ def test_causal_form_in_mode_space_equals_the_lattice_sum(basis):
     f, g = random_test_function(rng, basis, times), random_test_function(rng, basis, times)
 
     def retarded_pairing(a, b):
-        a_lattice, u = basis.synthesize(np.stack([modes_of(a), duhamel_modes(b, MASS)[0]]))
+        ret = reference_duhamel_modes(b, MASS)[0]
+        a_lattice, u = basis.synthesize(np.stack([modes_of(a), ret]))
         per_node = basis.grid.spacing * np.sum(np.conj(a_lattice) * u, axis=1)
         return np.sum(simpson_weights(times) * per_node)
 
@@ -162,7 +159,8 @@ def test_disjoint_supports_reduce_to_advanced_part(basis):
     f = shifted(-3.5)  # support [-5, -2]
     g = shifted(3.5)  # support [2, 5]
     total = gm_form(f, g, MASS)
-    f_lattice, ret, adv = basis.synthesize(np.stack([modes_of(f), *duhamel_modes(g, MASS)]))
+    fields = reference_duhamel_modes(g, MASS)
+    f_lattice, ret, adv = basis.synthesize(np.stack([modes_of(f), *fields]))
     quad = simpson_weights(times)
     h = basis.grid.spacing
     adv_part = -np.sum(quad * (h * np.sum(np.conj(f_lattice) * adv, axis=1)))
