@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import massfamily
-from .signature import MASSLESS_MASSES
+from .signature import MASSLESS_MASSES, check_half_width
 
 
 class ConfigError(ValueError):
@@ -187,11 +187,10 @@ def validate_config(config: ExperimentConfig, command: str) -> None:
                 "weight window [m - half_width, m + half_width] must lie "
                 "in the closed mass interval [m_lo, m_hi]"
             ) from exc
-        if (config.half_width / config.m) ** 2 > 25.0 * config.tol:
-            raise ConfigError(
-                "half-width too large for the requested tolerance "
-                f"(need (half_width / m)^2 <= 25 * {config.tol:g})"
-            )
+        try:
+            check_half_width(config.m, config.half_width, config.tol)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if command == "wick" and not 1 <= config.wick_order <= 4:
         raise ConfigError("wick_order must be between 1 and 4")
     counts = {"evolve": "samples", "state": "trials", "massdecomp": "families"}

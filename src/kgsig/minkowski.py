@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .signature import signature_analytic
+from .signature import block_eigenvalues, signature_analytic
 
 
 class ModeSuperposition:
@@ -167,7 +167,7 @@ def cross_check_lattice(mass: float, basis) -> CrossCheckReport:
     momentum magnitude sqrt(lambda_n); the Minkowski block is produced by the
     transform-conjugation route, independent of the lattice construction.
     The eigenvalues of each block are compared with -+pi through
-    `block_eigenvalues`.
+    `signature.block_eigenvalues`, the closed form `kgsig signature` reports.
     """
     sig = signature_analytic(mass, basis)
     mink_blocks = cauchy_signature_blocks(sig.frequencies)
@@ -178,24 +178,3 @@ def cross_check_lattice(mass: float, basis) -> CrossCheckReport:
         max_eigenvalue_deviation=float(np.abs(eigs - [-np.pi, np.pi]).max()),
         block_deviations=block_devs,
     )
-
-
-def block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
-    """Real parts of the eigenvalues of real (N, 2, 2) blocks, ascending: (N, 2).
-
-    A block [[a, b], [c, d]] has characteristic polynomial
-    x^2 - (a + d) x + (ad - bc) = (x - (a + d) / 2)^2 - (((a - d) / 2)^2 + bc),
-    so its eigenvalues are (a + d) / 2 -+ sqrt(((a - d) / 2)^2 + bc). A
-    negative discriminant gives a complex pair whose real part is the
-    half-trace (a + d) / 2, twice; the max(..., 0) gives exactly that. Each
-    block is first divided by the power of two at or above its largest
-    entry, which is exact and keeps the squares and bc from overflowing or
-    underflowing to 0. This equals np.sort(np.linalg.eigvals(blocks).real,
-    axis=1) to rounding. For the analytic blocks a = d = 0 and bc = pi^2, so
-    the values are -+pi.
-    """
-    scale = np.ldexp(1.0, np.frexp(np.abs(blocks).max(axis=(1, 2)))[1])
-    a, b, c, d = (blocks.reshape(-1, 4) / scale[:, None]).T
-    half_trace = 0.5 * (a + d)
-    root = np.sqrt(np.maximum((0.5 * (a - d)) ** 2 + b * c, 0.0))
-    return np.stack([half_trace - root, half_trace + root], axis=1) * scale[:, None]

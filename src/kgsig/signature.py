@@ -3,12 +3,13 @@
 The scalar product on Cauchy data pairs a with S b through the symplectic
 form, <a|b> = i sigma(a, S b), where S acts per spectral mode by the 2x2
 block -pi [[0, 1/omega], [omega, 0]]. The blocks square to pi^2, so the
-spectrum is {-pi, +pi} with positive/negative frequency eigenspaces, |S| is
-pi times the identity, S^-1 = S / pi^2 (the Riesz identity
-sigma(a, b) = -i <a|S^-1 b> acts with those blocks through
-`apply_mode_blocks`), and J = i S / pi is a complex structure. Operators are
-compared mode by mode in a Sobolev-weighted norm, `per_mode_distance`, whose
-maximum is the operator norm of the difference.
+spectrum is {-pi, +pi} (`block_eigenvalues`, per block in closed form) with
+positive/negative frequency eigenspaces (`projectors`), |S| is pi times the
+identity, S^-1 = S / pi^2 (the Riesz identity sigma(a, b) = -i <a|S^-1 b>
+acts with those blocks through `apply_mode_blocks`), and J = i S / pi is a
+complex structure. Operators are compared mode by mode in a Sobolev-weighted
+norm, `per_mode_distance`, whose maximum is the operator norm of the
+difference.
 
 The same operator is recovered numerically from the spacetime pairing of
 mass families localized by a narrow weight (a Dirac-sequence limit): the
@@ -88,38 +89,25 @@ def assemble(sig: SignatureOperator) -> np.ndarray:
     return full
 
 
-def signature_spectrum(sig: SignatureOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition in the scalar-product geometry.
+def block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
+    """Real parts of the eigenvalues of real (N, 2, 2) blocks, ascending: (N, 2).
 
-    The metric diag(omega, 1/omega) per mode symmetrizes the blocks, so each
-    one is a real symmetric [[a, b], [b, d]] (the symmetric part is taken, so
-    any real block gives one). Its eigenvalues are closed forms: with
-    mean = (a + d) / 2 and r = hypot((a - d) / 2, b), the characteristic
-    polynomial (x - mean)^2 - r^2 gives mean - r <= mean + r, ascending as
-    `np.linalg.eigh` returns them. The rotation by
-    theta = atan2(2b, a - d) / 2 diagonalizes the block: (cos theta, sin theta)
-    has Rayleigh quotient mean + (a - d) / 2 cos 2 theta + b sin 2 theta
-    = mean + r, and (-sin theta, cos theta), orthogonal to it, belongs to
-    mean - r. For the analytic blocks a = d = 0 and b = -pi, so the values
-    are -+pi and the vectors, mapped back, are proportional to (1, +-omega).
-
-    The eigenvectors are mapped back to plain mode coordinates. Returns
-    (eigenvalues (2N,), vectors (N, 2, 2)): vectors[k] holds mode k's two
-    unit eigenvectors as columns, for eigenvalues 2k and 2k+1, in the
-    per-mode block layout of `apply_mode_blocks`.
+    A block [[a, b], [c, d]] has characteristic polynomial
+    x^2 - (a + d) x + (ad - bc) = (x - (a + d) / 2)^2 - (((a - d) / 2)^2 + bc),
+    so its eigenvalues are (a + d) / 2 -+ sqrt(((a - d) / 2)^2 + bc). A
+    negative discriminant gives a complex pair whose real part is the
+    half-trace (a + d) / 2, twice; the max(..., 0) gives exactly that. Each
+    block is first divided by the power of two at or above its largest
+    entry, which is exact and keeps the squares and bc from overflowing or
+    underflowing to 0. This equals np.sort(np.linalg.eigvals(blocks).real,
+    axis=1) to rounding. For the analytic blocks a = d = 0 and bc = pi^2, so
+    the values are -+pi.
     """
-    root = np.sqrt(sig.frequencies)
-    scale = np.stack([root, 1.0 / root], axis=1)  # (N, 2)
-    sym = scale[:, :, None] * sig.blocks * (1.0 / scale)[:, None, :]
-    a, d = sym[:, 0, 0], sym[:, 1, 1]
-    b = 0.5 * (sym[:, 0, 1] + sym[:, 1, 0])
-    mean, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
-    theta = 0.5 * np.arctan2(2.0 * b, a - d)
-    cos, sin = np.cos(theta), np.sin(theta)
-    v = np.stack([-sin, cos, cos, sin], axis=1).reshape(-1, 2, 2)  # columns: the two vectors
-    back = v / scale[:, :, None]
-    w = np.stack([mean - r, mean + r], axis=1)
-    return w.reshape(-1), back / np.hypot(back[:, 0], back[:, 1])[:, None, :]
+    scale = np.ldexp(1.0, np.frexp(np.abs(blocks).max(axis=(1, 2)))[1])
+    a, b, c, d = (blocks.reshape(-1, 4) / scale[:, None]).T
+    half_trace = 0.5 * (a + d)
+    root = np.sqrt(np.maximum((0.5 * (a - d)) ** 2 + b * c, 0.0))
+    return np.stack([half_trace - root, half_trace + root], axis=1) * scale[:, None]
 
 
 def _check_block_square(blocks: np.ndarray, target: float, message: str) -> None:
@@ -215,6 +203,13 @@ def massless_limit(basis: SpectralBasis) -> tuple[SignatureOperator, MasslessTab
     )
 
 
+def check_half_width(mass: float, half_width: float, tol: float) -> None:
+    """Reconstruct's rule that the O((half_width / m)^2) deviation fits tol."""
+    if (half_width / mass) ** 2 > 25.0 * tol:
+        raise ValueError("half-width too large for the requested tolerance "
+                         f"(need (half_width / m)^2 <= 25 * {tol:g})")
+
+
 def signature_reconstruct(
     mass: float,
     basis: SpectralBasis,
@@ -248,9 +243,8 @@ def signature_reconstruct(
     """
     if not mass - half_width > 0.0:
         raise ValueError("weight support must stay at positive mass")
-    if (half_width / mass) ** 2 > 25.0 * tol:
-        raise ValueError("half-width too large for the requested tolerance")
-    weight = MassWeight(mass, half_width)
+    weight = MassWeight(mass, half_width)  # rejects a half-width <= 0 before the ratio
+    check_half_width(mass, half_width, tol)
     if interval is not None:
         check_support(weight, interval)
     norm2 = mass * half_width * BUMP_SQUARED_INTEGRAL

@@ -28,6 +28,8 @@ from kgsig.cli import (
 )
 from kgsig.config import SECTIONS, ExperimentConfig
 from kgsig.lattice import dirichlet_basis
+from kgsig.minkowski import cauchy_signature_blocks
+from kgsig.signature import block_eigenvalues, signature_analytic
 
 SMALL = "[grid]\nn = 4\nl = 6.0\n\n[quadrature]\ntol = 1e-5\n\n[run]\nfamilies = 3\n"
 
@@ -454,6 +456,24 @@ def test_spectral_commands_call_no_lapack(monkeypatch):
     basis = dirichlet_basis(config.n, config.l)
     for command in (cmd_spectrum, cmd_evolve, cmd_signature, cmd_masslimit, cmd_crosscheck):
         command(config, basis)
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+@pytest.mark.parametrize("mass", [0.0, 1.5])
+def test_signature_and_crosscheck_read_one_block_spectrum(mass, n):
+    # both commands report signature.block_eigenvalues, bit for bit
+    config = ExperimentConfig(n=n, m=mass)
+    basis = dirichlet_basis(config.n, config.l)
+    sig = signature_analytic(mass, basis)
+    vals = block_eigenvalues(sig.blocks)
+    results, tables = cmd_signature(config, basis)
+    assert np.array_equal(tables["spectrum"]["eig_minus"], vals[:, 0])
+    assert np.array_equal(tables["spectrum"]["eig_plus"], vals[:, 1])
+    assert results["max_deviation_from_pi"] == np.abs(np.abs(vals) - np.pi).max()
+    assert (results["negative_count"], results["positive_count"]) == (n, n)
+    mink = block_eigenvalues(cauchy_signature_blocks(sig.frequencies))
+    results, _ = cmd_crosscheck(config, basis)
+    assert results["max_eigenvalue_deviation"] == np.abs(mink - [-np.pi, np.pi]).max()
 
 
 def test_seed_and_tol_flags_override_the_file(tmp_path):

@@ -1,16 +1,16 @@
-"""Closed-form Minkowski mode engine and the lattice cross-check."""
+"""Closed-form Minkowski mode engine, the lattice cross-check, and the
+per-mode block spectrum that both the cross-check and `signature` read."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgsig.lattice import dirichlet_basis, omega
-from kgsig.signature import signature_reconstruct
+from kgsig.lattice import dirichlet_basis
+from kgsig.signature import block_eigenvalues, signature_analytic, signature_reconstruct
 from kgsig.minkowski import (
     ModeSuperposition,
     amplitude_to_cauchy,
-    block_eigenvalues,
     cauchy_signature_blocks,
     cauchy_to_amplitude,
     cross_check_lattice,
@@ -225,11 +225,13 @@ def test_block_eigenvalues_of_rotations_are_their_half_trace():
     assert np.array_equal(vals, np.repeat(np.cos(angle)[:, None], 2, axis=1))
 
 
+@pytest.mark.parametrize("route", ["lattice", "minkowski"])
 @pytest.mark.parametrize("mass", [0.0, 1e-3, 1.5, 30.0])
-def test_block_eigenvalues_on_analytic_blocks_at_n_1024(mass):
+def test_block_eigenvalues_on_analytic_blocks_at_n_1024(mass, route):
     # from the lowest mode to the highest, omega spans four decades
-    frequencies = omega(dirichlet_basis(1024, 10.0).eigenvalues, mass)
-    vals = check_against_eigvals(cauchy_signature_blocks(frequencies))
+    sig = signature_analytic(mass, dirichlet_basis(1024, 10.0))
+    blocks = sig.blocks if route == "lattice" else cauchy_signature_blocks(sig.frequencies)
+    vals = check_against_eigvals(blocks)
     assert np.abs(vals - [-np.pi, np.pi]).max() <= 9e-16  # two ulps of pi
 
 

@@ -3,7 +3,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kgsig"
 
-# top-level names that no command runs, each kept for a reason of its own
+# names (top-level, or public class members) that no command runs, each kept
+# for a reason of its own
 KEPT = (
     ("lattice.laplacian", "the dense operator that the closed-form sine basis is checked against"),
     ("signature.assemble", "the dense matrix of the signature blocks, A2's spectrum check"),
@@ -14,21 +15,37 @@ KEPT = (
     ("minkowski.mink_cauchy_inverse", "Minkowski oracle: shell amplitudes from Cauchy data"),
     ("massfamily.apply_T", "the paper's mass multiplication T, on families the Gram tests pair"),
     ("massfamily.integrate_p", "the paper's p-map, which README names and a mode oracle checks"),
+    ("lattice.SpectralBasis.synthesize", "the inverse transform that the round-trip tests check"),
+    ("massfamily.MassWeight.mass_moment", "the mass-moment oracle that ROADMAP item 10 keeps"),
 )
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def unreferenced_names():
-    """module.name for every top-level function and class of the package that
-    no code in the package names (as a name or an attribute) outside its own
-    body; docstrings and comments are not code, so they do not count."""
+    """module.name for every top-level function and class of the package, and
+    module.Class.name for every public method and property of its classes,
+    that no code in the package names (as a name or an attribute) outside its
+    own body; docstrings and comments are not code, so they do not count.
+    Dunders are left out: operators and the interpreter call them."""
     defined, referenced = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        own = {}  # id of each node inside a top-level definition -> its name
+        own = {}  # id of each node inside a definition -> the names it defines
+
+        def define(node, qualified):
+            defined.append((path.stem, qualified, node.name))
+            for sub in ast.walk(node):
+                own.setdefault(id(sub), set()).add(node.name)
+
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((path.stem, node.name))
-                own.update((id(sub), node.name) for sub in ast.walk(node))
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                define(node, node.name)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, FUNCTIONS) and not item.name.startswith("_"):
+                        define(item, f"{node.name}.{item.name}")
         for sub in ast.walk(tree):
             if isinstance(sub, ast.Name):
                 name = sub.id
@@ -36,10 +53,10 @@ def unreferenced_names():
                 name = sub.attr
             else:
                 continue
-            if own.get(id(sub)) != name:
+            if name not in own.get(id(sub), ()):
                 referenced.add(name)
     return {
-        f"{module}.{name}" for module, name in defined
+        f"{module}.{qualified}" for module, qualified, name in defined
         if name not in referenced
         and not (module == "cli" and (name == "main" or name.startswith("cmd_")))  # entry points
     }
