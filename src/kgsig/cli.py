@@ -252,14 +252,11 @@ def cmd_reconstruct(config: ExperimentConfig, basis: SpectralBasis):
 
 def cmd_state(config: ExperimentConfig, basis: SpectralBasis):
     state = build_state(config.m, basis)
-    suite = state_positivity_suite(
-        state,
-        seed=config.seed,
-        trials=config.trials,
-        t_span=config.window,
-        dt=config.dt,
-    )
     times = time_window(-config.window / 2, config.window / 2, config.dt)
+    # the suite's sources are dropped when it returns
+    suite = state_positivity_suite(
+        state, random_test_function(Draws(config.seed), basis, times, real=True, size=config.trials)
+    )
     fs = random_test_function(Draws(config.seed + 1), basis, times, real=True, size=6)
     solved = causal_fundamental(fs, config.m)  # pairs (f, g): entries k, k + 1
     pair = pair_matrix(state, solved)

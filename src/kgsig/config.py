@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import massfamily
-from .signature import MASSLESS_MASSES, check_half_width
+from .lattice import SpatialGrid
+from .signature import MASSLESS_MASSES, reconstruction_weight
 
 
 class ConfigError(ValueError):
@@ -127,19 +128,28 @@ def _check_size(key: str, rows: int, samples: int, what: str) -> None:
         )
 
 
+def _library(check, *args):
+    """Run a library constructor or check; its ValueError is a ConfigError."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def validate_config(config: ExperimentConfig, command: str) -> None:
     """Reject values the command cannot run with; `reconstruct` reads `tol` as
-    its block tolerance."""
+    its block tolerance. The rules of the grid, the mass interval and
+    reconstruct's weight are the library's (`SpatialGrid`, `MassInterval`,
+    `reconstruction_weight`), run here with their own messages; checked here
+    are finiteness, the size caps, floating-point range, and each command's
+    counts and steps."""
     for key, default in ExperimentConfig._field_defaults.items():
         if isinstance(default, float) and not math.isfinite(getattr(config, key)):
             raise ConfigError(f"{key} must be finite")
-    if config.n < 1:
-        raise ConfigError("grid needs at least one interior point")
     # every command holds n-vectors; three write one table row per mode
     rows = config.n if command in ("spectrum", "signature", "crosscheck") else 0
     _check_size("n", rows, config.n, "grid points")
-    if config.l <= 0.0:
-        raise ConfigError("grid length must be positive")
+    _library(SpatialGrid, config.n, config.l)
     # the lattice frequencies reach sqrt(m^2 + 4 / h^2) (massdecomp and
     # masslimit do not read m); products, so no check raises OverflowError
     h = config.l / (config.n + 1)
@@ -157,10 +167,7 @@ def validate_config(config: ExperimentConfig, command: str) -> None:
         if getattr(config, name) <= 0.0:
             raise ConfigError(f"{name} must be positive")
     if command in ("massdecomp", "reconstruct"):
-        try:
-            interval = massfamily.MassInterval(config.m_lo, config.m_hi)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        interval = _library(massfamily.MassInterval, config.m_lo, config.m_hi)
         # the mass rules' frequencies reach sqrt(m_hi^2 + 4 / h^2)
         if math.isinf(config.m_hi * config.m_hi + 4.0 / (h * h)):
             raise ConfigError("m_hi too large: m_hi^2 + 4 / h^2 overflows")
@@ -179,18 +186,7 @@ def validate_config(config: ExperimentConfig, command: str) -> None:
                 f"m = {m_min:g} is lost to rounding in lambda + m^2"
             )
     if command == "reconstruct":
-        window = massfamily.MassWeight(config.m, config.half_width)
-        try:
-            massfamily.check_support(window, interval)
-        except ValueError as exc:
-            raise ConfigError(
-                "weight window [m - half_width, m + half_width] must lie "
-                "in the closed mass interval [m_lo, m_hi]"
-            ) from exc
-        try:
-            check_half_width(config.m, config.half_width, config.tol)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        _library(reconstruction_weight, config.m, config.half_width, config.tol, interval)
     if command == "wick" and not 1 <= config.wick_order <= 4:
         raise ConfigError("wick_order must be between 1 and 4")
     counts = {"evolve": "samples", "state": "trials", "massdecomp": "families"}

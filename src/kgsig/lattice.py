@@ -25,7 +25,7 @@ import numpy as np
 class SpatialGrid:
     """Interior points of a Dirichlet lattice on (0, length)."""
 
-    __slots__ = ("num_points", "length", "spacing", "points")
+    __slots__ = ("num_points", "length", "spacing")
 
     def __init__(self, num_points: int, length: float) -> None:
         num_points = operator.index(num_points)  # TypeError for 2.5 or "4"
@@ -34,8 +34,12 @@ class SpatialGrid:
         if not length > 0.0:
             raise ValueError("grid length must be positive")
         self.num_points, self.length = num_points, length
-        self.spacing = h = length / (num_points + 1)
-        self.points = h * np.arange(1, num_points + 1, dtype=float)
+        self.spacing = length / (num_points + 1)
+
+    @property
+    def points(self) -> np.ndarray:
+        """Built on each read, so a grid that only checks n and l holds no array."""
+        return self.spacing * np.arange(1, self.num_points + 1, dtype=float)
 
 
 def laplacian(grid: SpatialGrid) -> np.ndarray:

@@ -105,7 +105,8 @@ class MassInterval:
 
 
 class MassWeight:
-    """Smooth bump on [center - half_width, center + half_width].
+    """Smooth bump on [center - half_width, center + half_width], a support
+    at positive mass.
 
     Carries the trapezoid rule on the interior nodes of a uniform grid of
     _INTERVALS intervals over its support: `nodes`, their common weight
@@ -117,6 +118,8 @@ class MassWeight:
     def __init__(self, center: float, half_width: float) -> None:
         if not half_width > 0.0:
             raise ValueError("weight needs positive half_width")
+        if not center - half_width > 0.0:  # 0 outside the support; NaN fails
+            raise ValueError("weight support must stay at positive mass")
         self.center, self.half_width = center, half_width
 
     @property
@@ -170,12 +173,14 @@ class MassFamily:
 
 
 def check_support(weight: MassWeight, interval: MassInterval) -> None:
-    """Raise ValueError unless the weight's support lies at positive mass and,
-    up to rounding, in the closure of I."""
+    """Raise ValueError unless the weight's support lies, up to rounding, in
+    the closure of I."""
     lo, hi = weight.center - weight.half_width, weight.center + weight.half_width
     slack = _SUPPORT_SLACK * interval.m_hi
-    if not (0.0 < lo and interval.m_lo - slack <= lo and hi <= interval.m_hi + slack):
-        raise ValueError("weight support outside I")
+    if not (interval.m_lo - slack <= lo and hi <= interval.m_hi + slack):
+        # shortest round-trip digits: a near miss does not print as a fit
+        raise ValueError(f"weight support outside I: [{lo}, {hi}] is not in "
+                         f"[{interval.m_lo}, {interval.m_hi}]")
 
 
 def make_family(

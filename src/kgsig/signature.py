@@ -203,11 +203,23 @@ def massless_limit(basis: SpectralBasis) -> tuple[SignatureOperator, MasslessTab
     )
 
 
-def check_half_width(mass: float, half_width: float, tol: float) -> None:
-    """Reconstruct's rule that the O((half_width / m)^2) deviation fits tol."""
-    if (half_width / mass) ** 2 > 25.0 * tol:
+def reconstruction_weight(
+    mass: float, half_width: float, tol: float, interval: MassInterval | None = None
+) -> MassWeight:
+    """The localizing weight of `signature_reconstruct`, or ValueError.
+
+    Checked in this order: the weight itself (a positive half-width, a
+    support at positive mass), then, when an interval is given, that the
+    support lies in its closure, then the rule that the O((half_width / m)^2)
+    deviation fits tol.
+    """
+    weight = MassWeight(mass, half_width)  # so 0 < half_width < mass in the ratio
+    if interval is not None:
+        check_support(weight, interval)
+    if not (half_width / mass) ** 2 <= 25.0 * tol:  # NaN fails
         raise ValueError("half-width too large for the requested tolerance "
                          f"(need (half_width / m)^2 <= 25 * {tol:g})")
+    return weight
 
 
 def signature_reconstruct(
@@ -228,7 +240,9 @@ def signature_reconstruct(
     -FLIP P_n. The deviation from the analytic operator is O(half_width^2)
     once the adaptive time window has converged; the internal window
     tolerance is scaled below the requested block tolerance so truncation
-    stays subdominant to localization.
+    stays subdominant to localization. The weight and its preconditions come
+    from `reconstruction_weight`, which raises ValueError before any kernel
+    is built.
 
     The normalization needs no mass rule. With m' = mass + half_width x and
     w(m') = b(x), b the bump,
@@ -241,12 +255,7 @@ def signature_reconstruct(
     F(a) = a e^{-a/2} (K_1 - K_0)(a/2), and I = F(2) = 2 e^-1 (K_1(1) - K_0(1))
     = BUMP_SQUARED_INTEGRAL.
     """
-    if not mass - half_width > 0.0:
-        raise ValueError("weight support must stay at positive mass")
-    weight = MassWeight(mass, half_width)  # rejects a half-width <= 0 before the ratio
-    check_half_width(mass, half_width, tol)
-    if interval is not None:
-        check_support(weight, interval)
+    weight = reconstruction_weight(mass, half_width, tol, interval)
     norm2 = mass * half_width * BUMP_SQUARED_INTEGRAL
 
     g, report = adaptive_kernels(

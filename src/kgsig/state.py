@@ -9,7 +9,8 @@ the quasi-free (Wick) combinatorics: a sum over perfect matchings. Test
 functions come as a (K,) stack of sources, each held as its terms' time
 profiles and spatial shapes; `two_point_matrix` makes one causal solve G f of
 it, one chi_hol projection and one broadcast `symplectic` per row, and
-`pair_matrix` pairs causal data solved before.
+`pair_matrix` pairs causal data solved before. `state_positivity_suite`
+checks the Gram of a stack it is given: the caller draws the sources.
 """
 
 from __future__ import annotations
@@ -19,15 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (
-    CauchyDatum,
-    SpacetimeTestFunction,
-    apply_mode_blocks,
-    causal_fundamental,
-    time_window,
-)
+from .dynamics import CauchyDatum, SpacetimeTestFunction, apply_mode_blocks, causal_fundamental
 from .lattice import SpectralBasis
-from .random_fields import Draws, random_test_function
 from .signature import complex_structure, projectors, signature_analytic
 from .symplectic import symplectic
 
@@ -46,10 +40,14 @@ def build_state(mass: float, basis: SpectralBasis) -> TwoPointEvaluator:
     return TwoPointEvaluator(mass=mass, basis=basis, hol_blocks=hol)
 
 
+def _check_basis(state: TwoPointEvaluator, data: SpacetimeTestFunction | CauchyDatum) -> None:
+    if data.basis is not state.basis:
+        raise ValueError("test functions live on a different basis")
+
+
 def _solve(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> CauchyDatum:
     """The t = 0 causal data G f of a source or a stack, on the state's basis."""
-    if fs.basis is not state.basis:
-        raise ValueError("test functions live on a different basis")
+    _check_basis(state, fs)
     return causal_fundamental(fs, state.mass)
 
 
@@ -63,6 +61,7 @@ def pair_matrix(state: TwoPointEvaluator, solved: CauchyDatum) -> np.ndarray:
     """`two_point_matrix` from the (K, 2, N) causal data G f_i: row i is
     i sigma(G f_i, chi_hol G f_j) over the stack, so entries do not depend on
     the batch, and one row at a time keeps the work at K x N."""
+    _check_basis(state, solved)
     if solved.modes.ndim != 3 or not len(solved.modes):
         raise ValueError(f"need a stack of K >= 1 test functions, got {solved.modes.shape}")
     hol = apply_mode_blocks(state.hol_blocks, solved)
@@ -137,23 +136,15 @@ class PositivityReport(NamedTuple):
     diag_imag_max: float
 
 
-def state_positivity_suite(
-    state: TwoPointEvaluator,
-    seed: int = 0,
-    trials: int = 20,
-    t_span: float = 6.0,
-    dt: float = 0.05,
-) -> PositivityReport:
-    """Gram matrix of omega2 over random real test functions, solved from
-    their factors like every source (no (trials, J, N) array).
+def state_positivity_suite(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> PositivityReport:
+    """Gram matrix of omega2 over a (K,) stack of test functions, solved from
+    their factors like every source (no (K, J, N) array), with its spectrum
+    and defects.
 
     Positive semi-definiteness of the Gram is the one-particle content of
     state positivity: for a = sum c_i f_i the expectation of a* a is
     c^dagger Gram c.
     """
-    rng = Draws(seed)
-    times = time_window(-t_span / 2, t_span / 2, dt)
-    fs = random_test_function(rng, state.basis, times, real=True, size=trials)
     gram = two_point_matrix(state, fs)
     defect = float(np.abs(gram - gram.conj().T).max())
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))

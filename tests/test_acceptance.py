@@ -20,7 +20,7 @@ from kgsig.massfamily import (
     spacetime_gram,
 )
 from kgsig.minkowski import cross_check_lattice
-from kgsig.random_fields import random_datum, random_test_function
+from kgsig.random_fields import Draws, random_datum, random_test_function
 from kgsig.signature import (
     assemble,
     massless_limit,
@@ -125,9 +125,11 @@ def test_a3_dual_route_pairing(basis16, criterion):
 def test_a4_state_properties(criterion):
     basis = dirichlet_basis(32, 10.0)
     state = build_state(1.0, basis)
-    suite = state_positivity_suite(state, seed=5, trials=20, t_span=6.0, dt=0.05)
-    rng = np.random.default_rng(17)
     times = time_window(-3.0, 3.0, 0.05)
+    suite = state_positivity_suite(
+        state, random_test_function(Draws(5), basis, times, real=True, size=20)
+    )
+    rng = np.random.default_rng(17)
     im_worst = ccr_worst = 0.0
     for _ in range(5):
         f = random_test_function(rng, basis, times, real=True)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kgsig
-from kgsig import massfamily
+from kgsig import massfamily, signature
 from kgsig.cli import (
     _COMMANDS,
     _USAGE,
@@ -27,7 +27,7 @@ from kgsig.cli import (
     parse_args,
 )
 from kgsig.config import SECTIONS, ExperimentConfig
-from kgsig.lattice import dirichlet_basis
+from kgsig.lattice import SpatialGrid, dirichlet_basis
 from kgsig.minkowski import cauchy_signature_blocks
 from kgsig.signature import block_eigenvalues, signature_analytic
 
@@ -94,6 +94,35 @@ def test_bad_interval_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, ["massdecomp"], "[mass]\nm_lo = 5e-324\nm_hi = 1e-323\n")
     assert code == 2
     assert "too wide" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, text, library",
+    [
+        (["spectrum"], "[grid]\nn = 0\n", lambda: SpatialGrid(0, 10.0)),
+        (["spectrum"], "[grid]\nl = 0\n", lambda: SpatialGrid(16, 0.0)),
+        (["massdecomp"], "[mass]\nm_lo = 0\n", lambda: massfamily.MassInterval(0.0, 2.0)),
+        (["massdecomp"], "[mass]\nm_lo = 2\nm_hi = 1\n",
+         lambda: massfamily.MassInterval(2.0, 1.0)),
+        (["massdecomp"], "[mass]\nm_hi = 1e160\n", lambda: massfamily.MassInterval(1.0, 1e160)),
+        (["reconstruct"], "[mass]\nm = 1.0\n", lambda: signature.reconstruction_weight(
+            1.0, 0.05, signature.BLOCK_TOL_DEFAULT, massfamily.MassInterval(1.0, 2.0))),
+        (["reconstruct"], "[mass]\nm = 0.04\n", lambda: signature.reconstruction_weight(
+            0.04, 0.05, signature.BLOCK_TOL_DEFAULT, massfamily.MassInterval(1.0, 2.0))),
+        (["reconstruct", "--tol", "1e-5"], "", lambda: signature.reconstruction_weight(
+            1.5, 0.05, 1e-5, massfamily.MassInterval(1.0, 2.0))),
+    ],
+    ids=["n", "l", "m_lo", "order", "too-wide", "support", "positive-mass", "half-width"],
+)
+def test_config_error_is_the_library_error(tmp_path, capsys, args, text, library):
+    # validate_config restates no rule of the grid, the interval or the weight:
+    # the message is the library's own for the same values
+    with pytest.raises(ValueError) as raised:
+        library()
+    code, out = run(tmp_path, args, text)
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {raised.value}\n"
+    assert not out.exists()
 
 
 def test_malformed_value_exits_2(tmp_path, capsys):

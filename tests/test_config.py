@@ -105,7 +105,7 @@ def test_interval_must_be_ordered():
 
 def test_reconstruction_window_must_sit_inside_interval():
     config = ExperimentConfig(m=1.0)  # [0.95, 1.05] leaks below m_lo = 1
-    with pytest.raises(ConfigError, match="weight window"):
+    with pytest.raises(ConfigError, match="support outside I"):
         validate_config(config, "reconstruct")
     validate_config(config, "massdecomp")
     # the window may fill the closed interval: [1.45, 1.55] around m = 1.5

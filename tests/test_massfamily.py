@@ -152,11 +152,13 @@ def test_make_family_validates_support(basis):
     with pytest.raises(ValueError, match="support outside I"):
         make_family(datum, MassWeight(1.9, 0.3), INTERVAL)
     # the rounding slack scales with m_hi: at masses near 1e-15 a fixed 1e-12
-    # let a weight reach through m = 0 or start below m_lo
+    # let a weight reach through m = 0 or start below m_lo; reaching through
+    # m = 0 is no weight at all
     tiny = MassInterval(1e-15, 2e-15)
-    for weight in (MassWeight(1.5e-15, 1e-12), MassWeight(1.5e-15, 6e-16)):
-        with pytest.raises(ValueError, match="support outside I"):
-            make_family(datum, weight, tiny)
+    with pytest.raises(ValueError, match="positive mass"):
+        MassWeight(1.5e-15, 1e-12)
+    with pytest.raises(ValueError, match="support outside I"):
+        make_family(datum, MassWeight(1.5e-15, 6e-16), tiny)
     make_family(datum, interval_weight(tiny), tiny)
     fam = make_family(datum, interval_weight(INTERVAL), INTERVAL)
     assert fam.mass_power == 0
@@ -164,8 +166,9 @@ def test_make_family_validates_support(basis):
 
 
 def test_nan_weight_fails_the_support_check():
-    with pytest.raises(ValueError, match="support outside I"):
-        massfamily.check_support(MassWeight(np.nan, 0.1), INTERVAL)
+    # a NaN centre is no weight: it fails at construction, before any support check
+    with pytest.raises(ValueError, match="positive mass"):
+        MassWeight(np.nan, 0.1)
     for half_width in (0.0, -0.1, np.nan):
         with pytest.raises(ValueError, match="positive half_width"):
             MassWeight(1.5, half_width)

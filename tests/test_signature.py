@@ -20,6 +20,7 @@ from kgsig.signature import (
     massless_limit,
     per_mode_distance,
     projectors,
+    reconstruction_weight,
     scalar_product,
     signature_analytic,
     signature_reconstruct,
@@ -307,9 +308,10 @@ ONE_MODE = {"dimension": 1, "momenta": [0.5], "amplitudes": [[1.0], [0.0]]}
         lambda basis: ModeSuperposition(**ONE_MODE, weights=[1.0], mass=NAN),
         lambda basis: ModeSuperposition(**ONE_MODE, weights=[NAN], mass=1.0),
         lambda basis: mink_cauchy_inverse(np.ones((2, 1)), np.array([NAN])),
+        lambda basis: reconstruction_weight(1.5, 0.05, NAN),
     ],
     ids=["signature_analytic", "omega", "superposition-mass", "superposition-weights",
-         "mink_cauchy_inverse"],
+         "mink_cauchy_inverse", "reconstruction-tol"],
 )
 def test_guards_reject_nan(basis, call):
     # each guard was written as a comparison that NaN fails, so NaN passed it
@@ -334,6 +336,9 @@ def test_reconstruction_preconditions(basis):
         signature_reconstruct(0.0, basis, -0.1)
     with pytest.raises(ValueError, match="support outside I"):
         signature_reconstruct(1.5, basis, 0.2, interval=MassInterval(1.4, 2.0))
+    # the support is checked before the tolerance rule, which fails here too
+    with pytest.raises(ValueError, match="support outside I"):
+        reconstruction_weight(1.0, 0.05, 1e-6, MassInterval(1.0, 2.0))
     with pytest.raises(ValueError, match="nonnegative"):
         signature_analytic(-1.0, basis)
 

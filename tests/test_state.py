@@ -13,7 +13,7 @@ from kgsig.dynamics import (
     time_window,
 )
 from kgsig.lattice import SINE_FFT_MIN_POINTS, dirichlet_basis
-from kgsig.random_fields import random_test_function
+from kgsig.random_fields import Draws, random_test_function
 from kgsig.state import (
     build_state,
     pair_matchings,
@@ -53,8 +53,9 @@ def test_single_function_positivity(state, basis, times):
         assert abs(val.imag) < 1e-13 * val.real
 
 
-def test_gram_positive_semidefinite(state):
-    report = state_positivity_suite(state, seed=0, trials=6)
+def test_gram_positive_semidefinite(state, basis, times):
+    fs = random_test_function(Draws(0), basis, times, real=True, size=6)
+    report = state_positivity_suite(state, fs)
     assert report.min_eigenvalue > -1e-10
     assert report.hermiticity_defect < 1e-13
     assert report.diag_imag_max < 1e-13
@@ -147,6 +148,15 @@ def test_two_point_matrix_rejects_foreign_basis_anywhere(state, basis, times):
             call()
 
 
+@pytest.mark.parametrize("n, length", [(16, 20.0), (8, 10.0)])
+def test_pair_matrix_rejects_data_solved_on_another_basis(state, times, n, length):
+    # paired with the state's projector blocks, data of another basis gave a
+    # (3, 3) matrix at n = 16 and numpy's broadcast error at n = 8
+    fs = random_test_function(Draws(19), dirichlet_basis(n, length), times, real=True, size=3)
+    with pytest.raises(ValueError, match="test functions live on a different basis"):
+        pair_matrix(state, causal_fundamental(fs, MASS))
+
+
 @pytest.mark.parametrize("n", [64, 768])
 def test_two_point_matrix_entries_do_not_depend_on_the_batch(n):
     # A9's exact four == direct compares batched entries with 2 x 2 ones;
@@ -198,11 +208,14 @@ def test_positivity_suite_memory_stays_near_one_source():
     # solves them from their factors and builds no (40, 241, 64) stack
     basis = dirichlet_basis(64, 10.0)
     state = build_state(MASS, basis)
+    times = time_window(-3.0, 3.0, 0.025)
     source_bytes = 241 * basis.size * np.dtype(float).itemsize
-    state_positivity_suite(state, trials=2, dt=0.025)  # builds the cached mode table
+    # builds the cached mode table
+    state_positivity_suite(state, random_test_function(Draws(0), basis, times, real=True, size=2))
     tracemalloc.start()
-    try:
-        report = state_positivity_suite(state, trials=40, dt=0.025)
+    try:  # the bound covers the draw as well as the solve
+        fs = random_test_function(Draws(0), basis, times, real=True, size=40)
+        report = state_positivity_suite(state, fs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
