@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 from . import massfamily
 from .lattice import SpatialGrid
-from .signature import MASSLESS_MASSES, reconstruction_weight
+from .signature import check_massless_grid, reconstruction_weight
+from .state import WICK_ARGUMENTS_MAX
 
 
 class ConfigError(ValueError):
@@ -31,9 +32,8 @@ class ConfigError(ValueError):
 # profiles and shapes, and the Duhamel passes hold blocks of time rows, so the
 # cap bounds time more than memory. Near it (n = 64), `green` at dt = 1.84e-4
 # peaks at 35 MiB RSS in 1.1 s, and `state` at dt = 9.2e-5 at 155 MiB in
-# 1.6-1.8 s, set by the positivity suite below (100 and 383 MiB while sources
-# were held as their time nodes x grid points modes; 2-core Xeon, numpy 2.4.6,
-# one BLAS thread)
+# 1.6-1.8 s, set by the positivity suite below (2-core Xeon, numpy 2.4.6, one
+# BLAS thread)
 SPACETIME_SAMPLES_MAX = 1 << 22
 # trials x (time nodes x grid points + trials) complex values: the cap on the
 # state suite, which holds far less: 3 trials time profiles and shapes, two
@@ -44,9 +44,6 @@ SUITE_SAMPLES_MAX = 32 * SPACETIME_SAMPLES_MAX
 # samples at n = 1 take 3.7-4.2 s on a 2-core Xeon), the modes of spectrum,
 # signature and crosscheck, or massdecomp's family pairs, read off two Grams
 TABLE_ROWS_MAX = SPACETIME_SAMPLES_MAX >> 6
-# masslimit needs m^2 to survive in omega^2 = lambda + m^2 for every mode; the
-# rounding of the largest lambda may reach this share of the smallest m^2
-MASSLIMIT_ROUNDING_SHARE = 1e-3
 
 
 # section -> keys, in `ExperimentConfig`'s field order; a key's type is its default's
@@ -138,28 +135,28 @@ def _library(check, *args):
 
 def validate_config(config: ExperimentConfig, command: str) -> None:
     """Reject values the command cannot run with; `reconstruct` reads `tol` as
-    its block tolerance. The rules of the grid, the mass interval and
-    reconstruct's weight are the library's (`SpatialGrid`, `MassInterval`,
-    `reconstruction_weight`), run here with their own messages; checked here
-    are finiteness, the size caps, floating-point range, and each command's
-    counts and steps."""
+    its block tolerance. The rules of the grid (its floating-point range
+    included), the mass interval, reconstruct's weight and masslimit's
+    rounding are the library's (`SpatialGrid`, `MassInterval`,
+    `reconstruction_weight`, `check_massless_grid`), run here with their own
+    messages, and `wick_order` is bounded by `state.WICK_ARGUMENTS_MAX`.
+    Checked here are finiteness, the size caps (with the overflow of m^2,
+    m_hi^2 and the evolve phase past the grid's `eigenvalue_bound`), each
+    command's counts, the seed, the time-window rules and the T_START
+    ceiling."""
     for key, default in ExperimentConfig._field_defaults.items():
         if isinstance(default, float) and not math.isfinite(getattr(config, key)):
             raise ConfigError(f"{key} must be finite")
     # every command holds n-vectors; three write one table row per mode
     rows = config.n if command in ("spectrum", "signature", "crosscheck") else 0
     _check_size("n", rows, config.n, "grid points")
-    _library(SpatialGrid, config.n, config.l)
+    grid = _library(SpatialGrid, config.n, config.l)
     # the lattice frequencies reach sqrt(m^2 + 4 / h^2) (massdecomp and
     # masslimit do not read m); products, so no check raises OverflowError
-    h = config.l / (config.n + 1)
-    if h * h == 0.0 or math.isinf(h * h) or math.isinf(4.0 / (h * h)):
-        raise ConfigError("grid spacing l / (n + 1) out of floating-point range")
+    bound = grid.eigenvalue_bound
     if config.m < 0.0:
         raise ConfigError("mass must be nonnegative")
-    if command not in ("massdecomp", "masslimit") and math.isinf(
-        config.m * config.m + 4.0 / (h * h)
-    ):
+    if command not in ("massdecomp", "masslimit") and math.isinf(config.m * config.m + bound):
         raise ConfigError("mass too large: m^2 + 4 / h^2 overflows")
     if config.seed < 0:
         raise ConfigError("seed must be nonnegative")
@@ -169,7 +166,7 @@ def validate_config(config: ExperimentConfig, command: str) -> None:
     if command in ("massdecomp", "reconstruct"):
         interval = _library(massfamily.MassInterval, config.m_lo, config.m_hi)
         # the mass rules' frequencies reach sqrt(m_hi^2 + 4 / h^2)
-        if math.isinf(config.m_hi * config.m_hi + 4.0 / (h * h)):
+        if math.isinf(config.m_hi * config.m_hi + bound):
             raise ConfigError("m_hi too large: m_hi^2 + 4 / h^2 overflows")
         first_end = 2.0 * massfamily.T_START  # where the first stage ends
         if config.t_ceiling < first_end:
@@ -177,25 +174,19 @@ def validate_config(config: ExperimentConfig, command: str) -> None:
                 f"t_ceiling = {config.t_ceiling:g} is below 2 * T_START = {first_end:g}"
             )
     if command == "masslimit":
-        # (4 / h^2) eps > share * m_min^2, multiplied through by h^2
-        m_min = min(MASSLESS_MASSES)
-        share = MASSLIMIT_ROUNDING_SHARE
-        if 4.0 * sys.float_info.epsilon > share * m_min * m_min * h * h:
-            raise ConfigError(
-                "grid spacing too fine for masslimit: the smallest table mass "
-                f"m = {m_min:g} is lost to rounding in lambda + m^2"
-            )
+        _library(check_massless_grid, grid)
     if command == "reconstruct":
         _library(reconstruction_weight, config.m, config.half_width, config.tol, interval)
-    if command == "wick" and not 1 <= config.wick_order <= 4:
-        raise ConfigError("wick_order must be between 1 and 4")
+    # wick pairs 2 wick_order sources
+    if command == "wick" and not 1 <= config.wick_order <= WICK_ARGUMENTS_MAX // 2:
+        raise ConfigError(f"wick_order must be between 1 and {WICK_ARGUMENTS_MAX // 2}")
     counts = {"evolve": "samples", "state": "trials", "massdecomp": "families"}
     if command in counts and getattr(config, counts[command]) < 1:
         raise ConfigError(f"{counts[command]} must be positive")
     if command == "evolve":  # one propagated n-mode pair per sample
         samples = config.samples
         _check_size("samples", samples, samples * config.n, "samples x grid points")
-        if math.isinf(math.sqrt(config.m * config.m + 4.0 / (h * h)) * abs(config.time)):
+        if math.isinf(math.sqrt(config.m * config.m + bound) * abs(config.time)):
             raise ConfigError("time too large: the phase sqrt(m^2 + 4 / h^2) |time| overflows")
     if command == "massdecomp":  # the Gram contracts a (2, n, families, families) kernel
         f = config.families

@@ -17,20 +17,15 @@ stacks, (..., 2, N) and (..., C, J) with (..., C, N), indexed on the leading
 axes; every function here acts per datum or source. The causal t = 0 data
 take each term's full-window moments, one (C, J) @ (J, N) product per source
 and phase table. The retarded and advanced fields S_ret f and S_adv f come
-from one kernel, `_green_blocks`: a cumulative Simpson quadrature of the
-cos- and sin-weighted source, run forward or backward in time and yielding
-the field in blocks of time rows in node order, each built from its own
-rows of the phase table and of the source (`_source_rows`, which forms a
-row the same way whatever block it falls in); consecutive blocks share two
-nodes. A pass holds a few blocks of `_BLOCK_VALUES` values whatever the
-window's length. Inside the kernel a block's nodes sit in an odd and an even
-lane, so every Simpson step reads contiguous rows, and the last step writes
-them back in node order. `green_residuals` and `symplectic.gm_form` reduce
-the blocks as they arrive, so no function holds a whole field; ret - adv is
-the causal field G f. The blocked values take the operations, in the order,
-of the plain whole-window expressions on the source's rows (the tests keep
-them as references), so results keep their values bit for bit (an exact
-zero may differ in sign).
+from one kernel, `_green_blocks`, a cumulative Simpson quadrature run forward
+or backward in time that yields the field in blocks of time rows, a few of
+`_BLOCK_VALUES` values per pass whatever the window's length.
+`green_residuals` and `retarded_pairing` (the pairing <f, S_ret g> that
+`symplectic.gm_form` takes twice) reduce the blocks as they arrive, so no
+function holds a whole field; ret - adv is the causal field G f. The blocked
+values take the operations, in the order, of the plain whole-window
+expressions on the source's rows (the tests keep them as references), so
+results keep their values bit for bit (an exact zero may differ in sign).
 """
 
 from __future__ import annotations
@@ -256,8 +251,8 @@ def _green_blocks(f: SpacetimeTestFunction, mass: float, step: int):
     odd and an even lane of nodes (`_simpson_lanes`), and continues both
     running integrals from the last two weighted rows and running values of
     the block before, so every value takes the operations, in the order, of
-    one pass over the whole window. The last step, the division by w, interleaves the lanes into
-    node order.
+    one pass over the whole window. The last step, the division by w,
+    interleaves the lanes into node order.
     """
     w = omega(f.basis.eigenvalues, mass)
     times, profiles = f.times[::step], f.profiles[..., ::step]  # in pass order
@@ -349,6 +344,24 @@ def _residual_norms(before, at, after, src, w2, dt) -> np.ndarray:
     mag = np.abs(res, out=mag.view(float)[..., : w2.size])
     # mode coefficients carry the h-weighted norm already (Parseval)
     return np.sqrt(np.sum(np.square(mag, out=mag), axis=-1))
+
+
+def retarded_pairing(
+    f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float
+) -> complex | np.ndarray:
+    """<f, S_ret g> on the shared time nodes, broadcast over the stack axes:
+    each block of g's forward pass reduced at once to the per-node mode sums
+    of conj(f) * S_ret g (Parseval), then the Simpson-weighted sum."""
+    shape = np.broadcast_shapes(f.shape, g.shape) + f.times.shape
+    per_node = np.empty(shape, np.result_type(f.dtype, g.dtype))
+    for first, block in _green_blocks(g, mass, 1):
+        nodes = slice(first, first + len(block))
+        rows = _source_rows(f.profiles, f.shapes, nodes)
+        conj = np.conj(rows, out=rows) if np.iscomplexobj(rows) else rows
+        # time on axis -2 of both operands, so the stack axes broadcast
+        product = np.multiply(conj, np.moveaxis(block, 0, -2), order="C")
+        np.sum(product, axis=-1, out=per_node[..., nodes])
+    return np.sum(simpson_weights(f.times) * per_node, axis=-1)
 
 
 def green_residuals(f: SpacetimeTestFunction, mass: float) -> tuple[float, float]:

@@ -16,6 +16,7 @@ N x N table is never built unless something reads `SpectralBasis.vectors`.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import cached_property
 
@@ -23,9 +24,11 @@ import numpy as np
 
 
 class SpatialGrid:
-    """Interior points of a Dirichlet lattice on (0, length)."""
+    """Interior points of a Dirichlet lattice on (0, length), at a spacing h
+    whose h^2 and 4 / h^2 are in the float range; `eigenvalue_bound` is
+    4 / h^2, above every eigenvalue of the 3-point Laplacian."""
 
-    __slots__ = ("num_points", "length", "spacing")
+    __slots__ = ("num_points", "length", "spacing", "eigenvalue_bound")
 
     def __init__(self, num_points: int, length: float) -> None:
         num_points = operator.index(num_points)  # TypeError for 2.5 or "4"
@@ -33,8 +36,12 @@ class SpatialGrid:
             raise ValueError("grid needs at least one interior point")
         if not length > 0.0:
             raise ValueError("grid length must be positive")
-        self.num_points, self.length = num_points, length
-        self.spacing = length / (num_points + 1)
+        h = length / (num_points + 1)
+        # products, so no check raises OverflowError or ZeroDivisionError
+        if h * h == 0.0 or math.isinf(h * h) or math.isinf(4.0 / (h * h)):
+            raise ValueError("grid spacing l / (n + 1) out of floating-point range")
+        self.num_points, self.length, self.spacing = num_points, length, h
+        self.eigenvalue_bound = 4.0 / (h * h)
 
     @property
     def points(self) -> np.ndarray:
@@ -73,9 +80,8 @@ class SpectralBasis:
     the h-weighted inner product. The sine transform
     S(u)_k = sum_j u_j sqrt(2/L) sin(k j pi / (N+1))
     gives both directions: analyze(u) = h * S(u) and synthesize(c) = S(c), on
-    the last axis of any stack. On grids of at least `SINE_FFT_MIN_POINTS`
-    points S runs through numpy.fft; on smaller ones it is the product with
-    `vectors`, which is also the reference the FFT path is tested against.
+    the last axis of any stack, through `vectors` below `SINE_FFT_MIN_POINTS`
+    points and numpy.fft from there (`vectors` is the FFT path's reference).
     """
 
     def __init__(self, grid: SpatialGrid, eigenvalues: np.ndarray) -> None:
@@ -139,8 +145,8 @@ def _sine_fft(u: np.ndarray, length: float) -> np.ndarray:
 def spectral_decompose(grid: SpatialGrid) -> SpectralBasis:
     """Closed-form eigenvalues of the Dirichlet Laplacian on the grid.
 
-    lambda_k = (4/h^2) sin^2(k pi / (2(N+1))) for k = 1..N, ascending; the
-    eigenvectors are the sine modes of `SpectralBasis`.
+    lambda_k = (4/h^2) sin^2(k pi / (2(N+1))) for k = 1..N, ascending, h^2 by
+    pow (h * h, as in `eigenvalue_bound`, may differ from it in the last bit).
     """
     n, h = grid.num_points, grid.spacing
     k = np.arange(1, n + 1)
@@ -154,9 +160,13 @@ def dirichlet_basis(num_points: int, length: float) -> SpectralBasis:
 
 
 def omega(eigenvalue: float | np.ndarray, mass: float) -> float | np.ndarray:
-    """Dispersion omega = sqrt(lambda + m^2); rejects the zero mode."""
+    """Dispersion omega = sqrt(lambda + m^2), for 0 < lambda + m^2 < inf."""
     lam = np.asarray(eigenvalue, dtype=float)
-    if not np.all(lam + mass**2 > 0.0):  # NaN fails
-        raise ValueError("omega requires lambda + m^2 > 0")
-    out = np.sqrt(lam + mass**2)
+    try:
+        square = lam + mass**2
+    except OverflowError:  # the square of a Python float
+        square = np.inf
+    if not np.all((square > 0.0) & (square < np.inf)):  # NaN fails
+        raise ValueError("omega requires 0 < lambda + m^2 < inf")
+    out = np.sqrt(square)
     return float(out) if out.ndim == 0 else out

@@ -95,14 +95,6 @@ class MassInterval:
                 "mass interval too wide: center +- half-width loses m_lo to rounding"
             ) from None
 
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.m_lo + self.m_hi)
-
-    @property
-    def half_width(self) -> float:
-        return 0.5 * (self.m_hi - self.m_lo)
-
 
 class MassWeight:
     """Smooth bump on [center - half_width, center + half_width], a support
@@ -144,8 +136,9 @@ class MassWeight:
 
 
 def interval_weight(interval: MassInterval) -> MassWeight:
-    """Bump spanning the whole mass interval."""
-    return MassWeight(interval.center, interval.half_width)
+    """Bump spanning the whole mass interval, from its center and half-width."""
+    lo, hi = interval.m_lo, interval.m_hi
+    return MassWeight(0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
 class MassFamily:
@@ -219,13 +212,25 @@ class StageRecord(NamedTuple):
 
 
 class ConvergenceReport(NamedTuple):
-    converged: bool
-    final_t: float
-    last_increment: float
-    # windows: the first, at the first T = T_START 2^k whose stage [T, 2T]
-    # ends dephased, and one per doubling
-    stages: int
-    records: tuple[StageRecord, ...]  # the doubling stages
+    """The stages of a converged doubling; a stall raises ConvergenceError."""
+
+    records: tuple[StageRecord, ...]
+
+    @property
+    def converged(self) -> bool:
+        return True
+
+    @property
+    def final_t(self) -> float:
+        return self.records[-1].t_hi
+
+    @property
+    def last_increment(self) -> float:
+        return self.records[-1].increment
+
+    @property
+    def stages(self) -> int:  # windows: the first dephased [-T, T], then one per stage
+        return len(self.records) + 1
 
 
 def _spread(weight: MassWeight, lam: np.ndarray) -> np.ndarray:
@@ -353,9 +358,7 @@ def adaptive_kernels(
             break
         t_cur = t_hi
         if worst < tol:
-            return contract(rule(0.0, t_cur)), ConvergenceReport(
-                True, t_cur, worst, stages=len(records) + 1, records=tuple(records)
-            )
+            return contract(rule(0.0, t_cur)), ConvergenceReport(tuple(records))
     last = (
         f"[{r.t_lo:g}, {r.t_hi:g}] P = {r.period:g}, {r.nodes} nodes, "
         f"increment {r.increment:.3e}, {r.seconds:.3f} s"

@@ -15,8 +15,6 @@ matters is that a seed reproduces them. `Draws` takes them from the stdlib
 Mersenne Twister, which `import numpy` has already loaded, so no command pays
 for importing `numpy.random`. Python keeps `random.Random(seed).random()`
 the same across versions, so a seed gives the same data on every Python.
-An array of normals takes its uniforms from one `randbytes` call, which
-relies on CPython's word order (see `Draws`).
 The generators accept any object with `uniform(lo, hi)` and
 `normal(size=None)`, a numpy `Generator` included.
 """

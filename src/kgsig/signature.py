@@ -14,19 +14,18 @@ difference.
 The same operator is recovered numerically from the spacetime pairing of
 mass families localized by a narrow weight (a Dirac-sequence limit): the
 normalized per-mode kernels of the pairing solve for the blocks, and the
-deviation from the analytic form is O(half_width^2). `signature_reconstruct`
-returns the recovered operator with the adaptive window's `ConvergenceReport`;
-the operator and the massless table are NamedTuple records.
+deviation from the analytic form is O(half_width^2).
 """
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import CauchyDatum, apply_mode_blocks
-from .lattice import SpectralBasis, omega
+from .lattice import SpatialGrid, SpectralBasis, omega
 from .massfamily import (
     T_CEILING_DEFAULT,
     ConvergenceReport,
@@ -180,14 +179,30 @@ def massless_bound(basis: SpectralBasis, mass: float) -> np.ndarray:
 
 
 MASSLESS_MASSES = (1.0, 0.5, 0.25, 0.125)  # the convergence table's masses
+# the table needs m^2 to survive in omega^2 = lambda + m^2 for every mode; the
+# rounding of the largest lambda may reach this share of the smallest m^2
+MASSLIMIT_ROUNDING_SHARE = 1e-3
+
+
+def check_massless_grid(grid: SpatialGrid) -> None:
+    """Raise ValueError if (4 / h^2) eps, the rounding of the largest lambda,
+    passes MASSLIMIT_ROUNDING_SHARE of the smallest m^2 (times h^2 here)."""
+    m_min, h = min(MASSLESS_MASSES), grid.spacing
+    if 4.0 * sys.float_info.epsilon > MASSLIMIT_ROUNDING_SHARE * m_min * m_min * h * h:
+        raise ValueError(
+            "grid spacing too fine for masslimit: the smallest table mass "
+            f"m = {m_min:g} is lost to rounding in lambda + m^2"
+        )
 
 
 def massless_limit(basis: SpectralBasis) -> tuple[SignatureOperator, MasslessTable]:
     """Limit operator at m = 0 plus the norm-convergence table over
-    MASSLESS_MASSES; requires a strictly positive spectrum (no zero mode)."""
+    MASSLESS_MASSES; requires a strictly positive spectrum (no zero mode)
+    and a grid that `check_massless_grid` accepts."""
     arr = np.array(MASSLESS_MASSES)
     if basis.eigenvalues[0] <= 0.0:
         raise ValueError("zero mode present; massless operator undefined")
+    check_massless_grid(basis.grid)
     limit = signature_analytic(0.0, basis)
     mode_norms = np.empty((arr.size, basis.size))
     mode_bounds = np.empty_like(mode_norms)

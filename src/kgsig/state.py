@@ -7,10 +7,7 @@ half the symplectic pairing of the causal solutions, which encodes the
 canonical commutation relations. Higher correlation functions follow from
 the quasi-free (Wick) combinatorics: a sum over perfect matchings. Test
 functions come as a (K,) stack of sources, each held as its terms' time
-profiles and spatial shapes; `two_point_matrix` makes one causal solve G f of
-it, one chi_hol projection and one broadcast `symplectic` per row, and
-`pair_matrix` pairs causal data solved before. `state_positivity_suite`
-checks the Gram of a stack it is given: the caller draws the sources.
+profiles and spatial shapes; the caller draws them.
 """
 
 from __future__ import annotations
@@ -100,13 +97,19 @@ def pair_matchings(count: int) -> list[list[tuple[int, int]]]:
     return recurse(list(range(count)))
 
 
+# the most arguments of a Wick product: 8 take 105 matchings, (K - 1)!! for K
+WICK_ARGUMENTS_MAX = 8
+
+
 def wick_terms(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> list[complex]:
     """Product of two-point factors of a (K,) stack, K even, for each
     matching in `pair_matchings` order; Python complex products overflow to
-    inf without a warning. K > 8 (105 matchings) is rejected before any
+    inf without a warning. K > WICK_ARGUMENTS_MAX is rejected before any
     two-point factor is computed."""
-    if math.prod(fs.shape) > 8:
-        raise ValueError("more than 8 arguments; pairing count grows as (2n-1)!!")
+    if math.prod(fs.shape) > WICK_ARGUMENTS_MAX:
+        raise ValueError(
+            f"more than {WICK_ARGUMENTS_MAX} arguments; pairing count grows as (2n-1)!!"
+        )
     pairs = two_point_matrix(state, fs).tolist()
     return [
         math.prod((pairs[i][j] for i, j in matching), start=1 + 0j)
@@ -117,7 +120,7 @@ def wick_terms(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> list[comp
 def wick_n_point(state: TwoPointEvaluator, fs: SpacetimeTestFunction) -> complex:
     """Quasi-free n-point function of a (K,) stack: the sum over pairings
     of two-point factors, exactly 0 for odd K and 1 for K = 0; `wick_terms`
-    rejects an even K > 8."""
+    rejects an even K > WICK_ARGUMENTS_MAX."""
     if len(fs.shape) != 1:
         raise ValueError(f"need a stack of K test functions, got stack shape {fs.shape}")
     count = fs.shape[0]

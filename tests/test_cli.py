@@ -101,6 +101,9 @@ def test_bad_interval_exits_2(tmp_path, capsys):
     [
         (["spectrum"], "[grid]\nn = 0\n", lambda: SpatialGrid(0, 10.0)),
         (["spectrum"], "[grid]\nl = 0\n", lambda: SpatialGrid(16, 0.0)),
+        (["spectrum"], "[grid]\nl = 1e-160\n", lambda: SpatialGrid(16, 1e-160)),
+        (["masslimit"], "[grid]\nl = 1e-5\n",
+         lambda: signature.massless_limit(dirichlet_basis(16, 1e-5))),
         (["massdecomp"], "[mass]\nm_lo = 0\n", lambda: massfamily.MassInterval(0.0, 2.0)),
         (["massdecomp"], "[mass]\nm_lo = 2\nm_hi = 1\n",
          lambda: massfamily.MassInterval(2.0, 1.0)),
@@ -112,11 +115,12 @@ def test_bad_interval_exits_2(tmp_path, capsys):
         (["reconstruct", "--tol", "1e-5"], "", lambda: signature.reconstruction_weight(
             1.5, 0.05, 1e-5, massfamily.MassInterval(1.0, 2.0))),
     ],
-    ids=["n", "l", "m_lo", "order", "too-wide", "support", "positive-mass", "half-width"],
+    ids=["n", "l", "spacing", "masslimit-spacing", "m_lo", "order", "too-wide", "support",
+         "positive-mass", "half-width"],
 )
 def test_config_error_is_the_library_error(tmp_path, capsys, args, text, library):
-    # validate_config restates no rule of the grid, the interval or the weight:
-    # the message is the library's own for the same values
+    # validate_config restates no rule of the grid, the interval, the weight or
+    # the massless table: the message is the library's own for the same values
     with pytest.raises(ValueError) as raised:
         library()
     code, out = run(tmp_path, args, text)

@@ -33,6 +33,17 @@ def test_grid_rejects_bad_sizes():
     for count in (2.5, 2.0, "4"):
         with pytest.raises(TypeError):
             dirichlet_basis(count, 1.0)
+    # h^2 underflows to 0 (ZeroDivisionError in the eigenvalues before), 4 / h^2
+    # overflows (infinite eigenvalues before), or h^2 overflows (OverflowError)
+    for length in (1e-200, 1e-160, 1e300):
+        with pytest.raises(ValueError, match=r"spacing l / \(n \+ 1\) out of floating-point"):
+            dirichlet_basis(4, length)
+
+
+def test_grid_states_its_eigenvalue_bound():
+    grid = SpatialGrid(64, 10.0)
+    assert grid.eigenvalue_bound == 4.0 / (grid.spacing * grid.spacing)
+    assert dirichlet_basis(64, 10.0).eigenvalues.max() < grid.eigenvalue_bound
 
 
 def test_laplacian_stencil_n2():
@@ -106,8 +117,10 @@ def test_lowest_eigenvalue_monotone_toward_continuum():
 def test_omega_values_and_zero_mode_rejection():
     assert omega(3.0, 1.0) == pytest.approx(2.0)
     assert omega(np.array([1.0, 3.0]), 0.0) == pytest.approx([1.0, np.sqrt(3.0)])
-    with pytest.raises(ValueError):
-        omega(0.0, 0.0)
+    # a Python float's square raised OverflowError; an infinite lambda gave inf
+    for lam, mass in ((0.0, 0.0), (1.0, 1e200), (np.inf, 1.0)):
+        with pytest.raises(ValueError, match="omega requires"):
+            omega(lam, mass)
 
 
 @settings(max_examples=60, deadline=None)

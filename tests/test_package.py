@@ -66,3 +66,21 @@ def test_every_top_level_name_is_used_by_the_package_or_kept_by_name():
     # the package holds what its commands run; a test-only route belongs in
     # tests/, and a kept name that gained a caller or went leaves the list
     assert unreferenced_names() == {name for name, _ in KEPT}
+
+
+def underscored_imports():
+    """module: name for every underscored name that a package module imports
+    from another package module."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "kgsig"
+            ):
+                found |= {f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")}
+    return found
+
+
+def test_no_module_imports_another_modules_underscored_name():
+    # a private name is its module's own: a rule another module needs is public
+    assert underscored_imports() == set()

@@ -182,6 +182,10 @@ def test_massless_limit_table(basis):
     zero_mode = SpectralBasis(basis.grid, np.concatenate([[0.0], basis.eigenvalues[1:]]))
     with pytest.raises(ValueError, match="zero mode present"):
         massless_limit(zero_mode)
+    # at h = 1e-5 / 17 the rounding of lambda swamps m^2 = 1 / 64: the table
+    # came back with max_mode_ratio 1.24, on a grid the command line rejects
+    with pytest.raises(ValueError, match="too fine for masslimit"):
+        massless_limit(dirichlet_basis(16, 1e-5))
 
 
 def _operator(basis, blocks):

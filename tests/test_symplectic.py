@@ -96,16 +96,19 @@ def test_causal_form_equals_symplectic_of_causal_data(basis):
     assert residuals[0] / residuals[1] >= 3.0
 
 
-def test_both_causal_sides_take_sources_on_equal_but_distinct_objects(basis):
-    # gm_form asks for neither one basis object nor one times array
+def test_causal_sides_take_equal_times_but_one_basis_object(basis):
+    # gm_form asks for equal time nodes, not one times array, and, like
+    # symplectic, for one basis object: an equal twin basis is rejected
     times = time_window(-3.0, 3.0, 0.05)
     rng = np.random.default_rng(5)
     f = random_test_function(rng, basis, times)
     g = random_test_function(rng, basis, times)
-    twin_basis = dirichlet_basis(16, 10.0)
-    twin = SpacetimeTestFunction(times.copy(), g.profiles, g.shapes, twin_basis)
-    assert twin.basis is not g.basis and twin.times is not g.times
-    assert gm_form(f, twin, MASS) == gm_form(f, g, MASS)
+    copy = SpacetimeTestFunction(times.copy(), g.profiles, g.shapes, basis)
+    assert copy.times is not g.times
+    assert gm_form(f, copy, MASS) == gm_form(f, g, MASS)
+    twin = SpacetimeTestFunction(times, g.profiles, g.shapes, dirichlet_basis(16, 10.0))
+    with pytest.raises(ValueError, match="different bases"):
+        gm_form(f, twin, MASS)
 
 
 def test_causal_form_in_mode_space_equals_the_lattice_sum(basis):
@@ -175,5 +178,5 @@ def test_causal_form_grid_mismatch_rejected():
     rng = np.random.default_rng(6)
     f = random_test_function(rng, dirichlet_basis(8, 10.0), times)
     g = random_test_function(rng, dirichlet_basis(8, 20.0), times)
-    with pytest.raises(ValueError, match="share a grid"):
+    with pytest.raises(ValueError, match="different bases"):
         gm_form(f, g, MASS)
