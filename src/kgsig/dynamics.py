@@ -18,8 +18,10 @@ axes; every function here acts per datum or source. The causal t = 0 data
 take each term's full-window moments, one (C, J) @ (J, N) product per source
 and phase table. The retarded and advanced fields S_ret f and S_adv f come
 from one kernel, `_green_blocks`, a cumulative Simpson quadrature run forward
-or backward in time that yields the field in blocks of time rows, a few of
-`_BLOCK_VALUES` values per pass whatever the window's length.
+or backward in time over blocks of time rows, each holding its nodes in order
+and carrying two rows of running integrals to the next, that yields the field
+block by block, a few of `_BLOCK_VALUES` values per pass whatever the
+window's length.
 `green_residuals` and `retarded_pairing` (the pairing <f, S_ret g> that
 `symplectic.gm_form` takes twice) reduce the blocks as they arrive, so no
 function holds a whole field; ret - adv is the causal field G f. The blocked
@@ -38,7 +40,8 @@ from .lattice import SpectralBasis, omega
 
 
 # values in one block of time rows (rows x stack x modes): a Duhamel pass
-# holds four blocks of weighted source, whatever the window's length
+# holds a cos and a sin block each of weighted source and of running
+# integrals, and the phases, whatever the window's length
 _BLOCK_VALUES = 1 << 13
 
 
@@ -196,44 +199,6 @@ def _source_rows(profiles: np.ndarray, shapes: np.ndarray, nodes) -> np.ndarray:
     return np.einsum("...cj,...cn->...jn", profiles[..., nodes], parts).view(shapes.dtype)
 
 
-def _simpson_lanes(y: np.ndarray, out: np.ndarray, dt: float, carried: bool) -> None:
-    """The running composite Simpson integral on node lanes, complex-safe
-    (scipy's cumulative_simpson is not): y[0] holds the odd nodes and y[1]
-    the even ones, rows on axis 1, row i holding nodes 2 i - 1 and 2 i of
-    the run, so every step reads and writes contiguous rows. The result goes
-    into `out`, in the same layout, which must not overlap y; the even lane
-    serves as scratch for the odd one until the pair sums fill it. Without
-    `carried`, node 0 is the window's first and node -1 is not read; with
-    it, out[1][:, 0] already holds the running integral at node 0, and node
-    1 takes the trailing parabola through node -1.
-    """
-    (odd, even), (odd_out, even_out) = y, out
-    pairs = even.shape[1] - 1
-    first = 1 if carried else 2  # the first odd row that takes the trailing parabola
-    # odd nodes: (dt / 12) (-y1 + 8 y2 + 5 y3) over the trailing subinterval
-    parabolas, fives = odd_out[:, first:], even_out[:, first:]
-    np.multiply(8.0, even[:, first - 1:pairs], out=parabolas)
-    np.subtract(parabolas, odd[:, first - 1:pairs], out=parabolas)
-    np.add(parabolas, np.multiply(5.0, odd[:, first:], out=fives), out=parabolas)
-    np.multiply(dt / 12.0, parabolas, out=parabolas)
-    if not carried:  # node 1: (dt / 12) (5 y0 + 8 y1 - y2)
-        node = odd_out[:, 1]
-        np.multiply(5.0, even[:, 0], out=node)
-        np.add(node, np.multiply(8.0, odd[:, 1], out=even_out[:, 1]), out=node)
-        np.subtract(node, even[:, 1], out=node)
-        np.multiply(dt / 12.0, node, out=node)
-        even_out[:, 0] = 0.0
-    # even nodes: running sum of the pairs (dt / 3) (y0 + 4 y1 + y2)
-    sums = even_out[:, 1:]
-    np.multiply(4.0, odd[:, 1:], out=sums)
-    np.add(even[:, :pairs], sums, out=sums)
-    np.add(sums, even[:, 1:], out=sums)
-    np.multiply(dt / 3.0, sums, out=sums)
-    running = even_out if carried else sums  # from row 0 when it carries a running value
-    np.cumsum(running, axis=1, out=running)
-    np.add(even_out[:, first - 1:pairs], parabolas, out=parabolas)
-
-
 def _green_blocks(f: SpacetimeTestFunction, mass: float, step: int):
     """The retarded (step 1) or advanced (step -1) field of f in blocks of
     time rows, in the order the pass runs (backward in time for step -1).
@@ -246,59 +211,62 @@ def _green_blocks(f: SpacetimeTestFunction, mass: float, step: int):
     sin(w(t - t')) = sin(wt)cos(wt') - cos(wt)sin(wt'), so the running
     Duhamel integral is cumulative Simpson of the cos- and sin-weighted
     source; the advanced one, over t' >= t, is the pass run backward from
-    the future end of the window, negated. Each block builds its own rows
-    of the phase table, source (`_source_rows`) and weighted source, in an
-    odd and an even lane of nodes (`_simpson_lanes`), and continues both
-    running integrals from the last two weighted rows and running values of
-    the block before, so every value takes the operations, in the order, of
-    one pass over the whole window. The last step, the division by w,
-    interleaves the lanes into node order.
+    the future end of the window, negated. Each block builds its rows of the
+    phase table, source (`_source_rows`) and weighted source in node order,
+    from the node before the one it continues at, so the trailing parabola
+    after that node has its three nodes. It takes the sums of the tests'
+    `reference_cumulative_simpson` on these rows, in that order, and carries
+    its last two running values to the next block, so every value takes the
+    operations, in the order, of one pass over the whole window. The field
+    is written over the running integrals.
     """
     w = omega(f.basis.eigenvalues, mass)
     times, profiles = f.times[::step], f.profiles[..., ::step]  # in pass order
-    nodes, stack = len(times), f.shape
+    nodes, stack, dt = len(times), f.shape, f.dt
     unit = (1,) * len(stack)
     pairs = max(1, _BLOCK_VALUES // max(1, 2 * w.size * math.prod(stack)))
     pairs = min(pairs, (nodes - 1) // 2)
-    # lanes of odd and even nodes x cos and sin parts x rows; zeros keep the
-    # first block's missing node -1 finite
-    shape = (2, 2, pairs + 1, *stack, w.size)
-    weighted, running = np.empty(shape, f.dtype), np.zeros(shape, f.dtype)
-    phases = np.zeros((2, 2, pairs + 1, *unit, w.size))
-    carried = np.empty((2, 2, 2, *stack, w.size), f.dtype)  # the last weighted and running rows
-    start = 0
+    # cos and sin parts x a block's nodes: start - 1 ... start + 2 pairs
+    shape = (2, 2 * pairs + 2, *stack, w.size)
+    phases = np.empty((2, 2 * pairs + 2, *unit, w.size))
+    weighted, running = np.empty(shape, f.dtype), np.empty(shape, f.dtype)
+    carried = np.empty((2, 2, *stack, w.size), f.dtype)
+    start = 0  # the even node the block continues the pass at
     while True:
-        rows = min(pairs, (nodes - 1 - start) // 2) + 1
-        end = start + 2 * rows - 2  # the block's last node, an even one
-        for q in (0, 1):
-            held = 1 if start == 0 and q == 0 else 0  # the first lane row with a node
-            new = 0 if start == 0 and q == 1 else 1  # the first lane row not carried over
-            phase, at = phases[q, 1, held:rows], times[start - 1 + q + 2 * held:end + 1:2]
-            np.multiply(w, at.reshape(-1, *unit, 1), out=phase)
-            np.cos(phase, out=phases[q, 0, held:rows])
-            np.sin(phase, out=phase)
-            src = _source_rows(profiles, f.shapes, slice(start - 1 + q + 2 * new, end + 1, 2))
-            src = np.moveaxis(src, -2, 0)  # time first
-            np.multiply(phases[q, :, new:rows], src, out=weighted[q, :, new:rows])
-        _simpson_lanes(weighted[:, :, :rows], running[:, :, :rows], f.dt, carried=start > 0)
-        if end < nodes - 1:
-            carried[0], carried[1] = weighted[:, :, rows - 1], running[:, :, rows - 1]
-        # step * (sin_p * ccum - cos_p * scum) / w, in place up to the
-        # division, which writes node order; rounding is sign-symmetric, so
-        # for step -1 the difference taken the other way is the negated one
-        # (an exact zero may differ in sign)
-        lanes = running[:, :, :rows]
-        np.multiply(phases[:, ::-1, :rows], lanes, out=lanes)
-        sin_part, cos_part = lanes[:, 0], lanes[:, 1]
+        first, end = max(start - 1, 0), min(start + 2 * pairs, nodes - 1)
+        span, rows = slice(first, end + 1), end + 1 - first
+        cos_sin, phase = phases[:, :rows], phases[1, :rows]
+        np.multiply(w, times[span].reshape(-1, *unit, 1), out=phase)
+        np.cos(phase, out=cos_sin[0])
+        np.sin(phase, out=phase)
+        src = np.moveaxis(_source_rows(profiles, f.shapes, span), -2, 0)  # time first
+        y = np.multiply(cos_sin, src, out=weighted[:, :rows])
+        del src  # before the sums' temporaries
+        out = running[:, :rows]
+        if start == 0:  # node 1: (dt / 12) (5 y0 + 8 y1 - y2)
+            out[:, 0] = 0.0
+            out[:, 1] = (dt / 12.0) * (5.0 * y[:, 0] + 8.0 * y[:, 1] - y[:, 2])
+            e, odd = 0, 3  # the rows of node start and of the first parabola
+        else:  # nodes start - 1 and start hold the block before's last values
+            out[:, :2] = carried
+            e, odd = 1, 2
+        # even nodes: running sum of the pairs (dt / 3) (y0 + 4 y1 + y2)
+        out[:, e + 2::2] = (dt / 3.0) * (y[:, e:-2:2] + 4.0 * y[:, e + 1:-1:2] + y[:, e + 2::2])
+        np.cumsum(out[:, odd - 1::2], axis=1, out=out[:, odd - 1::2])
+        # odd nodes: (dt / 12) (-y1 + 8 y2 + 5 y3) over the trailing subinterval
+        out[:, odd::2] = out[:, odd - 1:-1:2] + (dt / 12.0) * (
+            -y[:, odd - 2:-2:2] + 8.0 * y[:, odd - 1:-1:2] + 5.0 * y[:, odd::2])
+        carried[...] = out[:, -2:]
+        # step * (sin_p * ccum - cos_p * scum) / w, in place; rounding is
+        # sign-symmetric, so for step -1 the difference taken the other way
+        # is the negated one (an exact zero may differ in sign)
+        np.multiply(cos_sin[::-1], out, out=out)
+        sin_part, cos_part = out
         np.subtract(*((sin_part, cos_part) if step == 1 else (cos_part, sin_part)), out=sin_part)
-        # the weighted rows are carried, so their buffer takes the field in node order
-        block = weighted.reshape(-1)[:sin_part.size].reshape(2 * rows, *stack, w.size)
-        np.divide(sin_part, w, out=np.moveaxis(block.reshape(rows, 2, *stack, w.size), 1, 0))
-        yield (0, block[1:]) if start == 0 else (start - 1, block)
+        yield first, np.divide(sin_part, w, out=sin_part)
         if end == nodes - 1:
             return
         start = end
-        weighted[:, :, 0], running[:, :, 0] = carried
 
 
 def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
@@ -342,8 +310,10 @@ def _residual_norms(before, at, after, src, w2, dt) -> np.ndarray:
     np.add(res, mag, out=res)
     np.subtract(res, src, out=res)
     mag = np.abs(res, out=mag.view(float)[..., : w2.size])
-    # mode coefficients carry the h-weighted norm already (Parseval)
-    return np.sqrt(np.sum(np.square(mag, out=mag), axis=-1))
+    # mode coefficients carry the h-weighted norm already (Parseval); a norm
+    # whose square overflows is inf
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.sum(np.square(mag, out=mag), axis=-1))
 
 
 def retarded_pairing(
@@ -351,7 +321,12 @@ def retarded_pairing(
 ) -> complex | np.ndarray:
     """<f, S_ret g> on the shared time nodes, broadcast over the stack axes:
     each block of g's forward pass reduced at once to the per-node mode sums
-    of conj(f) * S_ret g (Parseval), then the Simpson-weighted sum."""
+    of conj(f) * S_ret g (Parseval), then the Simpson-weighted sum. f and g
+    must share one basis object and equal time nodes."""
+    if f.basis is not g.basis:
+        raise ValueError("sources live on different bases")
+    if not np.array_equal(f.times, g.times):
+        raise ValueError("sources must share a time window")
     shape = np.broadcast_shapes(f.shape, g.shape) + f.times.shape
     per_node = np.empty(shape, np.result_type(f.dtype, g.dtype))
     for first, block in _green_blocks(g, mass, 1):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import CauchyDatum, apply_mode_blocks
-from .lattice import SpatialGrid, SpectralBasis, omega
+from .lattice import SpatialGrid, SpectralBasis, omega, spectral_decompose
 from .massfamily import (
     T_CEILING_DEFAULT,
     ConvergenceReport,
@@ -186,13 +186,23 @@ MASSLIMIT_ROUNDING_SHARE = 1e-3
 
 def check_massless_grid(grid: SpatialGrid) -> None:
     """Raise ValueError if (4 / h^2) eps, the rounding of the largest lambda,
-    passes MASSLIMIT_ROUNDING_SHARE of the smallest m^2 (times h^2 here)."""
+    passes MASSLIMIT_ROUNDING_SHARE of the smallest m^2 (times h^2 here), or
+    if `massless_bound` is not finite for a table mass."""
     m_min, h = min(MASSLESS_MASSES), grid.spacing
     if 4.0 * sys.float_info.epsilon > MASSLIMIT_ROUNDING_SHARE * m_min * m_min * h * h:
         raise ValueError(
             "grid spacing too fine for masslimit: the smallest table mass "
             f"m = {m_min:g} is lost to rounding in lambda + m^2"
         )
+    basis = spectral_decompose(grid)
+    for m in MASSLESS_MASSES:
+        with np.errstate(over="ignore", divide="ignore"):  # an overflow is rejected
+            finite = np.isfinite(massless_bound(basis, m)).all()
+        if not finite:
+            raise ValueError(
+                "grid spacing too coarse for masslimit: the bound "
+                f"pi m^2 max(1 / (k^2 omega), 1 / (k (k + omega))) overflows at m = {m:g}"
+            )
 
 
 def massless_limit(basis: SpectralBasis) -> tuple[SignatureOperator, MasslessTable]:

@@ -38,17 +38,13 @@ def gm_form(
     = <S_ret f, g>, so the form is <f, S_ret g> - conj(<g, S_ret f>): two
     forward Duhamel passes, one per source, and gm_form(g, f) is
     -conj(gm_form(f, g)) exactly (`dynamics.retarded_pairing` takes each
-    pass). f and g must share one basis object and equal time nodes. The
-    causal field ret - adv of the Duhamel passes agrees
-    with the field of `causal_fundamental`'s t = 0 data at even time nodes to
+    pass, and checks that f and g share one basis object and equal time
+    nodes). The causal field ret - adv of the Duhamel passes agrees with the
+    field of `causal_fundamental`'s t = 0 data at even time nodes to
     rounding and differs at odd ones, where the cumulative Simpson rule takes
     a trailing parabola; the adjoint form differs from <f, (ret - adv) g> at
     quadrature order too. So comparing against
     symplectic(causal_fundamental(f), causal_fundamental(g)) checks the
     two routes at quadrature order.
     """
-    if f.basis is not g.basis:
-        raise ValueError("sources live on different bases")
-    if not np.array_equal(f.times, g.times):
-        raise ValueError("sources must share a time window")
     return retarded_pairing(f, g, mass) - np.conj(retarded_pairing(g, f, mass))

@@ -104,6 +104,8 @@ def test_bad_interval_exits_2(tmp_path, capsys):
         (["spectrum"], "[grid]\nl = 1e-160\n", lambda: SpatialGrid(16, 1e-160)),
         (["masslimit"], "[grid]\nl = 1e-5\n",
          lambda: signature.massless_limit(dirichlet_basis(16, 1e-5))),
+        (["masslimit"], "[grid]\nl = 1e155\n",
+         lambda: signature.massless_limit(dirichlet_basis(16, 1e155))),
         (["massdecomp"], "[mass]\nm_lo = 0\n", lambda: massfamily.MassInterval(0.0, 2.0)),
         (["massdecomp"], "[mass]\nm_lo = 2\nm_hi = 1\n",
          lambda: massfamily.MassInterval(2.0, 1.0)),
@@ -115,7 +117,7 @@ def test_bad_interval_exits_2(tmp_path, capsys):
         (["reconstruct", "--tol", "1e-5"], "", lambda: signature.reconstruction_weight(
             1.5, 0.05, 1e-5, massfamily.MassInterval(1.0, 2.0))),
     ],
-    ids=["n", "l", "spacing", "masslimit-spacing", "m_lo", "order", "too-wide", "support",
+    ids=["n", "l", "spacing", "masslimit-spacing", "masslimit-coarse", "m_lo", "order", "too-wide", "support",
          "positive-mass", "half-width"],
 )
 def test_config_error_is_the_library_error(tmp_path, capsys, args, text, library):
@@ -392,6 +394,17 @@ def test_extreme_time_steps_exit_2_or_3(tmp_path, capsys, recwarn, command, text
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_green_residual_past_the_float_range_exits_3_without_warnings(tmp_path, capsys, recwarn):
+    # at m = 1e154 the squares in the residual norm overflowed and cmd_green
+    # divided inf by inf: three RuntimeWarnings (a traceback as errors), exit 3
+    code, out = run(tmp_path, ["green"], "[mass]\nm = 1e154\n\n[run]\nwindow = 100\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "non-finite result: result retarded_refinement_ratio; nothing was written\n"
+    assert not out.exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

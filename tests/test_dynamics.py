@@ -13,6 +13,7 @@ from kgsig.dynamics import (
     causal_fundamental,
     green_residuals,
     propagate,
+    retarded_pairing,
     simpson_weights,
     time_window,
 )
@@ -597,6 +598,19 @@ def test_gm_form_pairs_real_and_complex_sources_bit_for_bit(basis):
         ref = reference_gm_form(f, g, MASS)
         assert np.result_type(got) == np.result_type(f.dtype, g.dtype)
         np.testing.assert_array_equal(got, ref)
+
+
+def test_retarded_pairing_rejects_another_basis_or_window(basis):
+    # it paired g on an equal twin basis, and on a window moved by 1 as if
+    # unmoved (0.0807 + 0.3885j both), where gm_form raised
+    times = time_window(-3.0, 3.0, 0.05)
+    f, g = (random_test_function(Draws(seed), basis, times) for seed in (1, 2))
+    twin = SpacetimeTestFunction(times, g.profiles, g.shapes, dirichlet_basis(16, 10.0))
+    shifted = SpacetimeTestFunction(times + 1.0, g.profiles, g.shapes, basis)
+    with pytest.raises(ValueError, match="sources live on different bases"):
+        retarded_pairing(f, twin, MASS)
+    with pytest.raises(ValueError, match="sources must share a time window"):
+        retarded_pairing(f, shifted, MASS)
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])

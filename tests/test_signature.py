@@ -188,6 +188,17 @@ def test_massless_limit_table(basis):
         massless_limit(dirichlet_basis(16, 1e-5))
 
 
+@pytest.mark.parametrize("n", [7, 16])
+def test_massless_limit_rejects_a_bound_that_overflows(n):
+    # lambda_1 is subnormal from l = 3e154 on, so 1 / (k^2 omega) overflowed:
+    # the table came back with numpy's overflow warnings and an inf bound
+    for length in (3e154, 1e155):
+        with pytest.raises(ValueError, match="too coarse for masslimit"):
+            massless_limit(dirichlet_basis(n, length))
+    _, table = massless_limit(dirichlet_basis(n, 1e154))
+    assert np.isfinite(table.mode_bounds).all()
+
+
 def _operator(basis, blocks):
     return signature_analytic(1.0, basis)._replace(blocks=blocks)
 
