@@ -34,7 +34,7 @@ from typing import NoReturn, TextIO
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config, validate_config
-from .dynamics import causal_fundamental, green_residuals, propagate, time_window
+from .dynamics import causal_fundamental, gm_form, green_residuals, propagate, time_window
 from .lattice import SpectralBasis, dirichlet_basis, omega
 from .massfamily import (
     ConvergenceError,
@@ -62,7 +62,7 @@ from .state import (
     wick_n_point,
     wick_terms,
 )
-from .symplectic import gm_form, symplectic
+from .symplectic import symplectic
 
 
 def _create(path: Path) -> TextIO:

@@ -22,10 +22,10 @@ or backward in time over blocks of time rows, each holding its nodes in order
 and carrying two rows of running integrals to the next, that yields the field
 block by block, a few of `_BLOCK_VALUES` values per pass whatever the
 window's length.
-`green_residuals` and `retarded_pairing` (the pairing <f, S_ret g> that
-`symplectic.gm_form` takes twice) reduce the blocks as they arrive, so no
-function holds a whole field; ret - adv is the causal field G f. The blocked
-values take the operations, in the order, of the plain whole-window
+`green_residuals` and the causal form `gm_form`, <f, S_ret g> -
+conj(<g, S_ret f>) from two forward passes, reduce the blocks as they arrive,
+so no function holds a whole field; ret - adv is the causal field G f. The
+blocked values take the operations, in the order, of the plain whole-window
 expressions on the source's rows (the tests keep them as references), so
 results keep their values bit for bit (an exact zero may differ in sign).
 """
@@ -269,6 +269,47 @@ def _green_blocks(f: SpacetimeTestFunction, mass: float, step: int):
         start = end
 
 
+def _retarded_pairing(
+    f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float
+) -> complex | np.ndarray:
+    """<f, S_ret g>, broadcast over the stack axes (see `gm_form`)."""
+    if f.basis is not g.basis:
+        raise ValueError("sources live on different bases")
+    if not np.array_equal(f.times, g.times):
+        raise ValueError("sources must share a time window")
+    shape = np.broadcast_shapes(f.shape, g.shape) + f.times.shape
+    per_node = np.empty(shape, np.result_type(f.dtype, g.dtype))
+    for first, block in _green_blocks(g, mass, 1):
+        nodes = slice(first, first + len(block))
+        rows = _source_rows(f.profiles, f.shapes, nodes)
+        conj = np.conj(rows, out=rows) if np.iscomplexobj(rows) else rows
+        # time on axis -2 of both operands, so the stack axes broadcast
+        product = np.multiply(conj, np.moveaxis(block, 0, -2), order="C")
+        np.sum(product, axis=-1, out=per_node[..., nodes])
+    return np.sum(simpson_weights(f.times) * per_node, axis=-1)
+
+
+def gm_form(
+    f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float
+) -> complex | np.ndarray:
+    """Spacetime quadrature of conj(f) * (causal field of g), broadcast over
+    the stack axes of f and g, which must share one basis object and equal
+    time nodes.
+
+    S_adv is the adjoint of S_ret for the spacetime L^2 product, <f, S_adv g>
+    = <S_ret f, g>, so the form is <f, S_ret g> - conj(<g, S_ret f>): two
+    forward passes, each block reduced as it arrives to the per-node mode
+    sums of conj(f) * S_ret g (Parseval), then Simpson-weighted, so no field
+    is held whole, and gm_form(g, f) is -conj(gm_form(f, g)) exactly. The
+    Duhamel field ret - adv agrees with that of `causal_fundamental`'s t = 0
+    data at even time nodes to rounding and differs at odd ones (the
+    cumulative Simpson rule's trailing parabola), and the adjoint form differs
+    from <f, (ret - adv) g> at quadrature order too: the symplectic form of
+    f's and g's `causal_fundamental` data checks this one at quadrature order.
+    """
+    return _retarded_pairing(f, g, mass) - np.conj(_retarded_pairing(g, f, mass))
+
+
 def causal_fundamental(f: SpacetimeTestFunction, mass: float) -> CauchyDatum:
     """Cauchy data at t = 0 of (retarded - advanced) applied to f.
 
@@ -316,29 +357,6 @@ def _residual_norms(before, at, after, src, w2, dt) -> np.ndarray:
         return np.sqrt(np.sum(np.square(mag, out=mag), axis=-1))
 
 
-def retarded_pairing(
-    f: SpacetimeTestFunction, g: SpacetimeTestFunction, mass: float
-) -> complex | np.ndarray:
-    """<f, S_ret g> on the shared time nodes, broadcast over the stack axes:
-    each block of g's forward pass reduced at once to the per-node mode sums
-    of conj(f) * S_ret g (Parseval), then the Simpson-weighted sum. f and g
-    must share one basis object and equal time nodes."""
-    if f.basis is not g.basis:
-        raise ValueError("sources live on different bases")
-    if not np.array_equal(f.times, g.times):
-        raise ValueError("sources must share a time window")
-    shape = np.broadcast_shapes(f.shape, g.shape) + f.times.shape
-    per_node = np.empty(shape, np.result_type(f.dtype, g.dtype))
-    for first, block in _green_blocks(g, mass, 1):
-        nodes = slice(first, first + len(block))
-        rows = _source_rows(f.profiles, f.shapes, nodes)
-        conj = np.conj(rows, out=rows) if np.iscomplexobj(rows) else rows
-        # time on axis -2 of both operands, so the stack axes broadcast
-        product = np.multiply(conj, np.moveaxis(block, 0, -2), order="C")
-        np.sum(product, axis=-1, out=per_node[..., nodes])
-    return np.sum(simpson_weights(f.times) * per_node, axis=-1)
-
-
 def green_residuals(f: SpacetimeTestFunction, mass: float) -> tuple[float, float]:
     """Max norm of (D_t^2 - Lap + m^2) u - f over interior time nodes, per
     source, for the retarded and advanced fields u of f, each reduced block
@@ -359,4 +377,5 @@ def green_residuals(f: SpacetimeTestFunction, mass: float) -> tuple[float, float
             norms = _residual_norms(before, block[1:-1], after, src, w2, f.dt).max(axis=0)
             peak = norms if peak is None else np.maximum(peak, norms)
         worst.append(peak)
+        del block, before, after, src  # the pass's last block, before the next pass
     return worst[0], worst[1]

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from kgsig.dynamics import causal_fundamental, propagate, time_window
+from kgsig.dynamics import causal_fundamental, gm_form, propagate, time_window
 from kgsig.lattice import dirichlet_basis
 from kgsig.massfamily import (
     MassInterval,
@@ -29,7 +29,7 @@ from kgsig.signature import (
     signature_reconstruct,
 )
 from kgsig.state import build_state, pair_matchings, state_positivity_suite, two_point, wick_n_point
-from kgsig.symplectic import gm_form, symplectic
+from kgsig.symplectic import symplectic
 
 import pytest
 

@@ -11,9 +11,9 @@ from kgsig.dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
     causal_fundamental,
+    gm_form,
     green_residuals,
     propagate,
-    retarded_pairing,
     simpson_weights,
     time_window,
 )
@@ -21,7 +21,7 @@ from kgsig.lattice import SINE_FFT_MIN_POINTS, dirichlet_basis, laplacian, omega
 from kgsig.random_fields import Draws, bump, random_datum, random_test_function
 from kgsig.signature import apply_signature, scalar_product, signature_analytic
 from kgsig.state import build_state, pair_matrix
-from kgsig.symplectic import gm_form, symplectic
+from kgsig.symplectic import symplectic
 
 from duhamel_reference import (
     modes_of,
@@ -600,17 +600,17 @@ def test_gm_form_pairs_real_and_complex_sources_bit_for_bit(basis):
         np.testing.assert_array_equal(got, ref)
 
 
-def test_retarded_pairing_rejects_another_basis_or_window(basis):
-    # it paired g on an equal twin basis, and on a window moved by 1 as if
-    # unmoved (0.0807 + 0.3885j both), where gm_form raised
+def test_gm_form_rejects_another_basis_or_window(basis):
+    # each forward pass checks its pair, so g on an equal twin basis, or on
+    # a window moved by 1, is not paired as if it were f's
     times = time_window(-3.0, 3.0, 0.05)
     f, g = (random_test_function(Draws(seed), basis, times) for seed in (1, 2))
     twin = SpacetimeTestFunction(times, g.profiles, g.shapes, dirichlet_basis(16, 10.0))
     shifted = SpacetimeTestFunction(times + 1.0, g.profiles, g.shapes, basis)
     with pytest.raises(ValueError, match="sources live on different bases"):
-        retarded_pairing(f, twin, MASS)
+        gm_form(f, twin, MASS)
     with pytest.raises(ValueError, match="sources must share a time window"):
-        retarded_pairing(f, shifted, MASS)
+        gm_form(f, shifted, MASS)
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])

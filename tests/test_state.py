@@ -10,6 +10,7 @@ from kgsig.dynamics import (
     SpacetimeTestFunction,
     apply_mode_blocks,
     causal_fundamental,
+    gm_form,
     time_window,
 )
 from kgsig.lattice import SINE_FFT_MIN_POINTS, dirichlet_basis
@@ -24,7 +25,7 @@ from kgsig.state import (
     wick_n_point,
     wick_terms,
 )
-from kgsig.symplectic import gm_form, symplectic
+from kgsig.symplectic import symplectic
 
 MASS = 1.0
 

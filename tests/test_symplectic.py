@@ -5,13 +5,14 @@ from kgsig.dynamics import (
     CauchyDatum,
     SpacetimeTestFunction,
     causal_fundamental,
+    gm_form,
     propagate,
     simpson_weights,
     time_window,
 )
 from kgsig.lattice import SINE_FFT_MIN_POINTS, dirichlet_basis, omega
 from kgsig.random_fields import bump, random_datum, random_test_function
-from kgsig.symplectic import gm_form, symplectic
+from kgsig.symplectic import symplectic
 
 from duhamel_reference import modes_of, reference_duhamel_modes
 
@@ -118,13 +119,13 @@ def test_causal_form_in_mode_space_equals_the_lattice_sum(basis):
     rng = np.random.default_rng(12)
     f, g = random_test_function(rng, basis, times), random_test_function(rng, basis, times)
 
-    def retarded_pairing(a, b):
+    def lattice_pairing(a, b):
         ret = reference_duhamel_modes(b, MASS)[0]
         a_lattice, u = basis.synthesize(np.stack([modes_of(a), ret]))
         per_node = basis.grid.spacing * np.sum(np.conj(a_lattice) * u, axis=1)
         return np.sum(simpson_weights(times) * per_node)
 
-    lattice = retarded_pairing(f, g) - np.conj(retarded_pairing(g, f))
+    lattice = lattice_pairing(f, g) - np.conj(lattice_pairing(g, f))
     assert abs(gm_form(f, g, MASS) - lattice) <= 1e-13 * abs(lattice)
 
 
