@@ -298,7 +298,8 @@ def _uniform_rule(
 
         half = kernel(step * np.arange(1, nodes))
         near = np.concatenate([[t_hi - t_lo], half, half[::-1]])
-        return corr @ near + np.einsum(
+        # einsum, not a BLAS product: its sum order does not depend on threads
+        return np.einsum("...s,s->...", corr, near) + np.einsum(
             "xnabs,ns->xnab", conv, kernel(2 * om_lo + step * np.arange(size))
         )
 

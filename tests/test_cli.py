@@ -163,8 +163,8 @@ def test_reconstruct_window_may_fill_the_interval(tmp_path):
         assert code == 0
         results.append(read_summary(out, "reconstruct")["results"])
     assert results[0] == results[1]
-    assert results[0]["deviation_at_half_width"] == 6.0135549762829754e-4
-    assert results[0]["deviation_at_halved"] == 1.5033890794757809e-4
+    assert results[0]["deviation_at_half_width"] == 6.013554976265212e-4
+    assert results[0]["deviation_at_halved"] == 1.5033890795201899e-4
 
 
 def test_stalled_convergence_exits_3(tmp_path, capsys):
