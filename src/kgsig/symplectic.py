@@ -25,4 +25,3 @@ def symplectic(a: CauchyDatum, b: CauchyDatum) -> complex | np.ndarray:
     phi_a, pi_a = a.modes[..., 0, :], a.modes[..., 1, :]
     phi_b, pi_b = b.modes[..., 0, :], b.modes[..., 1, :]
     return 1j * np.sum(np.conj(pi_a) * phi_b + np.conj(phi_a) * pi_b, axis=-1)
-
